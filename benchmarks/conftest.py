@@ -5,6 +5,10 @@ rows (run pytest with ``-s`` to see them), and asserts the qualitative shape
 the paper reports.  HIL benchmarks default to reduced episode counts so the
 whole suite completes in minutes; the experiment drivers accept larger
 counts for a full-scale reproduction.
+
+Wall-clock speedup floors are marked ``bench``: they depend on host load
+and write the ``BENCH_*.json`` files, so the default run deselects them
+(``pytest.ini``) and ``pytest benchmarks -m bench`` runs them.
 """
 
 import pytest

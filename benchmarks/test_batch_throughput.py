@@ -12,6 +12,7 @@ the throughput of sequentially looping the scalar solver.
 import time
 
 import numpy as np
+import pytest
 
 from repro.bench import write_bench_report
 from repro.tinympc import BatchTinyMPCSolver, SolverSettings, TinyMPCSolver
@@ -36,6 +37,7 @@ def _time_best(callable_, rounds=ROUNDS):
     return best
 
 
+@pytest.mark.bench
 def test_batch_throughput_at_least_5x(quadrotor_problem, show_rows):
     problem = quadrotor_problem
     x0s = _fleet_states(problem)

@@ -12,6 +12,8 @@ on the whole catalog (``tests/arch/test_cycle_model.py``), so this speedup
 is not bought with accuracy.
 """
 
+import pytest
+
 from repro.bench import (
     DSE_MODEL_SPEEDUP_FLOOR,
     dse_grid,
@@ -20,6 +22,7 @@ from repro.bench import (
 )
 
 
+@pytest.mark.bench
 def test_dse_model_campaign_at_least_5x(show_rows):
     grid = dse_grid()
     assert len(grid) >= 100, \

@@ -13,6 +13,7 @@ import os
 import time
 
 import numpy as np
+import pytest
 
 from repro.bench import write_bench_report
 from repro.experiments import fig17_disturbance_recovery
@@ -44,6 +45,7 @@ def test_fig17_disturbance_recovery(benchmark, show_rows):
         assert max(improvements) > -20.0
 
 
+@pytest.mark.bench
 def test_fig17_fleet_speedup_and_equivalence(show_rows):
     """Serial run_disturbance stream vs the batched recovery campaign."""
     spec = CampaignSpec(name="fig17", episode_kind="recovery",

@@ -12,6 +12,8 @@ reproducing every discrete per-episode outcome exactly.
 
 import time
 
+import pytest
+
 from repro.bench import write_bench_report
 from repro.drone import generate_scenario
 from repro.fleet import CampaignSpec, SolverPool, run_campaign
@@ -23,6 +25,7 @@ CAMPAIGN = CampaignSpec(
     seeds=tuple(range(8)), frequencies_mhz=(100.0, 250.0))
 
 
+@pytest.mark.bench
 def test_fleet_campaign_at_least_3x(show_rows):
     episodes = CAMPAIGN.expand()
     assert len(episodes) == 32

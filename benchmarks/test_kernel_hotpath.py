@@ -23,6 +23,8 @@ what this PR replaced:
 The measured numbers are written to ``BENCH_kernels.json`` so future PRs
 inherit a perf trajectory.  Set ``BENCH_SMOKE=1`` for CI smoke mode
 (smaller rounds/grids; thresholds get slack for noisy shared runners).
+The timed floors carry the ``bench`` marker, which the default test run
+deselects (``pytest.ini``); run them with ``pytest benchmarks -m bench``.
 """
 
 import os
@@ -121,6 +123,7 @@ class TestZeroAllocation:
         assert counts["peak_bytes"] > ALLOC_PEAK_LIMIT_BATCH, counts
 
 
+@pytest.mark.bench
 class TestHotpathSpeedups:
     def test_speedups_and_report(self, show_rows, hotpath_bench):
         metrics, rows, path = hotpath_bench

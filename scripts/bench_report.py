@@ -34,8 +34,8 @@ def main() -> int:
     parser.add_argument("--no-campaign", action="store_true",
                         help="skip the fleet-campaign comparison")
     parser.add_argument("--backend", default="auto",
-                        help="compiled backend to measure (auto/numba/c/"
-                             "numpy; numpy skips the compiled rows)")
+                        help="compiled backend to measure (auto/c/numpy; "
+                             "numpy skips the compiled rows)")
     parser.add_argument("--dse", action="store_true",
                         help="also run the design-space exploration "
                              "throughput benchmark (BENCH_dse.json)")

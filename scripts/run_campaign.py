@@ -20,14 +20,15 @@ and prints per-cell aggregate rows.  Examples::
         --episode-kind design_point --fidelity model \\
         --codegen-levels auto --output dse.json
 
-With ``--checkpoint-dir`` the campaign runs on the durable, supervised
-path (``docs/robustness.md``): progress is journaled to a
-content-addressed run directory, worker death and poisoned episodes are
-retried/quarantined instead of aborting, and Ctrl-C exits with status 130
-after flushing a final checkpoint plus a ``resume with --resume <dir>``
-hint.  ``--resume <dir>`` picks the run back up; completed chunks replay
-from the journal, so an interrupted-then-resumed campaign produces
-byte-identical rows to an uninterrupted one.
+Runs with worker processes (``--workers`` above 1, or any checkpointed
+run) are supervised: worker death and poisoned episodes are
+retried/quarantined instead of aborting.  ``--checkpoint-dir`` also makes
+the run durable (``docs/robustness.md``): progress is journaled to a
+content-addressed run directory, and Ctrl-C exits with status 130 after
+flushing a final checkpoint plus a ``resume with --resume <dir>`` hint.
+``--resume <dir>`` picks the run back up; completed chunks replay from the
+journal, so an interrupted-then-resumed campaign produces byte-identical
+rows to an uninterrupted one.
 
 Exit status is non-zero when the campaign produced no aggregate rows, so
 CI smoke jobs can assert liveness with a plain shell invocation.
@@ -147,13 +148,16 @@ def build_parser() -> argparse.ArgumentParser:
                              "campaign flags as the original invocation")
     parser.add_argument("--max-retries", type=int, default=3,
                         help="attempts per episode chunk before bisection/"
-                             "quarantine (checkpointed runs only)")
+                             "quarantine (runs with worker processes)")
     parser.add_argument("--episode-timeout", type=float, default=None,
                         help="per-episode timeout in seconds; a chunk gets "
-                             "timeout x episodes (checkpointed runs only)")
-    parser.add_argument("--lease-size", type=int, default=DEFAULT_LEASE_SIZE,
-                        help="episodes per supervised chunk (the atomic "
-                             "unit of checkpointing)")
+                             "timeout x episodes (runs with worker "
+                             "processes)")
+    parser.add_argument("--lease-size", type=int, default=None,
+                        help="episodes per chunk, the atomic unit of "
+                             "checkpointing (default: {} with a checkpoint, "
+                             "one chunk per worker without)".format(
+                                 DEFAULT_LEASE_SIZE))
     return parser
 
 
@@ -184,17 +188,15 @@ def main(argv=None) -> int:
     if not args.quiet:
         print(spec.describe())
     checkpoint_dir = args.resume or args.checkpoint_dir
-    retry_policy = None
-    if checkpoint_dir is not None:
-        retry_policy = RetryPolicy(max_attempts=args.max_retries,
-                                   episode_timeout=args.episode_timeout)
     start = time.perf_counter()
     try:
         outcome = run_campaign(spec, workers=args.workers,
                                batching=not args.no_batching,
                                max_batch=args.max_batch,
                                checkpoint_dir=checkpoint_dir,
-                               retry_policy=retry_policy,
+                               retry_policy=RetryPolicy(
+                                   max_attempts=args.max_retries,
+                                   episode_timeout=args.episode_timeout),
                                lease_size=args.lease_size)
     except CampaignInterrupted as interrupt:
         # Progress is journaled; flush a final checkpoint of the partial
@@ -245,6 +247,7 @@ def main(argv=None) -> int:
         }
         if outcome.run_dir is not None:
             payload["run_dir"] = outcome.run_dir
+        if outcome.report is not None:
             payload["supervisor"] = outcome.report.as_row()
         with open(args.output, "w") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)

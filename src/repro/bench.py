@@ -65,7 +65,7 @@ __all__ = [
 BENCH_SCHEMA_VERSION = 1
 
 # Compiled-backend floors (vs the *numpy fast path*, not vs naive): the
-# fused C/numba iteration must beat the numpy kernels by at least this much
+# fused C iteration must beat the numpy kernels by at least this much
 # or the whole backend is dead weight.  Measured headroom on the dev host:
 # scalar ~28x, batch64 ~2.1-3x, so 5x/2x trip on real regressions without
 # flaking on timer noise.

@@ -8,20 +8,18 @@ approach the paper's 20-scenario-per-difficulty methodology.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..drone import (
     Difficulty,
     DisturbanceCategory,
-    DroneParams,
     all_variants,
-    crazyflie,
     generate_scenario,
     scenario_overview_table,
 )
-from ..hil import HILConfig, HILLoop, RTOSModel, SoCModel, aggregate_cell
+from ..hil import RTOSModel, SoCModel, aggregate_cell
 from .kernel_experiments import default_program
 
 __all__ = [
@@ -62,6 +60,22 @@ def fig15_scenarios(seeds_per_difficulty: int = 3) -> List[Dict]:
 # Figure 16: solve time / success rate / power vs clock frequency
 # ---------------------------------------------------------------------------
 
+def _configuration_results(difficulties: Sequence[Difficulty],
+                           episodes_per_cell: int, implementation: str,
+                           frequency_mhz: float, variant: str,
+                           batched: bool) -> List:
+    """Fly one HIL configuration's scenario grid as one fleet campaign;
+    results in ``difficulty > seed`` order."""
+    from ..fleet import CampaignSpec, run_campaign
+
+    spec = CampaignSpec(difficulties=tuple(difficulties),
+                        seeds=tuple(range(episodes_per_cell)),
+                        implementations=(implementation,),
+                        frequencies_mhz=(frequency_mhz,),
+                        variants=(variant,))
+    return run_campaign(spec, batching=batched).results
+
+
 def fig16_hil_sweep(implementations: Sequence[str] = ("scalar", "vector"),
                     frequencies_mhz: Sequence[float] = (50.0, 100.0, 250.0, 500.0),
                     difficulties: Sequence[Difficulty] = (Difficulty.EASY,
@@ -72,11 +86,11 @@ def fig16_hil_sweep(implementations: Sequence[str] = ("scalar", "vector"),
                     batched: bool = True) -> List[Dict]:
     """The full HIL sweep: one row per (implementation, frequency, difficulty).
 
-    With ``batched=True`` (the default) every configuration's whole scenario
-    grid — all difficulties times ``episodes_per_cell`` episodes — flies as
-    one lockstep batch through a single
-    :class:`~repro.tinympc.batch.BatchTinyMPCSolver`, which is numerically
-    equivalent to, and several times faster than, the sequential loop.
+    Each configuration's whole scenario grid — all difficulties times
+    ``episodes_per_cell`` seeds — runs as one campaign through
+    :func:`repro.fleet.run_campaign`, so with ``batched=True`` (the default)
+    its solves share one batch group: numerically equivalent to, and
+    several times faster than, the sequential loop.
     """
     rows: List[Dict] = []
     configurations = [(impl, freq) for impl in implementations
@@ -84,13 +98,9 @@ def fig16_hil_sweep(implementations: Sequence[str] = ("scalar", "vector"),
     if include_ideal:
         configurations.append(("ideal", 0.0))
     for implementation, frequency in configurations:
-        config = HILConfig(implementation=implementation,
-                           frequency_mhz=frequency if frequency else 100.0)
-        loop = HILLoop(config)
-        scenarios = [generate_scenario(difficulty, seed)
-                     for difficulty in difficulties
-                     for seed in range(episodes_per_cell)]
-        results = loop.run_scenarios(scenarios, batched=batched)
+        results = _configuration_results(
+            difficulties, episodes_per_cell, implementation,
+            frequency if frequency else 100.0, "CrazyFlie", batched)
         for index, difficulty in enumerate(difficulties):
             cell_results = results[index * episodes_per_cell:
                                    (index + 1) * episodes_per_cell]
@@ -187,18 +197,15 @@ def fig18_swap_variants(frequencies_mhz: Sequence[float] = (100.0, 500.0),
     lowest-power adequate frequency per variant (Figure 18).
 
     As in :func:`fig16_hil_sweep`, each (variant, frequency) cell's scenario
-    grid flies as one batch when ``batched=True``.
+    grid runs as one campaign, batched when ``batched=True``.
     """
     rows: List[Dict] = []
-    for name, params in all_variants().items():
+    for name in all_variants():
         best_row: Optional[Dict] = None
         for frequency in frequencies_mhz:
-            config = HILConfig(implementation=implementation, frequency_mhz=frequency)
-            loop = HILLoop(config, params=params)
-            scenarios = [generate_scenario(difficulty, seed)
-                         for difficulty in difficulties
-                         for seed in range(episodes_per_cell)]
-            results = loop.run_scenarios(scenarios, batched=batched)
+            results = _configuration_results(
+                difficulties, episodes_per_cell, implementation, frequency,
+                name, batched)
             success = sum(1 for r in results if r.success) / len(results)
             power = float(np.mean([r.total_power_w for r in results]))
             row = {"variant": name, "frequency_mhz": frequency,

@@ -10,14 +10,16 @@ settings) into batched solver work:
 * :mod:`repro.fleet.scheduler` — the virtual-time :class:`FleetScheduler`
   that packs compatible solve requests into
   :class:`~repro.tinympc.batch.BatchTinyMPCSolver` dispatches;
-* :mod:`repro.fleet.workers` — :func:`run_campaign`, in-process or sharded
-  across processes with deterministic partitioning;
+* :mod:`repro.fleet.workers` — :func:`run_campaign`, which cuts every
+  campaign into the same deterministic chunk plan and runs it in-process
+  or on supervised worker processes;
 * :mod:`repro.fleet.aggregate` — streaming per-cell statistics with bounded
   memory;
-* :mod:`repro.fleet.durable` / :mod:`repro.fleet.supervisor` — the
-  fault-tolerant path behind ``run_campaign(..., checkpoint_dir=...)``:
-  checksummed completion journal, exact resume, supervised workers with
-  retry/bisection/quarantine (see ``docs/robustness.md``);
+* :mod:`repro.fleet.durable` / :mod:`repro.fleet.supervisor` — the chunk
+  plan, the one chunk function, supervised workers with
+  retry/bisection/quarantine, and the checksummed completion journal with
+  exact resume behind ``run_campaign(..., checkpoint_dir=...)`` (see
+  ``docs/robustness.md``);
 * :mod:`repro.fleet.chaos` — fault injection for the chaos tests;
 * :mod:`repro.fleet.kinds` / :mod:`repro.fleet.design_point` — the
   episode-kind protocol that makes the engine workload-polymorphic, and
@@ -61,6 +63,7 @@ from .durable import (
     EpisodeFailure,
     ExecutionPlan,
     RunJournal,
+    shard_indices,
 )
 from .kinds import (
     EpisodeKind,
@@ -78,7 +81,7 @@ from .scheduler import (
     solver_pool,
 )
 from .supervisor import RetryPolicy, SupervisorReport
-from .workers import CampaignResult, run_campaign, shard_indices
+from .workers import CampaignResult, run_campaign
 
 __all__ = [
     "CellAggregate",

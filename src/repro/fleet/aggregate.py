@@ -17,7 +17,7 @@ Per-metric sample sets are bounded by deterministic stride decimation
 other retained sample is dropped and the keep-stride doubles.  Percentiles
 over a decimated set are approximations with bounded, deterministic error;
 campaigns smaller than the cap (the common case for per-cell metrics) are
-exact.  Aggregators merge across worker shards with
+exact.  Aggregators merge across campaign chunks with
 :meth:`FleetAggregator.merge`.
 """
 

@@ -617,8 +617,8 @@ class EpisodeFactory:
     Distinct configurations are compiled once per factory: the linearized
     MPC problem per (variant, control rate), the LQR cache per problem, and
     the SoC timing model per (implementation, frequency, variant, control
-    rate).  Worker shards each hold their own factory, so memoization never
-    crosses process boundaries.
+    rate).  Each process's chunk runner holds its own factory, so
+    memoization never crosses process boundaries.
     """
 
     def __init__(self) -> None:

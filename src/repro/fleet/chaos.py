@@ -8,8 +8,9 @@ state)::
     REPRO_CHAOS='{"episode": 37, "mode": "kill", "max_triggers": 1,
                   "state": "/tmp/chaos.state"}'
 
-* ``episode`` — campaign index at which to fire (the supervisor's workers
-  call :func:`maybe_inject` as each episode is built).
+* ``episode`` — campaign index at which to fire (the chunk function,
+  :class:`~repro.fleet.supervisor.ChunkRunner`, calls
+  :func:`maybe_inject` as each episode is built).
 * ``mode`` — ``"raise"`` (deterministic exception: models a poisoned
   spec), ``"kill"`` (``SIGKILL`` to the current process: models OOM-kill /
   segfault), ``"hang"`` (sleep forever: models a wedged solver, trips the
@@ -78,8 +79,9 @@ def maybe_inject(episode_index: int,
                  environ: Optional[Dict[str, str]] = None) -> None:
     """Fire the armed fault if this is the target episode.
 
-    Called by the supervised worker as each episode is built.  A no-op in
-    the (overwhelmingly common) case where ``REPRO_CHAOS`` is unset.
+    Called as each episode of a chunk is built, in-process or in a
+    worker.  A no-op in the (overwhelmingly common) case where
+    ``REPRO_CHAOS`` is unset.
     """
     config = chaos_config(environ)
     if config is None or int(config["episode"]) != episode_index:

@@ -116,7 +116,7 @@ def intern_program(program: MatlibProgram) -> str:
 
     The name is only resolvable in the current process (the program object
     itself is kept, not a rebuild recipe), so specs naming an interned
-    program must run with in-process workers (``workers=1``).
+    program must run in-process (``workers=1`` without a checkpoint).
     """
     name = "custom-" + program_fingerprint(program)[:12]
     _PROGRAM_CACHE[name] = program

@@ -46,7 +46,8 @@ __all__ = [
     "RUN_SCHEMA_VERSION", "DEFAULT_LEASE_SIZE", "ExecutionPlan",
     "EpisodeFailure", "CampaignInterrupted", "RunJournal", "ReplayState",
     "atomic_write_json", "canonical_json", "spec_payload", "spec_digest",
-    "resolve_run_dir", "prepare_run", "plan_chunks", "ChunkPlan",
+    "resolve_run_dir", "prepare_run", "shard_indices", "plan_chunks",
+    "ChunkPlan",
     "result_to_dict", "result_from_dict", "stats_to_dict", "stats_from_dict",
     "replay_journal",
 ]
@@ -56,7 +57,7 @@ __all__ = [
 # move independently if only the journal format changes.
 RUN_SCHEMA_VERSION = 1
 
-# Episodes leased to a worker per chunk when the caller does not choose.
+# Episodes per chunk of a checkpointed run when the caller does not choose.
 # The chunk is the atomic unit of both checkpointing and batched round-off,
 # so smaller chunks bound the work lost to a crash while keeping solve
 # batches wide enough to amortize dispatch.
@@ -368,17 +369,29 @@ class ChunkPlan:
                 ChunkPlan(self.chunk_id + "b", self.indices[mid:], False))
 
 
+def shard_indices(count: int, shards: int) -> List[List[int]]:
+    """Deterministic round-robin partition of ``range(count)``.
+
+    Every index appears exactly once; shard ``s`` owns ``s, s+shards, ...``.
+    Empty shards are dropped (when ``shards > count``).
+    """
+    if shards < 1:
+        raise ValueError("shards must be at least 1")
+    parts = [list(range(start, count, shards)) for start in range(shards)]
+    return [part for part in parts if part]
+
+
 def plan_chunks(count: int, plan: ExecutionPlan) -> List[ChunkPlan]:
     """Deterministic chunking: round-robin shards split into leases.
 
-    Shard membership matches the legacy ``shard_indices`` round-robin (each
-    shard sees a representative slice of the grid); each shard's index list
+    The only partitioner of a campaign.  Shards are the
+    :func:`shard_indices` round-robin (each shard sees a representative
+    slice of the grid, so batch groups stay wide); each shard's index list
     is then cut into contiguous leases of ``lease_size``.  Chunk ids are
     zero-padded so lexicographic order *is* plan order — bisected children
     (``c0003a`` < ``c0003b``) sort inside their parent's slot, which is the
-    deterministic merge order for journaled aggregates and stats.
+    deterministic merge order for chunk aggregates and stats.
     """
-    from .workers import shard_indices       # local import: avoid a cycle
     chunks: List[ChunkPlan] = []
     width = max(4, len(str(max(count, 1))))
     for shard in shard_indices(count, plan.shards):
@@ -489,7 +502,8 @@ def journal_path(run_dir: str) -> str:
 
 @dataclass
 class ReplayState:
-    """Everything recoverable from a journal: committed chunks only.
+    """Committed chunks and their outputs: recovered from a journal, or
+    recorded live (:meth:`commit`) as a run completes chunks.
 
     Episode records belonging to a chunk with no commit record are
     discarded — a partially-journaled chunk re-runs in full, which is what
@@ -505,6 +519,16 @@ class ReplayState:
     @property
     def completed_episodes(self) -> int:
         return (sum(len(indices) for indices in self.committed.values()))
+
+    def commit(self, chunk: ChunkPlan, payload: Dict[str, object]) -> None:
+        """Record a completed chunk's payload (results or aggregate, and
+        stats) — the live counterpart of replaying its journal records."""
+        self.committed[chunk.chunk_id] = chunk.indices
+        if payload["results"] is not None:
+            self.results.update(zip(chunk.indices, payload["results"]))
+        if payload["aggregate"] is not None:
+            self.aggregates[chunk.chunk_id] = payload["aggregate"]
+        self.stats[chunk.chunk_id] = payload["stats"]
 
 
 def replay_journal(records: Sequence[Dict[str, object]]) -> ReplayState:

@@ -111,7 +111,7 @@ class FleetEpisode:
 
 @dataclass
 class SchedulerStats:
-    """Dispatch accounting for one scheduler run (or one worker shard)."""
+    """Dispatch accounting for one scheduler run (one campaign chunk)."""
 
     episodes: int = 0
     groups: int = 0

@@ -1,13 +1,18 @@
-"""Supervised campaign execution: leases, retries, bisection, quarantine.
+"""Campaign execution: one chunk function, run inline or by supervised workers.
 
-This replaces the bare ``pool.map`` fan-out for durable runs.  The
-supervisor owns a set of worker *processes* (always processes, even with
-``workers=1`` — fault isolation is the point: a segfault in a compiled
-kernel backend or an OOM-kill must take out a lease, not the campaign).
-Work is leased chunk-by-chunk (:class:`~repro.fleet.durable.ChunkPlan`);
-each completed chunk is journaled and committed before its lease is
-considered done, so the journal always reflects exactly the set of chunks
-whose results are durable.
+Every campaign is cut into chunks by :func:`~repro.fleet.durable.plan_chunks`
+and every chunk runs through :class:`ChunkRunner`: in this process for a
+one-worker run without a checkpoint (:func:`run_inline`), or leased to
+worker processes (:func:`run_supervised`).  Both paths fold the chunk
+payloads through the same assembly, so for one execution plan the results
+do not depend on the path.
+
+The supervisor owns a set of worker *processes*; fault isolation is the
+point: a segfault in a compiled kernel backend or an OOM-kill must take out
+a lease, not the campaign.  With a checkpoint directory each completed
+chunk is journaled and committed before its lease is considered done, so
+the journal always reflects exactly the set of chunks whose results are
+durable; without one the same bookkeeping runs and nothing is written.
 
 Failure handling, in escalation order:
 
@@ -27,9 +32,10 @@ Failure handling, in escalation order:
    does the run stop — with the journal flushed, so ``--resume`` picks up
    where it died.
 
-``KeyboardInterrupt`` tears the workers down, flushes the journal, and
-raises :class:`~repro.fleet.durable.CampaignInterrupted` carrying the
-run directory and partial per-cell rows.
+``KeyboardInterrupt`` tears the workers down.  A checkpointed run flushes
+the journal and raises :class:`~repro.fleet.durable.CampaignInterrupted`
+carrying the run directory and partial per-cell rows; a run without a
+checkpoint re-raises the interrupt.
 """
 
 from __future__ import annotations
@@ -39,20 +45,21 @@ import os
 import queue as queue_module
 import signal
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 from .aggregate import FleetAggregator
 from .campaign import CampaignSpec, EpisodeFactory, EpisodeSpec
 from .chaos import maybe_inject
 from .durable import (CampaignInterrupted, ChunkPlan, EpisodeFailure,
-                      ExecutionPlan, RunJournal, journal_path, plan_chunks,
-                      prepare_run, replay_journal, result_from_dict,
-                      result_to_dict, stats_from_dict, stats_to_dict)
+                      ExecutionPlan, ReplayState, RunJournal, journal_path,
+                      plan_chunks, prepare_run, replay_journal,
+                      result_from_dict, result_to_dict, stats_from_dict,
+                      stats_to_dict)
 from .scheduler import FleetScheduler, SchedulerStats
 
-__all__ = ["RetryPolicy", "SupervisorReport", "SupervisedOutcome",
-           "run_supervised"]
+__all__ = ["ChunkRunner", "RetryPolicy", "SupervisorReport", "RunOutcome",
+           "run_inline", "run_supervised"]
 
 
 @dataclass(frozen=True)
@@ -92,15 +99,103 @@ class SupervisorReport:
 
 
 @dataclass
-class SupervisedOutcome:
-    """What :func:`run_supervised` hands back to ``run_campaign``."""
+class RunOutcome:
+    """What :func:`run_inline` / :func:`run_supervised` hand back to
+    ``run_campaign``."""
 
-    run_dir: str
+    run_dir: Optional[str]                # set for checkpointed runs
     results: List[Optional[object]]       # campaign order; [] in bounded mode
     aggregate: FleetAggregator
     stats: SchedulerStats
     failures: List[EpisodeFailure]
-    report: SupervisorReport
+    report: Optional[SupervisorReport]    # None for inline runs
+
+
+# ---------------------------------------------------------------------------
+# The chunk function
+# ---------------------------------------------------------------------------
+
+class ChunkRunner:
+    """Builds and runs chunks: the one way a campaign's episodes execute.
+
+    :func:`run_inline` calls it in-process and every supervised worker
+    holds one across its leases.  Its :class:`EpisodeFactory` persists
+    across chunks; the factory's memoization (problems, caches, SoC
+    curves) is deterministic, so reuse changes speed, never numbers.
+    ``stage`` names the step the current chunk has reached — what a
+    quarantine row reports when the chunk raises.
+    """
+
+    def __init__(self, plan: ExecutionPlan) -> None:
+        self.plan = plan
+        self.factory = EpisodeFactory()
+        self.stage = "build"
+
+    def __call__(self, chunk: ChunkPlan,
+                 specs: Sequence[EpisodeSpec]) -> Dict[str, object]:
+        """Run one chunk; returns the payload its commit records."""
+        self.stage = "build"
+        episodes = []
+        for index, spec in zip(chunk.indices, specs):
+            maybe_inject(index)
+            episodes.append(self.factory.build(spec, episode_id=index))
+        self.stage = "run"
+        scheduler = FleetScheduler(episodes, batching=chunk.batching,
+                                   max_batch=self.plan.max_batch)
+        results = scheduler.run()
+        payload = {"results": None, "aggregate": None,
+                   "stats": stats_to_dict(scheduler.stats)}
+        if self.plan.keep_results:
+            payload["results"] = [result_to_dict(result) for result in results]
+        else:
+            aggregator = FleetAggregator(sample_cap=self.plan.sample_cap)
+            for spec, result in zip(specs, results):
+                aggregator.add(result, key=spec.cell_key())
+            payload["aggregate"] = aggregator.to_dict()
+        return payload
+
+
+def _assemble(episode_specs: Sequence[EpisodeSpec], plan: ExecutionPlan,
+              ledger: ReplayState):
+    """Fold committed chunk payloads into campaign-order outputs.
+
+    Deterministic regardless of which path ran the chunks and which were
+    replayed: per-episode results aggregate in campaign order; bounded-mode
+    chunk aggregates and stats merge in sorted-chunk-id order (bisected
+    children sort inside their parent's slot).
+    """
+    stats = SchedulerStats()
+    for chunk_id in sorted(ledger.stats):
+        stats.merge(stats_from_dict(ledger.stats[chunk_id]))
+    aggregator = FleetAggregator(sample_cap=plan.sample_cap)
+    if not plan.keep_results:
+        for chunk_id in sorted(ledger.aggregates):
+            aggregator.merge(
+                FleetAggregator.from_dict(ledger.aggregates[chunk_id]))
+        return [], aggregator, stats
+    results: List[Optional[object]] = [None] * len(episode_specs)
+    for index, payload in ledger.results.items():
+        results[index] = result_from_dict(payload)
+    for spec, result in zip(episode_specs, results):
+        if result is not None:
+            aggregator.add(result, key=spec.cell_key())
+    return results, aggregator, stats
+
+
+def run_inline(episode_specs: Sequence[EpisodeSpec],
+               plan: ExecutionPlan) -> RunOutcome:
+    """Run every chunk of ``plan`` in this process, in plan order.
+
+    No worker, journal or retry: an exception propagates to the caller.
+    """
+    runner = ChunkRunner(plan)
+    ledger = ReplayState()
+    for chunk in plan_chunks(len(episode_specs), plan):
+        ledger.commit(chunk, runner(
+            chunk, [episode_specs[index] for index in chunk.indices]))
+    results, aggregator, stats = _assemble(episode_specs, plan, ledger)
+    return RunOutcome(run_dir=None, results=results, aggregate=aggregator,
+                      stats=stats, failures=[], report=None)
 
 
 # ---------------------------------------------------------------------------
@@ -113,13 +208,10 @@ def _supervised_worker(conn, results, plan_payload, parent_pid) -> None:
     Module-level so it pickles under every start method.  SIGINT is
     ignored — a Ctrl-C in the parent's terminal hits the whole process
     group, and teardown must stay in the supervisor's hands so the journal
-    is flushed before anything dies.  The factory persists across leases:
-    its memoization (problems, caches, SoC curves) is deterministic, so
-    reuse changes speed, never numbers.
+    is flushed before anything dies.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    plan = ExecutionPlan.from_dict(plan_payload)
-    factory = EpisodeFactory()
+    runner = ChunkRunner(ExecutionPlan.from_dict(plan_payload))
     while True:
         try:
             # Poll rather than block: under the fork start method every
@@ -134,44 +226,22 @@ def _supervised_worker(conn, results, plan_payload, parent_pid) -> None:
             return
         if message is None:
             return
-        chunk_id, indices, specs, batching = message
-        stage = "build"
+        chunk, specs = message
         try:
-            episodes = []
-            for index, spec in zip(indices, specs):
-                maybe_inject(index)
-                episodes.append(factory.build(spec, episode_id=index))
-            stage = "run"
-            scheduler = FleetScheduler(episodes, batching=batching,
-                                       max_batch=plan.max_batch)
-            chunk_results = scheduler.run()
-            payloads = [result_to_dict(result) for result in chunk_results]
-            aggregate_payload = None
-            if not plan.keep_results:
-                aggregator = FleetAggregator(sample_cap=plan.sample_cap)
-                for spec, result in zip(specs, chunk_results):
-                    aggregator.add(result, key=spec.cell_key())
-                aggregate_payload = aggregator.to_dict()
-                payloads = None
-            results.put(("done", chunk_id,
-                         {"results": payloads,
-                          "aggregate": aggregate_payload,
-                          "stats": stats_to_dict(scheduler.stats)}))
+            results.put(("done", chunk.chunk_id, runner(chunk, specs)))
         except KeyboardInterrupt:
             return
         except BaseException as exc:  # noqa: BLE001 — quarantine, don't die
-            results.put(("error", chunk_id,
-                         {"stage": stage,
+            results.put(("error", chunk.chunk_id,
+                         {"stage": runner.stage,
                           "error_type": type(exc).__name__,
                           "message": str(exc)}))
 
 
 @dataclass
 class _Lease:
-    chunk: ChunkPlan
-    attempts: int
+    item: "_PendingChunk"
     deadline: Optional[float]
-    stage: str = "run"
 
 
 @dataclass
@@ -179,9 +249,6 @@ class _PendingChunk:
     chunk: ChunkPlan
     attempts: int = 0
     ready_at: float = 0.0
-    last_stage: str = "run"
-    last_error: str = ""
-    last_error_type: str = ""
 
 
 class _Worker:
@@ -191,18 +258,31 @@ class _Worker:
         self.lease: Optional[_Lease] = None
 
 
+class _NoJournal:
+    """The journal of a run without a checkpoint directory: keeps nothing."""
+
+    def append(self, record: Dict[str, object], sync: bool = False) -> None:
+        pass
+
+    def flush(self) -> None:
+        pass
+
+    close = flush
+
+
 # ---------------------------------------------------------------------------
 # Supervisor
 # ---------------------------------------------------------------------------
 
 class _Supervisor:
     def __init__(self, episode_specs: Sequence[EpisodeSpec],
-                 plan: ExecutionPlan, journal: RunJournal,
+                 plan: ExecutionPlan, journal, ledger: ReplayState,
                  retry: RetryPolicy, workers: int,
                  context, report: SupervisorReport) -> None:
         self.episode_specs = episode_specs
         self.plan = plan
         self.journal = journal
+        self.ledger = ledger
         self.retry = retry
         self.max_workers = workers
         self.context = context
@@ -210,10 +290,6 @@ class _Supervisor:
         self.results_queue = context.Queue()
         self.workers: List[_Worker] = []
         self.pending: List[_PendingChunk] = []
-        self.done_results: Dict[int, Dict[str, object]] = {}
-        self.failures: Dict[int, EpisodeFailure] = {}
-        self.aggregates: Dict[str, Dict[str, object]] = {}
-        self.stats: Dict[str, Dict[str, object]] = {}
 
     # -- worker lifecycle --------------------------------------------------
 
@@ -252,9 +328,6 @@ class _Supervisor:
     def _chunk_failed(self, item: _PendingChunk, stage: str,
                       error_type: str, message: str, now: float) -> None:
         item.attempts += 1
-        item.last_stage = stage
-        item.last_error = message
-        item.last_error_type = error_type
         if item.attempts < self.retry.max_attempts:
             self.report.retries += 1
             item.ready_at = now + (self.retry.backoff_base
@@ -276,7 +349,7 @@ class _Supervisor:
             label="/".join(str(part) for part in spec.cell_key()),
             stage=stage, error_type=error_type, message=message,
             attempts=item.attempts, chunk_id=item.chunk.chunk_id)
-        self.failures[index] = failure
+        self.ledger.failures[index] = failure
         self.report.quarantined += 1
         self.journal.append({"t": "fail", "c": item.chunk.chunk_id,
                              "i": index, "f": failure.to_dict()})
@@ -285,29 +358,26 @@ class _Supervisor:
                              "s": stats_to_dict(SchedulerStats())},
                             sync=True)
 
-    def _chunk_done(self, item: _PendingChunk,
+    def _chunk_done(self, chunk: ChunkPlan,
                     payload: Dict[str, object]) -> None:
-        chunk = item.chunk
         if payload["results"] is not None:
             for index, result in zip(chunk.indices, payload["results"]):
-                self.done_results[index] = result
                 self.journal.append({"t": "episode", "c": chunk.chunk_id,
                                      "i": index, "r": result})
         if payload["aggregate"] is not None:
-            self.aggregates[chunk.chunk_id] = payload["aggregate"]
             self.journal.append({"t": "agg", "c": chunk.chunk_id,
                                  "a": payload["aggregate"]})
-        self.stats[chunk.chunk_id] = payload["stats"]
         self.journal.append({"t": "commit", "c": chunk.chunk_id,
                              "i": list(chunk.indices),
                              "s": payload["stats"]}, sync=True)
+        self.ledger.commit(chunk, payload)
 
     # -- main loop ---------------------------------------------------------
 
     def _find_lease(self, chunk_id: str) -> Optional[_Worker]:
         for worker in self.workers:
             if worker.lease is not None \
-                    and worker.lease.chunk.chunk_id == chunk_id:
+                    and worker.lease.item.chunk.chunk_id == chunk_id:
                 return worker
         return None
 
@@ -330,18 +400,13 @@ class _Supervisor:
                                   * len(chunk.indices))
             specs = [self.episode_specs[i] for i in chunk.indices]
             try:
-                worker.conn.send((chunk.chunk_id, list(chunk.indices),
-                                  specs, chunk.batching))
+                worker.conn.send((chunk, specs))
             except (OSError, ValueError, BrokenPipeError):
                 # Worker died between liveness check and send; the death
                 # sweep will pick it up next tick.
                 self.pending.append(item)
                 continue
-            worker.lease = _Lease(chunk=chunk, attempts=item.attempts,
-                                  deadline=deadline)
-            worker.lease.stage = "run"
-            # Stash retry state on the lease via the pending record.
-            worker.lease_pending = item          # type: ignore[attr-defined]
+            worker.lease = _Lease(item=item, deadline=deadline)
 
     def _sweep_failures(self, now: float) -> None:
         live_needed = bool(self.pending) or any(
@@ -351,24 +416,24 @@ class _Supervisor:
             if worker.process.is_alive():
                 if lease is not None and lease.deadline is not None \
                         and now > lease.deadline:
-                    item = worker.lease_pending      # type: ignore[attr-defined]
+                    item = lease.item
                     worker.lease = None
                     self._kill_worker(worker)
                     self._chunk_failed(
                         item, "timeout", "TimeoutError",
                         "chunk {} exceeded {:.3g}s deadline".format(
-                            lease.chunk.chunk_id,
+                            item.chunk.chunk_id,
                             self.retry.episode_timeout
-                            * len(lease.chunk.indices)), now)
+                            * len(item.chunk.indices)), now)
                 continue
             # Dead worker.
             if lease is not None:
-                item = worker.lease_pending          # type: ignore[attr-defined]
+                item = lease.item
                 worker.lease = None
                 self._chunk_failed(
                     item, "worker-death", "WorkerDied",
                     "worker pid {} died while running chunk {}".format(
-                        worker.process.pid, lease.chunk.chunk_id), now)
+                        worker.process.pid, item.chunk.chunk_id), now)
             self._kill_worker(worker)
         if not live_needed:
             return
@@ -404,10 +469,10 @@ class _Supervisor:
             if kind is not None:
                 worker = self._find_lease(chunk_id)
                 if worker is not None:
-                    item = worker.lease_pending      # type: ignore[attr-defined]
+                    item = worker.lease.item
                     worker.lease = None
                     if kind == "done":
-                        self._chunk_done(item, payload)
+                        self._chunk_done(item.chunk, payload)
                     else:
                         self._chunk_failed(item, payload["stage"],
                                            payload["error_type"],
@@ -438,63 +503,11 @@ class _Supervisor:
 # Entry point
 # ---------------------------------------------------------------------------
 
-def _assemble(episode_specs: Sequence[EpisodeSpec], plan: ExecutionPlan,
-              result_payloads: Dict[int, Dict[str, object]],
-              failures: Dict[int, EpisodeFailure],
-              aggregate_payloads: Dict[str, Dict[str, object]],
-              stats_payloads: Dict[str, Dict[str, object]]):
-    """Fold per-episode/per-chunk payloads into campaign-order outputs.
-
-    Deterministic regardless of which chunks were replayed and which ran
-    fresh: per-episode results aggregate in campaign order; bounded-mode
-    chunk aggregates and stats merge in sorted-chunk-id order (bisected
-    children sort inside their parent's slot).
-    """
-    stats = SchedulerStats()
-    for chunk_id in sorted(stats_payloads):
-        stats.merge(stats_from_dict(stats_payloads[chunk_id]))
-    aggregator = FleetAggregator(sample_cap=plan.sample_cap)
-    if plan.keep_results:
-        results: List[Optional[object]] = [None] * len(episode_specs)
-        for index, payload in result_payloads.items():
-            results[index] = result_from_dict(payload)
-        for spec, result in zip(episode_specs, results):
-            if result is not None:
-                aggregator.add(result, key=spec.cell_key())
-        return results, aggregator, stats
-    for chunk_id in sorted(aggregate_payloads):
-        aggregator.merge(
-            FleetAggregator.from_dict(aggregate_payloads[chunk_id]))
-    return [], aggregator, stats
-
-
-def run_supervised(campaign: Optional[CampaignSpec],
-                   episode_specs: Sequence[EpisodeSpec],
-                   plan: ExecutionPlan, checkpoint_dir: str,
-                   retry: Optional[RetryPolicy] = None,
-                   workers: int = 1,
-                   start_method: Optional[str] = None) -> SupervisedOutcome:
-    """Run (or resume) a durable, supervised campaign.
-
-    Chunks already committed in the run directory's journal are replayed
-    without rebuilding episodes; if *every* chunk is committed, no worker
-    process is spawned at all (``report.spawned_workers == 0``) — resume
-    of a finished campaign is a pure journal read.
-    """
-    retry = retry or RetryPolicy()
-    run_dir, _meta, _fresh = prepare_run(
-        checkpoint_dir, campaign, episode_specs, plan)
-    journal = RunJournal(journal_path(run_dir))
-    records = journal.open()
-    state = replay_journal(records)
-
-    chunks = plan_chunks(len(episode_specs), plan)
-    report = SupervisorReport()
-    result_payloads: Dict[int, Dict[str, object]] = {}
-    failures: Dict[int, EpisodeFailure] = {}
-    aggregate_payloads: Dict[str, Dict[str, object]] = {}
-    stats_payloads: Dict[str, Dict[str, object]] = {}
-    pending_chunks: List[ChunkPlan] = []
+def _replay(state: ReplayState, chunks: Sequence[ChunkPlan],
+            ledger: ReplayState, report: SupervisorReport) -> List[ChunkPlan]:
+    """Copy the fully journaled chunks of ``state`` into ``ledger``;
+    returns the chunks that still have to run."""
+    pending: List[ChunkPlan] = []
     for chunk in chunks:
         # A committed chunk id is either the planned id itself or a
         # bisection descendant (planned id + letter suffixes); base ids
@@ -508,39 +521,66 @@ def run_supervised(campaign: Optional[CampaignSpec],
             report.replayed_chunks += 1
             for index in chunk.indices:
                 if index in state.results:
-                    result_payloads[index] = state.results[index]
+                    ledger.results[index] = state.results[index]
                 elif index in state.failures:
-                    failures[index] = state.failures[index]
+                    ledger.failures[index] = state.failures[index]
             for cid in group:
                 if cid in state.aggregates:
-                    aggregate_payloads[cid] = state.aggregates[cid]
+                    ledger.aggregates[cid] = state.aggregates[cid]
                 if cid in state.stats:
-                    stats_payloads[cid] = state.stats[cid]
+                    ledger.stats[cid] = state.stats[cid]
         else:
             # Partially covered (crash mid-bisection): discard the partial
             # commits and re-run the whole planned chunk, so the re-run's
             # batch round-off matches an uninterrupted run.
-            pending_chunks.append(chunk)
-    report.fresh_chunks = len(pending_chunks)
+            pending.append(chunk)
+    return pending
+
+
+def run_supervised(campaign: Optional[CampaignSpec],
+                   episode_specs: Sequence[EpisodeSpec],
+                   plan: ExecutionPlan,
+                   checkpoint_dir: Optional[str] = None,
+                   retry: Optional[RetryPolicy] = None,
+                   workers: int = 1,
+                   start_method: Optional[str] = None) -> RunOutcome:
+    """Run a campaign's chunks on supervised worker processes.
+
+    With ``checkpoint_dir`` the run is durable and resumable: chunks
+    already committed in the run directory's journal are replayed without
+    rebuilding episodes; if *every* chunk is committed, no worker process
+    is spawned at all (``report.spawned_workers == 0``) — resume of a
+    finished campaign is a pure journal read.  Without it nothing is
+    written to disk.
+    """
+    retry = retry or RetryPolicy()
+    chunks = plan_chunks(len(episode_specs), plan)
+    report = SupervisorReport()
+    ledger = ReplayState()
+    run_dir = None
+    journal = _NoJournal()
+    if checkpoint_dir is not None:
+        run_dir, _meta, _fresh = prepare_run(
+            checkpoint_dir, campaign, episode_specs, plan)
+        journal = RunJournal(journal_path(run_dir))
+        chunks = _replay(replay_journal(journal.open()), chunks, ledger,
+                         report)
+    report.fresh_chunks = len(chunks)
 
     context = (multiprocessing.get_context(start_method) if start_method
                else multiprocessing.get_context())
-    supervisor = _Supervisor(episode_specs, plan, journal, retry,
+    supervisor = _Supervisor(episode_specs, plan, journal, ledger, retry,
                              workers, context, report)
-    supervisor.done_results = result_payloads
-    supervisor.failures = failures
-    supervisor.aggregates = aggregate_payloads
-    supervisor.stats = stats_payloads
     try:
-        supervisor.run(pending_chunks)
+        supervisor.run(chunks)
         supervisor.shutdown_workers()
     except KeyboardInterrupt:
         supervisor.teardown()
         journal.close()
-        _results, aggregator, _stats = _assemble(
-            episode_specs, plan, supervisor.done_results,
-            supervisor.failures, supervisor.aggregates, supervisor.stats)
-        completed = len(supervisor.done_results) + len(supervisor.failures)
+        if run_dir is None:
+            raise
+        _results, aggregator, _stats = _assemble(episode_specs, plan, ledger)
+        completed = len(ledger.results) + len(ledger.failures)
         raise CampaignInterrupted(
             run_dir, completed, len(episode_specs),
             partial_rows=(aggregator.rows() + aggregator.recovery_rows()
@@ -551,11 +591,7 @@ def run_supervised(campaign: Optional[CampaignSpec],
         raise
     journal.close()
 
-    results, aggregator, stats = _assemble(
-        episode_specs, plan, supervisor.done_results, supervisor.failures,
-        supervisor.aggregates, supervisor.stats)
-    ordered_failures = [supervisor.failures[index]
-                        for index in sorted(supervisor.failures)]
-    return SupervisedOutcome(run_dir=run_dir, results=results,
-                             aggregate=aggregator, stats=stats,
-                             failures=ordered_failures, report=report)
+    results, aggregator, stats = _assemble(episode_specs, plan, ledger)
+    failures = [ledger.failures[index] for index in sorted(ledger.failures)]
+    return RunOutcome(run_dir=run_dir, results=results, aggregate=aggregator,
+                      stats=stats, failures=failures, report=report)

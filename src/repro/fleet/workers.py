@@ -1,55 +1,42 @@
-"""Campaign execution: in-process or sharded across worker processes.
+"""Campaign execution: one chunk plan, run inline or on supervised workers.
 
 :func:`run_campaign` is the one entry point: it expands a
 :class:`~repro.fleet.campaign.CampaignSpec` (or takes pre-expanded
-:class:`~repro.fleet.campaign.EpisodeSpec` lists), partitions the episodes
-deterministically across worker processes, runs a
-:class:`~repro.fleet.scheduler.FleetScheduler` per shard, and merges the
-shards back into campaign order.
+:class:`~repro.fleet.campaign.EpisodeSpec` lists) and always cuts the
+episodes into chunks with :func:`~repro.fleet.durable.plan_chunks`:
+round-robin shards (shard ``s`` owns episodes ``s, s+W, s+2W, ...``, so
+every shard gets a representative slice of the grid and batch groups stay
+wide) cut into leases.  Each chunk runs through one
+:class:`~repro.fleet.supervisor.ChunkRunner` and its scheduler, so a
+chunk's membership fixes its batch widths and with them its GEMM round-off.
 
-Partitioning is round-robin (shard ``s`` owns episodes ``s, s+W, s+2W,
-...``), which interleaves every configuration axis across shards — each
-worker gets a representative slice of the grid, so batch groups stay wide
-on every shard instead of one worker inheriting all the long episodes.
-Because episode order and scenario generation are deterministic (scenario
-seeds derive from a sha256 digest, not the salted builtin ``hash``), the
-same campaign produces the same per-episode results for any worker count,
-and bit-for-bit identical results when the worker count is held fixed (the
-shard's batch width is part of the GEMM round-off profile).
+A run with one worker and no checkpoint runs the chunks in-process; any
+other run leases them to supervised worker processes
+(:mod:`repro.fleet.supervisor`).  Results depend only on the spec and the
+plan (workers, lease size, batching, ``max_batch``), never on which path
+ran it.  Because scenario seeds derive from a sha256 digest, not the
+salted builtin ``hash``, the same campaign produces the same per-episode
+results in every process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
-
-import multiprocessing
+from typing import Dict, List, Optional, Sequence, Union
 
 from ..hil.episode import EpisodeResult
+from . import supervisor
 from .aggregate import FleetAggregator
-from .campaign import CampaignSpec, EpisodeFactory, EpisodeSpec
+from .campaign import CampaignSpec, EpisodeSpec
 from .durable import DEFAULT_LEASE_SIZE, EpisodeFailure, ExecutionPlan
-from .scheduler import FleetScheduler, SchedulerStats
+from .scheduler import SchedulerStats
 
-__all__ = ["CampaignResult", "run_campaign", "shard_indices",
-           "DEFAULT_BOUNDED_BATCH"]
+__all__ = ["CampaignResult", "run_campaign", "DEFAULT_BOUNDED_BATCH"]
 
 # Batched solver width used in memory-bounded mode (keep_results=False) when
 # the caller did not pick one: wide enough that dispatch overhead amortizes,
 # bounded so workspace memory stays O(width) rather than O(population).
 DEFAULT_BOUNDED_BATCH = 256
-
-
-def shard_indices(count: int, shards: int) -> List[List[int]]:
-    """Deterministic round-robin partition of ``range(count)``.
-
-    Every index appears exactly once; shard ``s`` owns ``s, s+shards, ...``.
-    Empty shards are dropped (when ``shards > count``).
-    """
-    if shards < 1:
-        raise ValueError("shards must be at least 1")
-    parts = [list(range(start, count, shards)) for start in range(shards)]
-    return [part for part in parts if part]
 
 
 @dataclass
@@ -89,31 +76,6 @@ class CampaignResult:
         return summary
 
 
-def _run_shard(payload: Tuple) -> Tuple[List[int],
-                                        Optional[List[EpisodeResult]],
-                                        SchedulerStats,
-                                        Optional[FleetAggregator]]:
-    """Worker entry point: run one shard's episodes through a scheduler.
-
-    Module-level so it pickles under every multiprocessing start method.
-    With ``keep_results=False`` the shard aggregates its own episodes and
-    ships only the bounded :class:`FleetAggregator` back to the parent, so
-    campaign memory stays O(cells x cap) end to end.
-    """
-    indices, specs, batching, max_batch, keep_results, sample_cap = payload
-    factory = EpisodeFactory()
-    episodes = [factory.build(spec, episode_id=index)
-                for index, spec in zip(indices, specs)]
-    scheduler = FleetScheduler(episodes, batching=batching, max_batch=max_batch)
-    results = scheduler.run()
-    if keep_results:
-        return indices, results, scheduler.stats, None
-    aggregator = FleetAggregator(sample_cap=sample_cap)
-    for spec, result in zip(specs, results):
-        aggregator.add(result, key=spec.cell_key())
-    return indices, None, scheduler.stats, aggregator
-
-
 def run_campaign(campaign: Union[CampaignSpec, Sequence[EpisodeSpec]],
                  workers: int = 1, batching: bool = True,
                  max_batch: Optional[int] = None,
@@ -122,34 +84,37 @@ def run_campaign(campaign: Union[CampaignSpec, Sequence[EpisodeSpec]],
                  start_method: Optional[str] = None,
                  checkpoint_dir: Optional[str] = None,
                  retry_policy=None,
-                 lease_size: int = DEFAULT_LEASE_SIZE) -> CampaignResult:
-    """Run a campaign, optionally sharded across worker processes.
+                 lease_size: Optional[int] = None) -> CampaignResult:
+    """Run a campaign in-process or on supervised worker processes.
 
     Args:
         campaign: a :class:`CampaignSpec` or an explicit episode list.
-        workers: number of worker processes; ``1`` runs in-process.
+        workers: round-robin shards and worker processes.  ``1`` without
+            ``checkpoint_dir`` runs in-process, and an exception raised
+            by an episode propagates; every other run is supervised
+            (retry, bisection, quarantine) and reports what the fault
+            layer did in :attr:`CampaignResult.report`.
         batching: route compatible solves through the dynamic batcher
             (``False`` is the bit-for-bit scalar reference path).
         max_batch: optional cap on batched solver width per group.
         sample_cap: per-cell reservoir bound for streaming percentiles.
         keep_results: retain every per-episode :class:`ScenarioResult` in
             :attr:`CampaignResult.results`.  ``False`` aggregates inside
-            each shard and keeps only the bounded per-cell statistics —
+            each chunk and keeps only the bounded per-cell statistics —
             the memory-bounded mode for very large campaigns
             (:attr:`CampaignResult.results` comes back empty, and
             ``max_batch`` defaults to :data:`DEFAULT_BOUNDED_BATCH` so
             solver workspaces stay bounded too).
         start_method: multiprocessing start method (default: platform default).
-        checkpoint_dir: enable the durable, supervised execution path
-            (:mod:`repro.fleet.durable` / :mod:`repro.fleet.supervisor`):
-            episode chunks are journaled to a content-addressed run
-            directory under this path, already-journaled chunks are
-            skipped on restart, worker death / poisoned episodes are
-            retried and quarantined instead of aborting the campaign.
-        retry_policy: a :class:`~repro.fleet.supervisor.RetryPolicy`
-            (supervised path only; default policy when ``None``).
-        lease_size: episodes per supervised chunk — the atomic unit of
-            checkpointing and re-execution (supervised path only).
+        checkpoint_dir: make the run durable (:mod:`repro.fleet.durable`):
+            chunks are journaled to a content-addressed run directory under
+            this path, and already-journaled chunks are skipped on restart.
+        retry_policy: a :class:`~repro.fleet.supervisor.RetryPolicy` for
+            supervised runs (default policy when ``None``).
+        lease_size: episodes per chunk — the atomic unit of checkpointing,
+            re-execution and batched round-off.  ``None`` means
+            :data:`~repro.fleet.durable.DEFAULT_LEASE_SIZE` with a
+            checkpoint and one chunk per shard without one.
     """
     if not keep_results and max_batch is None:
         max_batch = DEFAULT_BOUNDED_BATCH
@@ -161,56 +126,23 @@ def run_campaign(campaign: Union[CampaignSpec, Sequence[EpisodeSpec]],
         episode_specs = list(campaign)
     if workers < 1:
         raise ValueError("workers must be at least 1")
+    if lease_size is None:
+        lease_size = (DEFAULT_LEASE_SIZE if checkpoint_dir is not None
+                      else max(1, -(-len(episode_specs) // workers)))
+    elif lease_size < 1:
+        raise ValueError("lease_size must be at least 1, got {!r}".format(
+            lease_size))
+    plan = ExecutionPlan(shards=workers, lease_size=lease_size,
+                         batching=batching, max_batch=max_batch,
+                         keep_results=keep_results, sample_cap=sample_cap)
 
-    if checkpoint_dir is not None:
-        from .supervisor import run_supervised
-        plan = ExecutionPlan(shards=workers, lease_size=lease_size,
-                             batching=batching, max_batch=max_batch,
-                             keep_results=keep_results,
-                             sample_cap=sample_cap)
-        outcome = run_supervised(spec, episode_specs, plan, checkpoint_dir,
-                                 retry=retry_policy, workers=workers,
-                                 start_method=start_method)
-        return CampaignResult(spec, episode_specs, outcome.results,
-                              outcome.aggregate, outcome.stats, workers,
-                              failures=outcome.failures,
-                              run_dir=outcome.run_dir,
-                              report=outcome.report)
-
-    results: List[Optional[EpisodeResult]] = [None] * len(episode_specs)
-    stats = SchedulerStats()
-    if not episode_specs:
-        return CampaignResult(spec, episode_specs, [], FleetAggregator(),
-                              stats, workers)
-
-    shards = shard_indices(len(episode_specs), workers)
-    payloads = [(indices, [episode_specs[i] for i in indices],
-                 batching, max_batch, keep_results, sample_cap)
-                for indices in shards]
-    if len(payloads) == 1:
-        shard_outputs = [_run_shard(payloads[0])]
+    if workers == 1 and checkpoint_dir is None:
+        outcome = supervisor.run_inline(episode_specs, plan)
     else:
-        context = (multiprocessing.get_context(start_method) if start_method
-                   else multiprocessing.get_context())
-        with context.Pool(processes=len(payloads)) as pool:
-            shard_outputs = pool.map(_run_shard, payloads)
-
-    aggregator = FleetAggregator(sample_cap=sample_cap)
-    for indices, shard_results, shard_stats, shard_aggregate in shard_outputs:
-        if shard_results is not None:
-            for index, result in zip(indices, shard_results):
-                results[index] = result
-        if shard_aggregate is not None:
-            aggregator.merge(shard_aggregate)
-        stats.merge(shard_stats)
-
-    if keep_results:
-        # Stream the merged results through the aggregator in campaign order
-        # so rows do not depend on shard completion order.  (In the
-        # memory-bounded mode above, shards aggregate locally and merge in
-        # deterministic shard order instead.)
-        for episode_spec, result in zip(episode_specs, results):
-            aggregator.add(result, key=episode_spec.cell_key())
-        return CampaignResult(spec, episode_specs, results, aggregator, stats,
-                              workers)
-    return CampaignResult(spec, episode_specs, [], aggregator, stats, workers)
+        outcome = supervisor.run_supervised(
+            spec, episode_specs, plan, checkpoint_dir, retry=retry_policy,
+            workers=workers, start_method=start_method)
+    return CampaignResult(spec, episode_specs, outcome.results,
+                          outcome.aggregate, outcome.stats, workers,
+                          failures=outcome.failures,
+                          run_dir=outcome.run_dir, report=outcome.report)

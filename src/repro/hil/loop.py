@@ -17,7 +17,7 @@ actuator-power degradation in Figure 16.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -106,37 +106,14 @@ class HILLoop:
             self.soc.compile_problem(self.problem)
 
     # -- helpers -----------------------------------------------------------------
-    def _episode_runner(self, mission,
-                        episode_id: int = 0) -> EpisodeRunner:
+    def _episode_runner(self, mission) -> EpisodeRunner:
         """Build the shared episode step generator for one mission.
 
         ``mission`` is either a waypoint :class:`Scenario` or a
         :class:`~repro.hil.episode.RecoveryEpisode`.
         """
         return EpisodeRunner(self.config, self.params, mission, soc=self.soc,
-                             state_dim=self.problem.state_dim,
-                             episode_id=episode_id)
-
-    def _run_fleet(self, missions) -> List:
-        """Fly the missions through the fleet scheduler with batched solves.
-
-        Every mission (waypoint :class:`Scenario` or
-        :class:`~repro.hil.episode.RecoveryEpisode`) becomes one
-        :class:`~repro.fleet.scheduler.FleetEpisode` sharing this loop's
-        configuration — the single fleet-dispatch path behind both
-        :meth:`run_scenarios` and :meth:`run_disturbances`.
-        """
-        from ..fleet.scheduler import FleetEpisode, FleetScheduler
-
-        settings = SolverSettings(
-            max_iterations=self.config.max_admm_iterations, warm_start=True)
-        episodes = [
-            FleetEpisode(episode_id=index,
-                         runner=self._episode_runner(mission, index),
-                         problem=self.problem, settings=settings,
-                         cache=self.solver.cache)
-            for index, mission in enumerate(missions)]
-        return FleetScheduler(episodes).run()
+                             state_dim=self.problem.state_dim)
 
     def _drive_with_scalar_solver(self, runner: EpisodeRunner):
         """Answer a runner's solve requests with this loop's scalar solver."""
@@ -161,39 +138,10 @@ class HILLoop:
         method merely answers its solve requests with this loop's scalar
         solver.  The fleet scheduler (:mod:`repro.fleet.scheduler`) drives
         the *same* episode implementation, which is what keeps scalar and
-        fleet results equivalent.
+        fleet results equivalent; many scenarios with batched solves are a
+        campaign (:func:`repro.fleet.run_campaign`).
         """
         return self._drive_with_scalar_solver(self._episode_runner(scenario))
-
-    def run_scenarios(self, scenarios: List[Scenario],
-                      batched: bool = True) -> List[ScenarioResult]:
-        """Fly several scenarios, batching their MPC solves together.
-
-        Delegates to the fleet campaign engine: every scenario becomes one
-        :class:`~repro.fleet.scheduler.FleetEpisode` sharing this loop's
-        configuration, and the :class:`~repro.fleet.scheduler.FleetScheduler`
-        packs their solve requests into
-        :class:`~repro.tinympc.batch.BatchTinyMPCSolver` dispatches.  Unlike
-        the deprecated lockstep runner this method replaced (PR 1's
-        ``_EpisodeState`` path, which required identically-configured
-        episodes advancing in physics-step lockstep), the scheduler batches
-        by *solver compatibility*, so it is the same machinery that serves
-        mixed-configuration campaigns — see :func:`repro.fleet.run_campaign`
-        for grids that vary frequency, variant, or solver settings.
-
-        Results match :meth:`run_scenario` applied per scenario: discrete
-        outcomes (success, crash, iteration counts, solve times) exactly,
-        float metrics up to round-off in the batched GEMMs.
-
-        With ``batched=False`` this is exactly a loop over
-        :meth:`run_scenario` — the reference the equivalence tests use.
-        """
-        scenarios = list(scenarios)
-        if not scenarios:
-            return []
-        if not batched:
-            return [self.run_scenario(scenario) for scenario in scenarios]
-        return self._run_fleet(scenarios)
 
     def run_disturbance(self, disturbance: Disturbance,
                         hold_position: Tuple[float, float, float] = (0.0, 0.0, 0.75),
@@ -210,30 +158,3 @@ class HILLoop:
                                   hold_position=tuple(hold_position),
                                   duration=duration)
         return self._drive_with_scalar_solver(self._episode_runner(mission))
-
-    def run_disturbances(self, disturbances: List[Disturbance],
-                         hold_position: Tuple[float, float, float] = (0.0, 0.0, 0.75),
-                         duration: float = 3.0,
-                         batched: bool = True) -> List[RecoveryResult]:
-        """Run several disturbance-recovery episodes, batching their solves.
-
-        The fleet-scheduler counterpart of :meth:`run_disturbance`, exactly
-        as :meth:`run_scenarios` is to :meth:`run_scenario`: every
-        disturbance becomes one recovery episode sharing this loop's
-        configuration, and compatible solves dispatch through
-        :class:`~repro.tinympc.batch.BatchTinyMPCSolver`.  Discrete recovery
-        outcomes match the serial path exactly; float metrics (TTR, max
-        deviation) to GEMM round-off.  ``batched=False`` is a plain loop
-        over :meth:`run_disturbance` — the bit-for-bit reference.
-        """
-        disturbances = list(disturbances)
-        if not disturbances:
-            return []
-        if not batched:
-            return [self.run_disturbance(disturbance, hold_position, duration)
-                    for disturbance in disturbances]
-        return self._run_fleet([
-            RecoveryEpisode(disturbance=disturbance,
-                            hold_position=tuple(hold_position),
-                            duration=duration)
-            for disturbance in disturbances])

@@ -5,20 +5,18 @@ Both solvers dispatch every kernel through module attributes on
 in the naive reference).  This module reuses the same seam to install a
 *compiled* kernel set:
 
-* ``numba`` — :mod:`repro.tinympc.compiled_numba`, ``@njit(cache=True)``
-  fused iterations (needs the optional numba package),
 * ``c``     — :mod:`repro.tinympc.compiled_c`, shape-specialized C built at
   first use with the system compiler and called through cffi,
 * ``numpy`` — the allocation-free numpy fast path (always available).
 
-Selection order for ``auto`` is numba → c → numpy: numba is primary when
-importable, the C backend is the fallback compiled path, and numpy is the
-unconditional safety net — a missing toolchain can never break a solve.
+Selection order for ``auto`` is c → numpy: the C backend is the compiled
+path, and numpy is the unconditional safety net — a missing toolchain can
+never break a solve.
 
-The default backend is **numpy**; compiled backends are opt-in, either
+The default backend is **numpy**; the compiled backend is opt-in, either
 process-wide via the environment (read once at package import)::
 
-    REPRO_KERNEL_BACKEND=auto   # or: numba | c | numpy
+    REPRO_KERNEL_BACKEND=auto   # or: c | numpy
     REPRO_KERNEL_THREADS=4      # batch-dimension threads (default 1)
     REPRO_KERNEL_CC=clang       # override the C compiler probe
 
@@ -79,16 +77,7 @@ def _probe(name: str) -> Tuple[Optional[object], str]:
     if name in _probe_cache:
         return _probe_cache[name]
     impl, detail = None, ""
-    if name == "numba":
-        try:
-            from .compiled_numba import load_numba_backend
-            impl = load_numba_backend(threads=_threads())
-            detail = "jit ok, threads={}".format(_threads())
-        except ImportError:
-            detail = "numba is not installed"
-        except Exception as exc:  # jit failure — fall through, don't crash
-            detail = "numba backend failed: {}".format(exc)
-    elif name == "c":
+    if name == "c":
         try:
             from .compiled_c import CBackendUnavailable, load_c_backend
         except ImportError as exc:
@@ -107,29 +96,26 @@ def _probe(name: str) -> Tuple[Optional[object], str]:
 
 def available_backends() -> Dict[str, str]:
     """Probe every backend; map name → availability detail."""
-    result = {"numpy": "always available"}
-    for name in ("numba", "c"):
-        impl, detail = _probe(name)
-        result[name] = detail if impl is not None else "unavailable: " + detail
-    return result
+    impl, detail = _probe("c")
+    return {"numpy": "always available",
+            "c": detail if impl is not None else "unavailable: " + detail}
 
 
 def resolve_backend(name: str = "auto"):
     """Return (impl_or_None, resolved_name).  ``None`` means numpy.
 
-    ``auto`` takes the first available of numba → c, else numpy.  Asking
-    for a specific unavailable backend also falls back to numpy (recorded
-    in :func:`backend_info`) rather than raising: backend choice must never
-    turn a working solve into a crash.
+    ``auto`` takes c when available, else numpy.  Asking for a specific
+    unavailable backend also falls back to numpy (recorded in
+    :func:`available_backends`) rather than raising: backend choice must
+    never turn a working solve into a crash.
     """
     name = (name or "auto").lower()
     if name == "numpy":
         return None, "numpy"
-    candidates = ("numba", "c") if name == "auto" else (name,)
-    for candidate in candidates:
-        impl, _ = _probe(candidate)
-        if impl is not None:
-            return impl, candidate
+    candidate = "c" if name == "auto" else name
+    impl, _ = _probe(candidate)
+    if impl is not None:
+        return impl, candidate
     return None, "numpy"
 
 

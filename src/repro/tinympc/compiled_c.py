@@ -1,8 +1,7 @@
 """C kernel backend: runtime-compiled fused ADMM iterations.
 
-This is the compiled backend that is actually available on a stock CPython +
-C-toolchain box (the numba backend in :mod:`repro.tinympc.compiled_numba`
-needs an extra package).  At first use it *generates* a C translation unit
+The compiled kernel backend; it needs only cffi and a C toolchain next to
+CPython.  At first use it *generates* a C translation unit
 with the problem shape baked in as compile-time constants (``NX``/``NU``/
 ``NH`` — the Exo/SYS_ATL lesson: at TinyMPC's tensor sizes, specialization
 is where the speed lives), builds it with the system C compiler into a

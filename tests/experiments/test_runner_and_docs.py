@@ -7,12 +7,15 @@ import os
 import numpy as np
 import pytest
 
+from repro.drone import Difficulty, all_variants, generate_scenario
 from repro.experiments import (
     BATCH_ROUTED_EXPERIMENTS,
     EXPERIMENTS,
     ExperimentRunner,
     run_experiment,
 )
+from repro.experiments.hil_experiments import _configuration_results
+from repro.hil import HILConfig, HILLoop
 from repro.tinympc import default_quadrotor_problem, problem_hash
 
 REPO_ROOT = os.path.normpath(os.path.join(os.path.dirname(__file__), "..", ".."))
@@ -122,3 +125,56 @@ class TestExperimentRunner:
                 row_s["median_solve_time_ms"], rel=1e-9)
             assert row_b["mean_iterations"] == pytest.approx(
                 row_s["mean_iterations"], rel=1e-9)
+
+
+# One configuration's grid as fig16/fig18 fly it: difficulty-major, then seed.
+GRID = (Difficulty.EASY, Difficulty.MEDIUM)
+
+
+def assert_grid_is_scalar_loop(results, implementation, variant, **tolerance):
+    """Compare with the grid flown one scenario at a time by
+    ``HILLoop.run_scenario``; without a tolerance every float is equal."""
+    loop = HILLoop(HILConfig(implementation=implementation),
+                   params=all_variants()[variant])
+    references = [loop.run_scenario(generate_scenario(difficulty, seed))
+                  for difficulty in GRID for seed in range(2)]
+    assert len(results) == len(references)
+    for reference, result in zip(references, results):
+        assert result.scenario.difficulty == reference.scenario.difficulty
+        assert result.scenario.seed == reference.scenario.seed
+        for name in ("success", "crashed", "solve_iterations", "solve_times",
+                     "flight_time_s"):
+            assert getattr(result, name) == getattr(reference, name), name
+        for name in ("final_distance", "actuation_power_w", "soc_power_w"):
+            expected = getattr(reference, name)
+            if tolerance:
+                expected = pytest.approx(expected, **tolerance)
+            assert getattr(result, name) == expected, name
+
+
+class TestConfigurationCampaign:
+    """fig16 and fig18 fly each configuration's scenario grid as one fleet
+    campaign, which must reproduce the scalar loop over the same grid."""
+
+    def test_unbatched_grid_is_the_scalar_loop(self):
+        results = _configuration_results(GRID, 2, "vector", 100.0,
+                                         "CrazyFlie", batched=False)
+        assert_grid_is_scalar_loop(results, "vector", "CrazyFlie")
+
+    def test_batched_grid_matches_the_scalar_loop(self):
+        results = _configuration_results(GRID, 2, "vector", 100.0,
+                                         "CrazyFlie", batched=True)
+        assert_grid_is_scalar_loop(results, "vector", "CrazyFlie",
+                                   rel=1e-6, abs=1e-9)
+
+    def test_variant_name_selects_its_airframe(self):
+        """fig18 passes the variant by name."""
+        results = _configuration_results(GRID, 2, "vector", 100.0, "Hawk",
+                                         batched=False)
+        assert_grid_is_scalar_loop(results, "vector", "Hawk")
+
+    def test_ideal_policy_draws_no_soc_power(self):
+        results = _configuration_results(GRID, 2, "ideal", 100.0,
+                                         "CrazyFlie", batched=True)
+        assert len(results) == 4
+        assert all(r.success and r.soc_power_w == 0.0 for r in results)

@@ -312,3 +312,26 @@ class TestInterruptCLI:
         assert payload["rows"] == reference_rows
         assert payload["supervisor"]["replayed_chunks"] >= 1
         assert payload["run_dir"] == run_dir
+
+    def test_sigint_without_checkpoint_exits_130_unsaved(self, tmp_path):
+        """An uncheckpointed worker run has nothing to resume: Ctrl-C still
+        exits 130, says so, and writes no partial rows anywhere."""
+        env = dict(os.environ, PYTHONUNBUFFERED="1",
+                   PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+        process = subprocess.Popen(
+            [sys.executable,
+             os.path.join(REPO_ROOT, "scripts", "run_campaign.py"),
+             "--difficulties", "easy", "--seeds", "32",
+             "--frequencies", "100,250", "--workers", "2"],
+            cwd=str(tmp_path), env=env, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True, start_new_session=True)
+        process.stdout.readline()       # the spec description: the run starts
+        time.sleep(1.0)
+        os.killpg(process.pid, signal.SIGINT)
+        returncode = process.wait(timeout=120)
+        stderr = process.stderr.read()
+        process.stdout.close()
+        process.stderr.close()
+        assert returncode == 130, stderr
+        assert "progress not saved" in stderr
+        assert os.listdir(str(tmp_path)) == []

@@ -15,7 +15,9 @@ episode kind, now that disturbance episodes run through the shared
 
 import pytest
 
-from repro.fleet import CampaignSpec, run_campaign
+from repro.drone import (Difficulty, Disturbance, DisturbanceCategory,
+                         DisturbanceType)
+from repro.fleet import CampaignSpec, EpisodeSpec, run_campaign
 from repro.hil import HILConfig, HILLoop
 
 # A reduced but real slice of the Fig. 17 suite: two implementations times
@@ -82,6 +84,29 @@ class TestRecoveryFleetEquivalence:
                     reference.time_to_recovery, abs=1e-9)
             assert result.max_deviation == pytest.approx(
                 reference.max_deviation, rel=1e-6)
+
+    def test_explicit_disturbance_list_matches_serial(self):
+        """Disturbances outside the suite's standard directions run as an
+        explicit episode list, batched, and still match run_disturbance."""
+        episodes = [
+            EpisodeSpec(Difficulty.EASY, 0, recovery_duration=2.5,
+                        disturbance=Disturbance(
+                            DisturbanceCategory(category),
+                            DisturbanceType(kind), direction, magnitude))
+            for category, kind, direction, magnitude in [
+                ("torque", "impulse", (0.0, 0.0, 1.0), 0.002),
+                ("combined", "step", (1.0, 1.0, 0.5), 0.08)]]
+        reference = serial_reference(episodes)
+        outcome = run_campaign(episodes)
+        assert outcome.stats.batched_solves > 0
+        assert len(outcome.results) == len(reference)
+        for expected, result in zip(reference, outcome.results):
+            assert_discrete_exact(expected, result)
+            if expected.time_to_recovery is not None:
+                assert result.time_to_recovery == pytest.approx(
+                    expected.time_to_recovery, abs=1e-9)
+            assert result.max_deviation == pytest.approx(
+                expected.max_deviation, rel=1e-6)
 
     def test_repeated_runs_bitwise_identical(self):
         first = run_campaign(RECOVERY)

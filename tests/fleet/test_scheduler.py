@@ -27,7 +27,7 @@ from repro.fleet import (
     FleetScheduler,
     run_campaign,
 )
-from repro.hil import HILConfig, HILLoop
+from repro.hil import HILLoop
 
 REPO_ROOT = os.path.normpath(os.path.join(os.path.dirname(__file__), "..", ".."))
 
@@ -108,18 +108,6 @@ class TestFleetScalarEquivalence:
             assert a.final_distance == b.final_distance
             assert a.actuation_power_w == b.actuation_power_w
             assert a.solve_iterations == b.solve_iterations
-
-    def test_run_scenarios_delegates_to_scheduler(self):
-        """HILLoop.run_scenarios keeps its contract on the fleet engine."""
-        config = HILConfig(implementation="vector", frequency_mhz=100.0)
-        scenarios = [generate_scenario(Difficulty.EASY, seed=0),
-                     generate_scenario(Difficulty.MEDIUM, seed=1)]
-        sequential = HILLoop(config).run_scenarios(scenarios, batched=False)
-        batched = HILLoop(config).run_scenarios(scenarios, batched=True)
-        for reference, result in zip(sequential, batched):
-            assert_discrete_exact(reference, result)
-            assert result.final_distance == pytest.approx(
-                reference.final_distance, rel=1e-6, abs=1e-9)
 
 
 class TestSchedulerMechanics:

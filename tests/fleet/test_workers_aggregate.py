@@ -13,9 +13,12 @@ from repro.fleet import (
     CampaignSpec,
     FleetAggregator,
     ReservoirSamples,
+    RetryPolicy,
     run_campaign,
     shard_indices,
 )
+from repro.fleet.chaos import ChaosError
+from repro.fleet.durable import result_to_dict
 from repro.hil import ScenarioResult
 
 REPO_ROOT = os.path.normpath(os.path.join(os.path.dirname(__file__), "..", ".."))
@@ -86,6 +89,43 @@ class TestSharding:
     def test_empty_campaign(self):
         outcome = run_campaign([])
         assert outcome.results == [] and outcome.rows() == []
+
+
+class TestOneExecutionPath:
+    """Every run is the same chunk plan through the same chunk function, so
+    for a fixed plan the output does not depend on ``checkpoint_dir``."""
+
+    SPEC = CampaignSpec(name="one-path", difficulties=("easy",),
+                        seeds=(0, 1, 2, 3), frequencies_mhz=(100.0, 250.0))
+
+    @staticmethod
+    def _bytes(outcome):
+        return (json.dumps(outcome.rows(), sort_keys=True),
+                json.dumps([result_to_dict(r) for r in outcome.results],
+                           sort_keys=True))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_checkpoint_dir_does_not_change_output(self, tmp_path, workers):
+        in_memory = run_campaign(self.SPEC, workers=workers, lease_size=4)
+        checkpointed = run_campaign(self.SPEC, workers=workers, lease_size=4,
+                                    checkpoint_dir=str(tmp_path))
+        assert in_memory.run_dir is None and checkpointed.run_dir is not None
+        assert (in_memory.report is None) == (workers == 1)
+        assert checkpointed.report.fresh_chunks == 2
+        assert self._bytes(in_memory) == self._bytes(checkpointed)
+
+    @pytest.mark.parametrize("lease_size", [0, -1])
+    def test_lease_size_below_one_rejected_before_run_dir(self, tmp_path,
+                                                          lease_size):
+        with pytest.raises(ValueError, match="lease_size"):
+            run_campaign(self.SPEC, checkpoint_dir=str(tmp_path),
+                         lease_size=lease_size)
+        assert os.listdir(str(tmp_path)) == []
+
+    def test_empty_supervised_campaign_spawns_no_workers(self):
+        outcome = run_campaign([], workers=2)
+        assert outcome.results == [] and outcome.rows() == []
+        assert outcome.report.spawned_workers == 0
 
 
 class TestReservoirSamples:
@@ -217,20 +257,33 @@ class TestExperimentDriver:
 
 class TestQuarantine:
     """Worker-failure paths: a failing episode must cost one structured
-    row, not the campaign (pre-supervisor, one raising episode propagated
-    through ``pool.map`` and lost every shard's work)."""
+    row, not the campaign — checkpointed or not, every run with worker
+    processes is supervised."""
 
     SPEC = CampaignSpec(name="quarantine", difficulties=("easy",),
                         seeds=(0, 1, 2, 3), frequencies_mhz=(100.0, 250.0))
 
     def _poisoned(self, checkpoint_dir, monkeypatch, episode=2):
-        from repro.fleet import RetryPolicy
         monkeypatch.setenv("REPRO_CHAOS",
                            json.dumps({"episode": episode, "mode": "raise"}))
         return run_campaign(self.SPEC, workers=2, checkpoint_dir=checkpoint_dir,
                             lease_size=4,
                             retry_policy=RetryPolicy(max_attempts=2,
                                                      backoff_base=0.02))
+
+    def test_uncheckpointed_worker_run_quarantines(self, monkeypatch):
+        outcome = self._poisoned(None, monkeypatch)
+        assert outcome.run_dir is None
+        assert [f.index for f in outcome.failures] == [2]
+        assert outcome.report.quarantined == 1
+        assert [row["index"] for row in outcome.rows()
+                if row.get("status") == "quarantined"] == [2]
+
+    def test_inline_run_propagates_episode_errors(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CHAOS",
+                           json.dumps({"episode": 2, "mode": "raise"}))
+        with pytest.raises(ChaosError):
+            run_campaign(self.SPEC, workers=1)
 
     def test_failure_row_emitted_and_siblings_survive(self, tmp_path,
                                                       monkeypatch):
@@ -259,18 +312,32 @@ class TestQuarantine:
 
 
 class TestCampaignCLI:
-    def test_smoke_run_writes_rows(self, tmp_path):
-        output = tmp_path / "campaign.json"
+    @staticmethod
+    def _cli(*args):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
-        completed = subprocess.run(
+        return subprocess.run(
             [sys.executable, os.path.join(REPO_ROOT, "scripts", "run_campaign.py"),
-             "--difficulties", "easy", "--seeds", "2",
-             "--frequencies", "100,250", "--workers", "2",
-             "--output", str(output)],
+             "--difficulties", "easy"] + list(args),
             env=env, capture_output=True, text=True, timeout=600)
+
+    def test_smoke_run_writes_rows(self, tmp_path):
+        output = tmp_path / "campaign.json"
+        completed = self._cli("--seeds", "2", "--frequencies", "100,250",
+                              "--workers", "2", "--output", str(output))
         assert completed.returncode == 0, completed.stderr
         payload = json.loads(output.read_text())
         assert payload["rows"], "campaign produced no aggregate rows"
         assert payload["overall"]["episodes"] == 4
         assert "episodes/s" in completed.stdout
+        # Worker runs are supervised even without a checkpoint.
+        assert payload["supervisor"]["fresh_chunks"] == 2
+        assert "run_dir" not in payload
+
+    def test_zero_lease_size_rejected(self, tmp_path):
+        checkpoint = tmp_path / "ckpt"
+        completed = self._cli("--seeds", "1", "--lease-size", "0", "--quiet",
+                              "--checkpoint-dir", str(checkpoint))
+        assert completed.returncode != 0
+        assert "lease_size" in completed.stderr
+        assert not checkpoint.exists()

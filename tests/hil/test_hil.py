@@ -206,69 +206,3 @@ class TestClosedLoop:
         assert result.positions is not None
         assert result.positions.shape[1] == 3
 
-
-class TestBatchedScenarioRunner:
-    def test_batched_matches_sequential_episodes(self):
-        """run_scenarios(batched=True) reproduces per-episode run_scenario."""
-        config = HILConfig(implementation="vector", frequency_mhz=100.0)
-        scenarios = [generate_scenario(Difficulty.EASY, seed=0),
-                     generate_scenario(Difficulty.MEDIUM, seed=1)]
-        sequential = HILLoop(config).run_scenarios(scenarios, batched=False)
-        batched = HILLoop(config).run_scenarios(scenarios, batched=True)
-        assert len(batched) == len(sequential)
-        for reference, result in zip(sequential, batched):
-            assert result.success == reference.success
-            assert result.crashed == reference.crashed
-            assert result.solve_iterations == reference.solve_iterations
-            assert result.solve_times == reference.solve_times
-            assert result.flight_time_s == reference.flight_time_s
-            assert result.final_distance == pytest.approx(
-                reference.final_distance, rel=1e-6, abs=1e-9)
-            assert result.actuation_power_w == pytest.approx(
-                reference.actuation_power_w, rel=1e-6)
-            assert result.soc_power_w == pytest.approx(
-                reference.soc_power_w, rel=1e-6)
-
-    def test_batched_ideal_policy(self):
-        config = HILConfig(implementation="ideal")
-        scenario = generate_scenario(Difficulty.EASY, seed=1)
-        result = HILLoop(config).run_scenarios([scenario])[0]
-        assert result.success
-        assert result.soc_power_w == 0.0
-
-    def test_empty_scenario_list(self):
-        loop = HILLoop(HILConfig(implementation="vector", frequency_mhz=100.0))
-        assert loop.run_scenarios([]) == []
-
-
-class TestBatchedDisturbanceRunner:
-    def test_batched_matches_sequential_disturbances(self):
-        """run_disturbances(batched=True) reproduces run_disturbance."""
-        loop = HILLoop(HILConfig(implementation="vector", frequency_mhz=100.0))
-        disturbances = [
-            Disturbance(DisturbanceCategory.FORCE, DisturbanceType.STEP,
-                        (1.0, 0.0, 0.0), 0.08, start_time=0.5),
-            Disturbance(DisturbanceCategory.TORQUE, DisturbanceType.IMPULSE,
-                        (0.0, 0.0, 1.0), 0.002, start_time=0.5),
-            Disturbance(DisturbanceCategory.COMBINED, DisturbanceType.STEP,
-                        (1.0, 1.0, 0.5), 0.08, start_time=0.5),
-        ]
-        sequential = loop.run_disturbances(disturbances, duration=2.5,
-                                           batched=False)
-        batched = loop.run_disturbances(disturbances, duration=2.5,
-                                        batched=True)
-        assert len(batched) == len(sequential)
-        for reference, result in zip(sequential, batched):
-            assert result.recovered == reference.recovered
-            assert ((result.time_to_recovery is None)
-                    == (reference.time_to_recovery is None))
-            if reference.time_to_recovery is not None:
-                assert result.time_to_recovery == pytest.approx(
-                    reference.time_to_recovery, abs=1e-9)
-            assert result.max_deviation == pytest.approx(
-                reference.max_deviation, rel=1e-6)
-            assert result.disturbance == reference.disturbance
-
-    def test_empty_disturbance_list(self):
-        loop = HILLoop(HILConfig(implementation="vector", frequency_mhz=100.0))
-        assert loop.run_disturbances([]) == []

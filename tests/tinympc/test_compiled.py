@@ -5,7 +5,7 @@ The backend contract has three layers, each tested here:
 * **selection** — ``resolve_backend`` / ``use_compiled_kernels`` install a
   compiled kernel set through the same module-attr seam the naive swap
   uses, restore cleanly, never raise on an unavailable backend, and honor
-  ``REPRO_KERNEL_BACKEND`` at import (checked in a subprocess with numba
+  ``REPRO_KERNEL_BACKEND`` at import (checked in a subprocess with cffi
   import-blocked, proving the no-toolchain fallback really lands on the
   numpy kernels with identical solves);
 * **solve equivalence** — scalar and batched solvers under a compiled
@@ -67,7 +67,7 @@ class TestBackendSelection:
         assert active_backend() == "numpy"
         info = available_backends()
         assert info["numpy"] == "always available"
-        assert set(info) == {"numpy", "numba", "c"}
+        assert set(info) == {"numpy", "c"}
 
     def test_unknown_backend_falls_back_to_numpy(self):
         impl, resolved = resolve_backend("fortran77")
@@ -190,29 +190,29 @@ class TestFloat32Mode:
 
 
 # ---------------------------------------------------------------------------
-# No-numba fallback (subprocess)
+# Unavailable-backend fallback (subprocess)
 # ---------------------------------------------------------------------------
 
 _FALLBACK_SCRIPT = r"""
 import sys
 
-class _BlockNumba:
+class _BlockCffi:
     def find_spec(self, name, path=None, target=None):
-        if name == "numba" or name.startswith("numba."):
-            raise ImportError("numba blocked for fallback test")
+        if name == "cffi" or name.startswith("cffi."):
+            raise ImportError("cffi blocked for fallback test")
         return None
 
-sys.meta_path.insert(0, _BlockNumba())
+sys.meta_path.insert(0, _BlockCffi())
 sys.path.insert(0, sys.argv[1])
 
 import numpy as np
 import repro.tinympc as tinympc
 
-# REPRO_KERNEL_BACKEND=numba was requested but numba cannot import: the
+# REPRO_KERNEL_BACKEND=c was requested but cffi cannot import: the
 # activation must land on the numpy kernels without raising.
 assert tinympc.active_backend() == "numpy", tinympc.active_backend()
 info = tinympc.available_backends()
-assert info["numba"].startswith("unavailable"), info
+assert info["c"].startswith("unavailable"), info
 
 problem = tinympc.default_quadrotor_problem()
 solver = tinympc.TinyMPCSolver(
@@ -225,10 +225,10 @@ print(solution.iterations)
 """
 
 
-class TestNoNumbaFallback:
-    def test_requested_numba_without_numba_selects_numpy_identically(self):
+class TestUnavailableBackendFallback:
+    def test_requested_c_without_cffi_selects_numpy_identically(self):
         env = dict(os.environ)
-        env["REPRO_KERNEL_BACKEND"] = "numba"
+        env["REPRO_KERNEL_BACKEND"] = "c"
         env.pop("PYTHONPATH", None)
         proc = subprocess.run(
             [sys.executable, "-c", _FALLBACK_SCRIPT, SRC_DIR],
