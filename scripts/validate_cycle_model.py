@@ -5,9 +5,9 @@ Sweeps every catalog design point at every valid optimization level,
 compares :func:`repro.arch.cycle_model.model_report` against the compiled
 instruction-stream trace, prints the comparison table, and exits non-zero
 if any pair's relative error exceeds the pinned tolerance
-(:data:`repro.arch.cycle_model.PINNED_TOLERANCE`).  CI runs this on every
-push so the model-fidelity campaign axis can never silently drift from the
-trace it stands in for.
+(:data:`repro.arch.cycle_model.PINNED_TOLERANCE`).  It is the local table
+view of the sweep ``tests/arch/test_cycle_model.py`` asserts (bit-exact) in
+the tier-1 suite.
 
 Usage::
 

@@ -508,14 +508,13 @@ def run_dse_bench(smoke: bool = False) -> Tuple[Dict[str, object],
     vector and scalar backends) plus headline totals.  The serial reference
     is the plain :class:`~repro.codegen.CodegenFlow` loop the figure sweeps
     used before the fleet path existed; the fast side is the same grid as
-    ``design_point`` episodes at ``fidelity="model"``, with the result
-    memo cleared before every timed round so each round pays full cost.
+    ``design_point`` episodes at ``fidelity="model"``.  Design-point
+    evaluations keep no results, so every timed round pays full cost.
     """
     from .arch import get_design_point
     from .codegen import CodegenFlow
     from .experiments.kernel_experiments import default_program
-    from .fleet.design_point import (DesignPointSpec, clear_result_cache,
-                                     compile_via_fleet)
+    from .fleet.design_point import DesignPointSpec, compile_via_fleet
 
     program = default_program()
     specs = dse_grid(smoke=smoke)
@@ -548,7 +547,6 @@ def run_dse_bench(smoke: bool = False) -> Tuple[Dict[str, object],
 
         model_s = float("inf")
         for _ in range(rounds):
-            clear_result_cache()
             start = time.perf_counter()
             compile_via_fleet(model_specs)
             model_s = min(model_s, time.perf_counter() - start)

@@ -5,30 +5,21 @@ ADMM iteration under progressively richer software mappings, the
 scratchpad layout plan, the synchronization-overhead sweep, and the
 per-kernel engine ablation.
 
-Every compile-and-time sweep takes ``engine="fleet"`` (default) or
-``engine="serial"``: the fleet path routes each compile through the
-campaign engine as a ``design_point`` episode
-(:mod:`repro.fleet.design_point`) and rebuilds the figure's rows from the
-returned :class:`~repro.fleet.design_point.DesignPointResult` metrics —
-bit-for-bit equal to the retained serial loop, which stays as the
-reference implementation.  Figure 8 is a pure layout-planning table (no
-compile), so it has no engine switch.
+Every compile-and-time sweep evaluates its design points as
+``design_point`` campaign episodes (:mod:`repro.fleet.design_point`) and
+builds the figure's rows from the returned
+:class:`~repro.fleet.design_point.DesignPointResult` metrics.  Figure 8 is
+a pure layout-planning table (no compile).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
-from ..arch import GemminiOpcode, get_design_point
-from ..codegen import (
-    CodegenFlow,
-    GemminiLoweringOptions,
-    lower_gemmini,
-    plan_scratchpad_residency,
-)
+from ..codegen import plan_scratchpad_residency
 from ..matlib import MatlibProgram
 from ..tinympc import ALL_KERNELS, KERNEL_CLASSES
-from .kernel_experiments import default_program
+from .kernel_experiments import _design_point_results, default_program
 
 __all__ = [
     "fig6_static_mapping",
@@ -41,96 +32,40 @@ __all__ = [
 _GEMMINI = "gemmini-4x4-os-64k-rocket"
 
 
-def _check_engine(engine: str) -> None:
-    if engine not in ("fleet", "serial"):
-        raise ValueError("unknown engine {!r}; options: fleet, serial"
-                         .format(engine))
-
-
-def _fleet_compile(program: Optional[MatlibProgram], pairs: Sequence[tuple]):
-    """Compile ``(design_point, level[, sync_granularity])`` pairs through
-    the fleet engine; results in pair order."""
-    from ..fleet.design_point import DesignPointSpec, compile_via_fleet
-    from .pareto_experiments import _program_name
-    name = _program_name(program, None)
-    specs = []
-    for pair in pairs:
-        point, level = pair[0], pair[1]
-        granularity = pair[2] if len(pair) > 2 else None
-        specs.append(DesignPointSpec(design_point=point, codegen_level=level,
-                                     program=name,
-                                     sync_granularity=granularity))
-    return compile_via_fleet(specs)
-
-
 def fig6_static_mapping(program: Optional[MatlibProgram] = None,
-                        design_point: str = _GEMMINI,
-                        engine: str = "fleet") -> List[Dict]:
+                        design_point: str = _GEMMINI) -> List[Dict]:
     """CISC / dynamic library / unrolled+static mappings (Figure 6)."""
-    _check_engine(engine)
     variants = [
         ("CISC instructions", "cisc"),
         ("fine-grained, dynamic addressing", "library"),
         ("fine-grained, unrolled + static mapping", "static"),
     ]
-    if engine == "fleet":
-        results = _fleet_compile(program, [(design_point, level)
-                                           for _, level in variants])
-        baseline = results[0].total_cycles       # cisc is the first variant
-        return [{"variant": label, "level": level,
-                 "cycles": result.total_cycles,
-                 "rocc_instructions": result.rocc_instructions,
-                 "speedup_vs_cisc": baseline / result.total_cycles}
-                for (label, level), result in zip(variants, results)]
-    program = program or default_program()
-    flow = CodegenFlow()
-    baseline = flow.compile(program, design_point, "cisc").cycles
-    rows = []
-    for label, level in variants:
-        result = flow.compile(program, design_point, level)
-        rocc_instructions = sum(
-            1 for i in result.stream
-            if getattr(i, "opcode", None) not in (GemminiOpcode.CPU_OP, None))
-        rows.append({"variant": label, "level": level, "cycles": result.cycles,
-                     "rocc_instructions": rocc_instructions,
-                     "speedup_vs_cisc": baseline / result.cycles})
-    return rows
+    results = _design_point_results(
+        [dict(design_point=design_point, codegen_level=level)
+         for _, level in variants], program)
+    baseline = results[0].total_cycles       # cisc is the first variant
+    return [{"variant": label, "level": level,
+             "cycles": result.total_cycles,
+             "rocc_instructions": result.rocc_instructions,
+             "speedup_vs_cisc": baseline / result.total_cycles}
+            for (label, level), result in zip(variants, results)]
 
 
 def fig7_scratchpad_resident(program: Optional[MatlibProgram] = None,
-                             design_point: str = _GEMMINI,
-                             engine: str = "fleet") -> List[Dict]:
+                             design_point: str = _GEMMINI) -> List[Dict]:
     """DRAM-staged vs scratchpad-resident iterative passes (Figure 7)."""
-    _check_engine(engine)
     variants = [("DRAM-staged (static mapping)", "static"),
                 ("scratchpad-resident", "scratchpad")]
-    if engine == "fleet":
-        results = _fleet_compile(program, [(design_point, level)
-                                           for _, level in variants])
-        baseline = results[0].total_cycles
-        return [{"variant": label, "level": level,
-                 "cycles": result.total_cycles,
-                 "fences": result.fences,
-                 "dram_transfers": result.dram_transfers,
-                 "speedup_vs_dram_staged": baseline / result.total_cycles}
-                for (label, level), result in zip(variants, results)]
-    program = program or default_program()
-    flow = CodegenFlow()
-    rows = []
-    baseline = None
-    for label, level in variants:
-        result = flow.compile(program, design_point, level)
-        fences = result.stream.count_opcode(GemminiOpcode.FENCE)
-        dram_moves = sum(1 for i in result.stream
-                         if getattr(i, "opcode", None) in (GemminiOpcode.MVIN,
-                                                           GemminiOpcode.MVOUT)
-                         and getattr(i, "dram", False))
-        if baseline is None:
-            baseline = result.cycles
-        rows.append({"variant": label, "level": level, "cycles": result.cycles,
-                     "fences": fences, "dram_transfers": dram_moves,
-                     "speedup_vs_dram_staged": baseline / result.cycles})
-    return rows
+    results = _design_point_results(
+        [dict(design_point=design_point, codegen_level=level)
+         for _, level in variants], program)
+    baseline = results[0].total_cycles
+    return [{"variant": label, "level": level,
+             "cycles": result.total_cycles,
+             "fences": result.fences,
+             "dram_transfers": result.dram_transfers,
+             "speedup_vs_dram_staged": baseline / result.total_cycles}
+            for (label, level), result in zip(variants, results)]
 
 
 def fig8_scratchpad_layout(program: Optional[MatlibProgram] = None,
@@ -153,101 +88,47 @@ def fig8_scratchpad_layout(program: Optional[MatlibProgram] = None,
 
 def fig9_sync_granularity(program: Optional[MatlibProgram] = None,
                           design_point: str = _GEMMINI,
-                          granularities: tuple = (1, 2, 4, 8, 16, 32),
-                          engine: str = "fleet") -> List[Dict]:
+                          granularities: tuple = (1, 2, 4, 8, 16, 32)
+                          ) -> List[Dict]:
     """CPU-Gemmini synchronization overhead vs offload granularity (Figure 9)."""
-    _check_engine(engine)
-    if engine == "fleet":
-        # The inline options below equal lowering_options(point, "optimized",
-        # sync_granularity=g), which is what the design_point episode builds.
-        results = _fleet_compile(
-            program, [(design_point, "optimized", granularity)
-                      for granularity in granularities])
-        return [{"ops_per_sync": granularity, "fences": result.fences,
-                 "total_cycles": result.total_cycles,
-                 "sync_stall_cycles":
-                     result.cycles_by_category.get("stall", 0.0),
-                 "sync_overhead_fraction":
-                     result.cycles_by_category.get("stall", 0.0)
-                     / result.total_cycles}
-                for granularity, result in zip(granularities, results)]
-    program = program or default_program()
-    point = get_design_point(design_point)
-    backend = point.backend()
+    results = _design_point_results(
+        [dict(design_point=design_point, codegen_level="optimized",
+              sync_granularity=granularity) for granularity in granularities],
+        program)
     rows = []
-    for granularity in granularities:
-        options = GemminiLoweringOptions(
-            static_mapping=True, eliminate_redundant_config=True,
-            scratchpad_resident=True, use_activation_engine=True,
-            use_pooling=True, sync_granularity=granularity,
-            scratchpad_kb=point.config.scratchpad_kb,
-            mesh_dim=point.config.mesh_rows)
-        stream = lower_gemmini(program, options)
-        report = backend.run(stream)
-        fences = stream.count_opcode(GemminiOpcode.FENCE)
-        stall = report.cycles_by_category.get("stall", 0.0)
-        rows.append({"ops_per_sync": granularity, "fences": fences,
-                     "total_cycles": report.total_cycles,
+    for granularity, result in zip(granularities, results):
+        stall = result.cycles_by_category.get("stall", 0.0)
+        rows.append({"ops_per_sync": granularity, "fences": result.fences,
+                     "total_cycles": result.total_cycles,
                      "sync_stall_cycles": stall,
-                     "sync_overhead_fraction": stall / report.total_cycles})
+                     "sync_overhead_fraction": stall / result.total_cycles})
     return rows
 
 
 def fig12_engine_ablation(program: Optional[MatlibProgram] = None,
-                          design_point: str = _GEMMINI,
-                          engine: str = "fleet") -> List[Dict]:
+                          design_point: str = _GEMMINI) -> List[Dict]:
     """Gemmini kernel speedups: mesh only vs +elementwise engines vs +pooling
     (Figure 12), relative to the Rocket Eigen scalar baseline."""
-    _check_engine(engine)
-    if engine == "fleet":
-        results = _fleet_compile(program, [
-            ("rocket", "eigen"),
-            (design_point, "scratchpad"),
-            (design_point, "elementwise"),
-            (design_point, "optimized"),
-        ])
-        baseline, variants = results[0], {
-            "mesh_only": results[1],
-            "elementwise_engines": results[2],
-            "elementwise_plus_pool": results[3],
-        }
-        rows = []
-        for kernel in ALL_KERNELS:
-            base = baseline.cycles_by_kernel.get(kernel, 0.0)
-            if base == 0.0:
-                continue
-            row = {"kernel": kernel, "class": KERNEL_CLASSES[kernel]}
-            for name, result in variants.items():
-                cycles = result.cycles_by_kernel.get(kernel, 0.0)
-                row["{}_speedup".format(name)] = base / max(cycles, 1e-9)
-            rows.append(row)
-        total = {"kernel": "total", "class": "all"}
-        for name, result in variants.items():
-            total["{}_speedup".format(name)] = (
-                baseline.total_cycles / max(result.total_cycles, 1e-9))
-        rows.append(total)
-        return rows
-    program = program or default_program()
-    flow = CodegenFlow()
-    baseline = flow.compile(program, "rocket", "eigen").report
-    variants = {
-        "mesh_only": flow.compile(program, design_point, "scratchpad").report,
-        "elementwise_engines": flow.compile(program, design_point, "elementwise").report,
-        "elementwise_plus_pool": flow.compile(program, design_point, "optimized").report,
-    }
+    levels = {"mesh_only": "scratchpad", "elementwise_engines": "elementwise",
+              "elementwise_plus_pool": "optimized"}
+    baseline, *results = _design_point_results(
+        [dict(design_point="rocket", codegen_level="eigen")]
+        + [dict(design_point=design_point, codegen_level=level)
+           for level in levels.values()], program)
+    variants = dict(zip(levels, results))
     rows = []
     for kernel in ALL_KERNELS:
         base = baseline.cycles_by_kernel.get(kernel, 0.0)
         if base == 0.0:
             continue
         row = {"kernel": kernel, "class": KERNEL_CLASSES[kernel]}
-        for name, report in variants.items():
-            cycles = report.cycles_by_kernel.get(kernel, 0.0)
+        for name, result in variants.items():
+            cycles = result.cycles_by_kernel.get(kernel, 0.0)
             row["{}_speedup".format(name)] = base / max(cycles, 1e-9)
         rows.append(row)
     total = {"kernel": "total", "class": "all"}
-    for name, report in variants.items():
-        total["{}_speedup".format(name)] = (baseline.total_cycles
-                                            / max(report.total_cycles, 1e-9))
+    for name, result in variants.items():
+        total["{}_speedup".format(name)] = (
+            baseline.total_cycles / max(result.total_cycles, 1e-9))
     rows.append(total)
     return rows

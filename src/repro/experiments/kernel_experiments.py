@@ -6,10 +6,9 @@ figures plot — so the benchmark harness can print and sanity-check them.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
-from ..arch import get_design_point
-from ..codegen import CodegenFlow, VectorLoweringOptions, fuse_elementwise, lower_vector
+from ..codegen import CodegenFlow
 from ..matlib import MatlibProgram
 from ..tinympc import (
     ALL_KERNELS,
@@ -37,6 +36,27 @@ def default_program(problem: Optional[MPCProblem] = None) -> MatlibProgram:
     """The reference workload: one ADMM iteration of the CrazyFlie problem."""
     problem = problem or default_quadrotor_problem()
     return build_iteration_program(problem)
+
+
+def _design_point_results(cells: Sequence[Dict[str, object]],
+                          program: Optional[MatlibProgram] = None,
+                          problem: Optional[MPCProblem] = None, **shared):
+    """Evaluate design-point cells of one program as fleet campaign episodes.
+
+    Each cell holds :class:`~repro.fleet.design_point.DesignPointSpec`
+    fields (``design_point``, ``codegen_level``, optionally ``lmul`` or
+    ``sync_granularity``); ``shared`` fields (``fidelity``,
+    ``solve_iterations``) apply to every cell.  The program is the
+    registered default unless ``program`` or ``problem`` is given.
+    Results come back in cell order.
+    """
+    from ..fleet.design_point import (DesignPointSpec, compile_via_fleet,
+                                      intern_program)
+    if program is None and problem is not None:
+        program = default_program(problem)
+    name = "iteration" if program is None else intern_program(program)
+    return compile_via_fleet([DesignPointSpec(program=name, **shared, **cell)
+                              for cell in cells])
 
 
 # ---------------------------------------------------------------------------
@@ -87,18 +107,16 @@ def fig3_library_vs_optimized(program: Optional[MatlibProgram] = None) -> List[D
 
 def fig4_lmul_sweep(program: Optional[MatlibProgram] = None,
                     design_point: str = "saturn-v512-d256-rocket") -> List[Dict]:
-    program = program or default_program()
-    point = get_design_point(design_point)
-    backend = point.backend()
+    lmuls = (1, 2, 4, 8)
+    results = _design_point_results(
+        [dict(design_point=design_point, codegen_level="library", lmul=lmul)
+         for lmul in lmuls], program)
     rows = []
-    for lmul in (1, 2, 4, 8):
-        options = VectorLoweringOptions.library(lmul=lmul, vlen=point.config.vlen)
-        stream = lower_vector(program, options)
-        report = backend.run(stream)
+    for lmul, result in zip(lmuls, results):
         by_class = {"iterative": 0.0, "elementwise": 0.0, "reduction": 0.0}
-        for kernel, cycles in report.cycles_by_kernel.items():
+        for kernel, cycles in result.cycles_by_kernel.items():
             by_class[KERNEL_CLASSES.get(kernel, "elementwise")] += cycles
-        rows.append({"lmul": lmul, "total_cycles": report.total_cycles,
+        rows.append({"lmul": lmul, "total_cycles": result.total_cycles,
                      "iterative_cycles": by_class["iterative"],
                      "elementwise_cycles": by_class["elementwise"],
                      "reduction_cycles": by_class["reduction"]})
@@ -169,30 +187,11 @@ _FIG13_VARIANTS = (
 
 
 def fig13_kernel_comparison(program: Optional[MatlibProgram] = None,
-                            problem: Optional[MPCProblem] = None,
-                            engine: str = "fleet") -> List[Dict]:
-    if engine == "fleet":
-        from ..fleet.design_point import DesignPointSpec, compile_via_fleet
-        from .pareto_experiments import _program_name
-        name = _program_name(program, problem)
-        specs = [DesignPointSpec(design_point=point, codegen_level=level,
-                                 program=name)
-                 for _, point, level in _FIG13_VARIANTS]
-        specs.append(DesignPointSpec(design_point="rocket",
-                                     codegen_level="eigen", program=name))
-        results = compile_via_fleet(specs)
-        reports = {label: result for (label, _, _), result
-                   in zip(_FIG13_VARIANTS, results)}
-        baseline = results[-1]
-    elif engine == "serial":
-        program = program or default_program(problem)
-        flow = CodegenFlow()
-        reports = {label: flow.compile(program, point, level).report
-                   for label, point, level in _FIG13_VARIANTS}
-        baseline = flow.compile(program, "rocket", "eigen").report
-    else:
-        raise ValueError("unknown engine {!r}; options: fleet, serial"
-                         .format(engine))
+                            problem: Optional[MPCProblem] = None) -> List[Dict]:
+    baseline, *results = _design_point_results(
+        [dict(design_point="rocket", codegen_level="eigen")]
+        + [dict(design_point=point, codegen_level=level)
+           for _, point, level in _FIG13_VARIANTS], program, problem)
     rows = []
     for kernel in ALL_KERNELS:
         base = baseline.cycles_by_kernel.get(kernel, 0.0)
@@ -200,9 +199,9 @@ def fig13_kernel_comparison(program: Optional[MatlibProgram] = None,
             continue
         row = {"kernel": kernel, "class": KERNEL_CLASSES[kernel],
                "rocket_cycles": base}
-        for name, report in reports.items():
-            cycles = report.cycles_by_kernel.get(kernel, 0.0)
-            row[name] = base / max(cycles, 1e-9)
+        for (label, _, _), result in zip(_FIG13_VARIANTS, results):
+            cycles = result.cycles_by_kernel.get(kernel, 0.0)
+            row[label] = base / max(cycles, 1e-9)
         rows.append(row)
     return rows
 

@@ -1,16 +1,11 @@
 """Design-space exploration: performance vs area Pareto frontier (Figure 10).
 
-The sweep compiles one ADMM-iteration program for every design point in the
-catalog; it accepts either a pre-built program or an
-:class:`~repro.tinympc.problem.MPCProblem` (so sweeps over problem variants
-— and the cache keys in :mod:`repro.experiments.runner` — stay tied to the
-problem contents rather than to a shared default).
-
-``engine="fleet"`` (the default) routes the per-point compiles through the
-fleet campaign engine as ``design_point`` episodes
-(:mod:`repro.fleet.design_point`) — same rows, bit-for-bit, with caching,
-sharding, and checkpointing for free.  ``engine="serial"`` keeps the plain
-loop as the reference implementation the equality tests pin against.
+The sweep evaluates one ADMM-iteration program on every design point in the
+catalog as ``design_point`` campaign episodes
+(:mod:`repro.fleet.design_point`); it accepts either a pre-built program or
+an :class:`~repro.tinympc.problem.MPCProblem` (so sweeps over problem
+variants — and the cache keys in :mod:`repro.experiments.runner` — stay
+tied to the problem contents rather than to a shared default).
 ``fidelity="model"`` evaluates with the trace-validated analytical cycle
 model instead of full codegen, and automatically *promotes* the resulting
 Pareto frontier back to trace fidelity for confirmation.
@@ -21,92 +16,29 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..arch import list_design_points
-from ..codegen import CodegenFlow
 from ..matlib import MatlibProgram
 from ..tinympc import MPCProblem
-from .kernel_experiments import default_program
+from .kernel_experiments import _design_point_results
 
 __all__ = ["fig10_pareto", "pareto_frontier", "dse_campaign"]
-
-# The software mapping each category is evaluated with in Figure 10.
-_CATEGORY_LEVEL = {"scalar": "eigen", "vector": "fused", "systolic": "optimized"}
-
-
-def _program_name(program: Optional[MatlibProgram],
-                  problem: Optional[MPCProblem]) -> str:
-    """The registered program name a fleet sweep should evaluate."""
-    from ..fleet.design_point import intern_program
-    if program is None and problem is None:
-        return "iteration"
-    return intern_program(program if program is not None
-                          else default_program(problem))
 
 
 def fig10_pareto(program: Optional[MatlibProgram] = None,
                  problem: Optional[MPCProblem] = None,
                  solve_iterations: int = 10,
-                 engine: str = "fleet",
                  fidelity: str = "trace") -> List[Dict]:
     """One row per design point: area, cycles per solve, achievable ADMM solve
-    frequency at 500 MHz, and whether the point is Pareto-optimal."""
-    if engine == "serial":
-        if fidelity != "trace":
-            raise ValueError("the serial reference engine only runs at "
-                             "trace fidelity")
-        rows = _fig10_serial(program, problem, solve_iterations)
-    elif engine == "fleet":
-        rows = _fig10_fleet(program, problem, solve_iterations, fidelity)
-    else:
-        raise ValueError("unknown engine {!r}; options: fleet, serial"
-                         .format(engine))
-    frontier = pareto_frontier([(r["area_mm2"], r["solve_hz_at_500mhz"])
-                                for r in rows])
-    for index, row in enumerate(rows):
-        row["pareto_optimal"] = index in frontier
-    if engine == "fleet" and fidelity == "model":
-        _promote_rows(rows, frontier, program=_program_name(program, problem))
-    return rows
+    frequency at 500 MHz, and whether the point is Pareto-optimal.
 
-
-def _fig10_serial(program: Optional[MatlibProgram],
-                  problem: Optional[MPCProblem],
-                  solve_iterations: int) -> List[Dict]:
-    program = program or default_program(problem)
-    flow = CodegenFlow()
-    rows: List[Dict] = []
-    for point in list_design_points():
-        level = _CATEGORY_LEVEL[point.category]
-        # The weight-stationary Gemmini design only received the baseline
-        # optimizations in the paper (Section 5.1.5).
-        if point.category == "systolic" and point.config.dataflow == "WS":
-            level = "static"
-        result = flow.compile(program, point, level)
-        cycles_per_solve = result.cycles * solve_iterations
-        rows.append({
-            "design_point": point.name,
-            "category": point.category,
-            "level": level,
-            "area_mm2": point.area_mm2,
-            "cycles_per_iteration": result.cycles,
-            "cycles_per_solve": cycles_per_solve,
-            "solve_hz_at_500mhz": 500e6 / cycles_per_solve,
-        })
-    return rows
-
-
-def _fig10_fleet(program: Optional[MatlibProgram],
-                 problem: Optional[MPCProblem],
-                 solve_iterations: int, fidelity: str) -> List[Dict]:
-    from ..fleet.design_point import (DesignPointSpec, compile_via_fleet,
-                                      default_level_for)
-    name = _program_name(program, problem)
-    specs = [DesignPointSpec(design_point=point.name,
-                             codegen_level=default_level_for(point),
-                             program=name, fidelity=fidelity,
-                             solve_iterations=solve_iterations)
-             for point in list_design_points()]
-    results = compile_via_fleet(specs)
-    return [{
+    At ``fidelity="model"`` the frontier rows also get cycle-exact
+    ``trace_*`` confirmation columns, as in :func:`_promote_rows`.
+    """
+    from ..fleet.design_point import promote_frontier
+    results = _design_point_results(
+        [dict(design_point=point.name, codegen_level="auto")
+         for point in list_design_points()], program, problem,
+        fidelity=fidelity, solve_iterations=solve_iterations)
+    rows = [{
         "design_point": r.design_point,
         "category": r.category,
         "level": r.codegen_level,
@@ -115,37 +47,38 @@ def _fig10_fleet(program: Optional[MatlibProgram],
         "cycles_per_solve": r.cycles_per_solve,
         "solve_hz_at_500mhz": r.solve_hz_at_500mhz,
     } for r in results]
+    frontier = pareto_frontier([(r["area_mm2"], r["solve_hz_at_500mhz"])
+                                for r in rows])
+    for index, row in enumerate(rows):
+        row["pareto_optimal"] = index in frontier
+    if fidelity == "model":
+        for index, traced in zip(frontier, promote_frontier(results)):
+            rows[index]["trace_cycles_per_iteration"] = traced.total_cycles
+            rows[index]["trace_confirmed"] = (
+                traced.total_cycles == results[index].total_cycles)
+    return rows
 
 
-def _promote_rows(rows: List[Dict], frontier: Sequence[int],
-                  program: str = "iteration") -> None:
-    """Re-evaluate model-fidelity frontier rows at trace fidelity in place.
+def _promote_rows(rows: List[Dict], frontier: Sequence[int]) -> None:
+    """Re-evaluate model-fidelity design-cell rows at trace fidelity in place.
 
     The wide sweep ran on the analytical model; the points a designer would
     pick get cycle-exact confirmation columns (``trace_*``).  The model is
     validated bit-exact on the whole catalog, so ``trace_confirmed`` is a
     regression tripwire, not an expected source of disagreement.
-
-    Accepts both figure rows (``level`` / ``cycles_per_iteration``) and
-    campaign design-cell rows (``codegen_level`` / ``total_cycles``).
     """
-    from ..fleet.design_point import (DesignPointSpec, compile_via_fleet)
-    specs = []
-    for index in frontier:
-        row = rows[index]
-        specs.append(DesignPointSpec(
-            design_point=row["design_point"],
-            codegen_level=row.get("level", row.get("codegen_level")),
-            program=row.get("program", program),
-            fidelity="trace",
-            lmul=int(row.get("lmul", 1)),
-            sync_granularity=row.get("sync_granularity")))
+    from ..fleet.design_point import DesignPointSpec, compile_via_fleet
+    specs = [DesignPointSpec(
+        design_point=rows[index]["design_point"],
+        codegen_level=rows[index]["codegen_level"],
+        program=rows[index]["program"], fidelity="trace",
+        lmul=rows[index]["lmul"],
+        sync_granularity=rows[index]["sync_granularity"])
+        for index in frontier]
     for index, traced in zip(frontier, compile_via_fleet(specs)):
         row = rows[index]
-        model_cycles = row.get("cycles_per_iteration",
-                               row.get("total_cycles"))
         row["trace_cycles_per_iteration"] = traced.total_cycles
-        row["trace_confirmed"] = traced.total_cycles == model_cycles
+        row["trace_confirmed"] = traced.total_cycles == row["total_cycles"]
 
 
 def pareto_frontier(points: Sequence[Tuple[float, float]]) -> List[int]:

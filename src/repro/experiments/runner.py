@@ -193,8 +193,8 @@ class ExperimentRunner:
 
         The key covers the *effective* call: explicit kwargs are merged over
         the driver's own defaults (resolved via ``inspect.signature``), so a
-        sweep run with the default design point, codegen engine, or fidelity
-        is re-keyed when those defaults change in code — and an explicit
+        sweep run with the default design point or fidelity is re-keyed
+        when those defaults change in code — and an explicit
         ``fig6(design_point=<default>)`` shares its cache entry with the
         implicit call.  The design-space fingerprint ties every key to the
         hardware catalog contents.

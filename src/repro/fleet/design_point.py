@@ -22,10 +22,11 @@ Two *fidelities* evaluate a grid point:
     wide with.  :func:`promote_frontier` re-evaluates a model sweep's
     Pareto frontier at trace fidelity.
 
-Evaluations are memoized in-process by content hash
-(:func:`program_fingerprint` over the program's op records plus every spec
-axis), so repeated sweeps over an unchanged program compile each distinct
-configuration once.
+Every evaluation computes its result; nothing is memoized across episodes
+(a sweep's grid points are distinct, so a result memo never hits).  The
+design-sweep figure drivers (Figures 4, 6, 7, 9, 10, 12 and 13) evaluate
+through this kind, and ``tests/fleet/fixtures/figure_rows.json`` pins their
+rows.
 """
 
 from __future__ import annotations
@@ -94,8 +95,13 @@ _PROGRAM_CACHE: Dict[str, MatlibProgram] = {}
 
 def register_program_variant(name: str,
                              builder: Callable[[], MatlibProgram]) -> None:
-    """Register a named program so sharded workers can rebuild it."""
+    """Register a named program so sharded workers can rebuild it.
+
+    Re-registering a name replaces its program: the next
+    :func:`resolve_program` builds it from the new builder.
+    """
     _PROGRAM_BUILDERS[name] = builder
+    _PROGRAM_CACHE.pop(name, None)
 
 
 def resolve_program(name: str) -> MatlibProgram:
@@ -233,9 +239,7 @@ class DesignPointResult:
     """The metrics of one design-point evaluation.
 
     Carries the resolved spec axes plus the timing metrics the paper's
-    figures are built from.  ``cycles_per_solve`` and
-    ``solve_hz_at_500mhz`` use the same float expressions as the serial
-    Figure 10 sweep, so fleet-routed rows are bit-identical to serial ones.
+    figures are built from.
     """
 
     program: str
@@ -315,36 +319,18 @@ class DesignPointResult:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation (with content-hash memoization)
+# Evaluation
 # ---------------------------------------------------------------------------
 
-_EVAL_CACHE_VERSION = 1
-_RESULT_CACHE: Dict[str, DesignPointResult] = {}
-
-
-def _evaluation_key(spec: DesignPointSpec, level: str,
-                    program: MatlibProgram) -> str:
-    payload = {
-        "version": _EVAL_CACHE_VERSION,
-        "design_point": spec.design_point,
-        "level": level,
-        "fidelity": spec.fidelity,
-        "lmul": spec.lmul,
-        "sync_granularity": spec.sync_granularity,
-        "solve_iterations": spec.solve_iterations,
-        "program": program_fingerprint(program),
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
 def clear_result_cache() -> None:
-    """Drop memoized evaluations (used by benchmarks to time cold runs)."""
-    _RESULT_CACHE.clear()
+    """No-op, kept for callers that cleared the former evaluation memo.
+
+    :func:`evaluate_design_point` keeps no results, so every evaluation
+    already pays full cost.
+    """
 
 
-def evaluate_design_point(spec: DesignPointSpec,
-                          use_cache: bool = True) -> DesignPointResult:
+def evaluate_design_point(spec: DesignPointSpec) -> DesignPointResult:
     """Evaluate one grid point at its requested fidelity."""
     program = resolve_program(spec.program)
     point = get_design_point(spec.design_point)
@@ -352,10 +338,6 @@ def evaluate_design_point(spec: DesignPointSpec,
     if level not in OPTIMIZATION_LEVELS[point.category]:
         raise ValueError("level {!r} is not valid for {} point {!r}".format(
             level, point.category, point.name))
-    key = _evaluation_key(spec, level, program)
-    if use_cache and key in _RESULT_CACHE:
-        cached = _RESULT_CACHE[key]
-        return cached
 
     if spec.fidelity == "model":
         report, counters = model_report(
@@ -368,10 +350,10 @@ def evaluate_design_point(spec: DesignPointSpec,
         report = compiled.report
         counters = stream_counters(compiled.stream)
 
-    # Same float expressions as the serial Figure 10 sweep (multiply, then
-    # divide) so fleet-routed rows match serial rows bit-for-bit.
+    # Multiply, then divide: the float expressions the pinned Figure 10
+    # rows were recorded with.
     cycles_per_solve = report.total_cycles * spec.solve_iterations
-    result = DesignPointResult(
+    return DesignPointResult(
         program=spec.program,
         design_point=spec.design_point,
         category=point.category,
@@ -391,9 +373,6 @@ def evaluate_design_point(spec: DesignPointSpec,
         rocc_instructions=counters.rocc_instructions,
         cycles_by_kernel=dict(report.cycles_by_kernel),
         cycles_by_category=dict(report.cycles_by_category))
-    if use_cache:
-        _RESULT_CACHE[key] = result
-    return result
 
 
 class DesignPointRunner:
@@ -500,7 +479,7 @@ class DesignPointKind(EpisodeKind):
             if not getattr(campaign, axis):
                 raise ValueError("campaign axis {!r} is empty".format(axis))
         for name in campaign.programs:
-            if name not in _PROGRAM_BUILDERS and name not in _PROGRAM_CACHE:
+            if name not in _PROGRAM_BUILDERS:
                 raise ValueError(
                     "unknown program {!r}; registered: {}".format(
                         name, ", ".join(sorted(_PROGRAM_BUILDERS))))

@@ -3,10 +3,11 @@
 The ``fidelity="model"`` campaign axis stands in for full
 compile-and-simulate trace evaluation, so its accuracy is pinned here:
 every catalog (design point, optimization level) pair must stay within
-:data:`~repro.arch.cycle_model.PINNED_TOLERANCE` of the trace (CI runs the
-same sweep via ``scripts/validate_cycle_model.py``), and the points a
-designer would actually pick — the Figure 10 Pareto frontier — must match
-the trace *exactly*, counters included.
+:data:`~repro.arch.cycle_model.PINNED_TOLERANCE` of the trace (and is
+currently bit-exact), and the points a designer would actually pick — the
+Figure 10 Pareto frontier — must match the trace *exactly*, counters
+included.  ``scripts/validate_cycle_model.py`` prints the same sweep as a
+table; ``test_cycle_model_props.py`` checks design points off the catalog.
 """
 
 import pytest
@@ -60,7 +61,7 @@ class TestCatalogAccuracy:
 class TestFrontierExactness:
     def test_model_frontier_promotes_to_exact_trace(self):
         from repro.experiments.pareto_experiments import fig10_pareto
-        rows = fig10_pareto(engine="fleet", fidelity="model")
+        rows = fig10_pareto(fidelity="model")
         frontier = [row for row in rows if row["pareto_optimal"]]
         assert frontier
         for row in frontier:

@@ -5,14 +5,16 @@ Covers the workload-polymorphic engine contract end to end:
 * the :class:`~repro.fleet.kinds.EpisodeKind` registry and dispatch;
 * ``CampaignSpec(episode_kind="design_point")`` validation and
   deterministic grid expansion with invalid-combination skipping;
-* the acceptance bar — every figure sweep routed through the fleet engine
-  is bit-identical to its retained serial reference;
+* the acceptance bar — every design-sweep figure driver reproduces the
+  rows pinned in ``fixtures/figure_rows.json`` exactly;
+* program registration, and model == trace on the catalog defaults;
 * journal (de)serialization round trips and byte-identical
   checkpoint/resume, including SIGKILL-mid-run and chunk
   bisection/quarantine, reusing the chaos harness idioms from
   ``test_chaos.py``.
 """
 
+import functools
 import json
 import os
 import subprocess
@@ -21,6 +23,19 @@ import time
 
 import pytest
 
+from repro.codegen import CodegenFlow
+from repro.drone import all_variants
+from repro.experiments.gemmini_experiments import (
+    fig6_static_mapping,
+    fig7_scratchpad_resident,
+    fig9_sync_granularity,
+    fig12_engine_ablation,
+)
+from repro.experiments.kernel_experiments import (
+    fig4_lmul_sweep,
+    fig13_kernel_comparison,
+)
+from repro.experiments.pareto_experiments import dse_campaign, fig10_pareto
 from repro.fleet import (
     CampaignSpec,
     FleetAggregator,
@@ -32,6 +47,7 @@ from repro.fleet.design_point import (
     DesignPointSpec,
     default_level_for,
     evaluate_design_point,
+    register_program_variant,
 )
 from repro.fleet.durable import journal_path, result_from_dict, result_to_dict
 from repro.fleet.kinds import (
@@ -39,6 +55,8 @@ from repro.fleet.kinds import (
     get_episode_kind,
     kind_for_result,
 )
+from repro.hil.loop import build_variant_problem
+from repro.tinympc import build_iteration_program
 
 REPO_ROOT = os.path.normpath(
     os.path.join(os.path.dirname(__file__), "..", ".."))
@@ -49,6 +67,23 @@ ALL_LEVELS = ("library", "eigen", "unrolled", "fused", "cisc", "static",
               "scratchpad", "elementwise", "optimized")
 GRID = CampaignSpec(name="dse-grid", episode_kind="design_point",
                     codegen_levels=ALL_LEVELS)
+
+# The pinned calls: every driver that evaluates design points, with
+# fig10 at both fidelities and one mixed-axis DSE campaign.
+GOLDEN_ROWS = os.path.join(os.path.dirname(__file__), "fixtures",
+                           "figure_rows.json")
+GOLDEN_CALLS = {
+    "fig4": fig4_lmul_sweep,
+    "fig6": fig6_static_mapping,
+    "fig7": fig7_scratchpad_resident,
+    "fig9": fig9_sync_granularity,
+    "fig10-trace": fig10_pareto,
+    "fig10-model": functools.partial(fig10_pareto, fidelity="model"),
+    "fig12": fig12_engine_ablation,
+    "fig13": fig13_kernel_comparison,
+    "dse": functools.partial(dse_campaign, fidelities=("model", "trace"),
+                             lmuls=(1, 4), sync_granularities=(None, 8)),
+}
 
 
 class TestKindRegistry:
@@ -132,31 +167,44 @@ class TestSpecValidation:
         assert "design_points" not in hil.to_dict()
 
 
-class TestSerialFleetEquality:
-    """The acceptance bar: fleet-routed figure rows are bit-identical to the
-    retained serial reference loops."""
+class TestGoldenRows:
+    """Every design-sweep figure driver reproduces its pinned rows exactly.
 
-    def test_fig10_rows_bit_identical(self):
-        from repro.experiments.pareto_experiments import fig10_pareto
-        serial = fig10_pareto(engine="serial")
-        fleet = fig10_pareto(engine="fleet")
-        assert serial == fleet
-        assert len(serial) == 15
+    ``fixtures/figure_rows.json`` was recorded from the serial compile
+    loops the fig6/7/9/10/12/13 drivers used to carry next to the fleet
+    path (fig4's single lowering loop, fig10 at model fidelity and the
+    ``dse_campaign`` call had one path each), so the fleet path still
+    answers to those loops' rows.
+    """
 
-    @pytest.mark.parametrize("figure", ["fig6_static_mapping",
-                                        "fig7_scratchpad_resident",
-                                        "fig9_sync_granularity",
-                                        "fig12_engine_ablation"])
-    def test_gemmini_rows_bit_identical(self, figure):
-        from repro.experiments import gemmini_experiments
-        fn = getattr(gemmini_experiments, figure)
-        assert fn(engine="serial") == fn(engine="fleet")
+    @pytest.fixture(scope="class")
+    def golden(self):
+        with open(GOLDEN_ROWS) as handle:
+            payload = json.load(handle)
+        assert sorted(payload) == sorted(GOLDEN_CALLS)
+        return payload
 
-    def test_fig13_rows_bit_identical(self):
-        from repro.experiments.kernel_experiments import \
-            fig13_kernel_comparison
-        assert fig13_kernel_comparison(engine="serial") == \
-            fig13_kernel_comparison(engine="fleet")
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CALLS))
+    def test_rows_match_golden(self, golden, name):
+        rows = json.loads(json.dumps(GOLDEN_CALLS[name]()))
+        assert rows == golden[name]
+
+
+class TestEvaluation:
+    def test_reregistered_program_replaces_resolved_one(self):
+        params = all_variants()["CrazyFlie"]
+
+        def builder(horizon):
+            return lambda: build_iteration_program(
+                build_variant_problem(params, horizon=horizon))
+
+        spec = DesignPointSpec(design_point="rocket", program="reregistered")
+        register_program_variant("reregistered", builder(8))
+        short = evaluate_design_point(spec)
+        register_program_variant("reregistered", builder(20))
+        long = evaluate_design_point(spec)
+        expected = CodegenFlow().compile(builder(20)(), "rocket", "eigen")
+        assert long.total_cycles == expected.cycles > short.total_cycles
 
     def test_model_fidelity_matches_trace_on_catalog_defaults(self):
         from repro.arch import list_design_points
@@ -297,3 +345,14 @@ class TestDurableDesignCampaigns:
             if index == 5:
                 continue
             assert survivor == clean, index
+
+
+if __name__ == "__main__":
+    # Re-record the pinned rows (one row per line) after an intentional
+    # change to the cycle accounting:
+    #     PYTHONPATH=src python tests/fleet/test_design_point.py
+    with open(GOLDEN_ROWS, "w") as handle:
+        handle.write("{\n" + ",\n".join(
+            "{}: [\n{}\n]".format(json.dumps(name), ",\n".join(
+                json.dumps(row) for row in call()))
+            for name, call in GOLDEN_CALLS.items()) + "\n}\n")
