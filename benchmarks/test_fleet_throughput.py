@@ -5,9 +5,11 @@ Figure 16/18 grids and anything bigger — used to fall back to one scalar
 solve per control tick per episode.  This benchmark flies a *mixed*
 32-episode campaign (2 difficulties x 8 seeds x 2 clock frequencies, so the
 old lockstep runner could not have batched it as one grid) both ways and
-asserts the event-driven dynamic batcher delivers at least 3x the
-throughput of sequential :meth:`HILLoop.run_scenario` loops, while
-reproducing every discrete per-episode outcome exactly.
+asserts the fleet — batched solves plus the lockstep struct-of-arrays
+plant — delivers at least 5x the throughput of sequential
+:meth:`HILLoop.run_scenario` loops (measured 7.7-8.6x on a 2-vCPU host;
+the floor is about 60 % of that), while reproducing every discrete
+per-episode outcome exactly.
 """
 
 import time
@@ -26,7 +28,7 @@ CAMPAIGN = CampaignSpec(
 
 
 @pytest.mark.bench
-def test_fleet_campaign_at_least_3x(show_rows):
+def test_fleet_campaign_at_least_5x(show_rows):
     episodes = CAMPAIGN.expand()
     assert len(episodes) == 32
 
@@ -86,7 +88,7 @@ def test_fleet_campaign_at_least_3x(show_rows):
         "episodes_per_second": len(episodes) / sequential_seconds,
         "speedup": 1.0,
     }, {
-        "variant": "fleet scheduler (dynamic batching)",
+        "variant": "fleet scheduler (batched solves, lockstep plant)",
         "seconds": fleet_seconds,
         "episodes_per_second": len(episodes) / fleet_seconds,
         "speedup": speedup,
@@ -94,5 +96,5 @@ def test_fleet_campaign_at_least_3x(show_rows):
     assert outcome.stats.mean_batch_width > 8.0, \
         "dynamic batcher failed to pack the grid (mean width {:.1f})".format(
             outcome.stats.mean_batch_width)
-    assert speedup >= 3.0, \
+    assert speedup >= 5.0, \
         "fleet engine only {:.1f}x faster than sequential episodes".format(speedup)

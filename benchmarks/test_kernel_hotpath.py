@@ -10,9 +10,10 @@ what this PR replaced:
   :func:`repro.bench.measure_iteration_allocations`);
 * the scalar full-iteration microbenchmark is at least **1.5x** faster,
   and the batched ones no slower, than the pre-refactor kernels;
-* a mixed 32-episode fleet campaign is at least **1.3x** faster than
-  pre-refactor main end to end (naive kernels + vectorized physics +
-  per-run solver construction), while reproducing identical outcomes;
+* a mixed 32-episode fleet campaign is at least **1.3x** faster than the
+  same campaign on the naive kernels with per-run solver construction
+  (both sides fly the same lockstep plant), while reproducing identical
+  outcomes;
 * every fast kernel beats its naive counterpart on every layout
   (``KERNEL_PARITY_FLOOR``), with single-pair re-measurement before a
   failure is declared (full-table sweeps flake on loaded runners);

@@ -334,22 +334,19 @@ def measure_kernel_pair(name: str, layout: str, rounds: int = 9,
 
 
 def _campaign_speedup(smoke: bool, rounds: int) -> Dict[str, float]:
-    """Time one mixed fleet campaign on the live path vs "current main".
+    """Time one mixed fleet campaign with the live vs the naive solve path.
 
-    The reference run emulates pre-refactor main end to end: both solvers
-    route through the pre-refactor kernels
-    (:func:`~repro.tinympc.naive.use_naive_kernels`), plants and episodes
-    through the pre-refactor physics
-    (:func:`~repro.drone.reference.use_vectorized_physics`), and every
-    scheduler gets a throwaway
-    :class:`~repro.fleet.scheduler.SolverPool` — main built solver state
-    from scratch per run.  The live run uses the warmed process pool and
-    the rewritten hot paths.  Both runs produce bit-identical episode
+    The naive run swaps only the kernels and the pool: both solvers route
+    through the pre-refactor kernels
+    (:func:`~repro.tinympc.naive.use_naive_kernels`), and every scheduler
+    gets a throwaway :class:`~repro.fleet.scheduler.SolverPool`, as
+    pre-refactor main built solver state from scratch per run.  Physics is
+    the same lockstep plant on both sides (the fleet no longer calls the
+    ``Quadrotor`` methods the pre-refactor physics could replace), so the
+    ratio measures the solve hot path and pooling only.  The live run uses
+    the warmed process pool.  Both runs produce bit-identical episode
     outcomes; only the clock differs.
     """
-    from contextlib import ExitStack
-
-    from .drone.reference import use_vectorized_physics
     from .fleet import CampaignSpec, run_campaign
     from .fleet.scheduler import SolverPool
     from .fleet import scheduler as fleet_scheduler
@@ -372,9 +369,7 @@ def _campaign_speedup(smoke: bool, rounds: int) -> Dict[str, float]:
     saved_pool = fleet_scheduler._GLOBAL_POOL
     try:
         naive_seconds = float("inf")
-        with ExitStack() as stack:
-            stack.enter_context(use_naive_kernels())
-            stack.enter_context(use_vectorized_physics())
+        with use_naive_kernels():
             for _ in range(rounds):
                 # Fresh pool per run: pre-refactor main rebuilt every
                 # solver workspace per scheduler run.

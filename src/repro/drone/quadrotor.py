@@ -14,19 +14,30 @@ State layout (12,):
     [9:12]  body rate w = [p, q, r]          rad/s
 
 Input layout (4,): per-rotor thrust in Newtons (absolute, not delta).
+
+Two plants share one arithmetic.  :class:`Quadrotor` is one airframe, the
+scalar reference and the linearization plant.  :class:`QuadrotorBatch`
+holds ``B`` airframes as struct-of-arrays columns and advances any subset
+of them by one tick per call: one vectorized RK4 step, crash check and
+power update for wide subsets, the scalar arithmetic per column for
+narrow ones.  Both forms perform the same IEEE operations in the same
+order, so a column's trajectory equals a :class:`Quadrotor`'s bit for bit
+(``tests/drone/test_quadrotor_batch.py``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
+from .rotor import actuation_power_columns, actuation_power_fn, power_denominator
 from .variants import DroneParams, GRAVITY
 
-__all__ = ["QuadrotorState", "Quadrotor", "hover_state", "hover_input"]
+__all__ = ["QuadrotorState", "Quadrotor", "QuadrotorBatch", "hover_state",
+           "hover_input"]
 
 POSITION = slice(0, 3)
 ATTITUDE = slice(3, 6)
@@ -105,6 +116,160 @@ def euler_rate_matrix(rpy: np.ndarray) -> np.ndarray:
     ])
 
 
+# Crash thresholds of Quadrotor.has_crashed, shared by the batch plant.
+MAX_TILT = 1.2
+MIN_ALTITUDE = -0.05
+MAX_DISTANCE = 25.0
+
+
+def _airframe(params: DroneParams, dt: float, rotor_dynamics: bool = True):
+    """The constants one RK4 tick reads, as a flat tuple of Python floats.
+
+    ``(mass, ixx, iyy, izz, mix0, mix1, mix2, mix3, max_thrust, alpha,
+    dt, dt/2, dt/6)`` with the mixing-matrix rows as 4-tuples and
+    ``alpha`` (the rotor-lag blend) ``None`` without rotor dynamics.
+    """
+    ixx, iyy, izz = (float(v) for v in params.inertia)
+    mix = tuple(tuple(float(v) for v in row) for row in params.mixing_matrix())
+    alpha = None
+    if rotor_dynamics:
+        alpha = min(dt / max(params.motor_time_constant, dt), 1.0)
+    return ((float(params.mass), ixx, iyy, izz) + mix
+            + (float(params.max_thrust_per_rotor()), alpha, dt, 0.5 * dt,
+               dt / 6.0))
+
+
+def _derivatives(s, thrust, tx, ty, tz, fx, fy, fz, ex, ey, ez,
+                 mass, ixx, iyy, izz):
+    """Continuous-time derivative as a 12-tuple of Python floats.
+
+    ``s`` is a 12-element sequence of floats; ``thrust, tx, ty, tz`` is the
+    rotor wrench (mixing matrix times thrusts) and ``f*``/``e*`` the
+    external force and torque.  Written as scalar arithmetic (no
+    intermediate matrix builds, numpy dispatch, or array allocation);
+    expressions follow left-to-right dot-product order and agree with the
+    matrix formulation to summation-order round-off (~1e-14), which
+    ``tests/drone/test_drone.py`` pins.
+    """
+    roll = s[3]
+    pitch = s[4]
+    yaw = s[5]
+    vx = s[6]
+    vy = s[7]
+    vz = s[8]
+    wx = s[9]
+    wy = s[10]
+    wz = s[11]
+
+    cr, sr = math.cos(roll), math.sin(roll)
+    cp, sp = math.cos(pitch), math.sin(pitch)
+    cy, sy = math.cos(yaw), math.sin(yaw)
+
+    # thrust_world = R @ [0, 0, thrust]: only R's third column survives
+    # (the zero terms vanish exactly in floating point).
+    tw_x = (cy * sp * cr + sy * sr) * thrust
+    tw_y = (sy * sp * cr - cy * sr) * thrust
+    tw_z = (cp * cr) * thrust
+    ax = (tw_x + fx) / mass
+    ay = (tw_y + fy) / mass
+    az = (tw_z + fz) / mass - GRAVITY
+    # Simple linear aerodynamic drag keeps velocities bounded.
+    ax -= 0.05 * vx / mass
+    ay -= 0.05 * vy / mass
+    az -= 0.05 * vz / mass
+
+    # omega_dot = (torque + ext - omega x (I omega)) / I
+    hx, hy, hz = ixx * wx, iyy * wy, izz * wz
+    wd_x = (tx + ex - (wy * hz - wz * hy)) / ixx
+    wd_y = (ty + ey - (wz * hx - wx * hz)) / iyy
+    wd_z = (tz + ez - (wx * hy - wy * hx)) / izz
+
+    # rpy_dot = euler_rate_matrix(rpy) @ omega (with the same pitch
+    # singularity guard as euler_rate_matrix).
+    cp_safe = (math.copysign(max(abs(cp), 1e-6), cp) if cp != 0 else 1e-6)
+    tp = sp / cp_safe
+    rpy_x = 1.0 * wx + sr * tp * wy + cr * tp * wz
+    rpy_y = 0.0 * wx + cr * wy + -sr * wz
+    rpy_z = 0.0 * wx + sr / cp_safe * wy + cr / cp_safe * wz
+
+    return (vx, vy, vz, rpy_x, rpy_y, rpy_z,
+            ax, ay, az, wd_x, wd_y, wd_z)
+
+
+def _rk4(s, rotors, command, force, torque, frame):
+    """One physics tick on Python floats: ``(state list, rotor 4-tuple)``.
+
+    Thrust clipping is ``min(max(c, 0), limit)``, then rotor lag, then the
+    four-stage RK4 combination, each stage sum left to right per element.
+    The rotor wrench is computed once: the thrusts are fixed over a step.
+    """
+    (mass, ixx, iyy, izz, mix0, mix1, mix2, mix3, limit, alpha, dt, half,
+     sixth) = frame
+    c0 = min(max(command[0], 0.0), limit)
+    c1 = min(max(command[1], 0.0), limit)
+    c2 = min(max(command[2], 0.0), limit)
+    c3 = min(max(command[3], 0.0), limit)
+    if alpha is None:
+        r0, r1, r2, r3 = c0, c1, c2, c3
+    else:
+        r0 = rotors[0] + alpha * (c0 - rotors[0])
+        r1 = rotors[1] + alpha * (c1 - rotors[1])
+        r2 = rotors[2] + alpha * (c2 - rotors[2])
+        r3 = rotors[3] + alpha * (c3 - rotors[3])
+    t0 = min(max(r0, 0.0), limit)
+    t1 = min(max(r1, 0.0), limit)
+    t2 = min(max(r2, 0.0), limit)
+    t3 = min(max(r3, 0.0), limit)
+    # wrench = mix @ thrusts, row by row in dot-product order
+    thrust = mix0[0] * t0 + mix0[1] * t1 + mix0[2] * t2 + mix0[3] * t3
+    tx = mix1[0] * t0 + mix1[1] * t1 + mix1[2] * t2 + mix1[3] * t3
+    ty = mix2[0] * t0 + mix2[1] * t1 + mix2[2] * t2 + mix2[3] * t3
+    tz = mix3[0] * t0 + mix3[1] * t1 + mix3[2] * t2 + mix3[3] * t3
+    fx, fy, fz = force
+    ex, ey, ez = torque
+
+    k1 = _derivatives(s, thrust, tx, ty, tz, fx, fy, fz, ex, ey, ez,
+                      mass, ixx, iyy, izz)
+    stage = [a + half * b for a, b in zip(s, k1)]
+    k2 = _derivatives(stage, thrust, tx, ty, tz, fx, fy, fz, ex, ey, ez,
+                      mass, ixx, iyy, izz)
+    stage = [a + half * b for a, b in zip(s, k2)]
+    k3 = _derivatives(stage, thrust, tx, ty, tz, fx, fy, fz, ex, ey, ez,
+                      mass, ixx, iyy, izz)
+    stage = [a + dt * b for a, b in zip(s, k3)]
+    k4 = _derivatives(stage, thrust, tx, ty, tz, fx, fy, fz, ex, ey, ez,
+                      mass, ixx, iyy, izz)
+    state = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+             for a, b1, b2, b3, b4 in zip(s, k1, k2, k3, k4)]
+    return state, (r0, r1, r2, r3)
+
+
+def _crashed(s, max_tilt: float = MAX_TILT, min_altitude: float = MIN_ALTITUDE,
+             max_distance: float = MAX_DISTANCE) -> bool:
+    """Crash test on a 12-list of floats: tilt, ground hit, fly-away, NaN.
+
+    The fly-away distance is ``sqrt(p . p)`` with ``p . p`` as ``np.dot``
+    sums it: its BLAS kernel rounds differently from ``x*x + y*y + z*z``
+    on about a fifth of all vectors, which can only matter within
+    round-off of the radius, so only there is ``np.dot`` called.
+    """
+    if abs(s[3]) > max_tilt or abs(s[4]) > max_tilt:
+        return True
+    if s[2] < min_altitude:
+        return True
+    x, y, z = s[0], s[1], s[2]
+    squared = x * x + y * y + z * z
+    radius_squared = max_distance * max_distance
+    if abs(squared - radius_squared) <= 1e-12 * radius_squared:
+        position = s[0:3]
+        squared = float(np.dot(position, position))
+    if math.sqrt(squared) > max_distance:
+        return True
+    # A finite sum proves every term finite; only an overflowing or
+    # non-finite state needs the per-element check.
+    return not math.isfinite(sum(s)) and not all(map(math.isfinite, s))
+
+
 class Quadrotor:
     """Nonlinear quadrotor plant with first-order rotor lag.
 
@@ -126,13 +291,9 @@ class Quadrotor:
         self.time = 0.0
         self._external_force = np.zeros(3)
         self._external_torque = np.zeros(3)
-        # The physics step is the fleet engine's per-episode serial cost, so
-        # the per-call derived parameters are hoisted out of the RK4 loop.
-        self._mix_rows = tuple(tuple(float(v) for v in row)
-                               for row in params.mixing_matrix())
-        self._inertia_tuple = tuple(float(v) for v in params.inertia)
-        self._mass = float(params.mass)
-        self._max_thrust = float(params.max_thrust_per_rotor())
+        # The physics step runs every tick of every episode, so its
+        # per-call derived parameters are hoisted out of the RK4 loop.
+        self._frame = _airframe(params, dt, rotor_dynamics)
 
     # -- configuration ---------------------------------------------------------
     def reset(self, state: Optional[np.ndarray] = None) -> np.ndarray:
@@ -150,167 +311,43 @@ class Quadrotor:
         self._external_torque = (np.zeros(3) if torque is None
                                  else np.asarray(torque, dtype=np.float64))
 
-    def bind_disturbance_buffers(self, force: np.ndarray,
-                                 torque: np.ndarray) -> None:
-        """Adopt caller-owned ``(3,)`` float64 wrench buffers *by reference*.
-
-        Unlike :meth:`set_disturbance` (whose wrench is constant until
-        cleared and which may or may not alias its inputs), this method
-        guarantees the plant reads the given arrays on every step — the
-        caller mutates them in place per tick for allocation-free
-        time-varying disturbances.  ``clear_disturbance`` (and ``reset``)
-        drops the binding.
-        """
-        force = np.asarray(force)
-        torque = np.asarray(torque)
-        if force.dtype != np.float64 or force.shape != (3,):
-            raise ValueError("force buffer must be a (3,) float64 array")
-        if torque.dtype != np.float64 or torque.shape != (3,):
-            raise ValueError("torque buffer must be a (3,) float64 array")
-        self._external_force = force
-        self._external_torque = torque
-
     def clear_disturbance(self) -> None:
         self._external_force = np.zeros(3)
         self._external_torque = np.zeros(3)
 
     # -- dynamics ----------------------------------------------------------------
-    def _derivatives_scalar(self, s, t0: float, t1: float, t2: float,
-                            t3: float, fx: float, fy: float, fz: float,
-                            ex: float, ey: float, ez: float):
-        """Continuous-time derivative as a 12-tuple of Python floats.
-
-        Written as scalar arithmetic (no intermediate matrix builds, numpy
-        dispatch, or array allocation) because four of these run per RK4
-        step and the physics loop is the serial per-episode cost the fleet
-        engine cannot batch.  Expressions follow left-to-right dot-product
-        order; results agree with the matrix formulation to summation-order
-        round-off (~1e-14), and ``tests/drone/test_drone.py`` pins the
-        equivalence.  ``s`` is a 12-element sequence of floats.
-        """
-        mass = self._mass
-        ixx, iyy, izz = self._inertia_tuple
-        mix0, mix1, mix2, mix3 = self._mix_rows
-        # wrench = mix @ thrusts, row by row in dot-product order
-        total_thrust = mix0[0] * t0 + mix0[1] * t1 + mix0[2] * t2 + mix0[3] * t3
-        torque_x = mix1[0] * t0 + mix1[1] * t1 + mix1[2] * t2 + mix1[3] * t3
-        torque_y = mix2[0] * t0 + mix2[1] * t1 + mix2[2] * t2 + mix2[3] * t3
-        torque_z = mix3[0] * t0 + mix3[1] * t1 + mix3[2] * t2 + mix3[3] * t3
-
-        roll = s[3]
-        pitch = s[4]
-        yaw = s[5]
-        vx = s[6]
-        vy = s[7]
-        vz = s[8]
-        wx = s[9]
-        wy = s[10]
-        wz = s[11]
-
-        cr, sr = math.cos(roll), math.sin(roll)
-        cp, sp = math.cos(pitch), math.sin(pitch)
-        cy, sy = math.cos(yaw), math.sin(yaw)
-
-        # thrust_world = R @ [0, 0, total_thrust]: only R's third column
-        # survives (the zero terms vanish exactly in floating point).
-        tw_x = (cy * sp * cr + sy * sr) * total_thrust
-        tw_y = (sy * sp * cr - cy * sr) * total_thrust
-        tw_z = (cp * cr) * total_thrust
-        ax = (tw_x + fx) / mass
-        ay = (tw_y + fy) / mass
-        az = (tw_z + fz) / mass - GRAVITY
-        # Simple linear aerodynamic drag keeps velocities bounded.
-        ax -= 0.05 * vx / mass
-        ay -= 0.05 * vy / mass
-        az -= 0.05 * vz / mass
-
-        # omega_dot = (torque + ext - omega x (I omega)) / I
-        hx, hy, hz = ixx * wx, iyy * wy, izz * wz
-        wd_x = (torque_x + ex - (wy * hz - wz * hy)) / ixx
-        wd_y = (torque_y + ey - (wz * hx - wx * hz)) / iyy
-        wd_z = (torque_z + ez - (wx * hy - wy * hx)) / izz
-
-        # rpy_dot = euler_rate_matrix(rpy) @ omega (with the same pitch
-        # singularity guard as euler_rate_matrix).
-        cp_safe = (math.copysign(max(abs(cp), 1e-6), cp) if cp != 0 else 1e-6)
-        tp = sp / cp_safe
-        rpy_x = 1.0 * wx + sr * tp * wy + cr * tp * wz
-        rpy_y = 0.0 * wx + cr * wy + -sr * wz
-        rpy_z = 0.0 * wx + sr / cp_safe * wy + cr / cp_safe * wz
-
-        return (vx, vy, vz, rpy_x, rpy_y, rpy_z,
-                ax, ay, az, wd_x, wd_y, wd_z)
-
     def derivatives(self, state: np.ndarray, thrusts: np.ndarray) -> np.ndarray:
         """Continuous-time state derivative for given rotor thrusts."""
-        s = [float(value) for value in state]
-        return np.array(self._derivatives_scalar(
-            s, float(thrusts[0]), float(thrusts[1]), float(thrusts[2]),
-            float(thrusts[3]),
-            float(self._external_force[0]), float(self._external_force[1]),
-            float(self._external_force[2]),
-            float(self._external_torque[0]), float(self._external_torque[1]),
-            float(self._external_torque[2])))
-
-    def _clip_thrusts(self, commanded: np.ndarray) -> np.ndarray:
-        return np.clip(commanded, 0.0, self._max_thrust)
+        t0, t1, t2, t3 = (float(value) for value in thrusts[:4])
+        mass, ixx, iyy, izz, mix0, mix1, mix2, mix3 = self._frame[:8]
+        fx, fy, fz = self._external_force.tolist()
+        ex, ey, ez = self._external_torque.tolist()
+        return np.array(_derivatives(
+            [float(value) for value in state],
+            mix0[0] * t0 + mix0[1] * t1 + mix0[2] * t2 + mix0[3] * t3,
+            mix1[0] * t0 + mix1[1] * t1 + mix1[2] * t2 + mix1[3] * t3,
+            mix2[0] * t0 + mix2[1] * t1 + mix2[2] * t2 + mix2[3] * t3,
+            mix3[0] * t0 + mix3[1] * t1 + mix3[2] * t2 + mix3[3] * t3,
+            fx, fy, fz, ex, ey, ez, mass, ixx, iyy, izz))
 
     def step(self, commanded_thrusts: np.ndarray) -> np.ndarray:
         """Advance the simulation by one physics timestep (RK4).
 
         The whole step — thrust clipping, rotor lag, and the four-stage RK4
-        combination — runs as scalar Python arithmetic and allocates exactly
-        two small arrays (the new ``rotor_thrusts`` and ``state``).  Every
-        expression preserves the floating-point operation order of the
-        vectorized formulation it replaced (``clip`` is ``min(max(.))``,
-        the stage sums are evaluated left-to-right per element), so
+        combination — runs as scalar Python arithmetic (:func:`_rk4`) and
+        allocates exactly two small arrays (the new ``rotor_thrusts`` and
+        ``state``).  Every expression preserves the floating-point
+        operation order of the vectorized formulation it replaced, so
         trajectories are bit-for-bit unchanged.
         """
-        c = np.asarray(commanded_thrusts, dtype=np.float64)
-        limit = self._max_thrust
-        c0 = min(max(float(c[0]), 0.0), limit)
-        c1 = min(max(float(c[1]), 0.0), limit)
-        c2 = min(max(float(c[2]), 0.0), limit)
-        c3 = min(max(float(c[3]), 0.0), limit)
-        if self.rotor_dynamics:
-            alpha = self.dt / max(self.params.motor_time_constant, self.dt)
-            alpha = min(alpha, 1.0)
-            rotors = self.rotor_thrusts
-            r0 = float(rotors[0]) + alpha * (c0 - float(rotors[0]))
-            r1 = float(rotors[1]) + alpha * (c1 - float(rotors[1]))
-            r2 = float(rotors[2]) + alpha * (c2 - float(rotors[2]))
-            r3 = float(rotors[3]) + alpha * (c3 - float(rotors[3]))
-        else:
-            r0, r1, r2, r3 = c0, c1, c2, c3
-        self.rotor_thrusts = np.array((r0, r1, r2, r3))
-        t0 = min(max(r0, 0.0), limit)
-        t1 = min(max(r1, 0.0), limit)
-        t2 = min(max(r2, 0.0), limit)
-        t3 = min(max(r3, 0.0), limit)
-
-        fx = float(self._external_force[0])
-        fy = float(self._external_force[1])
-        fz = float(self._external_force[2])
-        ex = float(self._external_torque[0])
-        ey = float(self._external_torque[1])
-        ez = float(self._external_torque[2])
-        deriv = self._derivatives_scalar
-
-        dt = self.dt
-        half = 0.5 * dt
-        sixth = dt / 6.0
-        s = self.state.tolist()
-        k1 = deriv(s, t0, t1, t2, t3, fx, fy, fz, ex, ey, ez)
-        stage = [a + half * b for a, b in zip(s, k1)]
-        k2 = deriv(stage, t0, t1, t2, t3, fx, fy, fz, ex, ey, ez)
-        stage = [a + half * b for a, b in zip(s, k2)]
-        k3 = deriv(stage, t0, t1, t2, t3, fx, fy, fz, ex, ey, ez)
-        stage = [a + dt * b for a, b in zip(s, k3)]
-        k4 = deriv(stage, t0, t1, t2, t3, fx, fy, fz, ex, ey, ez)
-        self.state = np.array(
-            [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-             for a, b1, b2, b3, b4 in zip(s, k1, k2, k3, k4)])
-        self.time += dt
+        state, rotors = _rk4(
+            self.state.tolist(), self.rotor_thrusts.tolist(),
+            np.asarray(commanded_thrusts, dtype=np.float64).tolist(),
+            self._external_force.tolist(), self._external_torque.tolist(),
+            self._frame)
+        self.rotor_thrusts = np.array(rotors)
+        self.state = np.array(state)
+        self.time += self.dt
         return self.state.copy()
 
     # -- observation helpers -------------------------------------------------------
@@ -330,20 +367,209 @@ class Quadrotor:
         """Full-state observation (the HIL setup transmits this over UART)."""
         return self.state.copy()
 
-    def has_crashed(self, max_tilt: float = 1.2, min_altitude: float = -0.05,
-                    max_distance: float = 25.0) -> bool:
-        """Heuristic crash detector: excessive tilt, ground hit, or fly-away.
+    def has_crashed(self, max_tilt: float = MAX_TILT,
+                    min_altitude: float = MIN_ALTITUDE,
+                    max_distance: float = MAX_DISTANCE) -> bool:
+        """Heuristic crash detector: excessive tilt, ground hit, or fly-away."""
+        return _crashed(self.state.tolist(), max_tilt, min_altitude,
+                        max_distance)
 
-        Runs once per physics tick, so the common all-clear path sticks to
-        scalar reads; the distance check is ``sqrt(p . p)`` — bit-identical
-        to ``np.linalg.norm`` for a real 1-D vector, minus the wrapper.
+
+# Rows of QuadrotorBatch's per-column constant table: the _airframe()
+# tuple flattened, then the power denominator.
+_MASS, _INERTIA, _MIX, _LIMIT, _ALPHA, _DT, _HALF, _SIXTH, _POWER = (
+    0, slice(1, 4), slice(4, 20), 20, 21, 22, 23, 24, 25)
+_TABLE_ROWS = 26
+
+
+class QuadrotorBatch:
+    """``B`` independent quadrotors in struct-of-arrays layout.
+
+    Column ``b`` is one plant flying ``params[b]`` at ``dt[b]``:
+
+    * ``state[:, b]`` (12,) and ``rotor_thrusts[:, b]`` (4,);
+    * ``command[:, b]``, the commanded thrusts its next tick applies;
+    * ``force[:, b]`` / ``torque[:, b]``, its external wrench, which a
+      caller may rewrite in place before every tick;
+    * ``energy[b]``, the actuation energy drawn so far (power times dt,
+      summed per tick).
+
+    :meth:`tick` advances any subset of columns by one tick.  From
+    :attr:`vector_width` columns up it runs one vectorized RK4 step, crash
+    check and power update over all of them; below, each column runs the
+    scalar arithmetic of :class:`Quadrotor` (on a 2-vCPU host a vector
+    tick costs a flat ~215 us, a scalar column ~20 us).  Both forms give a
+    column bit for bit the trajectory, rotor thrusts, crash flag and
+    per-tick power of a :class:`Quadrotor` with rotor dynamics.
+    """
+
+    #: Subset width from which :meth:`tick` takes the vectorized path.
+    vector_width = 11
+
+    def __init__(self, params: Sequence[DroneParams],
+                 dt: Sequence[float]) -> None:
+        params = list(params)
+        dts = [float(value) for value in dt]
+        if len(dts) != len(params):
+            raise ValueError("need one dt per airframe")
+        if not all(value > 0 for value in dts):
+            raise ValueError("dt must be positive")
+        width = len(params)
+        self.width = width
+        self.state = np.zeros((STATE_DIM, width))
+        self.rotor_thrusts = np.zeros((INPUT_DIM, width))
+        for column, airframe_params in enumerate(params):
+            self.rotor_thrusts[:, column] = hover_input(airframe_params)
+        self.command = self.rotor_thrusts.copy()
+        self.force = np.zeros((3, width))
+        self.torque = np.zeros((3, width))
+        self.energy = np.zeros(width)
+        self._dts = dts
+        self._frames = [_airframe(p, value) for p, value in zip(params, dts)]
+        self._power = [actuation_power_fn(p) for p in params]
+        self._table = np.zeros((_TABLE_ROWS, width))
+        for column, (frame, p) in enumerate(zip(self._frames, params)):
+            mix = [value for row in frame[4:8] for value in row]
+            self._table[:, column] = (
+                frame[:4] + tuple(mix) + frame[8:]
+                + (power_denominator(p),))
+
+    def tick(self, columns: Sequence[int]) -> List[int]:
+        """Advance ``columns`` (distinct, ascending) by one physics tick.
+
+        Returns the columns that crashed on this tick, in order.
         """
-        state = self.state
-        if abs(float(state[3])) > max_tilt or abs(float(state[4])) > max_tilt:
-            return True
-        if float(state[2]) < min_altitude:
-            return True
-        position = state[POSITION]
-        if math.sqrt(float(np.dot(position, position))) > max_distance:
-            return True
-        return bool(np.any(~np.isfinite(state)))
+        if len(columns) >= self.vector_width:
+            return self._tick_vector(columns)
+        return self._tick_scalar(columns)
+
+    def _tick_scalar(self, columns: Sequence[int]) -> List[int]:
+        crashed = []
+        state, rotors = self.state, self.rotor_thrusts
+        for column in columns:
+            s, r = _rk4(state[:, column].tolist(),
+                        rotors[:, column].tolist(),
+                        self.command[:, column].tolist(),
+                        self.force[:, column].tolist(),
+                        self.torque[:, column].tolist(), self._frames[column])
+            state[:, column] = s
+            rotors[:, column] = r
+            self.energy[column] += self._power[column](r) * self._dts[column]
+            if _crashed(s):
+                crashed.append(column)
+        return crashed
+
+    def _tick_vector(self, columns: Sequence[int]) -> List[int]:
+        index = (slice(None) if len(columns) == self.width
+                 else np.asarray(columns))
+        table = self._table[:, index]
+        with np.errstate(all="ignore"):
+            state, rotors = _rk4_columns(
+                self.state[:, index], self.rotor_thrusts[:, index],
+                self.command[:, index], self.force[:, index],
+                self.torque[:, index], table)
+            finite = np.isfinite(state).all(axis=0)
+            crashed = _crashed_columns(state)
+        replay = []
+        if not finite.all():
+            # np.cos turns an infinite stage angle into NaN where math.cos
+            # raises: a column leaving the finite range replays its tick on
+            # the scalar arithmetic, the reference.
+            keep = np.flatnonzero(finite)
+            replay = [columns[j] for j in np.flatnonzero(~finite).tolist()]
+            columns = [columns[j] for j in keep.tolist()]
+            index = np.asarray(columns, dtype=np.intp)
+            state, rotors = state[:, keep], rotors[:, keep]
+            table, crashed = table[:, keep], crashed[keep]
+        self.state[:, index] = state
+        self.rotor_thrusts[:, index] = rotors
+        self.energy[index] += (actuation_power_columns(rotors, table[_POWER])
+                               * table[_DT])
+        fallen = [columns[j] for j in np.flatnonzero(crashed).tolist()]
+        if replay:
+            fallen = sorted(fallen + self._tick_scalar(replay))
+        return fallen
+
+
+def _clip_columns(values: np.ndarray, limit: np.ndarray) -> np.ndarray:
+    """``min(max(v, 0), limit)`` with Python's semantics.
+
+    ``np.clip``/``np.maximum`` turn ``-0.0`` into ``+0.0`` where Python's
+    ``max(-0.0, 0.0)`` keeps ``-0.0``; selecting on the comparisons keeps
+    every sign and NaN exactly as the scalar code does.
+    """
+    values = np.where(values < 0.0, 0.0, values)
+    return np.where(values > limit, limit, values)
+
+
+def _derivatives_columns(s, wrench, force, torque, table):
+    """:func:`_derivatives` over ``(12, n)`` states, one IEEE op per term."""
+    mass = table[_MASS]
+    inertia = table[_INERTIA]
+    cos = np.cos(s[3:6])
+    sin = np.sin(s[3:6])
+    cr, cp, cy = cos
+    sr, sp, sy = sin
+    thrust = wrench[0]
+    out = np.empty_like(s)
+    out[0:3] = s[6:9]
+    accel = out[6:9]
+    accel[0] = (cy * sp * cr + sy * sr) * thrust
+    accel[1] = (sy * sp * cr - cy * sr) * thrust
+    accel[2] = (cp * cr) * thrust
+    accel += force
+    accel /= mass
+    accel[2] -= GRAVITY
+    accel -= 0.05 * s[6:9] / mass
+
+    wx, wy, wz = s[9:12]
+    hx, hy, hz = inertia * s[9:12]
+    rates = out[9:12]
+    rates[0] = wy * hz - wz * hy
+    rates[1] = wz * hx - wx * hz
+    rates[2] = wx * hy - wy * hx
+    np.subtract(wrench[1:4] + torque, rates, out=rates)
+    rates /= inertia
+
+    cp_safe = cp
+    if not np.all(np.abs(cp) >= 1e-6):    # the guard only bites near +-90 deg
+        cp_safe = np.where(cp != 0,
+                           np.copysign(np.maximum(np.abs(cp), 1e-6), cp), 1e-6)
+    tp = sp / cp_safe
+    out[3] = 1.0 * wx + sr * tp * wy + cr * tp * wz
+    out[4] = 0.0 * wx + cr * wy + -sr * wz
+    out[5] = 0.0 * wx + sr / cp_safe * wy + cr / cp_safe * wz
+    return out
+
+
+def _rk4_columns(s, rotors, command, force, torque, table):
+    """:func:`_rk4` over ``(12, n)`` states: ``(state, rotor_thrusts)``."""
+    limit = table[_LIMIT]
+    commanded = _clip_columns(command, limit)
+    rotors = rotors + table[_ALPHA] * (commanded - rotors)
+    t = _clip_columns(rotors, limit)
+    # wrench = mix @ thrusts for all four rows at once; mix[j::4] is the
+    # mixing matrix's column j, so each row sums in dot-product order.
+    mix = table[_MIX]
+    wrench = (mix[0::4] * t[0] + mix[1::4] * t[1] + mix[2::4] * t[2]
+              + mix[3::4] * t[3])
+    dt, half, sixth = table[_DT], table[_HALF], table[_SIXTH]
+    k1 = _derivatives_columns(s, wrench, force, torque, table)
+    k2 = _derivatives_columns(s + half * k1, wrench, force, torque, table)
+    k3 = _derivatives_columns(s + half * k2, wrench, force, torque, table)
+    k4 = _derivatives_columns(s + dt * k3, wrench, force, torque, table)
+    return s + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4), rotors
+
+
+def _crashed_columns(s: np.ndarray) -> np.ndarray:
+    """:func:`_crashed` for every column of finite ``(12, n)`` states.
+
+    ``np.vecdot`` down the position rows sums ``p . p`` exactly as
+    ``np.dot`` does (same BLAS kernel), so no column needs the scalar
+    fallback near the fly-away radius.
+    """
+    crashed = np.abs(s[3]) > MAX_TILT
+    crashed |= np.abs(s[4]) > MAX_TILT
+    crashed |= s[2] < MIN_ALTITUDE
+    crashed |= np.sqrt(np.vecdot(s[0:3], s[0:3], axis=0)) > MAX_DISTANCE
+    return crashed

@@ -2,22 +2,15 @@
 
 The RK4 step, crash detector, and actuation-power evaluation in
 :mod:`repro.drone.quadrotor` / :mod:`repro.drone.rotor` were rewritten as
-allocation-free scalar arithmetic for the fleet engine (the physics loop is
-the serial per-episode cost batching cannot touch).  The vectorized
-formulations they replaced live here, verbatim, for two purposes:
-
-* **Bit-for-bit regression proof** — ``tests/drone/test_drone.py`` steps a
-  plant through both implementations and asserts identical trajectories
-  (``==``, no tolerances): the rewrite preserved every floating-point
-  operation order.
-* **"Current main" benchmarking** — :func:`use_vectorized_physics` swaps
-  these back in so the perf harness (:mod:`repro.bench`) can time a fleet
-  campaign exactly as pre-refactor main ran it.
+allocation-free scalar arithmetic.  The numpy formulations they replaced
+live here as the bit-for-bit regression proof:
+``tests/drone/test_physics_reference.py`` steps a plant through both
+implementations and asserts identical trajectories (``==``, no
+tolerances), so the rewrite preserved every floating-point operation
+order.
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -25,20 +18,21 @@ from .rotor import total_actuation_power
 from .variants import DroneParams
 
 __all__ = ["vectorized_step", "vectorized_has_crashed",
-           "per_call_actuation_power_fn", "use_vectorized_physics"]
+           "per_call_actuation_power_fn"]
 
 
 def vectorized_step(self, commanded_thrusts: np.ndarray) -> np.ndarray:
     """The pre-refactor ``Quadrotor.step``: numpy temporaries per RK4 stage."""
+    max_thrust = self.params.max_thrust_per_rotor()
     commanded = np.clip(np.asarray(commanded_thrusts, dtype=np.float64),
-                        0.0, self._max_thrust)
+                        0.0, max_thrust)
     if self.rotor_dynamics:
         alpha = self.dt / max(self.params.motor_time_constant, self.dt)
         alpha = min(alpha, 1.0)
         self.rotor_thrusts = self.rotor_thrusts + alpha * (commanded - self.rotor_thrusts)
     else:
         self.rotor_thrusts = commanded
-    thrusts = np.clip(self.rotor_thrusts, 0.0, self._max_thrust)
+    thrusts = np.clip(self.rotor_thrusts, 0.0, max_thrust)
 
     dt = self.dt
     state = self.state
@@ -72,26 +66,3 @@ def per_call_actuation_power_fn(params: DroneParams,
         return total_actuation_power(thrusts, params, electrical_efficiency)
     return total
 
-
-@contextmanager
-def use_vectorized_physics():
-    """Route plants and episodes through the pre-refactor physics for a block.
-
-    Patches ``Quadrotor.step`` / ``Quadrotor.has_crashed`` class-wide and
-    the hoisted power closure the episode runner builds, so campaigns run
-    under this context reproduce pre-refactor main's physics cost exactly
-    (the numbers themselves are bit-identical either way).  Not thread-safe.
-    """
-    from . import quadrotor as quad_module
-    from ..hil import episode as episode_module
-
-    saved = (quad_module.Quadrotor.step, quad_module.Quadrotor.has_crashed,
-             episode_module.actuation_power_fn)
-    quad_module.Quadrotor.step = vectorized_step
-    quad_module.Quadrotor.has_crashed = vectorized_has_crashed
-    episode_module.actuation_power_fn = per_call_actuation_power_fn
-    try:
-        yield
-    finally:
-        (quad_module.Quadrotor.step, quad_module.Quadrotor.has_crashed,
-         episode_module.actuation_power_fn) = saved

@@ -14,6 +14,7 @@ change any of the paper's relative comparisons.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -21,7 +22,8 @@ import numpy as np
 from .variants import AIR_DENSITY, DroneParams
 
 __all__ = ["induced_power", "rotor_power", "total_actuation_power",
-           "actuation_power_fn", "hover_power"]
+           "actuation_power_fn", "actuation_power_columns",
+           "power_denominator", "hover_power"]
 
 
 def induced_power(thrust: float, disk_area: float,
@@ -45,6 +47,11 @@ def total_actuation_power(thrusts: Sequence[float], params: DroneParams,
     return float(sum(rotor_power(t, params, electrical_efficiency) for t in thrusts))
 
 
+def power_denominator(params: DroneParams) -> float:
+    """``sqrt(2 rho A)``, the per-airframe constant of Eq. 4."""
+    return float(np.sqrt(2.0 * AIR_DENSITY * params.rotor_disk_area))
+
+
 def actuation_power_fn(params: DroneParams,
                        electrical_efficiency: float = 0.55):
     """A hoisted-constant closure computing :func:`total_actuation_power`.
@@ -58,7 +65,7 @@ def actuation_power_fn(params: DroneParams,
     """
     if not 0.0 < electrical_efficiency <= 1.0:
         raise ValueError("electrical_efficiency must be in (0, 1]")
-    denominator = np.sqrt(2.0 * AIR_DENSITY * params.rotor_disk_area)
+    denominator = power_denominator(params)
 
     def total(thrusts: Sequence[float]) -> float:
         power = 0.0
@@ -68,6 +75,27 @@ def actuation_power_fn(params: DroneParams,
         return float(power)
 
     return total
+
+
+def actuation_power_columns(thrusts: np.ndarray, denominators: np.ndarray,
+                            electrical_efficiency: float = 0.55) -> np.ndarray:
+    """:func:`actuation_power_fn` for every column of ``(4, n)`` thrusts.
+
+    ``denominators`` holds each column's :func:`power_denominator`.  The
+    ``t ** 1.5`` stays a Python float power per element, because
+    ``np.power(t, 1.5)`` rounds differently on about 5 % of inputs; the
+    divisions and the left-to-right rotor sum are single IEEE operations
+    either way, so every column equals the closure bit for bit.  (Where
+    ``max`` would keep a ``-0.0`` that ``np.maximum`` makes ``+0.0``, both
+    powers are ``+0.0``.)
+    """
+    clamped = np.maximum(thrusts, 0.0).ravel().tolist()
+    lifted = np.array(list(map(pow, clamped, itertools.repeat(1.5))))
+    terms = lifted.reshape(thrusts.shape) / denominators / electrical_efficiency
+    power = 0.0 + terms[0]
+    for row in terms[1:]:
+        power += row
+    return power
 
 
 def hover_power(params: DroneParams, electrical_efficiency: float = 0.55) -> float:

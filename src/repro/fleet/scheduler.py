@@ -5,16 +5,19 @@ The lockstep batched runner of PR 1 could only batch episodes that shared
 frequencies, drone variants, control rates, or solver settings) fell back
 to sequential scalar solves.  This scheduler removes that restriction:
 
-* every episode is an :class:`~repro.hil.episode.EpisodeRunner` step
-  generator that yields :class:`~repro.hil.episode.SolveRequest` objects
-  into a virtual-time queue;
+* every HIL episode of the run flies as one column of a single
+  :class:`~repro.hil.episode.EpisodeBatch`, which advances episodes in
+  lockstep until each yields a :class:`~repro.hil.episode.SolveRequest`
+  into a virtual-time queue (other episode kinds run their ``run()``
+  generator);
 * a batcher groups pending requests by *solver compatibility* — identical
   MPC problem content (:func:`~repro.tinympc.problem.problem_hash`) and
   identical :class:`~repro.tinympc.solver.SolverSettings` — and dispatches
   each group as one :class:`~repro.tinympc.batch.BatchTinyMPCSolver` call;
-* per-episode warm-start state lives outside the solver and is loaded into
-  batch slots per dispatch (``import_slot`` / ``export_slot``), so episodes
-  keep their warm starts even when they share slots across dispatches.
+* each episode's warm start stays resident in the batch slot it last
+  solved in; ``export_slot`` / ``import_slot`` move it only when a slot
+  changes owner, so episodes keep their warm starts even when they share
+  slots across dispatches.
 
 Episodes never interact physically, so a solve request is causally
 independent of every other episode's requests: the batcher is free to pack
@@ -23,6 +26,8 @@ per-episode solve order is preserved by construction, because an episode
 has at most one outstanding request).  Dispatch order still follows virtual
 time — the group holding the earliest pending request goes first — which
 keeps runs deterministic and makes the dispatch trace physically readable.
+After a dispatch, every episode it answered flies on together until it
+blocks again or ends.
 
 Numerical contract
 ------------------
@@ -46,7 +51,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..hil.episode import EpisodeResult, EpisodeRunner, SolveRequest
+from ..hil.episode import EpisodeBatch, EpisodeResult, EpisodeRunner, SolveRequest
 from ..tinympc import (
     BatchTinyMPCSolver,
     MPCProblem,
@@ -86,14 +91,16 @@ SOLVERLESS_KEY: Tuple = ("solverless",)
 
 @dataclass
 class FleetEpisode:
-    """One schedulable episode: a step generator plus its solver identity.
+    """One schedulable episode: a runner plus its solver identity.
 
-    The runner may drive any episode kind — a waypoint scenario, a
-    disturbance-recovery episode, or a solver-free workload such as a
-    design-point compile (:mod:`repro.fleet.design_point`); the scheduler
-    only sees its solve requests, so all kinds batch identically.  Episodes
-    that never solve leave ``problem``/``settings`` as ``None`` and fall
-    into the shared :data:`SOLVERLESS_KEY` group.
+    The runner may drive any episode kind — a waypoint scenario or a
+    disturbance-recovery episode (an :class:`EpisodeRunner`, flown in the
+    scheduler's lockstep batch), or a solver-free workload such as a
+    design-point compile (:mod:`repro.fleet.design_point`, any object whose
+    ``run()`` is a step generator); the scheduler only sees solve requests,
+    so all kinds batch identically.  Episodes that never solve leave
+    ``problem``/``settings`` as ``None`` and fall into the shared
+    :data:`SOLVERLESS_KEY` group.
     """
 
     episode_id: int
@@ -302,11 +309,15 @@ class _ScalarGroup:
 class _BatchGroup:
     """Solver group backed by one fixed-width batched solver.
 
-    Episodes outnumbering the batch capacity share slots: each dispatch
-    loads the warm-start state of the episodes it packs into slots
-    (``import_slot``), solves the batch with the leading slots active, and
-    exports the carried state back out (``export_slot``).  The round-trip
-    copies raw workspace rows, so slot sharing is numerically invisible.
+    Each dispatch packs its requests into slots in order, solves the batch
+    with the leading slots active, and reads the answers back.  An
+    episode's warm start stays resident in the slot it last solved in
+    (inactive slots are left exactly as their last solve finished), so a
+    slot's state moves only when the slot changes owner: the previous
+    owner's is exported to its carried arrays (``export_slot``) and the
+    newcomer's imported (``import_slot``).  Episodes outnumbering the batch
+    capacity therefore still share slots, and the raw-row round trip keeps
+    slot sharing numerically invisible.
     """
 
     def __init__(self, problem: MPCProblem, settings: SolverSettings,
@@ -321,10 +332,33 @@ class _BatchGroup:
         else:
             self.solver = BatchTinyMPCSolver(problem, capacity, settings,
                                              cache or compute_cache(problem))
+        # Warm starts of episodes not resident in a slot.
         self._carried: Dict[int, Dict[str, np.ndarray]] = {}
+        # Slot -> the live episode whose warm start it holds, and back.
+        self._owner: List[Optional[int]] = [None] * capacity
+        self._slot: Dict[int, int] = {}
         self._x0 = np.zeros((capacity, problem.state_dim))
         self._goal = np.zeros((capacity, problem.state_dim))
         self._active = np.zeros(capacity, dtype=bool)
+
+    def _seat(self, slot: int, episode: int) -> None:
+        """Make ``slot`` hold ``episode``'s warm start."""
+        owner = self._owner[slot]
+        if owner == episode:
+            return
+        solver = self.solver
+        home = self._slot.pop(episode, None)
+        if home is not None:
+            self._carried[episode] = solver.export_slot(
+                home, out=self._carried.get(episode))
+            self._owner[home] = None
+        if owner is not None:
+            self._carried[owner] = solver.export_slot(
+                slot, out=self._carried.get(owner))
+            del self._slot[owner]
+        solver.import_slot(slot, self._carried.get(episode))
+        self._owner[slot] = episode
+        self._slot[episode] = slot
 
     def solve(self, requests: Sequence[SolveRequest], stats: SchedulerStats
               ) -> Dict[int, Tuple[np.ndarray, int]]:
@@ -333,7 +367,7 @@ class _BatchGroup:
             chunk = requests[start:start + self.capacity]
             width = len(chunk)
             for slot, request in enumerate(chunk):
-                self.solver.import_slot(slot, self._carried.get(request.episode))
+                self._seat(slot, request.episode)
                 self._x0[slot] = request.x0
                 self._goal[slot] = request.goal
             self._active[:] = False
@@ -344,10 +378,6 @@ class _BatchGroup:
                 responses[request.episode] = (
                     solution.inputs[slot, 0].copy(),
                     int(solution.iterations[slot]))
-                # Re-export into the episode's carried arrays in place; a
-                # fresh snapshot is allocated only on first export.
-                self._carried[request.episode] = self.solver.export_slot(
-                    slot, out=self._carried.get(request.episode))
             stats.dispatches += 1
             stats.batched_solves += width
             stats.batch_widths.append(width)
@@ -356,6 +386,9 @@ class _BatchGroup:
 
     def release(self, episode_id: int) -> None:
         self._carried.pop(episode_id, None)
+        slot = self._slot.pop(episode_id, None)
+        if slot is not None:
+            self._owner[slot] = None
 
     def close(self) -> None:
         """Return the solver to the pool (the group must not solve again)."""
@@ -435,27 +468,42 @@ class FleetScheduler:
             return []
         groups, group_order = self._build_groups()
         group_rank = {key: rank for rank, key in enumerate(group_order)}
-        by_id = {episode.episode_id: episode for episode in self.episodes}
+        keys = {episode.episode_id: episode.group_key
+                for episode in self.episodes}
         self.stats.episodes = len(self.episodes)
         self.stats.groups = len(groups)
 
+        hil = [episode for episode in self.episodes
+               if isinstance(episode.runner, EpisodeRunner)]
+        lockstep = EpisodeBatch([episode.runner for episode in hil])
         steppers = {}
         pending: Dict[Tuple, List[SolveRequest]] = {}
 
-        def advance(episode: FleetEpisode, response) -> None:
-            stepper = steppers[episode.episode_id]
+        def flown(advanced, requests) -> None:
+            """Queue the lockstep batch's requests; release who finished."""
+            asked = set()
+            for request in requests:
+                pending.setdefault(keys[request.episode], []).append(request)
+                asked.add(request.episode)
+            for episode_id in advanced:
+                if episode_id not in asked:
+                    groups[keys[episode_id]].release(episode_id)
+
+        def send(episode_id: int, response) -> None:
             try:
-                request = stepper.send(response)
+                request = steppers[episode_id].send(response)
             except StopIteration:
-                del steppers[episode.episode_id]
-                groups[episode.group_key].release(episode.episode_id)
+                del steppers[episode_id]
+                groups[keys[episode_id]].release(episode_id)
                 return
-            pending.setdefault(episode.group_key, []).append(request)
+            pending.setdefault(keys[episode_id], []).append(request)
 
         try:
+            flown([episode.episode_id for episode in hil], lockstep.advance())
             for episode in self.episodes:
-                steppers[episode.episode_id] = episode.runner.run()
-                advance(episode, None)
+                if not isinstance(episode.runner, EpisodeRunner):
+                    steppers[episode.episode_id] = episode.runner.run()
+                    send(episode.episode_id, None)
 
             while pending:
                 # Event-driven dispatch: the group holding the earliest
@@ -466,8 +514,14 @@ class FleetScheduler:
                 requests = pending.pop(key)
                 requests.sort(key=lambda r: (r.time, r.episode))
                 responses = groups[key].solve(requests, self.stats)
+                resumed = {}
                 for request in requests:
-                    advance(by_id[request.episode], responses[request.episode])
+                    if request.episode in steppers:
+                        send(request.episode, responses[request.episode])
+                    else:
+                        resumed[request.episode] = responses[request.episode]
+                if resumed:
+                    flown(resumed, lockstep.advance(resumed))
         finally:
             for group in groups.values():
                 group.close()

@@ -1,34 +1,36 @@
-"""One HIL episode as a solver-agnostic step generator.
+"""The HIL episode state machine, flown alone or in lockstep with others.
 
-Historically the closed-loop episode logic lived inline in
-:meth:`repro.hil.loop.HILLoop.run_scenario`, the lockstep batched runner
-re-implemented the same state machine a second time, and
-``HILLoop.run_disturbance`` carried a third hand-copied clone for the
-Section 5.2 robustness study.  The fleet campaign engine (:mod:`repro.fleet`)
-made that drift bug farm untenable, so the episode is now a *single*
-implementation shared by every path and both episode kinds: a *generator*
-that owns the plant, the latency model, and all metric bookkeeping, and
-that ``yield``\\ s a :class:`SolveRequest` whenever the controller needs an
-MPC solve.
-
-Two episode kinds run through the one state machine:
+One implementation serves every caller and both episode kinds:
 
 * **waypoint tracking** (:class:`~repro.drone.scenarios.Scenario`) — fly the
   scenario's waypoint schedule; the result is a
   :class:`~repro.hil.metrics.ScenarioResult`;
 * **disturbance recovery** (:class:`RecoveryEpisode`) — hold a fixed goal,
-  inject the episode's time-varying wrench through
-  ``plant.set_disturbance``, record every step's position, and run
-  :func:`~repro.drone.disturbance.analyze_recovery` at exhaustion; the
-  result is a :class:`~repro.drone.disturbance.RecoveryResult`.
+  inject the episode's time-varying wrench, record every step's position,
+  and run :func:`~repro.drone.disturbance.analyze_recovery` at exhaustion;
+  the result is a :class:`~repro.drone.disturbance.RecoveryResult`.
 
-The driver — scalar loop or fleet scheduler — answers each request by
-sending back ``(control, iterations)``; where that solve runs (a scalar
+:class:`EpisodeBatch` flies many episodes on one struct-of-arrays plant
+(:class:`~repro.drone.quadrotor.QuadrotorBatch`, one column per episode).
+Each call advances the episodes it is given until every one of them
+blocks on an MPC solve (a :class:`SolveRequest`) or ends.  Every physics
+tick is one plant tick over all of those episodes: one RK4 step, one crash
+check and one power update, vectorized once the batch is wide enough.
+Per-episode control bookkeeping runs only at an episode's *event ticks*:
+a finished solve to apply, a control tick with the solver free, or the
+end.  Between events nothing but the physics changes, so the event ticks
+are computed ahead with the same ``time >= threshold`` tests a plain
+per-tick loop makes.
+
+The fleet scheduler drives one batch over all HIL episodes of a campaign
+chunk; :meth:`EpisodeRunner.run` is a batch of one behind a generator that
+yields each :class:`SolveRequest` and expects ``(control, iterations)``
+back.  Where that solve runs (a scalar
 :class:`~repro.tinympc.solver.TinyMPCSolver`, one slot of a
-:class:`~repro.tinympc.batch.BatchTinyMPCSolver`, another process) is
-invisible to the episode.  Because the physics, timing, and metric code is
-literally the same object code on every path, scalar and fleet runs can
-only diverge through the numbers the solver returns.
+:class:`~repro.tinympc.batch.BatchTinyMPCSolver`) is invisible to the
+episode, and a batch column computes exactly what a lone episode does, so
+scalar and fleet runs can only diverge through the numbers the solver
+returns.
 
 Timing semantics (identical for both kinds)::
 
@@ -42,18 +44,19 @@ period boundary after the solver frees up.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Generator, List, Optional, Tuple, Union
+from typing import (Dict, Generator, List, Mapping, Optional, Sequence, Tuple,
+                    Union)
 
 import numpy as np
 
 from ..drone import (
     Disturbance,
     DroneParams,
-    Quadrotor,
+    QuadrotorBatch,
     RecoveryResult,
     Scenario,
-    actuation_power_fn,
     analyze_recovery,
     hover_input,
     hover_state,
@@ -62,7 +65,8 @@ from .faults import FaultyObserver, SensorFaults
 from .metrics import ScenarioResult
 from .soc import SoCModel
 
-__all__ = ["SolveRequest", "RecoveryEpisode", "EpisodeRunner", "EpisodeResult"]
+__all__ = ["SolveRequest", "RecoveryEpisode", "EpisodeRunner", "EpisodeBatch",
+           "EpisodeResult"]
 
 
 @dataclass
@@ -105,8 +109,28 @@ class RecoveryEpisode:
 EpisodeResult = Union[ScenarioResult, RecoveryResult]
 
 
+def _first_tick(threshold: float, after: int, last: int, dt: float) -> int:
+    """The first tick ``j`` in ``(after, last]`` with ``j * dt >= threshold``.
+
+    ``last`` when there is none.  ``j * dt`` is exactly the ``time`` a
+    per-tick loop would compare, so this is the tick at which that loop's
+    test first passes.
+    """
+    tick = after + 1
+    if tick * dt >= threshold:
+        return tick
+    if not threshold <= last * dt:
+        return last
+    tick = max(tick, math.ceil(threshold / dt))
+    while tick * dt < threshold:
+        tick += 1
+    while (tick - 1) * dt >= threshold:
+        tick -= 1
+    return tick
+
+
 class EpisodeRunner:
-    """Drives one episode (waypoint or recovery), pausing at each solve.
+    """One episode (waypoint or recovery): its mission, timing and metrics.
 
     Usage::
 
@@ -127,7 +151,8 @@ class EpisodeRunner:
     :class:`SolveRequest` objects and expects a ``(control, iterations)``
     pair in return.  After exhaustion, :attr:`result` holds the episode's
     :class:`~repro.hil.metrics.ScenarioResult` (waypoint) or
-    :class:`~repro.drone.disturbance.RecoveryResult` (recovery).
+    :class:`~repro.drone.disturbance.RecoveryResult` (recovery).  The same
+    runner can instead fly as one column of an :class:`EpisodeBatch`.
     """
 
     def __init__(self, config, params: DroneParams,
@@ -148,18 +173,7 @@ class EpisodeRunner:
         # mass, detuned thrust) while the controller — hover feedforward and
         # the MPC linearization upstream — keeps believing ``params``.
         self.plant_params = plant_params if plant_params is not None else params
-        self.plant = Quadrotor(self.plant_params, dt=config.physics_dt)
-        # Hoisted-constant power model: evaluated every physics tick, and
-        # bit-identical to calling total_actuation_power per tick.
-        self._actuation_power = actuation_power_fn(self.plant_params)
         self._result: Optional[EpisodeResult] = None
-        if self.is_recovery:
-            # Caller-owned wrench buffers: Disturbance.wrench_into writes
-            # them in place every physics tick, and set_disturbance binds
-            # them into the plant once per episode — the per-tick
-            # disturbance path allocates nothing.
-            self._force = np.zeros(3)
-            self._torque = np.zeros(3)
         if not config.is_ideal and soc is None:
             raise ValueError("non-ideal episodes need a compiled SoCModel")
 
@@ -179,127 +193,149 @@ class EpisodeRunner:
         goal[0:3] = position
         return goal
 
-    def _solve_latency(self, iterations: int) -> float:
-        """End-to-end latency from state sample to applied command."""
-        if self.config.is_ideal:
-            return 0.0
-        compute = self.soc.solve_latency(iterations)
-        return (self.config.uart.downlink_latency + compute
-                + self.config.uart.uplink_latency)
-
-    # -- the episode state machine ---------------------------------------------
+    # -- driving the episode alone ---------------------------------------------
     def run(self) -> Generator[SolveRequest, Tuple[np.ndarray, int], None]:
-        """Fly the episode, yielding a :class:`SolveRequest` per solve."""
+        """Fly the episode, yielding a :class:`SolveRequest` per solve.
+
+        The episode flies as an :class:`EpisodeBatch` of one, whose plant
+        takes the scalar path at this width.
+        """
+        batch = EpisodeBatch([self])
+        requests = batch.advance()
+        while requests:
+            response = yield requests[0]
+            requests = batch.advance({self.episode_id: response})
+
+    # -- the state machine, driven by EpisodeBatch ------------------------------
+    def _begin(self, plant: QuadrotorBatch, column: int) -> None:
+        """Reset the episode onto ``plant`` column ``column`` at tick 0."""
         config = self.config
         scenario = self.scenario
-        plant = self.plant
-        recovery = self.is_recovery
-        disturbance: Optional[Disturbance] = None
-        wrench = None
-        if recovery:
-            disturbance = scenario.disturbance
-            hold = np.asarray(scenario.hold_position, dtype=np.float64)
-            plant.reset(hover_state(hold))
-            # By-reference binding: wrench_into mutates these buffers in
-            # place each tick and the plant is guaranteed to see it.
-            plant.bind_disturbance_buffers(self._force, self._torque)
-            goal = self._goal_state(hold)
-            duration = scenario.duration
+        self._result = None
+        self._plant = plant
+        self._column = column
+        self._dt = config.physics_dt
+        self._steps = int(round(scenario.duration / config.physics_dt))
+        self._step = 0
+        self._event = 0
+        if self.is_recovery:
+            start = np.asarray(scenario.hold_position, dtype=np.float64)
+            self._goal = self._goal_state(start)
             # One sampler per episode: deterministic events return
             # themselves; stochastic gusts tabulate their seeded realization
-            # here, so the per-tick wrench path stays allocation-free.
-            wrench = disturbance.sampler(config.physics_dt, duration)
+            # here.  It writes the plant's wrench columns in place each tick.
+            self._wrench = scenario.disturbance.sampler(config.physics_dt,
+                                                        scenario.duration)
+            self._force = plant.force[:, column]
+            self._torque = plant.torque[:, column]
         else:
-            plant.reset(hover_state(scenario.start_position))
-            goal = None
-            duration = scenario.duration
-
-        hover = hover_input(self.params)
-        command = hover.copy()
-        pending_command: Optional[np.ndarray] = None
-        pending_ready_time = 0.0
-        solver_free_time = 0.0
-        next_control_time = 0.0
-
-        solve_times: List[float] = []
-        solve_iterations: List[int] = []
-        compute_busy_time = 0.0
-        actuation_energy = 0.0
-        times: List[float] = []
-        positions: List[np.ndarray] = []
-        record_positions = recovery or config.record_trajectory
-        crashed = False
-
-        control_period = (config.physics_dt if config.is_ideal
-                          else config.control_period)
+            start = scenario.start_position
+            self._goal = None
+            self._wrench = None
+        plant.state[:, column] = hover_state(start)
+        self._hover = hover_input(self.params)
+        plant.command[:, column] = self._hover
+        self._positions = (np.empty((self._steps, 3))
+                           if self.is_recovery or config.record_trajectory
+                           else None)
+        self._pending: Optional[np.ndarray] = None
+        self._pending_ready = 0.0
+        self._solver_free = 0.0
+        self._next_control = 0.0
+        self._solve_times: List[float] = []
+        self._solve_iterations: List[int] = []
+        self._compute_busy = 0.0
+        self._control_period = (config.physics_dt if config.is_ideal
+                                else config.control_period)
         # The fault pipeline sits between the plant and the solver: only the
         # sampled state handed to SolveRequest is corrupted — the recorded
         # trajectory, crash detector, and recovery analysis all see truth.
-        observer: Optional[FaultyObserver] = None
+        self._observer: Optional[FaultyObserver] = None
         if self.faults is not None and not self.faults.is_null:
-            observer = FaultyObserver(self.faults, control_period,
-                                      self.state_dim)
-        steps = int(round(duration / config.physics_dt))
-        time = 0.0
-        for step in range(steps):
-            time = step * config.physics_dt
-            # Apply a completed solve.
-            if pending_command is not None and time >= pending_ready_time:
-                command = hover + pending_command
-                pending_command = None
-            # Kick off a new solve at control ticks once the solver is free.
-            if time >= next_control_time and time >= solver_free_time:
-                if not recovery:
-                    waypoint = scenario.active_waypoint(time)
-                    goal = self._goal_state(waypoint.as_array())
-                sampled = plant.observe()
-                if observer is not None:
-                    sampled = observer.observe(sampled)
-                control, iterations = yield SolveRequest(
-                    self.episode_id, time, sampled, goal)
-                latency = self._solve_latency(iterations)
-                compute_only = (0.0 if config.is_ideal
-                                else self.soc.solve_latency(iterations))
-                solve_times.append(compute_only)
-                solve_iterations.append(iterations)
-                compute_busy_time += compute_only
-                if config.is_ideal:
-                    command = hover + control
-                else:
-                    pending_command = control
-                    pending_ready_time = time + latency
-                    solver_free_time = time + max(latency, 1e-9)
-                next_control_time += control_period
-                # If the solve overran one or more control periods, resume on
-                # the next period boundary after the solver frees up.
-                if solver_free_time > next_control_time:
-                    periods_behind = int(np.ceil(
-                        (solver_free_time - next_control_time) / control_period))
-                    next_control_time += periods_behind * control_period
+            self._observer = FaultyObserver(self.faults, self._control_period,
+                                            self.state_dim)
 
-            if recovery:
-                # Refresh the plant-bound wrench buffers in place.
-                wrench.wrench_into(time, config.physics_dt,
-                                   self._force, self._torque)
-            plant.step(command)
-            if not recovery:
-                # RecoveryResult carries no power metrics, so recovery
-                # episodes skip the per-tick power model (the deleted
-                # run_disturbance loop never paid it either).
-                actuation_energy += self._actuation_power(
-                    plant.rotor_thrusts) * config.physics_dt
-            if record_positions:
-                positions.append(plant.position)
-            if recovery:
-                times.append(time)
-            if plant.has_crashed():
-                crashed = True
-                break
+    def _next_event(self) -> int:
+        """The next tick at which a solve lands, one starts, or the end."""
+        step, last, dt = self._step, self._steps, self._dt
+        event = _first_tick(max(self._next_control, self._solver_free),
+                            step, last, dt)
+        if self._pending is not None:
+            event = min(event, _first_tick(self._pending_ready, step, last, dt))
+        return event
 
-        if recovery:
-            plant.clear_disturbance()
+    def _on_event(self) -> Optional[SolveRequest]:
+        """Bookkeeping at an event tick, before that tick's physics.
+
+        Returns the request the episode blocks on, or ``None`` when it flies
+        on (or has ended: then :attr:`finished` is set).
+        """
+        step = self._step
+        if step == self._steps:
+            self._finish(crashed=False)
+            return None
+        time = step * self._dt
+        # Apply a completed solve.
+        if self._pending is not None and time >= self._pending_ready:
+            self._plant.command[:, self._column] = self._hover + self._pending
+            self._pending = None
+        # Kick off a new solve at control ticks once the solver is free.
+        if time >= self._next_control and time >= self._solver_free:
+            if not self.is_recovery:
+                waypoint = self.scenario.active_waypoint(time)
+                self._goal = self._goal_state(waypoint.as_array())
+            sampled = self._plant.state[:, self._column].copy()
+            if self._observer is not None:
+                sampled = self._observer.observe(sampled)
+            self._sample_time = time
+            return SolveRequest(self.episode_id, time, sampled, self._goal)
+        self._event = self._next_event()
+        return None
+
+    def _resume(self, control: np.ndarray, iterations: int) -> None:
+        """Take the solve the episode blocked on; its tick's physics is next."""
+        config = self.config
+        time = self._sample_time
+        if config.is_ideal:
+            compute_only = latency = 0.0
+        else:
+            # End to end, from state sample to applied command.
+            compute_only = self.soc.solve_latency(iterations)
+            latency = (config.uart.downlink_latency + compute_only
+                       + config.uart.uplink_latency)
+        self._solve_times.append(compute_only)
+        self._solve_iterations.append(iterations)
+        self._compute_busy += compute_only
+        if config.is_ideal:
+            self._plant.command[:, self._column] = self._hover + control
+        else:
+            self._pending = control
+            self._pending_ready = time + latency
+            self._solver_free = time + max(latency, 1e-9)
+        self._next_control += self._control_period
+        # If the solve overran one or more control periods, resume on the
+        # next period boundary after the solver frees up.
+        if self._solver_free > self._next_control:
+            periods_behind = int(np.ceil(
+                (self._solver_free - self._next_control) / self._control_period))
+            self._next_control += periods_behind * self._control_period
+        self._event = self._next_event()
+
+    def _finish(self, crashed: bool) -> None:
+        """Build the result once the episode has flown ``self._step`` ticks."""
+        config = self.config
+        scenario = self.scenario
+        ticks = self._step
+        # The time of the last physics tick flown (0.0 if none was).
+        time = (ticks - 1) * self._dt if ticks else 0.0
+        positions = (self._positions[:ticks]
+                     if self._positions is not None and ticks else None)
+        if self.is_recovery:
+            disturbance = scenario.disturbance
             result = analyze_recovery(
-                times, positions, hold, disturbance.end_time,
+                [tick * self._dt for tick in range(ticks)],
+                positions if positions is not None else [],
+                scenario.hold_position, disturbance.end_time,
                 disturbance_start=disturbance.start_time)
             result.disturbance = disturbance
             if crashed:
@@ -310,15 +346,19 @@ class EpisodeRunner:
 
         flight_time = max(time, config.physics_dt)
         final_distance = float(np.linalg.norm(
-            plant.position - scenario.final_waypoint.as_array()))
+            self._plant.state[0:3, self._column]
+            - scenario.final_waypoint.as_array()))
         success = (not crashed) and final_distance <= config.waypoint_tolerance
 
         if config.is_ideal:
             soc_power = 0.0
         else:
-            activity = min(compute_busy_time / flight_time, 1.0)
+            activity = min(self._compute_busy / flight_time, 1.0)
             soc_power = self.soc.power(activity)
 
+        # RecoveryResult carries no power metrics; the plant meters every
+        # column anyway, and only waypoint episodes read it.
+        energy = float(self._plant.energy[self._column])
         self._result = ScenarioResult(
             scenario=scenario,
             implementation=config.implementation,
@@ -326,10 +366,105 @@ class EpisodeRunner:
             success=success,
             crashed=crashed,
             final_distance=final_distance,
-            solve_times=solve_times,
-            solve_iterations=solve_iterations,
-            actuation_power_w=actuation_energy / flight_time,
+            solve_times=self._solve_times,
+            solve_iterations=self._solve_iterations,
+            actuation_power_w=energy / flight_time,
             soc_power_w=soc_power,
             flight_time_s=flight_time,
-            positions=np.array(positions) if positions else None,
+            positions=positions,
         )
+
+
+class EpisodeBatch:
+    """Episodes flown in lockstep, one :class:`QuadrotorBatch` column each.
+
+    ``runners`` must carry distinct ``episode_id`` values.  The first
+    :meth:`advance` starts every episode; each later call resumes the
+    episodes whose solves it is handed.  Either way the call flies those
+    episodes until each one blocks on a solve or ends, and returns the new
+    requests; an advanced episode that asks for no solve has finished.
+    """
+
+    def __init__(self, runners: Sequence[EpisodeRunner]) -> None:
+        self.runners = list(runners)
+        self.plant = QuadrotorBatch(
+            [runner.plant_params for runner in self.runners],
+            [runner.config.physics_dt for runner in self.runners])
+        self._columns: Dict[int, int] = {
+            runner.episode_id: column
+            for column, runner in enumerate(self.runners)}
+        self._started = False
+
+    def advance(self, responses: Optional[Mapping[int, Tuple[np.ndarray, int]]]
+                = None) -> List[SolveRequest]:
+        """Fly until every advanced episode blocks or ends.
+
+        ``responses`` maps episode ids to the ``(control, iterations)``
+        answering their outstanding requests; the first call takes none.
+        """
+        if not self._started:
+            self._started = True
+            for column, runner in enumerate(self.runners):
+                runner._begin(self.plant, column)
+            columns = list(range(len(self.runners)))
+        else:
+            columns = []
+            for episode_id, (control, iterations) in responses.items():
+                column = self._columns[episode_id]
+                self.runners[column]._resume(control, iterations)
+                columns.append(column)
+            columns.sort()
+        return self._fly(columns)
+
+    def _fly(self, columns: List[int]) -> List[SolveRequest]:
+        runners = self.runners
+        requests = []
+        while columns:
+            flying = []
+            for column in columns:
+                runner = runners[column]
+                if runner._step == runner._event:
+                    request = runner._on_event()
+                    if request is not None:
+                        requests.append(request)
+                        continue
+                    if runner._result is not None:
+                        continue
+                flying.append(column)
+            if not flying:
+                break
+            ticks = min(runners[column]._event - runners[column]._step
+                        for column in flying)
+            columns = self._physics(flying, ticks)
+        return requests
+
+    def _physics(self, columns: List[int], ticks: int) -> List[int]:
+        """Fly ``columns`` for ``ticks`` event-free ticks.
+
+        Returns the columns still flying; a crash ends its episode on the
+        tick it happens and cuts the stretch short for the rest.
+        """
+        runners = self.runners
+        plant = self.plant
+        gusts = [runners[column] for column in columns
+                 if runners[column]._wrench is not None]
+        recorders = [(runners[column], plant.state[0:3, column])
+                     for column in columns
+                     if runners[column]._positions is not None]
+        for tick in range(ticks):
+            for runner in gusts:
+                runner._wrench.wrench_into(
+                    (runner._step + tick) * runner._dt, runner._dt,
+                    runner._force, runner._torque)
+            crashed = plant.tick(columns)
+            for runner, position in recorders:
+                runner._positions[runner._step + tick] = position
+            if crashed:
+                for column in columns:
+                    runners[column]._step += tick + 1
+                for column in crashed:
+                    runners[column]._finish(crashed=True)
+                return [column for column in columns if column not in crashed]
+        for column in columns:
+            runners[column]._step += ticks
+        return columns

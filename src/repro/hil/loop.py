@@ -25,7 +25,6 @@ from ..arch import SoCPowerModel
 from ..drone import (
     Disturbance,
     DroneParams,
-    Quadrotor,
     RecoveryResult,
     Scenario,
     crazyflie,
@@ -97,7 +96,6 @@ class HILLoop:
         self.solver = TinyMPCSolver(
             self.problem,
             SolverSettings(max_iterations=config.max_admm_iterations, warm_start=True))
-        self.plant = Quadrotor(self.params, dt=config.physics_dt)
         if config.is_ideal:
             self.soc: Optional[SoCModel] = None
         else:

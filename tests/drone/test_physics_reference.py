@@ -12,7 +12,6 @@ import pytest
 from repro.drone import Quadrotor, actuation_power_fn, total_actuation_power
 from repro.drone.reference import (
     per_call_actuation_power_fn,
-    use_vectorized_physics,
     vectorized_has_crashed,
     vectorized_step,
 )
@@ -77,12 +76,3 @@ class TestActuationPowerEquivalence:
         with pytest.raises(ValueError):
             actuation_power_fn(params, electrical_efficiency=0.0)
 
-
-class TestVectorizedPhysicsContext:
-    def test_context_swaps_and_restores(self, params):
-        original_step = Quadrotor.step
-        with use_vectorized_physics():
-            assert Quadrotor.step is vectorized_step
-            plant = Quadrotor(params, dt=0.002)
-            plant.step(np.full(4, params.hover_thrust_per_rotor()))
-        assert Quadrotor.step is original_step

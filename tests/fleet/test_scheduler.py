@@ -9,9 +9,15 @@ The contract under test (see :mod:`repro.fleet.scheduler`):
   counts, solve times, flight times) are exactly equal and float metrics
   agree to GEMM round-off;
 * repeated runs are bit-for-bit identical, including across
-  ``PYTHONHASHSEED`` values (exercised via subprocesses).
+  ``PYTHONHASHSEED`` values (exercised via subprocesses);
+* every result field of a set of batched, slot-shared, scalar, recovery
+  and ideal campaigns equals the rows pinned in
+  ``fixtures/hil_rows.json`` (re-record with
+  ``PYTHONPATH=src python tests/fleet/test_scheduler.py``).
 """
 
+import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -19,7 +25,15 @@ import sys
 import numpy as np
 import pytest
 
-from repro.drone import Difficulty, generate_scenario
+from repro.drone import (
+    Difficulty,
+    Disturbance,
+    DisturbanceCategory,
+    DisturbanceType,
+    DrydenGust,
+    QuadrotorBatch,
+    generate_scenario,
+)
 from repro.fleet import (
     CampaignSpec,
     EpisodeFactory,
@@ -27,7 +41,9 @@ from repro.fleet import (
     FleetScheduler,
     run_campaign,
 )
-from repro.hil import HILLoop
+from repro.fleet.durable import result_to_dict
+from repro.hil import HILLoop, SensorFaults
+from repro.tinympc import BatchTinyMPCSolver
 
 REPO_ROOT = os.path.normpath(os.path.join(os.path.dirname(__file__), "..", ".."))
 
@@ -37,6 +53,63 @@ REPO_ROOT = os.path.normpath(os.path.join(os.path.dirname(__file__), "..", "..")
 MIXED = CampaignSpec(
     name="mixed", difficulties=("easy", "medium"), seeds=(0, 1),
     frequencies_mhz=(100.0, 250.0), control_rates_hz=(100.0, 50.0))
+
+# A recovery sweep over the scenario-diversity axes: classic step/impulse
+# events, a Dryden gust and a torque step that flips the drone, on a 1.3x
+# payload, with a noisy, late and lossy estimator, across scalar/vector/
+# ideal controllers that share one group.
+_FAULTS = SensorFaults(noise_std=0.003, latency_s=0.01, dropout_rate=0.15,
+                       seed=5)
+RECOVERY_SWEEP = [
+    EpisodeSpec(Difficulty.EASY, 0, implementation=implementation,
+                frequency_mhz=frequency, recovery_duration=2.0,
+                disturbance=disturbance, mass_scale=1.3, sensor_faults=faults)
+    for implementation, frequency in (("vector", 100.0), ("scalar", 50.0),
+                                      ("ideal", 100.0))
+    for disturbance in (
+        Disturbance(DisturbanceCategory.FORCE, DisturbanceType.STEP,
+                    (1.0, 0.0, 0.0), 0.08, start_time=0.4),
+        Disturbance(DisturbanceCategory.COMBINED, DisturbanceType.IMPULSE,
+                    (0.0, 1.0, 1.0), 0.1, start_time=0.4),
+        DrydenGust(magnitude=0.08, seed=4, start_time=0.4, duration=1.0),
+        Disturbance(DisturbanceCategory.TORQUE, DisturbanceType.STEP,
+                    (1.0, 0.0, 0.0), 0.02, start_time=0.4))
+    for faults in (None, _FAULTS)
+]
+
+# The pinned campaigns, each run in-process (one chunk).  Low clocks on the
+# hard scenario crash mid-flight beside episodes that finish.
+HIL_ROWS = os.path.join(os.path.dirname(__file__), "fixtures",
+                        "hil_rows.json")
+GOLDEN_CAMPAIGNS = {
+    "mixed-batched": lambda: run_campaign(MIXED),
+    "mixed-max-batch-3": lambda: run_campaign(MIXED, max_batch=3),
+    "mixed-unbatched": lambda: run_campaign(MIXED, batching=False),
+    "recovery-sweep": lambda: run_campaign(RECOVERY_SWEEP),
+    "ideal": lambda: run_campaign(CampaignSpec(
+        difficulties="easy", seeds=(0,), implementations="ideal")),
+    "crashes": lambda: run_campaign(CampaignSpec(
+        difficulties="hard", seeds=(0,), implementations=("scalar", "vector"),
+        frequencies_mhz=(10.0, 100.0))),
+}
+
+
+def golden_rows(outcome):
+    """One JSON line per episode result of a campaign."""
+    return [json.dumps(result_to_dict(result)) for result in outcome.results]
+
+
+@pytest.fixture(scope="module")
+def campaign():
+    """Runs a pinned campaign once per module; the equivalence tests and
+    the golden rows share its outcome."""
+    outcomes = {}
+
+    def run(name):
+        if name not in outcomes:
+            outcomes[name] = GOLDEN_CAMPAIGNS[name]()
+        return outcomes[name]
+    return run
 
 
 def sequential_reference(episodes):
@@ -67,8 +140,8 @@ def assert_discrete_exact(reference, result):
 
 
 class TestFleetScalarEquivalence:
-    def test_unbatched_campaign_bit_for_bit(self, mixed_reference):
-        outcome = run_campaign(MIXED, batching=False)
+    def test_unbatched_campaign_bit_for_bit(self, mixed_reference, campaign):
+        outcome = campaign("mixed-unbatched")
         assert len(outcome.results) == len(mixed_reference)
         for reference, result in zip(mixed_reference, outcome.results):
             assert_discrete_exact(reference, result)
@@ -78,8 +151,9 @@ class TestFleetScalarEquivalence:
             assert result.actuation_power_w == reference.actuation_power_w
             assert result.soc_power_w == reference.soc_power_w
 
-    def test_batched_campaign_matches_sequential(self, mixed_reference):
-        outcome = run_campaign(MIXED)
+    def test_batched_campaign_matches_sequential(self, mixed_reference,
+                                                 campaign):
+        outcome = campaign("mixed-batched")
         assert outcome.stats.batched_solves > 0
         assert outcome.stats.groups == 2      # two control rates, two problems
         for reference, result in zip(mixed_reference, outcome.results):
@@ -91,23 +165,40 @@ class TestFleetScalarEquivalence:
             assert result.soc_power_w == pytest.approx(
                 reference.soc_power_w, rel=1e-6)
 
-    def test_slot_sharing_preserves_results(self, mixed_reference):
+    def test_slot_sharing_preserves_results(self, mixed_reference, campaign):
         """A width cap forces episodes to share solver slots across
         dispatches; warm-start parking must keep outcomes identical."""
-        outcome = run_campaign(MIXED, max_batch=3)
+        outcome = campaign("mixed-max-batch-3")
         assert outcome.stats.max_batch_width <= 3
         for reference, result in zip(mixed_reference, outcome.results):
             assert_discrete_exact(reference, result)
             assert result.final_distance == pytest.approx(
                 reference.final_distance, rel=1e-6, abs=1e-9)
 
-    def test_repeated_runs_bitwise_identical(self):
-        first = run_campaign(MIXED)
+    def test_repeated_runs_bitwise_identical(self, campaign):
+        first = campaign("mixed-batched")
         second = run_campaign(MIXED)
         for a, b in zip(first.results, second.results):
             assert a.final_distance == b.final_distance
             assert a.actuation_power_w == b.actuation_power_w
             assert a.solve_iterations == b.solve_iterations
+
+
+class TestGoldenRows:
+    """The equivalence tests above check batched campaigns to a relative
+    1e-6 only; these rows pin every bit of every result field."""
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        with open(HIL_ROWS) as handle:
+            payload = json.load(handle)
+        assert sorted(payload) == sorted(GOLDEN_CAMPAIGNS)
+        return payload
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CAMPAIGNS))
+    def test_rows_match_golden(self, golden, campaign, name):
+        expected = [json.dumps(row) for row in golden[name]]
+        assert golden_rows(campaign(name)) == expected
 
 
 class TestSchedulerMechanics:
@@ -136,6 +227,42 @@ class TestSchedulerMechanics:
         # Two groups of one episode each: everything solves on the scalar path.
         assert scheduler.stats.scalar_solves > 0
         assert scheduler.stats.batched_solves == 0
+
+    def test_warm_starts_stay_resident(self, monkeypatch):
+        """Slot state moves only when a slot changes owner, not per solve:
+        a few copies per episode against 3,320 solves."""
+        copies = []
+        for name in ("import_slot", "export_slot"):
+            original = getattr(BatchTinyMPCSolver, name)
+
+            def counted(self, *args, _original=original, **kwargs):
+                copies.append(args[0])
+                return _original(self, *args, **kwargs)
+            monkeypatch.setattr(BatchTinyMPCSolver, name, counted)
+        outcome = run_campaign(CampaignSpec(
+            difficulties=("easy", "medium"), seeds=(0, 1),
+            frequencies_mhz=(100.0, 250.0)))
+        assert outcome.stats.batched_solves == 3320
+        assert len(copies) <= 4 * len(outcome.results)
+
+    def test_vector_and_scalar_plant_paths_agree(self, monkeypatch):
+        """One wide group mixing waypoint and recovery episodes and two
+        physics steps flies the vectorized plant; forcing the per-column
+        scalar plant must reproduce every result field exactly."""
+        specs = [EpisodeSpec(difficulty, seed, frequency_mhz=frequency,
+                             physics_dt=dt)
+                 for difficulty in (Difficulty.EASY, Difficulty.MEDIUM)
+                 for seed in (0, 1, 2) for frequency in (100.0, 250.0)
+                 for dt in (0.002,)] + [
+            dataclasses.replace(spec, physics_dt=0.001, recovery_duration=1.5)
+            for spec in RECOVERY_SWEEP[:8]]
+
+        def rows():
+            return [json.dumps(result_to_dict(result))
+                    for result in run_campaign(specs).results]
+        vector = rows()
+        monkeypatch.setattr(QuadrotorBatch, "vector_width", 10 ** 9)
+        assert rows() == vector
 
     def test_stats_accounting(self):
         outcome = run_campaign(CampaignSpec(difficulties="easy", seeds=(0, 1)))
@@ -183,3 +310,14 @@ class TestHashSeedDeterminism:
             digests.append(output.stdout.strip())
         assert digests[0] == digests[1]
         assert len(digests[0]) == 64
+
+
+if __name__ == "__main__":
+    # Re-record the pinned rows (one row per line) after an intentional
+    # change to episode numerics:
+    #     PYTHONPATH=src python tests/fleet/test_scheduler.py
+    with open(HIL_ROWS, "w") as handle:
+        handle.write("{\n" + ",\n".join(
+            "{}: [\n{}\n]".format(json.dumps(name),
+                                   ",\n".join(golden_rows(run())))
+            for name, run in GOLDEN_CAMPAIGNS.items()) + "\n}\n")
