@@ -10,7 +10,7 @@ what this PR replaced:
   :func:`repro.bench.measure_iteration_allocations`);
 * the scalar full-iteration microbenchmark is at least **1.5x** faster,
   and the batched ones no slower, than the pre-refactor kernels;
-* a mixed 32-episode fleet campaign is at least **1.3x** faster than the
+* a mixed 32-episode fleet campaign is at least **1.12x** faster than the
   same campaign on the naive kernels with per-run solver construction
   (both sides fly the same lockstep plant), while reproducing identical
   outcomes;
@@ -61,7 +61,12 @@ SMOKE = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
 # shared CI runners make timing noisy (the recorded numbers stay real).
 SCALAR_ITERATION_FLOOR = 1.2 if SMOKE else 1.5
 BATCH_ITERATION_FLOOR = 1.0 if SMOKE else 1.1
-CAMPAIGN_FLOOR = 1.1 if SMOKE else 1.3
+# The campaign floor keeps about 60 % of the measured gain, the rule that
+# once gave 1.3 from 1.49x.  Both sides now fly the same lockstep plant, so
+# the ratio covers the kernels and the pool only: 1.20 median over 80
+# alternating fast/naive campaign pairs (smoke grid 1.23 over 50, where
+# 1.1 already sits below 60 % of the gain).
+CAMPAIGN_FLOOR = 1.1 if SMOKE else 1.12
 # Compiled backend vs the numpy fast path.  Full floors come from
 # repro.bench; smoke floors keep margin for loaded runners (measured:
 # scalar ~28x, batch64 ~2.1-3x).

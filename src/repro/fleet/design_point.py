@@ -378,10 +378,9 @@ def evaluate_design_point(spec: DesignPointSpec) -> DesignPointResult:
 class DesignPointRunner:
     """Solver-less episode runner: all work happens before the first yield.
 
-    The scheduler primes every episode with ``send(None)``; a design-point
-    evaluation completes inside that priming step and the generator raises
-    ``StopIteration`` immediately, so the episode is released without ever
-    entering a solver group.
+    The scheduler runs the generator once, up front; a design-point
+    evaluation completes before the generator ends without yielding, so
+    the episode is released without ever entering a solver group.
     """
 
     def __init__(self, spec: DesignPointSpec) -> None:

@@ -8,8 +8,8 @@ to sequential scalar solves.  This scheduler removes that restriction:
 * every HIL episode of the run flies as one column of a single
   :class:`~repro.hil.episode.EpisodeBatch`, which advances episodes in
   lockstep until each yields a :class:`~repro.hil.episode.SolveRequest`
-  into a virtual-time queue (other episode kinds run their ``run()``
-  generator);
+  into a virtual-time queue (solver-free episode kinds, such as design
+  points, run to completion up front);
 * a batcher groups pending requests by *solver compatibility* — identical
   MPC problem content (:func:`~repro.tinympc.problem.problem_hash`) and
   identical :class:`~repro.tinympc.solver.SolverSettings` — and dispatches
@@ -82,10 +82,9 @@ def compatibility_key(problem: MPCProblem, settings: SolverSettings) -> Tuple:
             getattr(settings, "dtype", "float64"))
 
 
-#: Group key shared by episodes that never request an MPC solve (their
-#: runner generator returns before its first ``yield``).  They are parked
-#: in a no-op :class:`_NullGroup` so the scheduler's bookkeeping — release
-#: on StopIteration, close at run end — works unchanged.
+#: Group key shared by episodes that never request an MPC solve.  They are
+#: parked in a no-op :class:`_NullGroup` so the scheduler's bookkeeping —
+#: release when the episode ends, close at run end — works unchanged.
 SOLVERLESS_KEY: Tuple = ("solverless",)
 
 
@@ -93,14 +92,12 @@ SOLVERLESS_KEY: Tuple = ("solverless",)
 class FleetEpisode:
     """One schedulable episode: a runner plus its solver identity.
 
-    The runner may drive any episode kind — a waypoint scenario or a
-    disturbance-recovery episode (an :class:`EpisodeRunner`, flown in the
-    scheduler's lockstep batch), or a solver-free workload such as a
-    design-point compile (:mod:`repro.fleet.design_point`, any object whose
-    ``run()`` is a step generator); the scheduler only sees solve requests,
-    so all kinds batch identically.  Episodes that never solve leave
-    ``problem``/``settings`` as ``None`` and fall into the shared
-    :data:`SOLVERLESS_KEY` group.
+    The runner is either an :class:`EpisodeRunner` — a waypoint scenario
+    or a disturbance-recovery episode, flown in the scheduler's lockstep
+    batch — or a solver-free workload such as a design-point compile
+    (:mod:`repro.fleet.design_point`), whose ``run()`` generator finishes
+    without yielding.  Solver-free episodes leave ``problem``/``settings``
+    as ``None`` and fall into the shared :data:`SOLVERLESS_KEY` group.
     """
 
     episode_id: int
@@ -252,10 +249,10 @@ class _NullGroup:
     """Group for episodes that never yield a solve request.
 
     Solver-free episode kinds (design-point compiles) do all their work
-    before the generator's first ``yield`` and hit ``StopIteration`` on the
-    scheduler's priming ``send(None)``; this group exists only so
-    ``release``/``close`` have a target.  A solve call is a programming
-    error — an episode with no declared problem asked for an MPC solve.
+    before their generator's first ``yield``, which never comes; this group
+    exists only so ``release``/``close`` have a target.  A solve call is a
+    programming error — an episode with no declared problem asked for an
+    MPC solve.
     """
 
     def solve(self, requests: Sequence[SolveRequest], stats: SchedulerStats
@@ -466,17 +463,17 @@ class FleetScheduler:
         """Fly every episode to completion; results in input order."""
         if not self.episodes:
             return []
+        hil = [episode for episode in self.episodes
+               if isinstance(episode.runner, EpisodeRunner)]
+        # Built before any group acquires a pooled solver, so a physics
+        # step the plant rejects leaks none.
+        lockstep = EpisodeBatch([episode.runner for episode in hil])
         groups, group_order = self._build_groups()
         group_rank = {key: rank for rank, key in enumerate(group_order)}
         keys = {episode.episode_id: episode.group_key
                 for episode in self.episodes}
         self.stats.episodes = len(self.episodes)
         self.stats.groups = len(groups)
-
-        hil = [episode for episode in self.episodes
-               if isinstance(episode.runner, EpisodeRunner)]
-        lockstep = EpisodeBatch([episode.runner for episode in hil])
-        steppers = {}
         pending: Dict[Tuple, List[SolveRequest]] = {}
 
         def flown(advanced, requests) -> None:
@@ -489,21 +486,16 @@ class FleetScheduler:
                 if episode_id not in asked:
                     groups[keys[episode_id]].release(episode_id)
 
-        def send(episode_id: int, response) -> None:
-            try:
-                request = steppers[episode_id].send(response)
-            except StopIteration:
-                del steppers[episode_id]
-                groups[keys[episode_id]].release(episode_id)
-                return
-            pending.setdefault(keys[episode_id], []).append(request)
-
         try:
-            flown([episode.episode_id for episode in hil], lockstep.advance())
             for episode in self.episodes:
                 if not isinstance(episode.runner, EpisodeRunner):
-                    steppers[episode.episode_id] = episode.runner.run()
-                    send(episode.episode_id, None)
+                    for _ in episode.runner.run():
+                        raise RuntimeError(
+                            "solver-free episode {} asked for a solve".format(
+                                episode.episode_id))
+                    groups[keys[episode.episode_id]].release(
+                        episode.episode_id)
+            flown([episode.episode_id for episode in hil], lockstep.advance())
 
             while pending:
                 # Event-driven dispatch: the group holding the earliest
@@ -514,14 +506,7 @@ class FleetScheduler:
                 requests = pending.pop(key)
                 requests.sort(key=lambda r: (r.time, r.episode))
                 responses = groups[key].solve(requests, self.stats)
-                resumed = {}
-                for request in requests:
-                    if request.episode in steppers:
-                        send(request.episode, responses[request.episode])
-                    else:
-                        resumed[request.episode] = responses[request.episode]
-                if resumed:
-                    flown(resumed, lockstep.advance(resumed))
+                flown(responses, lockstep.advance(responses))
         finally:
             for group in groups.values():
                 group.close()

@@ -105,7 +105,7 @@ class HILLoop:
 
     # -- helpers -----------------------------------------------------------------
     def _episode_runner(self, mission) -> EpisodeRunner:
-        """Build the shared episode step generator for one mission.
+        """Build the shared episode runner for one mission.
 
         ``mission`` is either a waypoint :class:`Scenario` or a
         :class:`~repro.hil.episode.RecoveryEpisode`.

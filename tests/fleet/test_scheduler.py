@@ -38,7 +38,9 @@ from repro.fleet import (
     CampaignSpec,
     EpisodeFactory,
     EpisodeSpec,
+    FleetEpisode,
     FleetScheduler,
+    SolverPool,
     run_campaign,
 )
 from repro.fleet.durable import result_to_dict
@@ -216,6 +218,28 @@ class TestSchedulerMechanics:
     def test_invalid_max_batch_rejected(self):
         with pytest.raises(ValueError, match="max_batch"):
             FleetScheduler([], max_batch=0)
+
+    def test_bad_physics_step_leaks_no_pooled_solver(self):
+        """The plant rejects a non-positive physics step before any batch
+        group draws a solver from the pool, so every solver comes back."""
+        factory = EpisodeFactory()
+        episodes = [factory.build(EpisodeSpec(Difficulty.EASY, seed,
+                                              physics_dt=dt), seed)
+                    for seed, dt in ((0, 0.002), (1, 0.0))]
+        pool = SolverPool()
+        with pytest.raises(ValueError, match="dt must be positive"):
+            FleetScheduler(episodes, pool=pool).run()
+        assert pool.acquires == pool.idle_count
+
+    def test_solver_free_episode_asking_for_a_solve_raises(self):
+        """Only lockstep HIL episodes may yield solve requests."""
+        class Asking:
+            def run(self):
+                yield None
+
+        scheduler = FleetScheduler([FleetEpisode(0, Asking())])
+        with pytest.raises(RuntimeError, match="asked for a solve"):
+            scheduler.run()
 
     def test_singleton_groups_use_scalar_path(self):
         factory = EpisodeFactory()
