@@ -7,8 +7,8 @@ Usage::
     PYTHONPATH=src python scripts/bench_report.py --smoke    # CI smoke mode
     PYTHONPATH=src python scripts/bench_report.py --no-campaign
 
-The report lands in ``--output-dir`` (default: current directory, or
-``$BENCH_DIR``) in the shared BENCH_*.json schema — see ``docs/perf.md``
+The report lands in ``--output-dir`` (default: ``$BENCH_DIR``, else
+``bench-out/``) in the shared BENCH_*.json schema — see ``docs/perf.md``
 for how to read it.
 """
 

@@ -10,12 +10,13 @@ markdown and asserts it matches the committed file.  Regenerate with::
 
 from __future__ import annotations
 
+import inspect
 import os
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.experiments import BATCH_ROUTED_EXPERIMENTS, EXPERIMENTS  # noqa: E402
+from repro.experiments import EXPERIMENTS  # noqa: E402
 
 HEADER = """\
 # Experiment registry
@@ -26,15 +27,16 @@ Run any of them with:
 ```python
 from repro.experiments import run_experiment, format_rows
 
-rows = run_experiment("fig10")                  # direct
-rows = run_experiment("fig16", use_cache=True)  # cached + batched solver engine
+rows = run_experiment("fig10")
+rows = run_experiment("fig16", episodes_per_cell=3)  # kwargs go to the driver
 print(format_rows(rows))
 ```
 
 Drivers default to benchmark-sized configurations; pass keyword arguments
 (e.g. ``episodes_per_cell``, ``frequencies_mhz``) for full-scale runs.
 Identifiers marked *batched* route their MPC solves through
-`BatchTinyMPCSolver` when run via `ExperimentRunner` / ``use_cache=True``.
+`BatchTinyMPCSolver` by default (pass ``batched=False`` for the scalar
+solver).
 
 <!-- This file is generated by scripts/gen_experiment_docs.py - do not edit. -->
 """
@@ -50,7 +52,8 @@ def build_experiments_markdown() -> str:
     lines.append("| Identifier | Title | Paper section | Driver | Batched |")
     lines.append("|---|---|---|---|---|")
     for experiment in EXPERIMENTS.values():
-        batched = "yes" if experiment.identifier in BATCH_ROUTED_EXPERIMENTS else ""
+        parameters = inspect.signature(experiment.driver).parameters
+        batched = "yes" if "batched" in parameters else ""
         lines.append("| `{}` | {} | {} | `{}` | {} |".format(
             experiment.identifier, experiment.title, experiment.section,
             driver_path(experiment.driver), batched))

@@ -38,7 +38,6 @@ from .configs import (
     SATURN_CONFIGS,
     SCALAR_CONFIGS,
     DesignPoint,
-    design_space_fingerprint,
     get_design_point,
     list_design_points,
     make_backend,
@@ -80,7 +79,6 @@ __all__ = [
     "SATURN_CONFIGS",
     "SCALAR_CONFIGS",
     "DesignPoint",
-    "design_space_fingerprint",
     "get_design_point",
     "list_design_points",
     "make_backend",

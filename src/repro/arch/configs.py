@@ -9,9 +9,7 @@ the Shuttle-fronted VLEN=512 / DLEN=256 Saturn configuration.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Dict, List, Union
 
 from .area import design_point_area
@@ -39,7 +37,6 @@ __all__ = [
     "get_design_point",
     "make_backend",
     "list_design_points",
-    "design_space_fingerprint",
 ]
 
 AnyConfig = Union[ScalarCoreConfig, SaturnConfig, GemminiConfig]
@@ -157,21 +154,3 @@ def get_design_point(name: str) -> DesignPoint:
 def make_backend(name: str) -> Backend:
     """Instantiate the timing model for a named design point."""
     return get_design_point(name).backend()
-
-
-@lru_cache(maxsize=1)
-def design_space_fingerprint() -> str:
-    """Stable hash of the whole design-point catalog.
-
-    Covers every point's name, full config contents, and area, so anything
-    keyed on it (experiment result caches, design-point episode caches) is
-    invalidated when a hardware configuration or the area model changes.
-    Memoized per process — the catalog is built from module constants.
-    """
-    digest = hashlib.sha256()
-    for point in ALL_DESIGN_POINTS.values():
-        digest.update(point.name.encode())
-        digest.update(point.category.encode())
-        digest.update(repr(point.config).encode())
-        digest.update(repr(point.area_mm2).encode())
-    return digest.hexdigest()

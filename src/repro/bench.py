@@ -99,8 +99,10 @@ ALLOC_PEAK_LIMIT_BATCH = 8192
 # ---------------------------------------------------------------------------
 
 def bench_output_dir() -> Path:
-    """Where BENCH_*.json files land (``$BENCH_DIR`` or the working dir)."""
-    return Path(os.environ.get("BENCH_DIR", "."))
+    """Where BENCH_*.json files land: ``$BENCH_DIR``, else the gitignored
+    ``bench-out/`` under the working dir.  The tracked ledger at the repo
+    root is re-recorded only on request, with ``BENCH_DIR=.``."""
+    return Path(os.environ.get("BENCH_DIR", "bench-out"))
 
 
 def write_bench_report(name: str, metrics: Dict[str, object],

@@ -35,7 +35,6 @@ from .registry import (
     list_experiments,
     run_experiment,
 )
-from .runner import BATCH_ROUTED_EXPERIMENTS, ExperimentRunner, run_cached
 
 __all__ = [
     "default_program",
@@ -66,7 +65,4 @@ __all__ = [
     "format_rows",
     "list_experiments",
     "run_experiment",
-    "BATCH_ROUTED_EXPERIMENTS",
-    "ExperimentRunner",
-    "run_cached",
 ]

@@ -5,11 +5,7 @@ sweeps (Figures 15-18), this driver exposes the fleet campaign engine
 (:mod:`repro.fleet`) through the experiment registry: an arbitrary
 cross-product grid over difficulty x seed x clock frequency x drone variant
 x control rate x solver settings, run through the event-driven dynamic
-batcher and streamed into per-cell aggregate rows.
-
-Like every registry driver it is a pure function of JSON-serializable
-keyword arguments, so :class:`~repro.experiments.runner.ExperimentRunner`
-caches its rows keyed on the workload fingerprint.
+batcher and folded into per-cell aggregate rows.
 """
 
 from __future__ import annotations

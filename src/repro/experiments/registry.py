@@ -88,18 +88,11 @@ def list_experiments() -> List[Experiment]:
     return list(EXPERIMENTS.values())
 
 
-def run_experiment(identifier: str, use_cache: bool = False, **kwargs) -> List[Dict]:
+def run_experiment(identifier: str, **kwargs) -> List[Dict]:
     """Run one experiment driver by its paper identifier.
 
-    With ``use_cache=True`` the call is routed through the shared
-    :class:`~repro.experiments.runner.ExperimentRunner`, which serves
-    repeated runs from a result cache keyed on the problem hash and enables
-    the batched solver engine for batch-capable drivers.
+    Keyword arguments are forwarded to the driver.
     """
-    if use_cache:
-        from .runner import run_cached
-
-        return run_cached(identifier, **kwargs)
     try:
         experiment = EXPERIMENTS[identifier]
     except KeyError:

@@ -13,8 +13,8 @@ settings) into batched solver work:
 * :mod:`repro.fleet.workers` — :func:`run_campaign`, which cuts every
   campaign into the same deterministic chunk plan and runs it in-process
   or on supervised worker processes;
-* :mod:`repro.fleet.aggregate` — streaming per-cell statistics with bounded
-  memory;
+* :mod:`repro.fleet.aggregate` — per-cell statistics over a campaign's
+  results;
 * :mod:`repro.fleet.durable` / :mod:`repro.fleet.supervisor` — the chunk
   plan, the one chunk function, supervised workers with
   retry/bisection/quarantine, and the checksummed completion journal with

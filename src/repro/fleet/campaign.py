@@ -17,8 +17,7 @@ max iterations > mass scale`` (with the disturbance axis ``category > kind >
 direction > magnitude scale > start time`` nested innermost for recovery
 campaigns), so
 episode index ``i`` always means the same episode — that is what makes
-sharded runs (:mod:`repro.fleet.workers`) and cached campaign rows
-reproducible.
+sharded and resumed runs (:mod:`repro.fleet.workers`) reproducible.
 
 Campaigns come in *episode kinds* — pluggable workloads behind the
 :class:`~repro.fleet.kinds.EpisodeKind` protocol.  This module defines the
@@ -27,7 +26,7 @@ waypoint scenarios) and ``"recovery"`` (the Section 5.2 / Fig. 17
 robustness study — hold position, inject a disturbance, measure
 time-to-recovery).  Recovery campaigns expand the disturbance axis instead
 of varying scenario difficulty, and their episodes produce
-:class:`~repro.drone.disturbance.RecoveryResult` rows streamed into
+:class:`~repro.drone.disturbance.RecoveryResult` rows aggregated into
 per-category recovery statistics by the
 :class:`~repro.fleet.aggregate.FleetAggregator`.  The solver-less
 ``"design_point"`` kind (design-space exploration over accelerator
@@ -757,7 +756,6 @@ class WaypointKind(_HILKindBase):
 
     name = "waypoint"
     cell_axes = CELL_AXES
-    cells_field = "cells"
 
     def owns_result(self, result) -> bool:
         return isinstance(result, ScenarioResult)
@@ -797,19 +795,9 @@ class WaypointKind(_HILKindBase):
             positions=(None if positions is None
                        else np.asarray(positions, dtype=np.float64)))
 
-    def result_cell_key(self, result: ScenarioResult) -> Tuple:
-        # Results don't carry variant / solver settings / plant mismatch, so
-        # a result aggregated outside a campaign lands in a neutral cell.
-        return (result.scenario.difficulty.value, result.implementation,
-                result.frequency_mhz, "-", 0.0, 0, 1.0, "clean")
-
-    def new_cell(self, key: Tuple, sample_cap: int):
+    def new_cell(self, key: Tuple):
         from .aggregate import CellAggregate
-        return CellAggregate(key=key, sample_cap=sample_cap)
-
-    def cell_from_dict(self, payload: Dict[str, object]):
-        from .aggregate import CellAggregate
-        return CellAggregate.from_dict(payload)
+        return CellAggregate(key=key)
 
 
 class RecoveryKind(_HILKindBase):
@@ -817,7 +805,6 @@ class RecoveryKind(_HILKindBase):
 
     name = "recovery"
     cell_axes = RECOVERY_CELL_AXES
-    cells_field = "recovery_cells"
 
     def validate(self, campaign: "CampaignSpec") -> None:
         campaign._validate_hil_axes()
@@ -844,20 +831,9 @@ class RecoveryKind(_HILKindBase):
             disturbance=(None if payload["disturbance"] is None
                          else wrench_from_dict(payload["disturbance"])))
 
-    def result_cell_key(self, result: RecoveryResult) -> Tuple:
-        disturbance = result.disturbance
-        category = (disturbance.category.value if disturbance is not None
-                    else "-")
-        kind = disturbance.kind.value if disturbance is not None else "-"
-        return ("-", "-", 0.0, "-", 0.0, 0, 1.0, "clean", category, kind)
-
-    def new_cell(self, key: Tuple, sample_cap: int):
+    def new_cell(self, key: Tuple):
         from .aggregate import RecoveryCellAggregate
-        return RecoveryCellAggregate(key=key, sample_cap=sample_cap)
-
-    def cell_from_dict(self, payload: Dict[str, object]):
-        from .aggregate import RecoveryCellAggregate
-        return RecoveryCellAggregate.from_dict(payload)
+        return RecoveryCellAggregate(key=key)
 
 
 register_episode_kind(WaypointKind())

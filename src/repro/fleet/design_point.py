@@ -262,11 +262,6 @@ class DesignPointResult:
     cycles_by_kernel: Dict[str, float]
     cycles_by_category: Dict[str, float]
 
-    def cell_key(self) -> Tuple:
-        return (self.program, self.design_point, self.category,
-                self.codegen_level, self.lmul, self.sync_granularity,
-                self.fidelity)
-
     def to_dict(self) -> Dict[str, object]:
         return {
             "kind": "design_point",
@@ -398,7 +393,7 @@ class DesignPointRunner:
 
 
 # ---------------------------------------------------------------------------
-# Streaming aggregation
+# Aggregation
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -411,7 +406,6 @@ class DesignCellAggregate:
     """
 
     key: Tuple
-    sample_cap: int = 4096          # accepted for interface symmetry; unused
     episodes: int = 0
     result: Optional[DesignPointResult] = None
 
@@ -419,29 +413,6 @@ class DesignCellAggregate:
         self.episodes += 1
         if self.result is None:
             self.result = result
-
-    def merge(self, other: "DesignCellAggregate") -> "DesignCellAggregate":
-        if other.key != self.key:
-            raise ValueError("cannot merge cells with different keys")
-        self.episodes += other.episodes
-        if self.result is None:
-            self.result = other.result
-        return self
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"key": list(self.key), "sample_cap": self.sample_cap,
-                "episodes": self.episodes,
-                "result": (None if self.result is None
-                           else self.result.to_dict())}
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "DesignCellAggregate":
-        result_payload = payload["result"]
-        return cls(key=tuple(payload["key"]),
-                   sample_cap=int(payload["sample_cap"]),
-                   episodes=int(payload["episodes"]),
-                   result=(None if result_payload is None
-                           else DesignPointResult.from_dict(result_payload)))
 
     def as_row(self) -> Dict[str, object]:
         row: Dict[str, object] = dict(zip(DESIGN_CELL_AXES, self.key))
@@ -470,7 +441,6 @@ class DesignPointKind(EpisodeKind):
 
     name = "design_point"
     cell_axes = DESIGN_CELL_AXES
-    cells_field = "design_cells"
 
     def validate(self, campaign) -> None:
         for axis in ("programs", "codegen_levels", "fidelities",
@@ -573,15 +543,8 @@ class DesignPointKind(EpisodeKind):
                          ) -> DesignPointResult:
         return DesignPointResult.from_dict(payload)
 
-    def result_cell_key(self, result: DesignPointResult) -> Tuple:
-        return result.cell_key()
-
-    def new_cell(self, key: Tuple, sample_cap: int) -> DesignCellAggregate:
-        return DesignCellAggregate(key=key, sample_cap=sample_cap)
-
-    def cell_from_dict(self, payload: Dict[str, object]
-                       ) -> DesignCellAggregate:
-        return DesignCellAggregate.from_dict(payload)
+    def new_cell(self, key: Tuple) -> DesignCellAggregate:
+        return DesignCellAggregate(key=key)
 
 
 register_episode_kind(DesignPointKind())

@@ -11,13 +11,17 @@ sha256 of its serialized spec::
         result.json     # final rows, atomic rename on completion
         partial.json    # last partial rows, atomic rename on interrupt
 
-The journal is the source of truth.  Every record is one JSON line carrying
-a CRC-32 of its canonical serialization; a reader stops at the first record
-that fails to parse or checksum and *truncates* the torn tail (a crash can
-only corrupt the suffix of an append-only file, so everything before the
-first bad record is intact).  Appends are fsync'd in bounded chunks —
-every ``fsync_every`` records and at every chunk-commit record — so the
-window of episodes that can be lost to a power cut is bounded and small.
+The journal is the source of truth.  A committed chunk is an ``episode``
+record per result (or a ``fail`` record per quarantined episode) followed
+by one ``commit`` record carrying the chunk's scheduler stats; campaign
+aggregates are recomputed from the results, never journaled.  Every record
+is one JSON line carrying a CRC-32 of its canonical serialization; a
+reader stops at the first record that fails to parse or checksum and
+*truncates* the torn tail (a crash can only corrupt the suffix of an
+append-only file, so everything before the first bad record is intact).
+Appends are fsync'd in bounded chunks — every ``fsync_every`` records and
+at every chunk-commit record — so the window of episodes that can be lost
+to a power cut is bounded and small.
 
 Resumability is exact because execution is planned in deterministic
 *chunks* (:func:`plan_chunks`): the chunk an episode belongs to depends
@@ -55,7 +59,9 @@ __all__ = [
 # Version of the run-directory layout and journal record format.  Tracks the
 # spec schema (a spec schema bump invalidates checkpoints anyway) but can
 # move independently if only the journal format changes.
-RUN_SCHEMA_VERSION = 1
+# v2 journals hold only ``episode``/``fail``/``commit`` records and v2 plans
+# only shards, lease size and batching; v1 run directories are refused.
+RUN_SCHEMA_VERSION = 2
 
 # Episodes per chunk of a checkpointed run when the caller does not choose.
 # The chunk is the atomic unit of both checkpointing and batched round-off,
@@ -319,32 +325,26 @@ class ExecutionPlan:
 
     ``shards`` and ``lease_size`` fix chunk membership (and therefore the
     batched-GEMM round-off profile); ``batching``/``max_batch`` fix the
-    solve path; ``keep_results``/``sample_cap`` fix what is journaled.  A
-    resume must execute the recorded plan — the number of *live* workers
-    may differ (any worker can run any chunk), the plan may not.
+    solve path.  A resume must execute the recorded plan — the number of
+    *live* workers may differ (any worker can run any chunk), the plan may
+    not.
     """
 
     shards: int
     lease_size: int
     batching: bool = True
     max_batch: Optional[int] = None
-    keep_results: bool = True
-    sample_cap: int = 4096
 
     def to_dict(self) -> Dict[str, object]:
         return {"shards": self.shards, "lease_size": self.lease_size,
-                "batching": self.batching, "max_batch": self.max_batch,
-                "keep_results": self.keep_results,
-                "sample_cap": self.sample_cap}
+                "batching": self.batching, "max_batch": self.max_batch}
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "ExecutionPlan":
         return cls(shards=int(payload["shards"]),
                    lease_size=int(payload["lease_size"]),
                    batching=bool(payload["batching"]),
-                   max_batch=payload["max_batch"],
-                   keep_results=bool(payload["keep_results"]),
-                   sample_cap=int(payload["sample_cap"]))
+                   max_batch=payload["max_batch"])
 
 
 @dataclass(frozen=True)
@@ -390,7 +390,7 @@ def plan_chunks(count: int, plan: ExecutionPlan) -> List[ChunkPlan]:
     is then cut into contiguous leases of ``lease_size``.  Chunk ids are
     zero-padded so lexicographic order *is* plan order — bisected children
     (``c0003a`` < ``c0003b``) sort inside their parent's slot, which is the
-    deterministic merge order for chunk aggregates and stats.
+    deterministic merge order for chunk stats.
     """
     chunks: List[ChunkPlan] = []
     width = max(4, len(str(max(count, 1))))
@@ -513,7 +513,6 @@ class ReplayState:
     committed: Dict[str, Tuple[int, ...]] = field(default_factory=dict)
     results: Dict[int, Dict[str, object]] = field(default_factory=dict)
     failures: Dict[int, EpisodeFailure] = field(default_factory=dict)
-    aggregates: Dict[str, Dict[str, object]] = field(default_factory=dict)
     stats: Dict[str, Dict[str, object]] = field(default_factory=dict)
 
     @property
@@ -521,13 +520,10 @@ class ReplayState:
         return (sum(len(indices) for indices in self.committed.values()))
 
     def commit(self, chunk: ChunkPlan, payload: Dict[str, object]) -> None:
-        """Record a completed chunk's payload (results or aggregate, and
-        stats) — the live counterpart of replaying its journal records."""
+        """Record a completed chunk's payload (results and stats) — the
+        live counterpart of replaying its journal records."""
         self.committed[chunk.chunk_id] = chunk.indices
-        if payload["results"] is not None:
-            self.results.update(zip(chunk.indices, payload["results"]))
-        if payload["aggregate"] is not None:
-            self.aggregates[chunk.chunk_id] = payload["aggregate"]
+        self.results.update(zip(chunk.indices, payload["results"]))
         self.stats[chunk.chunk_id] = payload["stats"]
 
 
@@ -535,7 +531,6 @@ def replay_journal(records: Sequence[Dict[str, object]]) -> ReplayState:
     """Fold journal records into the set of durably-completed work."""
     staged_results: Dict[str, Dict[int, Dict[str, object]]] = {}
     staged_failures: Dict[str, Dict[int, EpisodeFailure]] = {}
-    staged_aggregates: Dict[str, Dict[str, object]] = {}
     state = ReplayState()
     for record in records:
         kind = record.get("t")
@@ -545,23 +540,17 @@ def replay_journal(records: Sequence[Dict[str, object]]) -> ReplayState:
         elif kind == "fail":
             staged_failures.setdefault(chunk_id, {})[record["i"]] = \
                 EpisodeFailure.from_dict(record["f"])
-        elif kind == "agg":
-            staged_aggregates[chunk_id] = record["a"]
         elif kind == "commit":
             indices = tuple(int(i) for i in record["i"])
             chunk_results = staged_results.pop(chunk_id, {})
             chunk_failures = staged_failures.pop(chunk_id, {})
-            covered = set(chunk_results) | set(chunk_failures)
-            has_aggregate = chunk_id in staged_aggregates
-            if not has_aggregate and covered != set(indices):
+            if set(chunk_results) | set(chunk_failures) != set(indices):
                 # Defensive: a commit whose staged records do not cover its
                 # indices is treated as absent — the chunk simply re-runs.
                 continue
             state.committed[chunk_id] = indices
             state.results.update(chunk_results)
             state.failures.update(chunk_failures)
-            if has_aggregate:
-                state.aggregates[chunk_id] = staged_aggregates.pop(chunk_id)
             if "s" in record:
                 state.stats[chunk_id] = record["s"]
     return state

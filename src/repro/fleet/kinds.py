@@ -13,8 +13,7 @@ Everything workload-specific lives behind an :class:`EpisodeKind`:
   solve requests, or a solver-less episode that just computes);
 * **result (de)serialization** — the bit-exact JSON round trip the durable
   journal stores per episode;
-* **streaming aggregation** — the per-cell statistics object results fold
-  into, and its own JSON round trip for memory-bounded checkpoints.
+* **aggregation** — the per-cell statistics object results fold into.
 
 Built-in kinds: ``"waypoint"`` and ``"recovery"`` (HIL episodes, defined in
 :mod:`repro.fleet.campaign`) and ``"design_point"`` (design-space
@@ -39,16 +38,14 @@ __all__ = [
 class EpisodeKind:
     """One campaign workload: expansion, execution, serialization, cells.
 
-    Subclasses set three class attributes and implement the hooks below.
+    Subclasses set two class attributes and implement the hooks below.
     ``name`` is the value of ``CampaignSpec.episode_kind`` / the ``"kind"``
     tag in serialized results; ``cell_axes`` documents the column order of
-    the cell key; ``cells_field`` is the key this kind's cells serialize
-    under in :meth:`FleetAggregator.to_dict` payloads.
+    the cell key.
     """
 
     name: str = ""
     cell_axes: Tuple[str, ...] = ()
-    cells_field: str = ""
 
     # -- campaign-level hooks ------------------------------------------------
     def validate(self, campaign) -> None:
@@ -89,19 +86,9 @@ class EpisodeKind:
     def result_from_dict(self, payload: Dict[str, object]):
         raise NotImplementedError
 
-    def result_cell_key(self, result) -> Tuple:
-        """Fallback cell key derived from the result alone (used when a
-        result is aggregated outside a campaign, where the spec's
-        ``cell_key()`` is unavailable)."""
-        raise NotImplementedError
-
-    # -- streaming aggregation ----------------------------------------------
-    def new_cell(self, key: Tuple, sample_cap: int):
+    # -- aggregation ---------------------------------------------------------
+    def new_cell(self, key: Tuple):
         """A fresh per-cell aggregate for this kind."""
-        raise NotImplementedError
-
-    def cell_from_dict(self, payload: Dict[str, object]):
-        """Inverse of the cell's ``to_dict`` (memory-bounded checkpoints)."""
         raise NotImplementedError
 
 

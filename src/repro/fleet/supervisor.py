@@ -3,9 +3,11 @@
 Every campaign is cut into chunks by :func:`~repro.fleet.durable.plan_chunks`
 and every chunk runs through :class:`ChunkRunner`: in this process for a
 one-worker run without a checkpoint (:func:`run_inline`), or leased to
-worker processes (:func:`run_supervised`).  Both paths fold the chunk
-payloads through the same assembly, so for one execution plan the results
-do not depend on the path.
+worker processes (:func:`run_supervised`).  A chunk hands back its
+per-episode results and scheduler stats; both paths fold them through the
+same assembly (:func:`_assemble`), which aggregates every result once, in
+campaign order, so for one execution plan the output does not depend on
+the path.
 
 The supervisor owns a set of worker *processes*; fault isolation is the
 point: a segfault in a compiled kernel backend or an OOM-kill must take out
@@ -104,7 +106,7 @@ class RunOutcome:
     ``run_campaign``."""
 
     run_dir: Optional[str]                # set for checkpointed runs
-    results: List[Optional[object]]       # campaign order; [] in bounded mode
+    results: List[Optional[object]]       # campaign order
     aggregate: FleetAggregator
     stats: SchedulerStats
     failures: List[EpisodeFailure]
@@ -143,36 +145,22 @@ class ChunkRunner:
         scheduler = FleetScheduler(episodes, batching=chunk.batching,
                                    max_batch=self.plan.max_batch)
         results = scheduler.run()
-        payload = {"results": None, "aggregate": None,
-                   "stats": stats_to_dict(scheduler.stats)}
-        if self.plan.keep_results:
-            payload["results"] = [result_to_dict(result) for result in results]
-        else:
-            aggregator = FleetAggregator(sample_cap=self.plan.sample_cap)
-            for spec, result in zip(specs, results):
-                aggregator.add(result, key=spec.cell_key())
-            payload["aggregate"] = aggregator.to_dict()
-        return payload
+        return {"results": [result_to_dict(result) for result in results],
+                "stats": stats_to_dict(scheduler.stats)}
 
 
-def _assemble(episode_specs: Sequence[EpisodeSpec], plan: ExecutionPlan,
-              ledger: ReplayState):
+def _assemble(episode_specs: Sequence[EpisodeSpec], ledger: ReplayState):
     """Fold committed chunk payloads into campaign-order outputs.
 
     Deterministic regardless of which path ran the chunks and which were
-    replayed: per-episode results aggregate in campaign order; bounded-mode
-    chunk aggregates and stats merge in sorted-chunk-id order (bisected
-    children sort inside their parent's slot).
+    replayed: per-episode results aggregate in campaign order; stats merge
+    in sorted-chunk-id order (bisected children sort inside their parent's
+    slot).
     """
     stats = SchedulerStats()
     for chunk_id in sorted(ledger.stats):
         stats.merge(stats_from_dict(ledger.stats[chunk_id]))
-    aggregator = FleetAggregator(sample_cap=plan.sample_cap)
-    if not plan.keep_results:
-        for chunk_id in sorted(ledger.aggregates):
-            aggregator.merge(
-                FleetAggregator.from_dict(ledger.aggregates[chunk_id]))
-        return [], aggregator, stats
+    aggregator = FleetAggregator()
     results: List[Optional[object]] = [None] * len(episode_specs)
     for index, payload in ledger.results.items():
         results[index] = result_from_dict(payload)
@@ -193,7 +181,7 @@ def run_inline(episode_specs: Sequence[EpisodeSpec],
     for chunk in plan_chunks(len(episode_specs), plan):
         ledger.commit(chunk, runner(
             chunk, [episode_specs[index] for index in chunk.indices]))
-    results, aggregator, stats = _assemble(episode_specs, plan, ledger)
+    results, aggregator, stats = _assemble(episode_specs, ledger)
     return RunOutcome(run_dir=None, results=results, aggregate=aggregator,
                       stats=stats, failures=[], report=None)
 
@@ -360,13 +348,9 @@ class _Supervisor:
 
     def _chunk_done(self, chunk: ChunkPlan,
                     payload: Dict[str, object]) -> None:
-        if payload["results"] is not None:
-            for index, result in zip(chunk.indices, payload["results"]):
-                self.journal.append({"t": "episode", "c": chunk.chunk_id,
-                                     "i": index, "r": result})
-        if payload["aggregate"] is not None:
-            self.journal.append({"t": "agg", "c": chunk.chunk_id,
-                                 "a": payload["aggregate"]})
+        for index, result in zip(chunk.indices, payload["results"]):
+            self.journal.append({"t": "episode", "c": chunk.chunk_id,
+                                 "i": index, "r": result})
         self.journal.append({"t": "commit", "c": chunk.chunk_id,
                              "i": list(chunk.indices),
                              "s": payload["stats"]}, sync=True)
@@ -525,8 +509,6 @@ def _replay(state: ReplayState, chunks: Sequence[ChunkPlan],
                 elif index in state.failures:
                     ledger.failures[index] = state.failures[index]
             for cid in group:
-                if cid in state.aggregates:
-                    ledger.aggregates[cid] = state.aggregates[cid]
                 if cid in state.stats:
                     ledger.stats[cid] = state.stats[cid]
         else:
@@ -579,7 +561,7 @@ def run_supervised(campaign: Optional[CampaignSpec],
         journal.close()
         if run_dir is None:
             raise
-        _results, aggregator, _stats = _assemble(episode_specs, plan, ledger)
+        _results, aggregator, _stats = _assemble(episode_specs, ledger)
         completed = len(ledger.results) + len(ledger.failures)
         raise CampaignInterrupted(
             run_dir, completed, len(episode_specs),
@@ -591,7 +573,7 @@ def run_supervised(campaign: Optional[CampaignSpec],
         raise
     journal.close()
 
-    results, aggregator, stats = _assemble(episode_specs, plan, ledger)
+    results, aggregator, stats = _assemble(episode_specs, ledger)
     failures = [ledger.failures[index] for index in sorted(ledger.failures)]
     return RunOutcome(run_dir=run_dir, results=results, aggregate=aggregator,
                       stats=stats, failures=failures, report=report)

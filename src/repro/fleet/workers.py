@@ -12,11 +12,12 @@ chunk's membership fixes its batch widths and with them its GEMM round-off.
 
 A run with one worker and no checkpoint runs the chunks in-process; any
 other run leases them to supervised worker processes
-(:mod:`repro.fleet.supervisor`).  Results depend only on the spec and the
-plan (workers, lease size, batching, ``max_batch``), never on which path
-ran it.  Because scenario seeds derive from a sha256 digest, not the
-salted builtin ``hash``, the same campaign produces the same per-episode
-results in every process.
+(:mod:`repro.fleet.supervisor`).  Every run keeps its per-episode results
+and aggregates them once, in campaign order, after the last chunk.
+Results depend only on the spec and the plan (workers, lease size,
+batching, ``max_batch``), never on which path ran it.  Because scenario
+seeds derive from a sha256 digest, not the salted builtin ``hash``, the
+same campaign produces the same per-episode results in every process.
 """
 
 from __future__ import annotations
@@ -31,12 +32,7 @@ from .campaign import CampaignSpec, EpisodeSpec
 from .durable import DEFAULT_LEASE_SIZE, EpisodeFailure, ExecutionPlan
 from .scheduler import SchedulerStats
 
-__all__ = ["CampaignResult", "run_campaign", "DEFAULT_BOUNDED_BATCH"]
-
-# Batched solver width used in memory-bounded mode (keep_results=False) when
-# the caller did not pick one: wide enough that dispatch overhead amortizes,
-# bounded so workspace memory stays O(width) rather than O(population).
-DEFAULT_BOUNDED_BATCH = 256
+__all__ = ["CampaignResult", "run_campaign"]
 
 
 @dataclass
@@ -46,8 +42,7 @@ class CampaignResult:
     ``results`` holds per-episode outcomes in campaign order
     (:class:`~repro.hil.metrics.ScenarioResult` for waypoint episodes,
     :class:`~repro.drone.disturbance.RecoveryResult` for recovery
-    episodes) — empty when the campaign ran with ``keep_results=False``
-    (memory-bounded mode, where only the streamed aggregate survives).
+    episodes, ``None`` for a quarantined one).
     """
 
     campaign: Optional[CampaignSpec]
@@ -79,8 +74,6 @@ class CampaignResult:
 def run_campaign(campaign: Union[CampaignSpec, Sequence[EpisodeSpec]],
                  workers: int = 1, batching: bool = True,
                  max_batch: Optional[int] = None,
-                 sample_cap: int = 4096,
-                 keep_results: bool = True,
                  start_method: Optional[str] = None,
                  checkpoint_dir: Optional[str] = None,
                  retry_policy=None,
@@ -96,15 +89,8 @@ def run_campaign(campaign: Union[CampaignSpec, Sequence[EpisodeSpec]],
             layer did in :attr:`CampaignResult.report`.
         batching: route compatible solves through the dynamic batcher
             (``False`` is the bit-for-bit scalar reference path).
-        max_batch: optional cap on batched solver width per group.
-        sample_cap: per-cell reservoir bound for streaming percentiles.
-        keep_results: retain every per-episode :class:`ScenarioResult` in
-            :attr:`CampaignResult.results`.  ``False`` aggregates inside
-            each chunk and keeps only the bounded per-cell statistics —
-            the memory-bounded mode for very large campaigns
-            (:attr:`CampaignResult.results` comes back empty, and
-            ``max_batch`` defaults to :data:`DEFAULT_BOUNDED_BATCH` so
-            solver workspaces stay bounded too).
+        max_batch: optional cap on batched solver width per group
+            (at least 1).
         start_method: multiprocessing start method (default: platform default).
         checkpoint_dir: make the run durable (:mod:`repro.fleet.durable`):
             chunks are journaled to a content-addressed run directory under
@@ -116,8 +102,6 @@ def run_campaign(campaign: Union[CampaignSpec, Sequence[EpisodeSpec]],
             :data:`~repro.fleet.durable.DEFAULT_LEASE_SIZE` with a
             checkpoint and one chunk per shard without one.
     """
-    if not keep_results and max_batch is None:
-        max_batch = DEFAULT_BOUNDED_BATCH
     if isinstance(campaign, CampaignSpec):
         spec: Optional[CampaignSpec] = campaign
         episode_specs = campaign.expand()
@@ -132,9 +116,11 @@ def run_campaign(campaign: Union[CampaignSpec, Sequence[EpisodeSpec]],
     elif lease_size < 1:
         raise ValueError("lease_size must be at least 1, got {!r}".format(
             lease_size))
+    if max_batch is not None and max_batch < 1:
+        raise ValueError("max_batch must be at least 1, got {!r}".format(
+            max_batch))
     plan = ExecutionPlan(shards=workers, lease_size=lease_size,
-                         batching=batching, max_batch=max_batch,
-                         keep_results=keep_results, sample_cap=sample_cap)
+                         batching=batching, max_batch=max_batch)
 
     if workers == 1 and checkpoint_dir is None:
         outcome = supervisor.run_inline(episode_specs, plan)

@@ -142,8 +142,6 @@ def problem_hash(problem: MPCProblem) -> str:
 
     Hashes every array and scalar that affects solver behavior (dynamics,
     costs, penalty, horizon, bounds, timestep) but not the display ``name``.
-    Used by :mod:`repro.experiments.runner` to key cached experiment results,
-    so results are invalidated whenever the underlying problem changes.
 
     The digest is memoized on the instance: the fleet scheduler and the
     solver workspace pool key every dispatch/acquire on it, and problems are

@@ -1,4 +1,4 @@
-"""Tests for the caching ExperimentRunner and the generated experiment docs."""
+"""Tests for ``run_experiment`` and the generated experiment docs."""
 
 import importlib.util
 import inspect
@@ -8,12 +8,7 @@ import numpy as np
 import pytest
 
 from repro.drone import Difficulty, all_variants, generate_scenario
-from repro.experiments import (
-    BATCH_ROUTED_EXPERIMENTS,
-    EXPERIMENTS,
-    ExperimentRunner,
-    run_experiment,
-)
+from repro.experiments import EXPERIMENTS, run_experiment
 from repro.experiments.hil_experiments import _configuration_results
 from repro.hil import HILConfig, HILLoop
 from repro.tinympc import default_quadrotor_problem, problem_hash
@@ -64,54 +59,29 @@ class TestProblemHash:
         assert problem_hash(problem) == problem_hash(renamed)
 
 
-class TestExperimentRunner:
-    def test_repeat_run_served_from_cache(self):
-        runner = ExperimentRunner()
-        first = runner.run("table1")
-        second = runner.run("table1")
-        assert runner.misses == 1 and runner.hits == 1
-        assert first == second
+class TestRunExperiment:
+    def test_kwargs_reach_the_driver(self):
+        default = run_experiment("fig1")
+        problem = default_quadrotor_problem()
+        assert run_experiment("fig1", problem=problem) == default
+        assert run_experiment(
+            "fig1", problem=problem.scaled(horizon=12)) != default
 
-    def test_cached_rows_are_copies(self):
-        runner = ExperimentRunner()
-        first = runner.run("table1")
+    def test_repeat_run_returns_equal_fresh_rows(self):
+        first = run_experiment("table1")
         first[0]["name"] = "corrupted"
-        second = runner.run("table1")
+        second = run_experiment("table1")
         assert second[0]["name"] != "corrupted"
+        assert second == run_experiment("table1")
 
-    def test_kwargs_distinguish_cache_entries(self):
-        runner = ExperimentRunner()
-        key_a = runner.cache_key("fig15", {"seeds_per_difficulty": 2})
-        key_b = runner.cache_key("fig15", {"seeds_per_difficulty": 3})
-        assert key_a != key_b
-
-    def test_non_serializable_kwargs_never_cached(self):
-        runner = ExperimentRunner()
-        assert runner.cache_key("fig10", {"program": object()}) is None
-        rows = runner.run("fig1", problem=default_quadrotor_problem())
-        assert rows and runner.misses == 0 and runner.hits == 0
-
-    def test_disk_cache_round_trip(self, tmp_path):
-        first_runner = ExperimentRunner(cache_dir=str(tmp_path))
-        rows = first_runner.run("table1")
-        fresh_runner = ExperimentRunner(cache_dir=str(tmp_path))
-        cached = fresh_runner.run("table1")
-        assert fresh_runner.hits == 1 and fresh_runner.misses == 0
-        assert cached == rows
-        fresh_runner.invalidate()
-        assert not [name for name in os.listdir(str(tmp_path))
-                    if name.endswith(".json")]
-
-    def test_use_cache_via_registry(self):
-        rows = run_experiment("table1", use_cache=True)
-        again = run_experiment("table1", use_cache=True)
-        assert rows == again
-
-    def test_batch_routed_experiments_accept_batched_kwarg(self):
-        for identifier in BATCH_ROUTED_EXPERIMENTS:
-            assert identifier in EXPERIMENTS
-            signature = inspect.signature(EXPERIMENTS[identifier].driver)
-            assert "batched" in signature.parameters
+    def test_batched_drivers_default_to_batched(self):
+        batched = {}
+        for identifier, experiment in EXPERIMENTS.items():
+            parameters = inspect.signature(experiment.driver).parameters
+            if "batched" in parameters:
+                batched[identifier] = parameters["batched"].default
+        assert batched == {"fig16": True, "fig17": True, "fig18": True,
+                           "fleet_campaign": True}
 
     def test_batched_fig16_cell_matches_sequential(self):
         kwargs = dict(implementations=("vector",), frequencies_mhz=(100.0,),

@@ -4,8 +4,8 @@ The headline invariant of the durability layer
 (:mod:`repro.fleet.durable` + :mod:`repro.fleet.supervisor`): a campaign
 that is interrupted *anywhere* — a worker SIGKILL'd mid-chunk, the whole
 parent process killed, a journal damaged on disk — and then resumed,
-produces byte-identical aggregate rows (and identical per-episode results
-in ``keep_results`` mode) to the same campaign run without interference.
+produces byte-identical aggregate rows and identical per-episode results
+to the same campaign run without interference.
 
 Faults are injected with :mod:`repro.fleet.chaos` via the ``REPRO_CHAOS``
 environment variable, which crosses process and start-method boundaries.

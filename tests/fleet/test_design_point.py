@@ -38,7 +38,6 @@ from repro.experiments.kernel_experiments import (
 from repro.experiments.pareto_experiments import dse_campaign, fig10_pareto
 from repro.fleet import (
     CampaignSpec,
-    FleetAggregator,
     RetryPolicy,
     run_campaign,
 )
@@ -105,7 +104,6 @@ class TestKindRegistry:
 
     def test_kind_owns_its_aggregation_contract(self):
         kind = get_episode_kind("design_point")
-        assert kind.cells_field == "design_cells"
         assert "design_point" in kind.cell_axes
         assert "fidelity" in kind.cell_axes
 
@@ -231,22 +229,18 @@ class TestJournalRoundTrip:
         assert isinstance(restored, DesignPointResult)
         assert restored == result
 
-    def test_aggregator_round_trips_design_cells(self):
-        outcome = run_campaign(CampaignSpec(
-            name="agg", episode_kind="design_point",
-            design_points=("rocket", "shuttle"),
-            fidelities=("model", "trace")))
-        aggregator = outcome.aggregate
-        restored = FleetAggregator.from_dict(
-            json.loads(json.dumps(aggregator.to_dict())))
-        assert restored.design_rows() == aggregator.design_rows()
-        assert restored.design_episodes == 4
-        merged = FleetAggregator()
-        merged.merge(aggregator)
-        merged.merge(restored)
-        assert merged.design_episodes == 8
-        for row in merged.design_rows():
-            assert row["episodes"] == 2
+    def test_journaled_design_rows_match_inline(self, tmp_path):
+        spec = CampaignSpec(name="agg", episode_kind="design_point",
+                            design_points=("rocket", "shuttle"),
+                            fidelities=("model", "trace"))
+        inline = run_campaign(spec)
+        journaled = run_campaign(spec, lease_size=1,
+                                 checkpoint_dir=str(tmp_path))
+        assert journaled.report.fresh_chunks == 4
+        assert _rows_bytes(journaled) == _rows_bytes(inline)
+        assert _results_payload(journaled) == _results_payload(inline)
+        assert journaled.aggregate.design_episodes == 4
+        assert [row["episodes"] for row in journaled.rows()] == [1] * 4
 
 
 def _rows_bytes(outcome):

@@ -8,7 +8,7 @@ import pytest
 
 from repro.drone import Difficulty, generate_scenario
 from repro.drone.disturbance import RecoveryResult, standard_disturbance_suite
-from repro.fleet import CampaignSpec, EpisodeSpec, FleetAggregator
+from repro.fleet import CampaignSpec, EpisodeSpec
 from repro.fleet.chaos import corrupt_journal
 from repro.fleet.durable import (
     ChunkPlan,
@@ -79,16 +79,6 @@ class TestResultRoundTrip:
                                scalar_solves=10, batch_widths=[4, 4, 8])
         clone = stats_from_dict(stats_to_dict(stats))
         assert clone == stats
-
-    def test_aggregator_round_trip(self):
-        aggregator = FleetAggregator(sample_cap=64)
-        for seed in range(5):
-            aggregator.add(_scenario_result(seed=seed, positions=False),
-                           key=("medium", "vector", 250.0, "CrazyFlie",
-                                100.0, 10))
-        clone = FleetAggregator.from_dict(aggregator.to_dict())
-        assert clone.rows() == aggregator.rows()
-        assert clone.to_dict() == aggregator.to_dict()
 
 
 class TestJournal:
@@ -207,7 +197,7 @@ class TestChunkPlanning:
 
     def test_plan_round_trip(self):
         plan = ExecutionPlan(shards=2, lease_size=16, batching=False,
-                             max_batch=32, keep_results=False, sample_cap=128)
+                             max_batch=32)
         assert ExecutionPlan.from_dict(plan.to_dict()) == plan
 
 
@@ -248,14 +238,19 @@ class TestRunDirectory:
         with pytest.raises(ValueError, match="execution plan"):
             prepare_run(str(tmp_path), spec, spec.expand(), changed)
 
-    def test_stale_run_schema_rejected(self, tmp_path):
+    # v1 run directories journaled per-chunk aggregates and recorded
+    # keep_results/sample_cap in their plan.
+    @pytest.mark.parametrize("version", [1, RUN_SCHEMA_VERSION + 1])
+    def test_stale_run_schema_rejected(self, tmp_path, version):
         spec = self._spec()
         plan = ExecutionPlan(shards=1, lease_size=4)
         run_dir, _, _ = prepare_run(str(tmp_path), spec, spec.expand(), plan)
         meta_path = os.path.join(run_dir, "meta.json")
         with open(meta_path) as handle:
             meta = json.load(handle)
-        meta["run_schema_version"] = RUN_SCHEMA_VERSION + 1
+        meta["run_schema_version"] = version
+        if version == 1:
+            meta["plan"].update(keep_results=True, sample_cap=4096)
         with open(meta_path, "w") as handle:
             json.dump(meta, handle)
         with pytest.raises(ValueError, match="run schema"):

@@ -161,12 +161,20 @@ class TestRecoveryAggregation:
             assert b.max_deviation == pytest.approx(a.max_deviation, rel=1e-6)
         assert sharded.overall()["recovery_episodes"] == 2
 
-    def test_memory_bounded_mode_keeps_recovery_rows(self):
-        bounded = run_campaign(RECOVERY, keep_results=False)
-        full = run_campaign(RECOVERY, keep_results=True)
-        assert bounded.results == []
-        assert [row["recovery_rate"] for row in bounded.rows()] == \
-            [row["recovery_rate"] for row in full.rows()]
+
+    def test_checkpointed_recovery_rows_match_inline(self, tmp_path):
+        """Journaled recovery results replay into the same rows as an
+        in-process run of the same plan."""
+        inline = run_campaign(RECOVERY, lease_size=8)
+        checkpointed = run_campaign(RECOVERY, lease_size=8,
+                                    checkpoint_dir=str(tmp_path))
+        assert checkpointed.report.fresh_chunks == 2
+        assert checkpointed.rows() == inline.rows()
+        for a, b in zip(inline.results, checkpointed.results):
+            assert a.recovered == b.recovered
+            assert a.time_to_recovery == b.time_to_recovery
+            assert a.max_deviation == b.max_deviation
+        assert checkpointed.overall()["recovery_episodes"] == 16
 
 
 class TestRecoverySpecValidation:

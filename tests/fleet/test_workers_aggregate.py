@@ -17,8 +17,9 @@ from repro.fleet import (
     run_campaign,
     shard_indices,
 )
+from repro.fleet.aggregate import SAMPLE_CAP
 from repro.fleet.chaos import ChaosError
-from repro.fleet.durable import result_to_dict
+from repro.fleet.durable import journal_path, result_to_dict, scan_journal
 from repro.hil import ScenarioResult
 
 REPO_ROOT = os.path.normpath(os.path.join(os.path.dirname(__file__), "..", ".."))
@@ -67,25 +68,6 @@ class TestSharding:
             assert a.final_distance == b.final_distance
             assert a.solve_iterations == b.solve_iterations
 
-    def test_memory_bounded_mode_matches_full_mode(self):
-        """keep_results=False aggregates in-shard and drops episode results."""
-        spec = CampaignSpec(difficulties=("easy",), seeds=(0, 1),
-                            frequencies_mhz=(100.0, 250.0))
-        full = run_campaign(spec, workers=1)
-        bounded = run_campaign(spec, workers=1, keep_results=False)
-        assert bounded.results == []
-        assert bounded.rows() == full.rows()
-        assert bounded.overall()["episodes"] == 4
-
-    def test_memory_bounded_mode_sharded(self):
-        spec = CampaignSpec(difficulties=("easy",), seeds=(0, 1),
-                            frequencies_mhz=(100.0, 250.0))
-        bounded = run_campaign(spec, workers=2, keep_results=False)
-        assert bounded.results == []
-        rows = bounded.rows()
-        assert sum(row["episodes"] for row in rows) == 4
-        assert all(row["success_rate"] == 1.0 for row in rows)
-
     def test_empty_campaign(self):
         outcome = run_campaign([])
         assert outcome.results == [] and outcome.rows() == []
@@ -114,13 +96,36 @@ class TestOneExecutionPath:
         assert checkpointed.report.fresh_chunks == 2
         assert self._bytes(in_memory) == self._bytes(checkpointed)
 
-    @pytest.mark.parametrize("lease_size", [0, -1])
-    def test_lease_size_below_one_rejected_before_run_dir(self, tmp_path,
-                                                          lease_size):
-        with pytest.raises(ValueError, match="lease_size"):
-            run_campaign(self.SPEC, checkpoint_dir=str(tmp_path),
-                         lease_size=lease_size)
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("option, value", [
+        ("lease_size", 0), ("lease_size", -1),
+        ("max_batch", 0), ("max_batch", -1)])
+    def test_lease_size_below_one_rejected_before_run_dir(
+            self, tmp_path, workers, option, value):
+        with pytest.raises(ValueError, match=option):
+            run_campaign(self.SPEC, workers=workers,
+                         checkpoint_dir=str(tmp_path), **{option: value})
         assert os.listdir(str(tmp_path)) == []
+        with pytest.raises(ValueError, match=option):
+            run_campaign(self.SPEC, workers=workers, **{option: value})
+
+    @pytest.fixture(scope="class")
+    def scalar_reference(self):
+        return run_campaign(self.SPEC, batching=False)
+
+    @pytest.mark.parametrize("workers, lease_size", [(1, 1), (2, 3)])
+    def test_scalar_output_does_not_depend_on_chunking(
+            self, scalar_reference, workers, lease_size):
+        """Results are aggregated once, in campaign order, so on the scalar
+        path (bit-for-bit independent of grouping) neither the shard count
+        nor the chunk size reaches the rows."""
+        chunked = run_campaign(self.SPEC, workers=workers, batching=False,
+                               lease_size=lease_size)
+        assert self._bytes(chunked) == self._bytes(scalar_reference)
+        rows = chunked.rows()
+        assert sum(row["episodes"] for row in rows) == 8
+        assert all(row["success_rate"] == 1.0 for row in rows)
+        assert chunked.overall()["episodes"] == 8
 
     def test_empty_supervised_campaign_spawns_no_workers(self):
         outcome = run_campaign([], workers=2)
@@ -150,20 +155,22 @@ class TestReservoirSamples:
         assert a.percentile(50.0) == pytest.approx(
             np.percentile(values, 50.0), abs=0.1)
 
-    def test_merge_aligns_strides(self):
-        small = ReservoirSamples(cap=1024)
-        small.extend([1.0, 2.0, 3.0])
-        big = ReservoirSamples(cap=32)
-        big.extend(np.arange(200.0))
-        merged = ReservoirSamples(cap=32)
-        merged.extend(np.arange(200.0))
-        merged.merge(small)
-        assert merged.count == 203
-        assert len(merged.values) <= 32
-
     def test_invalid_cap(self):
         with pytest.raises(ValueError):
             ReservoirSamples(cap=1)
+
+    def test_cells_keep_sample_cap_samples(self):
+        assert ReservoirSamples().cap == SAMPLE_CAP
+        aggregator = FleetAggregator()
+        key = ("easy", "vector", 100.0, "CrazyFlie", 100.0, 10)
+        solve_times = [1e-3] * (SAMPLE_CAP // 2 + 1)
+        for _ in range(3):
+            aggregator.add(_result(solve_times=solve_times), key=key)
+        samples = aggregator.cells[key].solve_times
+        assert samples.cap == SAMPLE_CAP
+        assert samples.count == 3 * len(solve_times)
+        assert samples.stride == 2
+        assert len(samples.values) <= SAMPLE_CAP
 
 
 def _result(difficulty=Difficulty.EASY, success=True, distance=0.1,
@@ -203,28 +210,17 @@ class TestFleetAggregator:
         overall = aggregator.overall()
         assert overall["cells"] == 2 and overall["episodes"] == 2
 
-    def test_merge_equals_single_pass(self):
-        key = ("easy", "vector", 100.0, "CrazyFlie", 100.0, 10)
-        combined = FleetAggregator()
-        left, right = FleetAggregator(), FleetAggregator()
-        for index in range(10):
-            result = _result(distance=0.01 * index, success=index % 3 != 0)
-            combined.add(result, key=key)
-            (left if index % 2 == 0 else right).add(result, key=key)
-        left.merge(right)
-        merged_row = left.rows()[0]
-        combined_row = combined.rows()[0]
-        assert merged_row["episodes"] == combined_row["episodes"]
-        assert merged_row["success_rate"] == combined_row["success_rate"]
-        assert merged_row["tracking_error_p50_m"] == pytest.approx(
-            combined_row["tracking_error_p50_m"])
-
-    def test_default_key_derived_from_result(self):
+    def test_key_decides_the_cell(self):
+        """The caller's key (the spec's ``cell_key()``) places a result;
+        nothing is derived from the result itself."""
         aggregator = FleetAggregator()
-        aggregator.add(_result())
+        with pytest.raises(TypeError):
+            aggregator.add(_result())
+        aggregator.add(_result(difficulty=Difficulty.EASY),
+                       key=("hard", "scalar", 50.0, "CrazyFlie", 100.0, 10))
         row = aggregator.rows()[0]
-        assert row["difficulty"] == "easy"
-        assert row["variant"] == "-"
+        assert (row["difficulty"], row["implementation"]) == ("hard", "scalar")
+        assert row["frequency_mhz"] == 50.0
 
     def test_rows_sorted_and_stable(self):
         aggregator = FleetAggregator()
@@ -242,17 +238,6 @@ class TestExperimentDriver:
         assert len(rows) == 2          # one cell + the overall summary
         assert rows[0]["episodes"] == 2
         assert rows[-1]["difficulty"] == "overall"
-
-    def test_fleet_campaign_cached_via_runner(self):
-        from repro.experiments import ExperimentRunner
-
-        runner = ExperimentRunner()
-        kwargs = dict(difficulties=("easy",), seeds=1,
-                      frequencies_mhz=(100.0,))
-        first = runner.run("fleet_campaign", **kwargs)
-        second = runner.run("fleet_campaign", **kwargs)
-        assert runner.misses == 1 and runner.hits == 1
-        assert first == second
 
 
 class TestQuarantine:
@@ -303,6 +288,18 @@ class TestQuarantine:
         aggregate_rows = [row for row in rows if "status" not in row]
         assert sum(row["episodes"] for row in aggregate_rows) == 7
         assert outcome.overall()["quarantined_episodes"] == 1
+
+    def test_journal_holds_only_episode_fail_commit_records(self, tmp_path,
+                                                            monkeypatch):
+        outcome = self._poisoned(str(tmp_path / "run"), monkeypatch)
+        records, _, torn = scan_journal(journal_path(outcome.run_dir))
+        assert not torn
+        assert {record["t"] for record in records} == {
+            "episode", "fail", "commit"}
+        assert [record["i"] for record in records
+                if record["t"] == "fail"] == [2]
+        assert sorted(record["i"] for record in records
+                      if record["t"] == "episode") == [0, 1, 3, 4, 5, 6, 7]
 
     def test_quarantine_output_is_deterministic(self, tmp_path, monkeypatch):
         first = self._poisoned(str(tmp_path / "a"), monkeypatch)
