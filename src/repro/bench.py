@@ -115,9 +115,9 @@ def write_bench_report(name: str, metrics: Dict[str, object],
     ``metrics`` holds the headline scalars (speedups, allocation counts);
     ``rows`` an optional per-item table (per-kernel timings, per-variant
     throughput).  Host metadata is recorded so trajectories across machines
-    are comparable — including the active kernel backend (name, threads,
-    dtype support), because a number measured under the C backend is not
-    comparable to one measured under numpy.
+    are comparable — including the active kernel backend (name, threads),
+    because a number measured under the C backend is not comparable to one
+    measured under numpy.
     """
     if backend is None:
         from .tinympc import kernel_backend_info

@@ -666,13 +666,7 @@ class EpisodeFactory:
             nominal, mass=nominal.mass * spec.mass_scale,
             thrust_to_weight=nominal.thrust_to_weight / spec.mass_scale)
 
-    def build(self, spec, episode_id: int) -> FleetEpisode:
-        """Dispatch on the spec's kind (HIL episode, design point, ...)."""
-        return get_episode_kind(spec.episode_kind).build(self, spec,
-                                                         episode_id)
-
-    def build_hil_episode(self, spec: EpisodeSpec,
-                          episode_id: int) -> FleetEpisode:
+    def build(self, spec: EpisodeSpec, episode_id: int) -> FleetEpisode:
         problem = self.problem_for(spec.variant, spec.control_rate_hz)
         config = spec.hil_config()
         if spec.disturbance is not None:
@@ -745,10 +739,6 @@ class _HILKindBase(EpisodeKind):
 
     def describe(self, campaign: "CampaignSpec") -> str:
         return campaign._describe_hil()
-
-    def build(self, factory: "EpisodeFactory", spec: EpisodeSpec,
-              episode_id: int) -> FleetEpisode:
-        return factory.build_hil_episode(spec, episode_id)
 
 
 class WaypointKind(_HILKindBase):

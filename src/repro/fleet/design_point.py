@@ -7,7 +7,9 @@ optimization levels.  This module turns each *(program, design point,
 level, lmul, sync granularity, fidelity)* grid cell into a solver-less
 campaign episode, so the whole fleet stack (sharded workers, the durable
 journal, chunk bisection, the chaos harness) runs design-space sweeps
-unchanged.
+unchanged.  A design point needs no MPC solve, so it never enters the
+scheduler: the chunk runner (:class:`~repro.fleet.supervisor.ChunkRunner`)
+calls :func:`evaluate_design_point` on it directly.
 
 Two *fidelities* evaluate a grid point:
 
@@ -44,7 +46,6 @@ from ..codegen import OPTIMIZATION_LEVELS, CodegenFlow
 from ..matlib import MatlibProgram
 from .campaign import SPEC_SCHEMA_VERSION, _check_schema_version
 from .kinds import EpisodeKind, register_episode_kind
-from .scheduler import FleetEpisode
 
 __all__ = [
     "FIDELITIES", "DESIGN_CELL_AXES", "DesignPointSpec", "DesignPointResult",
@@ -370,28 +371,6 @@ def evaluate_design_point(spec: DesignPointSpec) -> DesignPointResult:
         cycles_by_category=dict(report.cycles_by_category))
 
 
-class DesignPointRunner:
-    """Solver-less episode runner: all work happens before the first yield.
-
-    The scheduler runs the generator once, up front; a design-point
-    evaluation completes before the generator ends without yielding, so
-    the episode is released without ever entering a solver group.
-    """
-
-    def __init__(self, spec: DesignPointSpec) -> None:
-        self.spec = spec
-        self.result: Optional[DesignPointResult] = None
-
-    def run(self):
-        self.result = evaluate_design_point(self.spec)
-        return
-        yield  # pragma: no cover - makes run() a generator
-
-    @property
-    def label(self) -> str:
-        return self.spec.label()
-
-
 # ---------------------------------------------------------------------------
 # Aggregation
 # ---------------------------------------------------------------------------
@@ -525,13 +504,6 @@ class DesignPointKind(EpisodeKind):
                         len(campaign.codegen_levels), len(campaign.lmuls),
                         len(campaign.sync_granularities),
                         len(campaign.fidelities)))
-
-    def build(self, factory, spec: DesignPointSpec,
-              episode_id: int) -> FleetEpisode:
-        # No problem/settings/cache: the scheduler routes solver-less
-        # episodes through its null group.
-        return FleetEpisode(episode_id=episode_id,
-                            runner=DesignPointRunner(spec))
 
     def owns_result(self, result) -> bool:
         return isinstance(result, DesignPointResult)

@@ -1,25 +1,22 @@
 """Episode-kind protocol: what makes the fleet engine workload-polymorphic.
 
-The scheduler, worker shards, supervisor, checkpoint journal, and chaos
-harness know nothing about *what* an episode computes — they move opaque
-episodes through generator stepping, chunk leases, and journal records.
-Everything workload-specific lives behind an :class:`EpisodeKind`:
+The worker shards, supervisor, checkpoint journal, and chaos harness
+know nothing about *what* an episode computes — they move opaque specs and
+results through chunk leases and journal records.  What a campaign's
+episodes mean lives behind an :class:`EpisodeKind`:
 
 * **spec expansion** — how a :class:`~repro.fleet.campaign.CampaignSpec`'s
   axes turn into deterministic per-episode specs (and how the grid is
   validated and sized);
-* **execution** — how a spec becomes a runnable
-  :class:`~repro.fleet.scheduler.FleetEpisode` (an HIL episode that yields
-  solve requests, or a solver-less episode that just computes);
 * **result (de)serialization** — the bit-exact JSON round trip the durable
   journal stores per episode;
 * **aggregation** — the per-cell statistics object results fold into.
 
 Built-in kinds: ``"waypoint"`` and ``"recovery"`` (HIL episodes, defined in
 :mod:`repro.fleet.campaign`) and ``"design_point"`` (design-space
-exploration, defined in :mod:`repro.fleet.design_point`).  New kinds
-register with :func:`register_episode_kind`; nothing else in the fleet
-stack needs to change.
+exploration, defined in :mod:`repro.fleet.design_point`).  Execution is
+not a kind hook: :class:`~repro.fleet.supervisor.ChunkRunner` flies HIL
+specs through the scheduler and evaluates design-point specs directly.
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ __all__ = [
 
 
 class EpisodeKind:
-    """One campaign workload: expansion, execution, serialization, cells.
+    """One campaign workload: expansion, serialization, cells.
 
     Subclasses set two class attributes and implement the hooks below.
     ``name`` is the value of ``CampaignSpec.episode_kind`` / the ``"kind"``
@@ -62,16 +59,6 @@ class EpisodeKind:
     def describe(self, campaign) -> str:
         return "campaign {!r}: {} {} episodes".format(
             campaign.name, self.size(campaign), self.name)
-
-    # -- execution -----------------------------------------------------------
-    def build(self, factory, spec, episode_id: int):
-        """Turn a spec into a runnable :class:`FleetEpisode`.
-
-        ``factory`` is the shard's :class:`~repro.fleet.campaign.
-        EpisodeFactory`; kinds that memoize expensive per-configuration
-        artifacts hang them off the factory so worker shards reuse them.
-        """
-        raise NotImplementedError
 
     # -- result (de)serialization -------------------------------------------
     def owns_result(self, result) -> bool:

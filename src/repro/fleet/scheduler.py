@@ -5,11 +5,10 @@ The lockstep batched runner of PR 1 could only batch episodes that shared
 frequencies, drone variants, control rates, or solver settings) fell back
 to sequential scalar solves.  This scheduler removes that restriction:
 
-* every HIL episode of the run flies as one column of a single
+* every episode of the run flies as one column of a single
   :class:`~repro.hil.episode.EpisodeBatch`, which advances episodes in
   lockstep until each yields a :class:`~repro.hil.episode.SolveRequest`
-  into a virtual-time queue (solver-free episode kinds, such as design
-  points, run to completion up front);
+  into a virtual-time queue;
 * a batcher groups pending requests by *solver compatibility* — identical
   MPC problem content (:func:`~repro.tinympc.problem.problem_hash`) and
   identical :class:`~repro.tinympc.solver.SolverSettings` — and dispatches
@@ -62,7 +61,7 @@ from ..tinympc import (
 from ..tinympc.cache import LQRCache, compute_cache
 
 __all__ = ["FleetEpisode", "FleetScheduler", "SchedulerStats", "SolverPool",
-           "SOLVERLESS_KEY", "compatibility_key", "solver_pool"]
+           "MAX_IDLE_PER_KEY", "compatibility_key", "solver_pool"]
 
 
 def compatibility_key(problem: MPCProblem, settings: SolverSettings) -> Tuple:
@@ -70,46 +69,33 @@ def compatibility_key(problem: MPCProblem, settings: SolverSettings) -> Tuple:
 
     Compatibility requires identical problem *content* (dynamics, costs,
     bounds, horizon — i.e. identical workspace shapes and solve numerics)
-    and identical termination settings, including the compute dtype (a
-    float32 episode and a float64 episode must never share a workspace).
-    Clock frequency, UART latency, and drone variant names do **not**
-    appear: frequency only scales latency outside the solver, and two
-    variants with different parameters already hash to different problems.
+    and identical termination settings.  Clock frequency, UART latency,
+    and drone variant names do **not** appear: frequency only scales
+    latency outside the solver, and two variants with different parameters
+    already hash to different problems.
     """
     return (problem_hash(problem), settings.max_iterations,
             settings.abs_primal_tolerance, settings.abs_dual_tolerance,
-            settings.check_termination_every, settings.warm_start,
-            getattr(settings, "dtype", "float64"))
-
-
-#: Group key shared by episodes that never request an MPC solve.  They are
-#: parked in a no-op :class:`_NullGroup` so the scheduler's bookkeeping —
-#: release when the episode ends, close at run end — works unchanged.
-SOLVERLESS_KEY: Tuple = ("solverless",)
+            settings.check_termination_every, settings.warm_start)
 
 
 @dataclass
 class FleetEpisode:
     """One schedulable episode: a runner plus its solver identity.
 
-    The runner is either an :class:`EpisodeRunner` — a waypoint scenario
-    or a disturbance-recovery episode, flown in the scheduler's lockstep
-    batch — or a solver-free workload such as a design-point compile
-    (:mod:`repro.fleet.design_point`), whose ``run()`` generator finishes
-    without yielding.  Solver-free episodes leave ``problem``/``settings``
-    as ``None`` and fall into the shared :data:`SOLVERLESS_KEY` group.
+    The runner is an :class:`EpisodeRunner` — a waypoint scenario or a
+    disturbance-recovery episode, flown in the scheduler's lockstep batch.
+    ``cache`` may be left out; the episode's solver group then computes it.
     """
 
     episode_id: int
     runner: EpisodeRunner
-    problem: Optional[MPCProblem] = None
-    settings: Optional[SolverSettings] = None
+    problem: MPCProblem
+    settings: SolverSettings
     cache: Optional[LQRCache] = None
 
     @property
     def group_key(self) -> Tuple:
-        if self.problem is None:
-            return SOLVERLESS_KEY
         return compatibility_key(self.problem, self.settings)
 
 
@@ -158,6 +144,10 @@ class SchedulerStats:
         }
 
 
+#: Idle solvers a :class:`SolverPool` parks per key; further releases drop.
+MAX_IDLE_PER_KEY = 4
+
+
 class SolverPool:
     """Process-local pool of batched solvers keyed by problem/settings/width.
 
@@ -176,18 +166,15 @@ class SolverPool:
     ``compute_cache`` is deterministic — so a reused solver is bit-for-bit
     a fresh one.
 
-    Retention is bounded: at most ``max_idle_per_key`` solvers are parked
-    per key (excess releases are simply dropped for the GC), so a
+    Retention is bounded: at most :data:`MAX_IDLE_PER_KEY` solvers are
+    parked per key (excess releases are simply dropped for the GC), so a
     long-lived process running many differently-shaped campaigns cannot
     accumulate arenas without limit.  ``clear()`` empties the pool
     outright.
     """
 
-    def __init__(self, max_idle_per_key: int = 4) -> None:
-        if max_idle_per_key < 1:
-            raise ValueError("max_idle_per_key must be at least 1")
+    def __init__(self) -> None:
         self._idle: Dict[Tuple, List[BatchTinyMPCSolver]] = {}
-        self.max_idle_per_key = max_idle_per_key
         self.acquires = 0
         self.hits = 0
 
@@ -218,13 +205,13 @@ class SolverPool:
     def release(self, solver: BatchTinyMPCSolver) -> None:
         """Park a solver for reuse.  The caller must not touch it afterwards.
 
-        Beyond ``max_idle_per_key`` parked solvers for the same key, the
-        release is a drop: the solver is simply left to the garbage
+        Beyond :data:`MAX_IDLE_PER_KEY` parked solvers for the same key,
+        the release is a drop: the solver is simply left to the garbage
         collector.
         """
         key = self._key(solver.problem, solver.settings, solver.batch_size)
         stack = self._idle.setdefault(key, [])
-        if len(stack) >= self.max_idle_per_key:
+        if len(stack) >= MAX_IDLE_PER_KEY:
             return
         solver.reset()
         stack.append(solver)
@@ -243,29 +230,6 @@ _GLOBAL_POOL = SolverPool()
 def solver_pool() -> SolverPool:
     """The process-global solver pool used by default by schedulers."""
     return _GLOBAL_POOL
-
-
-class _NullGroup:
-    """Group for episodes that never yield a solve request.
-
-    Solver-free episode kinds (design-point compiles) do all their work
-    before their generator's first ``yield``, which never comes; this group
-    exists only so ``release``/``close`` have a target.  A solve call is a
-    programming error — an episode with no declared problem asked for an
-    MPC solve.
-    """
-
-    def solve(self, requests: Sequence[SolveRequest], stats: SchedulerStats
-              ) -> Dict[int, Tuple[np.ndarray, int]]:
-        raise RuntimeError(
-            "episode(s) {} yielded a solve request but declared no MPC "
-            "problem".format(sorted({r.episode for r in requests})))
-
-    def release(self, episode_id: int) -> None:
-        pass
-
-    def close(self) -> None:
-        pass
 
 
 class _ScalarGroup:
@@ -445,9 +409,7 @@ class FleetScheduler:
         for key in order:
             population = members[key]
             first = population[0]
-            if first.problem is None:
-                groups[key] = _NullGroup()
-            elif not self.batching or len(population) == 1:
+            if not self.batching or len(population) == 1:
                 groups[key] = _ScalarGroup(first.problem, first.settings,
                                            first.cache)
             else:
@@ -463,11 +425,9 @@ class FleetScheduler:
         """Fly every episode to completion; results in input order."""
         if not self.episodes:
             return []
-        hil = [episode for episode in self.episodes
-               if isinstance(episode.runner, EpisodeRunner)]
         # Built before any group acquires a pooled solver, so a physics
         # step the plant rejects leaks none.
-        lockstep = EpisodeBatch([episode.runner for episode in hil])
+        lockstep = EpisodeBatch([episode.runner for episode in self.episodes])
         groups, group_order = self._build_groups()
         group_rank = {key: rank for rank, key in enumerate(group_order)}
         keys = {episode.episode_id: episode.group_key
@@ -487,15 +447,7 @@ class FleetScheduler:
                     groups[keys[episode_id]].release(episode_id)
 
         try:
-            for episode in self.episodes:
-                if not isinstance(episode.runner, EpisodeRunner):
-                    for _ in episode.runner.run():
-                        raise RuntimeError(
-                            "solver-free episode {} asked for a solve".format(
-                                episode.episode_id))
-                    groups[keys[episode.episode_id]].release(
-                        episode.episode_id)
-            flown([episode.episode_id for episode in hil], lockstep.advance())
+            flown(keys, lockstep.advance())
 
             while pending:
                 # Event-driven dispatch: the group holding the earliest

@@ -50,6 +50,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+from . import design_point
 from .aggregate import FleetAggregator
 from .campaign import CampaignSpec, EpisodeFactory, EpisodeSpec
 from .chaos import maybe_inject
@@ -121,7 +122,9 @@ class ChunkRunner:
     """Builds and runs chunks: the one way a campaign's episodes execute.
 
     :func:`run_inline` calls it in-process and every supervised worker
-    holds one across its leases.  Its :class:`EpisodeFactory` persists
+    holds one across its leases.  HIL episodes fly through one
+    :class:`FleetScheduler` per chunk; design points need no solver, so
+    the runner evaluates them itself.  Its :class:`EpisodeFactory` persists
     across chunks; the factory's memoization (problems, caches, SoC
     curves) is deterministic, so reuse changes speed, never numbers.
     ``stage`` names the step the current chunk has reached — what a
@@ -137,15 +140,24 @@ class ChunkRunner:
                  specs: Sequence[EpisodeSpec]) -> Dict[str, object]:
         """Run one chunk; returns the payload its commit records."""
         self.stage = "build"
-        episodes = []
+        designs, episodes = [], []
         for index, spec in zip(chunk.indices, specs):
             maybe_inject(index)
-            episodes.append(self.factory.build(spec, episode_id=index))
+            if isinstance(spec, design_point.DesignPointSpec):
+                designs.append((index, spec))
+            else:
+                episodes.append(self.factory.build(spec, episode_id=index))
         self.stage = "run"
+        # Called through the module attribute, so a tracer patched onto
+        # design_point.evaluate_design_point sees every evaluation.
+        results = {index: design_point.evaluate_design_point(spec)
+                   for index, spec in designs}
         scheduler = FleetScheduler(episodes, batching=chunk.batching,
                                    max_batch=self.plan.max_batch)
-        results = scheduler.run()
-        return {"results": [result_to_dict(result) for result in results],
+        for episode, result in zip(episodes, scheduler.run()):
+            results[episode.episode_id] = result
+        return {"results": [result_to_dict(results[index])
+                            for index in chunk.indices],
                 "stats": stats_to_dict(scheduler.stats)}
 
 

@@ -65,7 +65,11 @@ class CampaignResult:
     def overall(self) -> Dict[str, object]:
         summary = self.aggregate.overall()
         summary["workers"] = self.workers
-        summary.update(self.stats.as_row())
+        # ``episodes`` stays the aggregate's count: the scheduler counts
+        # only the HIL episodes it flew, not the design points.
+        stats = self.stats.as_row()
+        del stats["episodes"]
+        summary.update(stats)
         if self.failures:
             summary["quarantined_episodes"] = len(self.failures)
         return summary

@@ -42,7 +42,7 @@ import numpy as np
 from . import kernels
 from .cache import LQRCache, compute_cache
 from .problem import MPCProblem
-from .solver import SolverSettings, TinyMPCSolution, _apply_compute_dtype
+from .solver import SolverSettings, TinyMPCSolution
 from .workspace import (
     COLD_START_BUFFERS,
     RESIDUAL_FIELDS,
@@ -118,7 +118,6 @@ class BatchTinyMPCSolver:
         self.settings = settings or SolverSettings()
         self.cache = cache or compute_cache(problem)
         self.workspace = BatchTinyMPCWorkspace(problem, batch=batch_size)
-        _apply_compute_dtype(self.workspace, self.settings)
         self._warm = np.zeros(batch_size, dtype=bool)
         # Freeze/restore scratch: converged (or inactive) instances park
         # their state here while the rest of the batch keeps iterating.

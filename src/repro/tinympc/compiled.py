@@ -17,7 +17,6 @@ The default backend is **numpy**; the compiled backend is opt-in, either
 process-wide via the environment (read once at package import)::
 
     REPRO_KERNEL_BACKEND=auto   # or: c | numpy
-    REPRO_KERNEL_THREADS=4      # batch-dimension threads (default 1)
     REPRO_KERNEL_CC=clang       # override the C compiler probe
 
 or per call site::
@@ -65,11 +64,6 @@ _NUMPY_IMPLS = {name: getattr(_kernels, name) for name in _DISPATCH_ATTRS}
 _active_name: str = "numpy"
 _active_impl = None
 _probe_cache: Dict[str, Tuple[Optional[object], str]] = {}
-
-
-def _threads() -> int:
-    from .compiled_c import default_thread_count
-    return default_thread_count()
 
 
 def _probe(name: str) -> Tuple[Optional[object], str]:
@@ -163,16 +157,15 @@ def active_backend() -> str:
     return _active_name
 
 
-def active_supports_float32() -> bool:
-    return bool(getattr(_active_impl, "supports_float32", False))
-
-
 def kernel_backend_info() -> Dict[str, object]:
-    """Active-backend metadata for benchmark reports and CI artifacts."""
+    """Active-backend metadata for benchmark reports and CI artifacts.
+
+    Every backend runs its kernels on the calling thread, so ``threads``
+    is always 1; the key stays for report readers that record it.
+    """
     info: Dict[str, object] = {
         "name": _active_name,
-        "threads": _threads(),
-        "supports_float32": active_supports_float32(),
+        "threads": 1,
         "requested": os.environ.get("REPRO_KERNEL_BACKEND", ""),
     }
     if _active_impl is not None and hasattr(_active_impl, "info"):

@@ -24,49 +24,19 @@ __all__ = ["SolverSettings", "TinyMPCSolution", "TinyMPCSolver"]
 
 @dataclass
 class SolverSettings:
-    """Iteration and termination settings (defaults follow TinyMPC).
-
-    ``dtype`` selects the compute precision of the ADMM iteration:
-    ``"float64"`` (default) everywhere, or ``"float32"`` on a compiled
-    kernel backend that supports it (the C backend's structure-of-arrays
-    float32 mode — see ``docs/perf.md``).  Workspace storage stays float64
-    either way; the numpy kernels ignore the field, so requesting float32
-    without a capable backend installed is rejected at solver construction.
-    """
+    """Iteration and termination settings (defaults follow TinyMPC)."""
 
     max_iterations: int = 10
     abs_primal_tolerance: float = 1e-3
     abs_dual_tolerance: float = 1e-3
     check_termination_every: int = 1
     warm_start: bool = True
-    dtype: str = "float64"
 
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         if self.check_termination_every < 1:
             raise ValueError("check_termination_every must be at least 1")
-        if self.dtype not in ("float64", "float32"):
-            raise ValueError("dtype must be 'float64' or 'float32'")
-
-
-def _apply_compute_dtype(workspace, settings: "SolverSettings") -> None:
-    """Stamp the settings' compute dtype onto a solver workspace.
-
-    Rejects ``float32`` unless the active kernel backend can actually honor
-    it — silently computing in float64 while the caller asked for float32
-    would misreport every downstream accuracy/performance comparison.
-    """
-    if settings.dtype != "float64":
-        from . import compiled
-        if not compiled.active_supports_float32():
-            raise ValueError(
-                "SolverSettings(dtype='float32') requires a float32-capable "
-                "compiled kernel backend; active backend is '{}' (enable one "
-                "with REPRO_KERNEL_BACKEND=c or "
-                "repro.tinympc.use_compiled_kernels('c'))".format(
-                    compiled.active_backend()))
-    workspace.compute_dtype = settings.dtype
 
 
 @dataclass
@@ -100,7 +70,6 @@ class TinyMPCSolver:
         self.settings = settings or SolverSettings()
         self.cache = cache or compute_cache(problem)
         self.workspace = TinyMPCWorkspace(problem)
-        _apply_compute_dtype(self.workspace, self.settings)
         self._has_previous_solution = False
         self.total_iterations = 0
         self.total_solves = 0

@@ -196,13 +196,6 @@ class TinyMPCWorkspace:
     # lazily-built kernel scratch arena (not part of the solver state)
     _scratch: Optional[SolveScratch] = field(init=False, default=None,
                                              repr=False)
-    # Requested compute precision for compiled kernel backends.  The float64
-    # arrays above stay the canonical storage either way; a float32-capable
-    # backend (repro.tinympc.compiled_c) rounds state into a float32 shadow
-    # block per call and widens results back, so warm starts, freeze/restore
-    # masking, and slot export/import never see a second dtype.  The numpy
-    # kernels ignore this field (they always compute in float64).
-    compute_dtype: str = field(init=False, default="float64", repr=False)
 
     def __post_init__(self) -> None:
         n = self.problem.state_dim

@@ -11,7 +11,9 @@ Covers the workload-polymorphic engine contract end to end:
 * journal (de)serialization round trips and byte-identical
   checkpoint/resume, including SIGKILL-mid-run and chunk
   bisection/quarantine, reusing the chaos harness idioms from
-  ``test_chaos.py``.
+  ``test_chaos.py``;
+* design points evaluated beside the scheduler: campaign summaries count
+  them, and HIL and design specs share one episode list.
 """
 
 import functools
@@ -24,7 +26,7 @@ import time
 import pytest
 
 from repro.codegen import CodegenFlow
-from repro.drone import all_variants
+from repro.drone import Difficulty, all_variants
 from repro.experiments.gemmini_experiments import (
     fig6_static_mapping,
     fig7_scratchpad_resident,
@@ -38,9 +40,11 @@ from repro.experiments.kernel_experiments import (
 from repro.experiments.pareto_experiments import dse_campaign, fig10_pareto
 from repro.fleet import (
     CampaignSpec,
+    EpisodeSpec,
     RetryPolicy,
     run_campaign,
 )
+from repro.fleet import design_point, supervisor
 from repro.fleet.design_point import (
     DesignPointResult,
     DesignPointSpec,
@@ -339,6 +343,76 @@ class TestDurableDesignCampaigns:
             if index == 5:
                 continue
             assert survivor == clean, index
+
+
+class TestDesignPointsBesideTheScheduler:
+    """The chunk runner evaluates design points itself; HIL episodes fly
+    through the scheduler.  Neither path may show in the other's output."""
+
+    HIL = [EpisodeSpec(Difficulty.EASY, 0), EpisodeSpec(Difficulty.EASY, 1)]
+    DESIGNS = [DesignPointSpec("rocket", fidelity="model"),
+               DesignPointSpec("shuttle", fidelity="model")]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_overall_counts_design_episodes(self, workers):
+        spec = CampaignSpec(name="count", episode_kind="design_point",
+                            design_points=("rocket", "shuttle"),
+                            fidelities=("model",))
+        outcome = run_campaign(spec, workers=workers)
+        overall = outcome.overall()
+        assert overall["design_episodes"] == 2
+        assert overall["episodes"] == overall["design_episodes"]
+        assert outcome.stats.groups == 0     # no scheduler group was built
+
+    @pytest.fixture(scope="class")
+    def single_kind(self):
+        hil = _results_payload(run_campaign(self.HIL))
+        designs = _results_payload(run_campaign(self.DESIGNS))
+        return json.dumps([payload for pair in zip(hil, designs)
+                           for payload in pair])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_mixed_list_matches_single_kind_runs(self, single_kind, workers):
+        mixed = [self.HIL[0], self.DESIGNS[0], self.HIL[1], self.DESIGNS[1]]
+        outcome = run_campaign(mixed, workers=workers)
+        assert json.dumps(_results_payload(outcome)) == single_kind
+        assert outcome.overall()["episodes"] == 4
+
+    def test_invalid_level_quarantined_at_run_stage(self):
+        outcome = run_campaign(
+            [DesignPointSpec("rocket", codegen_level="fused")], workers=2,
+            retry_policy=RetryPolicy(max_attempts=1))
+        [failure] = outcome.failures
+        assert failure.stage == "run"
+        assert failure.error_type == "ValueError"
+        assert outcome.results == [None]
+
+    def test_evaluation_resolves_the_module_attribute(self, monkeypatch):
+        """A tracer patched onto the module attribute sees every design
+        point, and no HIL episode."""
+        seen = []
+
+        def traced(spec):
+            seen.append(spec)
+            return evaluate_design_point(spec)
+
+        monkeypatch.setattr(design_point, "evaluate_design_point", traced)
+        run_campaign([self.DESIGNS[0], self.HIL[0], self.DESIGNS[1]])
+        assert seen == self.DESIGNS
+
+    def test_chaos_hook_fires_once_per_episode(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(supervisor, "maybe_inject", built.append)
+        run_campaign([self.HIL[0], self.DESIGNS[0], self.HIL[1],
+                      self.DESIGNS[1]])
+        assert built == [0, 1, 2, 3]
+
+    def test_scheduler_stats_count_only_hil_episodes(self):
+        outcome = run_campaign([self.DESIGNS[0], self.HIL[0],
+                                self.DESIGNS[1]])
+        assert outcome.stats.episodes == 1
+        assert outcome.overall()["episodes"] == 3
+        assert outcome.overall()["design_episodes"] == 2
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ from repro.fleet import (
     solver_pool,
 )
 from repro.fleet.campaign import EpisodeFactory
+from repro.fleet.scheduler import MAX_IDLE_PER_KEY
 from repro.tinympc import (
     BatchTinyMPCSolver,
     SolverSettings,
@@ -36,14 +37,28 @@ class TestSolverPool:
         assert pool.acquires == 2 and pool.hits == 1 and pool.idle_count == 0
 
     def test_idle_retention_is_bounded(self, problem):
-        pool = SolverPool(max_idle_per_key=2)
+        pool = SolverPool()
         settings = SolverSettings(max_iterations=10)
-        solvers = [pool.acquire(problem, settings, 4) for _ in range(5)]
+        solvers = [pool.acquire(problem, settings, 4)
+                   for _ in range(MAX_IDLE_PER_KEY + 1)]
         for solver in solvers:
             pool.release(solver)
-        assert pool.idle_count == 2
-        with pytest.raises(ValueError):
-            SolverPool(max_idle_per_key=0)
+        assert pool.idle_count == MAX_IDLE_PER_KEY
+
+    def test_parked_solvers_are_reused_up_to_the_bound(self, problem):
+        pool = SolverPool()
+        settings = SolverSettings(max_iterations=10)
+        solvers = [pool.acquire(problem, settings, 4)
+                   for _ in range(MAX_IDLE_PER_KEY + 1)]
+        for solver in solvers:
+            pool.release(solver)
+        reacquired = [pool.acquire(problem, settings, 4)
+                      for _ in range(MAX_IDLE_PER_KEY + 1)]
+        assert pool.hits == MAX_IDLE_PER_KEY
+        assert pool.idle_count == 0
+        parked = {id(solver) for solver in solvers[:MAX_IDLE_PER_KEY]}
+        assert {id(solver) for solver in reacquired[:MAX_IDLE_PER_KEY]} == parked
+        assert id(reacquired[-1]) not in {id(solver) for solver in solvers}
 
     def test_key_separates_width_and_settings(self, problem):
         pool = SolverPool()

@@ -38,7 +38,6 @@ from repro.fleet import (
     CampaignSpec,
     EpisodeFactory,
     EpisodeSpec,
-    FleetEpisode,
     FleetScheduler,
     SolverPool,
     run_campaign,
@@ -230,16 +229,6 @@ class TestSchedulerMechanics:
         with pytest.raises(ValueError, match="dt must be positive"):
             FleetScheduler(episodes, pool=pool).run()
         assert pool.acquires == pool.idle_count
-
-    def test_solver_free_episode_asking_for_a_solve_raises(self):
-        """Only lockstep HIL episodes may yield solve requests."""
-        class Asking:
-            def run(self):
-                yield None
-
-        scheduler = FleetScheduler([FleetEpisode(0, Asking())])
-        with pytest.raises(RuntimeError, match="asked for a solve"):
-            scheduler.run()
 
     def test_singleton_groups_use_scalar_path(self):
         factory = EpisodeFactory()

@@ -11,8 +11,7 @@ The backend contract has three layers, each tested here:
 * **solve equivalence** — scalar and batched solvers under a compiled
   backend reproduce the numpy fast path's *discrete* outcomes exactly
   (iteration counts, convergence flags) with trajectories inside the
-  documented matvec tolerance, and ``SolverSettings(dtype="float32")`` is
-  accepted only when the active backend can honor it;
+  documented matvec tolerance;
 * **fleet integration** — a disturbance-recovery campaign run under a
   compiled backend reproduces the numpy campaign's discrete outcomes
   (recovered flags, recovery times) episode for episode, and the solver
@@ -40,11 +39,7 @@ from repro.tinympc import (
     use_naive_kernels,
 )
 from repro.tinympc import kernels
-from repro.tinympc.compiled import (
-    _DISPATCH_ATTRS,
-    active_supports_float32,
-    resolve_backend,
-)
+from repro.tinympc.compiled import _DISPATCH_ATTRS, resolve_backend
 
 SRC_DIR = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -52,10 +47,6 @@ _COMPILED_IMPL, _COMPILED_NAME = resolve_backend("auto")
 
 needs_compiled = pytest.mark.skipif(
     _COMPILED_IMPL is None, reason="no compiled kernel backend available")
-needs_float32 = pytest.mark.skipif(
-    _COMPILED_IMPL is None
-    or not getattr(_COMPILED_IMPL, "supports_float32", False),
-    reason="no float32-capable compiled backend available")
 
 
 # ---------------------------------------------------------------------------
@@ -91,9 +82,14 @@ class TestBackendSelection:
             assert active_backend() == _COMPILED_NAME
             info = kernel_backend_info()
             assert info["name"] == _COMPILED_NAME
-            assert isinstance(info["threads"], int) and info["threads"] >= 1
-            assert isinstance(info["supports_float32"], bool)
+            assert info["threads"] == 1
         assert active_backend() == "numpy"
+
+    def test_numpy_backend_reports_one_thread(self):
+        assert active_backend() == "numpy"
+        info = kernel_backend_info()
+        assert info["name"] == "numpy"
+        assert info["threads"] == 1
 
     @needs_compiled
     def test_naive_swap_neutralizes_compiled_backend(self):
@@ -155,38 +151,6 @@ class TestSolverEquivalence:
         np.testing.assert_array_equal(com.converged, ref.converged)
         np.testing.assert_allclose(com.states, ref.states,
                                    rtol=1e-9, atol=1e-11)
-
-
-class TestFloat32Mode:
-    def test_float32_rejected_without_capable_backend(self):
-        problem = default_quadrotor_problem()
-        assert active_backend() == "numpy"
-        assert not active_supports_float32()
-        with pytest.raises(ValueError, match="float32-capable"):
-            TinyMPCSolver(problem, SolverSettings(dtype="float32"))
-
-    def test_dtype_validated(self):
-        with pytest.raises(ValueError, match="dtype"):
-            SolverSettings(dtype="float16")
-
-    @needs_float32
-    def test_float32_solver_tracks_float64(self):
-        problem = default_quadrotor_problem()
-        rng = np.random.default_rng(3)
-        goal = np.zeros(problem.state_dim)
-        x0 = 0.2 * rng.standard_normal(problem.state_dim)
-        ref = TinyMPCSolver(problem, SolverSettings(max_iterations=20)).solve(
-            x0, Xref=goal)
-        with use_compiled_kernels(_COMPILED_NAME):
-            assert active_supports_float32()
-            solver = TinyMPCSolver(
-                problem, SolverSettings(max_iterations=20, dtype="float32"))
-            assert solver.workspace.compute_dtype == "float32"
-            sol = solver.solve(x0, Xref=goal)
-        # Storage stays float64; values within single-precision distance.
-        assert sol.states.dtype == np.float64
-        np.testing.assert_allclose(sol.states, ref.states,
-                                   rtol=1e-3, atol=1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -264,17 +228,6 @@ class TestFleetIntegration:
         with use_compiled_kernels(_COMPILED_NAME):
             compiled_key = SolverPool._key(problem, settings, 4)
         assert numpy_key != compiled_key
-
-    def test_compatibility_key_includes_dtype(self):
-        from repro.fleet.scheduler import compatibility_key
-        problem = default_quadrotor_problem()
-        key64 = compatibility_key(problem, SolverSettings())
-        with use_compiled_kernels(_COMPILED_NAME):
-            if not active_supports_float32():
-                pytest.skip("active backend has no float32 mode")
-            key32 = compatibility_key(problem,
-                                      SolverSettings(dtype="float32"))
-        assert key64 != key32
 
     def test_recovery_campaign_discrete_outcomes_match(self):
         """The acceptance campaign: a Fig. 17-style disturbance-recovery

@@ -191,10 +191,6 @@ EXACT_COMPILED_KERNELS = frozenset(
     ["update_slack", "update_dual", "update_residuals"])
 COMPILED_F64_RTOL = 1e-11
 COMPILED_F64_ATOL = 1e-13
-# float32 mode narrows state per call and widens results; one iteration of
-# single-precision arithmetic against the float64 reference.
-COMPILED_F32_RTOL = 1e-3
-COMPILED_F32_ATOL = 1e-5
 
 
 def _compiled_backend_or_skip(name="auto"):
@@ -277,27 +273,3 @@ class TestCompiledBackendEquivalence:
             fast, reference, "admm_iteration [{}]".format(resolved),
             # Three chained iterations compound the per-matvec differences.
             rtol=1e-9, atol=1e-11, exact=False)
-
-    @pytest.mark.parametrize("shape", COMPILED_SHAPES,
-                             ids=lambda s: "x".join(map(str, s)))
-    @settings(max_examples=3, deadline=None)
-    @given(seed=st.integers(0, 2**16))
-    def test_float32_mode_tracks_float64(self, shape, seed):
-        """Opt-in float32 compute stays within single-precision distance of
-        the float64 numpy fast path (and leaves storage float64)."""
-        impl, resolved = _compiled_backend_or_skip()
-        if not getattr(impl, "supports_float32", False):
-            pytest.skip("{} backend has no float32 mode".format(resolved))
-        n, m, horizon = shape
-        problem = make_problem(n, m, horizon, seed)
-        cache = compute_cache(problem)
-        fast = _randomized(TinyMPCWorkspace(problem), seed + 6)
-        reference = _randomized(TinyMPCWorkspace(problem), seed + 6)
-        fast.compute_dtype = "float32"
-        with use_compiled_kernels(resolved):
-            kernels.admm_iteration(fast, cache)
-        kernels.admm_iteration(reference, cache)
-        assert fast.x.dtype == np.float64  # storage stays canonical
-        _assert_compiled_close(
-            fast, reference, "admm_iteration f32 [{}]".format(resolved),
-            COMPILED_F32_RTOL, COMPILED_F32_ATOL, exact=False)
