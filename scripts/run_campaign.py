@@ -15,7 +15,7 @@ and prints per-cell aggregate rows.  Examples::
         --workers 4 --output campaign.json
 
     # solver-less design-space exploration over the hardware catalog,
-    # evaluated with the trace-validated analytical cycle model
+    # evaluated at model fidelity (no instruction stream is materialized)
     PYTHONPATH=src python scripts/run_campaign.py \\
         --episode-kind design_point --fidelity model \\
         --codegen-levels auto --output dse.json

@@ -1,21 +1,29 @@
 """Backend interface and cycle reporting.
 
-Every architecture model consumes an :class:`~repro.arch.isa.InstructionStream`
-and produces a :class:`CycleReport`: total cycles, a per-kernel breakdown,
-and a per-category breakdown (compute / memory / issue / stall / overhead).
-The categories are the quantities the paper's characterization reasons about
+Every architecture model prices an instruction stream and produces a
+:class:`CycleReport`: total cycles, a per-kernel breakdown, and a
+per-category breakdown (compute / memory / issue / stall / overhead).  The
+categories are the quantities the paper's characterization reasons about
 when explaining why an optimization helps a particular architecture.
+
+Each backend has one pricing loop, :meth:`Backend.price`, over instruction
+records (see :mod:`repro.arch.isa`).  :meth:`Backend.run` feeds it the
+records read back from a materialized :class:`InstructionStream`; the
+model fidelity (:func:`repro.arch.cycle_model.model_report`) feeds it the
+lowering's records directly, so both price every instruction identically.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
+from typing import Dict, Iterable, Iterator, Tuple
 
 from .isa import InstructionStream
 
-__all__ = ["CycleCategory", "CycleReport", "Backend"]
+__all__ = ["CycleCategory", "CycleReport", "StreamCounters", "Backend",
+           "category_sums"]
 
 
 class CycleCategory:
@@ -97,30 +105,59 @@ class CycleReport:
         )
 
 
+def category_sums(*entries: Tuple[str, float, bool]) -> Dict[str, float]:
+    """``cycles_by_category`` from ``(category, sum, charged)`` entries.
+
+    A category appears only once some instruction charged it a cost.
+    """
+    return {category: cycles for category, cycles, charged in entries
+            if charged}
+
+
+@dataclass
+class StreamCounters:
+    """Stream-derived event counts the mapping studies (Figs. 6-9) plot.
+
+    Fences, DRAM staging transfers and RoCC commands are zero for
+    non-systolic streams.
+    """
+
+    instructions: int = 0
+    fences: int = 0
+    dram_transfers: int = 0
+    rocc_instructions: int = 0
+
+
 class Backend(abc.ABC):
     """Common interface for the scalar, vector, and systolic timing models."""
 
     name: str = "backend"
+    instruction_type: type              # the ISA class the backend executes
 
-    @abc.abstractmethod
     def run(self, stream: InstructionStream) -> CycleReport:
         """Time an instruction stream."""
+        return self.price(self._records(stream))[0]
+
+    @abc.abstractmethod
+    def price(self, records: Iterable[tuple]
+              ) -> Tuple[CycleReport, StreamCounters]:
+        """Time instruction records in stream order.
+
+        Each cost is added to the total, its kernel's bucket and its
+        category's bucket in stream order, so the float sums do not depend
+        on whether the records came from a lowering or a stream.
+        """
 
     @property
     @abc.abstractmethod
     def peak_flops_per_cycle(self) -> float:
         """Ideal FLOP throughput of the backend's datapath."""
 
-    # -- shared helpers --------------------------------------------------------
-    @staticmethod
-    def _accumulate(report: CycleReport, kernel: str, category: str,
-                    cycles: float) -> None:
-        report.total_cycles += cycles
-        report.cycles_by_kernel[kernel] = report.cycles_by_kernel.get(kernel, 0.0) + cycles
-        report.cycles_by_category[category] = (
-            report.cycles_by_category.get(category, 0.0) + cycles)
-
-    def run_kernels(self, stream: InstructionStream) -> Dict[str, CycleReport]:
-        """Per-kernel reports (convenience for kernel-level figures)."""
-        return {kernel: self.run(stream.filter_kernel(kernel))
-                for kernel in stream.kernels()}
+    def _records(self, stream: InstructionStream) -> Iterator[tuple]:
+        kind = self.instruction_type
+        record = attrgetter(*(f.name for f in fields(kind)))
+        for instruction in stream:
+            if not isinstance(instruction, kind):
+                raise TypeError("{} can only execute {}, got {}".format(
+                    self.name, kind.__name__, type(instruction).__name__))
+            yield record(instruction)

@@ -1,55 +1,32 @@
-"""Closed-form analytical cycle model for the design-point catalog.
+"""The model fidelity: price a compile without materializing its stream.
 
-The trace path (``CodegenFlow.compile``) materializes a full backend
-instruction stream — thousands of frozen dataclass instances per program —
-and walks it through a timing model.  For one design point that costs
-milliseconds; for a thousand-point design-space sweep it dominates the
-campaign.  This module prices a ``(program, design point, level)`` tuple
-*without* building the stream: per design-point category it walks the
-matlib operator sequence once and accumulates exactly the cycles the
-lowering would have emitted and the backend would have charged, in the same
-order, using the same expressions.
-
-Because the walkers mirror the lowering/backend arithmetic term by term
-(and share the option construction via
-:func:`repro.codegen.flow.lowering_options`), the model is not an
-approximation with a fitted error bar — it reproduces the trace-path
-:class:`~repro.arch.backend.CycleReport` bit-for-bit, which
-``tests/arch/test_cycle_model.py`` pins on the whole catalog at every
-optimization level and ``tests/arch/test_cycle_model_props.py`` checks on
-random off-catalog design points and programs (the campaign-level contract
-is the pinned <= 2% per-category tolerance; the implementation currently
-achieves exact equality).  The fleet engine exposes the model as the
+The trace path (``CodegenFlow.compile``) builds the full backend instruction
+stream — thousands of frozen dataclass instances per program — and times it
+with the design point's backend.  :func:`model_report` prices the same
+``(program, design point, level)`` tuple without building the stream: it
+takes the lowering's records from :func:`repro.codegen.flow.lowering` and
+feeds them straight into the backend's pricing loop
+(:meth:`~repro.arch.backend.Backend.price`), the loop ``Backend.run`` uses
+on a materialized stream.  Both fidelities therefore share every lowering
+decision and every cost expression, and the model equals the trace by
+construction.  ``tests/arch/test_cycle_model.py`` checks the equality on
+the whole catalog at every optimization level and
+``tests/arch/test_cycle_model_props.py`` on random off-catalog design points
+and programs.  The fleet engine exposes the model as the
 ``fidelity="model"`` campaign axis (`repro.fleet.design_point`), with
 frontier candidates promoted back to trace fidelity.
-
-The walkers intentionally read like the lowerings they price: any change to
-``lower_scalar`` / ``lower_vector`` / ``lower_gemmini`` or the backend
-timing models must be mirrored here, and the validation test fails loudly
-when the two drift.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Union
 
-from ..codegen.flow import OPTIMIZATION_LEVELS, lowering_options
-from ..codegen.lower_gemmini import GemminiLoweringOptions
-from ..codegen.lower_scalar import (
-    ScalarLoweringOptions,
-    _dependence_chain,
-    _loop_iterations,
-)
-from ..codegen.lower_vector import VectorLoweringOptions
-from ..codegen.passes import fuse_elementwise, plan_scratchpad_residency
-from ..matlib import MatlibProgram, OpKind
-from .backend import CycleCategory, CycleReport
+from ..codegen.flow import OPTIMIZATION_LEVELS, lowering
+from ..matlib import MatlibProgram
+from .backend import StreamCounters
 from .configs import DesignPoint, get_design_point, list_design_points
 from .isa import GemminiInstruction, GemminiOpcode, InstructionStream
-from .memory import MemoryModel
 
 __all__ = [
     "StreamCounters",
@@ -67,23 +44,12 @@ __all__ = [
 PINNED_TOLERANCE = 0.02
 
 
-@dataclass
-class StreamCounters:
-    """Stream-derived event counts the mapping studies (Figs. 6-9) plot.
-
-    The trace path counts these on the materialized stream
-    (:func:`stream_counters`); the model walkers count them analytically.
-    All counters are zero for non-systolic categories.
-    """
-
-    instructions: int = 0
-    fences: int = 0
-    dram_transfers: int = 0
-    rocc_instructions: int = 0
-
-
 def stream_counters(stream: InstructionStream) -> StreamCounters:
-    """Count fences, DRAM staging transfers, and RoCC commands in a stream."""
+    """Count fences, DRAM staging transfers, and RoCC commands in a stream.
+
+    The trace fidelity's count, made on the objects and independent of the
+    pricing loop that counts the same events for the model fidelity.
+    """
     counters = StreamCounters(instructions=len(stream))
     for instruction in stream:
         if not isinstance(instruction, GemminiInstruction):
@@ -98,620 +64,24 @@ def stream_counters(stream: InstructionStream) -> StreamCounters:
     return counters
 
 
-# ---------------------------------------------------------------------------
-# Memoized per-program artifacts
-# ---------------------------------------------------------------------------
-#
-# A design-space sweep prices the same program at hundreds of (point, level)
-# pairs; the dataflow queries below depend only on the program, so they are
-# cached on the (hashable, immutable-by-convention) program object.  The
-# trace path deliberately does NOT share these caches — it is the honest
-# serial baseline the model is benchmarked against.
-
-@lru_cache(maxsize=8)
-def _fused_program(program: MatlibProgram) -> MatlibProgram:
-    return fuse_elementwise(program).program
-
-
-@lru_cache(maxsize=8)
-def _program_buffers(program: MatlibProgram):
-    return program.buffers()
-
-
-@lru_cache(maxsize=8)
-def _program_consumers(program: MatlibProgram):
-    return tuple(tuple(program.consumers_of(index))
-                 for index in range(len(program.ops)))
-
-
-@lru_cache(maxsize=32)
-def _resident_buffers(program: MatlibProgram, scratchpad_kb: int):
-    plan = plan_scratchpad_residency(program, scratchpad_kb=scratchpad_kb)
-    return tuple(plan.resident_buffers)
-
-
-# ---------------------------------------------------------------------------
-# Shared accumulator
-# ---------------------------------------------------------------------------
-
-class _Accumulator:
-    """CycleReport builder mirroring ``Backend._accumulate`` exactly."""
-
-    def __init__(self, backend_name: str) -> None:
-        self.report = CycleReport(backend=backend_name, total_cycles=0.0)
-        self.counters = StreamCounters()
-
-    def add(self, kernel: str, category: str, cycles: float) -> None:
-        report = self.report
-        report.total_cycles += cycles
-        report.cycles_by_kernel[kernel] = (
-            report.cycles_by_kernel.get(kernel, 0.0) + cycles)
-        report.cycles_by_category[category] = (
-            report.cycles_by_category.get(category, 0.0) + cycles)
-
-    def instruction(self, flops: int = 0) -> None:
-        self.report.instruction_count += 1
-        self.counters.instructions += 1
-        self.report.flops += flops
-
-
-# ---------------------------------------------------------------------------
-# Scalar cores
-# ---------------------------------------------------------------------------
-
-def _scalar_model(program: MatlibProgram, point: DesignPoint,
-                  options: ScalarLoweringOptions,
-                  memory: MemoryModel) -> _Accumulator:
-    """Mirror of ``lower_scalar`` + ``ScalarCoreModel._run_block``."""
-    config = point.config
-    acc = _Accumulator(config.name)
-    decode = max(config.decode_width, 1)
-    fetch = max(config.fetch_width, 1)
-    mem_ports = max(config.mem_ports, 1)
-    latency_exposure = 0.15 if config.out_of_order else 0.6
-    memory_overlap = 0.5 if config.out_of_order else 0.2
-    per_iteration = 2.0 / fetch + 0.25 * config.branch_penalty
-
-    for op in program.ops:
-        kernel = op.kernel or "<untagged>"
-        if options.style == "library":
-            op_calls = 1
-            memory_bytes = op.total_bytes
-        else:
-            op_calls = 0
-            memory_bytes = op.bytes_read // 2 + op.bytes_written // 2
-        if op.kind is OpKind.DATA_MOVEMENT and op.flops == 0:
-            memory_bytes = op.total_bytes
-        loop_iterations = _loop_iterations(op, options)
-        chain = max(_dependence_chain(op), 1)
-
-        if op.flops > 0:
-            available_parallelism = max(op.flops / chain, 1.0)
-            usable_units = min(config.fp_units, available_parallelism)
-            throughput = usable_units * 2.0 * config.scheduling_efficiency
-            compute_cycles = op.flops / max(throughput, 1e-9)
-            compute_cycles += latency_exposure * config.fp_latency * (chain - 1) / 2.0
-            acc.add(kernel, CycleCategory.COMPUTE, compute_cycles)
-        if memory_bytes > 0:
-            memory_cycles = memory.l1_access_cycles(memory_bytes) / mem_ports
-            acc.add(kernel, CycleCategory.MEMORY, memory_cycles * (1.0 - memory_overlap))
-        if op_calls > 0:
-            acc.add(kernel, CycleCategory.OVERHEAD,
-                    op_calls * config.call_overhead / decode)
-        if loop_iterations > 0:
-            acc.add(kernel, CycleCategory.ISSUE, loop_iterations * per_iteration)
-        acc.instruction(flops=op.flops)
-    return acc
-
-
-# ---------------------------------------------------------------------------
-# Saturn vector units
-# ---------------------------------------------------------------------------
-
-class _VectorModel:
-    """Mirror of ``_VectorLowering`` emissions priced by ``SaturnModel``.
-
-    The per-op walker accumulates into local floats and writes back to the
-    report once per op.  Each report bucket (total, per-kernel, per-category)
-    still receives its additions in exactly the per-instruction order the
-    trace path uses — an op's kernel is constant, so a local running value
-    flushed at op end reproduces the same float addition sequence — which
-    keeps the model bit-exact while skipping all per-instruction dispatch.
-    """
-
-    def __init__(self, program: MatlibProgram, point: DesignPoint,
-                 options: VectorLoweringOptions, memory: MemoryModel) -> None:
-        self.program = program
-        self.options = options
-        self.config = point.config
-        self.acc = _Accumulator(self.config.name)
-        self.buffers = _program_buffers(program)
-        self.consumers = _program_consumers(program)
-        self.last_vl: Optional[int] = None
-        self.values_in_registers: set = set()
-        config = self.config
-        self.decode = max(config.frontend.decode_width, 1)
-        self.lanes = max(config.lanes_fp32, 1)
-        self.issue1 = 1.0 / self.decode
-        self.vset = config.vsetvl_cycles
-        self.latency = config.vector_pipeline_latency
-        self.call_scalars = int(round(options.call_overhead_scalars))
-
-    # -- per-instruction costs (SaturnModel._run_instruction) -----------------
-    def _occupancy(self, elements: int) -> float:
-        config = self.config
-        options = self.options
-        useful_bits = elements * options.element_bytes * 8
-        if options.lmul > 1:
-            group_bits = options.lmul * config.vlen
-            occupied_bits = min(group_bits, max(useful_bits, config.dlen))
-            occupied_bits = max(occupied_bits, options.lmul * config.dlen)
-        else:
-            occupied_bits = useful_bits
-        return max(math.ceil(occupied_bits / config.dlen), 1)
-
-    def _memcost(self, elements: int) -> float:
-        """Memory cycles of one VLOAD/VSTORE."""
-        num_bytes = elements * self.options.element_bytes
-        cycles = max(0.55 * math.ceil(num_bytes / self.config.memory_port_bytes), 1.0)
-        return cycles + 0.25
-
-    # -- dataflow bookkeeping (identical to _VectorLowering) -------------------
-    def _needs_load(self, name: str) -> bool:
-        if not self.options.keep_temporaries_in_registers:
-            return True
-        return name not in self.values_in_registers
-
-    def _mark_produced(self, op, index: int) -> bool:
-        if not self.options.keep_temporaries_in_registers:
-            return False
-        info = self.buffers.get(op.output)
-        if info is None or not info.is_temporary or not info.single_use:
-            return False
-        consumers = self.consumers[index]
-        if consumers and consumers[0] - index <= 6:
-            self.values_in_registers.add(op.output)
-            return True
-        return False
-
-    # -- driver ----------------------------------------------------------------
-    def walk(self) -> _Accumulator:
-        ISSUE, COMPUTE = CycleCategory.ISSUE, CycleCategory.COMPUTE
-        MEMORY, STALL = CycleCategory.MEMORY, CycleCategory.STALL
-        options = self.options
-        unroll = options.unroll_factor
-        report = self.acc.report
-        kern = report.cycles_by_kernel
-        cats = report.cycles_by_category
-        decode, issue1, vset, latency = self.decode, self.issue1, self.vset, self.latency
-        elide = options.elide_redundant_vsetvl
-        per_instruction = options.max_elements_per_instruction
-        call_cost = self.call_scalars / decode
-
-        for index, op in enumerate(self.program.ops):
-            kernel = op.kernel or "<untagged>"
-            # Seed op-local running sums from the report; flush at op end.
-            t = report.total_cycles
-            k = kern.get(kernel, 0.0)
-            ci = cats.get(ISSUE, 0.0)
-            cc = cats.get(COMPUTE, 0.0)
-            cm = cats.get(MEMORY, 0.0)
-            cs = cats.get(STALL, 0.0)
-            fi, fc = ISSUE in cats, COMPUTE in cats
-            fm, fs = MEMORY in cats, STALL in cats
-            n = 0
-            fl = 0
-
-            # Per-call frontend overhead (SCALAR).
-            if self.call_scalars > 0:
-                t += call_cost; k += call_cost; ci += call_cost; fi = True; n += 1
-
-            kind = op.kind
-            if kind in (OpKind.GEMV, OpKind.GEMM):
-                if op.name in ("gemm", "outer"):
-                    rows, inner = op.shapes[0]
-                    cols = op.out_shape[1] if len(op.out_shape) == 2 else 1
-                    occ = self._occupancy(rows)
-                    memc = self._memcost(rows)
-                    stall = max(latency - occ, 0.0)
-                    sequential = unroll == 1
-                    cnt = int(round((3.0 if unroll == 1 else 1.25) * inner))
-                    scost = cnt / decode
-                    for _ in range(cols):
-                        if not (elide and self.last_vl == rows):        # vsetvl
-                            t += vset; k += vset; ci += vset; fi = True; n += 1
-                        self.last_vl = rows
-                        t += issue1; k += issue1; ci += issue1          # acc-init
-                        t += occ; k += occ; cc += occ; fc = True
-                        n += 1; fl += rows
-                        if cnt > 0:                                     # bookkeeping
-                            t += scost; k += scost; ci += scost; n += 1
-                        for _ in range(inner):
-                            t += issue1; k += issue1; ci += issue1      # VLOAD
-                            t += memc; k += memc; cm += memc
-                            t += issue1; k += issue1; ci += issue1      # VMACC
-                            t += occ; k += occ; cc += occ
-                            if sequential:
-                                t += stall; k += stall; cs += stall; fs = True
-                            n += 2; fl += 2 * rows
-                        t += issue1; k += issue1; ci += issue1          # store
-                        t += memc; k += memc; cm += memc; n += 1
-                        fi = True; fm = True
-                else:
-                    if op.name == "gemv_t":
-                        rows, inner = op.shapes[0][1], op.shapes[0][0]
-                    else:
-                        rows, inner = op.shapes[0][0], op.shapes[0][1]
-                    if not (elide and self.last_vl == rows):            # vsetvl
-                        t += vset; k += vset; ci += vset; fi = True; n += 1
-                    self.last_vl = rows
-                    occ = self._occupancy(rows)
-                    memc = self._memcost(rows)
-                    stall = max(latency - occ, 0.0)
-                    t += issue1; k += issue1; ci += issue1; fi = True   # acc-init
-                    t += occ; k += occ; cc += occ; fc = True
-                    n += 1; fl += rows
-                    cnt = int(round((4.0 if unroll == 1 else 1.0) * inner))
-                    if cnt > 0:                                         # bookkeeping
-                        scost = cnt / decode
-                        t += scost; k += scost; ci += scost; n += 1
-                    for column in range(inner):
-                        t += issue1; k += issue1; ci += issue1          # VLOAD
-                        t += memc; k += memc; cm += memc; fm = True
-                        t += issue1; k += issue1; ci += issue1          # VMACC
-                        t += occ; k += occ; cc += occ
-                        if unroll == 1 or (column + 1) % unroll == 0:
-                            t += stall; k += stall; cs += stall; fs = True
-                        n += 2; fl += 2 * rows
-                    if unroll > 1:
-                        for _ in range(min(unroll, inner) - 1):         # acc-combine
-                            t += issue1; k += issue1; ci += issue1
-                            t += occ; k += occ; cc += occ
-                            t += stall; k += stall; cs += stall; fs = True
-                            n += 1; fl += rows
-                    if not self._mark_produced(op, index):              # store
-                        t += issue1; k += issue1; ci += issue1
-                        t += memc; k += memc; cm += memc; fm = True; n += 1
-            elif kind is OpKind.ELEMENTWISE:
-                elements = max(op.output_elements, 1)
-                if not (elide and self.last_vl == elements):            # vsetvl
-                    t += vset; k += vset; ci += vset; fi = True; n += 1
-                self.last_vl = elements
-                chunks = max(-(-elements // per_instruction), 1)
-                chunk_elements = min(elements, per_instruction)
-                loads = 0
-                for name, shape in zip(op.inputs, op.shapes):
-                    if not shape:
-                        continue
-                    if self._needs_load(name):
-                        loads += 1
-                    else:
-                        self.values_in_registers.discard(name)
-                if loads:
-                    memc = self._memcost(chunk_elements)
-                    for _ in range(loads * chunks):                     # VLOADs
-                        t += issue1; k += issue1; ci += issue1
-                        t += memc; k += memc; cm += memc; n += 1
-                    fi = True; fm = True
-                occ = self._occupancy(chunk_elements)
-                passes = 2 if op.flops >= 2 * elements else 1
-                for _ in range(chunks * passes):                        # VARITH
-                    t += issue1; k += issue1; ci += issue1
-                    t += occ; k += occ; cc += occ
-                    n += 1; fl += chunk_elements
-                fi = True; fc = True
-                cnt = int(round(2.0 if unroll == 1 else 0.5))
-                if cnt > 0:                                             # bookkeeping
-                    scost = cnt / decode
-                    t += scost; k += scost; ci += scost; n += 1
-                if not self._mark_produced(op, index):                  # stores
-                    memc = self._memcost(chunk_elements)
-                    for _ in range(chunks):
-                        t += issue1; k += issue1; ci += issue1
-                        t += memc; k += memc; cm += memc; n += 1
-                    fm = True
-            elif kind is OpKind.REDUCTION:
-                elements = (max(max((max(s) if s else 1) for s in op.shapes), 1)
-                            if op.shapes else 1)
-                if not (elide and self.last_vl == elements):            # vsetvl
-                    t += vset; k += vset; ci += vset; n += 1
-                self.last_vl = elements
-                memc = self._memcost(elements)
-                for name, shape in zip(op.inputs, op.shapes):
-                    if shape and self._needs_load(name):                # VLOAD
-                        t += issue1; k += issue1; ci += issue1
-                        t += memc; k += memc; cm += memc; fm = True; n += 1
-                occ = self._occupancy(elements)
-                arith_passes = ((1 if op.name == "max_abs_diff" else 0)
-                                + (1 if op.name in ("max_abs_diff", "max_abs_reduce")
-                                   else 0))
-                for _ in range(arith_passes):                           # sub / abs
-                    t += issue1; k += issue1; ci += issue1
-                    t += occ; k += occ; cc += occ
-                    n += 1; fl += elements
-                t += issue1; k += issue1; ci += issue1                  # VREDUCE
-                reduce_cycles = (math.ceil(elements / self.lanes)
-                                 + math.ceil(math.log2(max(elements, 2))))
-                t += reduce_cycles; k += reduce_cycles; cc += reduce_cycles
-                fi = True; fc = True; n += 1; fl += elements
-                scost = 1.0 / decode                                    # bookkeeping
-                t += scost; k += scost; ci += scost; n += 1
-            elif kind is OpKind.DATA_MOVEMENT:
-                elements = max(op.output_elements, 1)
-                memc = self._memcost(elements)
-                for _ in range(2):                                      # load + store
-                    t += issue1; k += issue1; ci += issue1
-                    t += memc; k += memc; cm += memc; n += 1
-                fi = True; fm = True
-            else:
-                cnt = int(round(max(op.flops, 1)))
-                if cnt > 0:
-                    scost = cnt / decode
-                    t += scost; k += scost; ci += scost; fi = True; n += 1
-
-            report.total_cycles = t
-            kern[kernel] = k
-            if fi:
-                cats[ISSUE] = ci
-            if fc:
-                cats[COMPUTE] = cc
-            if fm:
-                cats[MEMORY] = cm
-            if fs:
-                cats[STALL] = cs
-            report.instruction_count += n
-            report.flops += fl
-        self.acc.counters.instructions = report.instruction_count
-        return self.acc
-
-
-# ---------------------------------------------------------------------------
-# Gemmini systolic arrays
-# ---------------------------------------------------------------------------
-
-class _GemminiModel:
-    """Mirror of ``_GemminiLowering`` emissions priced by ``GemminiModel``."""
-
-    def __init__(self, program: MatlibProgram, point: DesignPoint,
-                 options: GemminiLoweringOptions, memory: MemoryModel) -> None:
-        self.program = program
-        self.options = options
-        self.config = point.config
-        self.memory = memory
-        self.acc = _Accumulator(self.config.name)
-        self.in_scratchpad = (
-            set(_resident_buffers(program, options.scratchpad_kb))
-            if options.scratchpad_resident else set())
-        self.last_config = None
-        self.ops_since_sync = 0
-        config = self.config
-        decode = max(config.host.decode_width, 1)
-        self._decode = decode
-        self._issue_static = config.rocc_static_cycles / decode + config.rocc_issue_cycles
-        self._issue_dynamic = (config.rocc_construction_cycles / decode
-                               + config.rocc_issue_cycles)
-
-    # -- per-instruction costs (GemminiModel._run_instruction) -----------------
-    def _issue(self, kernel: str, cisc: bool = False) -> None:
-        issue = (self._issue_static if self.options.static_mapping
-                 else self._issue_dynamic)
-        if cisc:
-            issue += self.config.cisc_expansion_cycles
-        self.acc.add(kernel, CycleCategory.ISSUE, issue)
-
-    def _config_cmd(self, kernel: str, signature, count: int = 1) -> None:
-        if (self.options.eliminate_redundant_config
-                and signature == self.last_config):
-            return
-        for _ in range(count):
-            self._issue(kernel)
-            self.acc.instruction()
-            self.acc.counters.rocc_instructions += 1
-        self.last_config = signature
-
-    def _move(self, kernel: str, opcode: GemminiOpcode, rows: int, cols: int,
-              dram: bool, pool_factor: int = 1, cisc: bool = False) -> None:
-        """One MVIN/MVOUT."""
-        self._issue(kernel, cisc=cisc)
-        num_bytes = rows * max(cols, 1) * 4
-        if dram:
-            cycles = self.memory.dram_access_cycles(num_bytes)
-            self.acc.counters.dram_transfers += 1
-        else:
-            cycles = self.memory.scratchpad_access_cycles(num_bytes)
-            if cols == 1:
-                cycles = max(cycles, float(rows))
-        if pool_factor > 1:
-            cycles += 1.0
-        self.acc.add(kernel, CycleCategory.MEMORY, cycles)
-        self.acc.instruction()
-        self.acc.counters.rocc_instructions += 1
-
-    def _preload(self, kernel: str) -> None:
-        self._issue(kernel)
-        self.acc.add(kernel, CycleCategory.MEMORY, float(self.config.mesh_rows))
-        self.acc.instruction()
-        self.acc.counters.rocc_instructions += 1
-
-    def _compute(self, kernel: str, rows: int, cols: int, inner: int,
-                 cisc: bool = False, uses_activation: bool = False) -> None:
-        config = self.config
-        self._issue(kernel, cisc=cisc)
-        r, c, k = max(rows, 1), max(cols, 1), max(inner, 1)
-        row_tiles = math.ceil(r / config.mesh_rows)
-        col_tiles = math.ceil(c / config.mesh_cols)
-        per_tile = k + config.mesh_pipeline_latency
-        if config.dataflow == "WS":
-            per_tile += config.mesh_rows + 2.0
-        cycles = row_tiles * col_tiles * per_tile
-        if uses_activation and not config.has_activation_engine:
-            cycles += r * c * config.host_cycles_per_flop
-        self.acc.add(kernel, CycleCategory.COMPUTE, cycles)
-        self.acc.instruction(flops=2 * rows * cols * k)
-        self.acc.counters.rocc_instructions += 1
-
-    def _cpu_op(self, kernel: str, cpu_flops: int) -> None:
-        # Multiply, then divide, as the backend does: with a host decode width
-        # that is not a power of two, ``flops * (c / d)`` rounds differently.
-        self.acc.add(kernel, CycleCategory.OVERHEAD,
-                     cpu_flops * self.config.host_cycles_per_flop / self._decode)
-        self.acc.instruction(flops=cpu_flops)
-
-    def _fence(self, kernel: str) -> None:
-        self.acc.add(kernel, CycleCategory.STALL, self.config.fence_stall_cycles)
-        self.acc.instruction()
-        self.acc.counters.rocc_instructions += 1
-        self.acc.counters.fences += 1
-
-    def _maybe_fence(self, kernel: str, force: bool = False) -> None:
-        self.ops_since_sync += 1
-        if force or self.ops_since_sync >= self.options.sync_granularity:
-            self._fence(kernel)
-            self.ops_since_sync = 0
-
-    # -- dataflow bookkeeping (identical to _GemminiLowering) ------------------
-    def _stage_input(self, kernel: str, name: str, shape) -> None:
-        if name in self.in_scratchpad:
-            return
-        rows = shape[0] if shape else 1
-        cols = shape[1] if len(shape) > 1 else 1
-        self._move(kernel, GemminiOpcode.MVIN, rows, cols,
-                   dram=not self.options.scratchpad_resident)
-        if self.options.scratchpad_resident:
-            self.in_scratchpad.add(name)
-
-    def _retire_output(self, kernel: str, op, pool_factor: int = 1) -> None:
-        rows = op.out_shape[0] if op.out_shape else 1
-        cols = op.out_shape[1] if len(op.out_shape) > 1 else 1
-        if self.options.scratchpad_resident:
-            self._move(kernel, GemminiOpcode.MVOUT, rows, cols, dram=False,
-                       pool_factor=pool_factor)
-            self.in_scratchpad.add(op.output)
-            self._maybe_fence(kernel)
-        else:
-            self._move(kernel, GemminiOpcode.MVOUT, rows, cols, dram=True,
-                       pool_factor=pool_factor)
-            self._maybe_fence(kernel, force=True)
-
-    # -- per-kind walkers -----------------------------------------------------
-    def _matrix_op(self, op) -> None:
-        kernel = op.kernel or "<untagged>"
-        options = self.options
-        if op.name == "gemv_t":
-            rows, inner = op.shapes[0][1], op.shapes[0][0]
-            cols = 1
-        elif op.kind is OpKind.GEMM:
-            rows, inner = op.shapes[0]
-            cols = op.out_shape[1] if len(op.out_shape) > 1 else 1
-        else:
-            rows, inner = op.shapes[0]
-            cols = 1
-
-        signature = (op.shapes, op.out_shape)
-        self._config_cmd(kernel, signature, count=3 if options.use_cisc else 1)
-        for name, shape in zip(op.inputs, op.shapes):
-            if shape and not name.startswith("<"):
-                if options.use_cisc:
-                    self._move(kernel, GemminiOpcode.MVIN, shape[0],
-                               shape[1] if len(shape) > 1 else 1,
-                               dram=True, cisc=True)
-                else:
-                    self._stage_input(kernel, name, shape)
-        self._preload(kernel)
-        self._compute(kernel, rows, cols, inner, cisc=options.use_cisc)
-        self._retire_output(kernel, op)
-
-    def _elementwise(self, op) -> None:
-        kernel = op.kernel or "<untagged>"
-        options = self.options
-        elements = max(op.output_elements, 1)
-        if not options.use_activation_engine:
-            if options.scratchpad_resident:
-                self._move(kernel, GemminiOpcode.MVOUT, elements, 1, dram=False)
-            self._maybe_fence(kernel, force=True)
-            self._cpu_op(kernel, max(op.flops, elements))
-            return
-        passes = 2 if op.name in ("abs", "clip", "axpy", "sub_scaled") else 1
-        rows = max(-(-elements // options.mesh_dim), 1)
-        self._config_cmd(kernel, ("elementwise", elements))
-        for name, shape in zip(op.inputs, op.shapes):
-            if shape and not name.startswith("<"):
-                self._stage_input(kernel, name, shape)
-        for _ in range(passes):
-            self._compute(kernel, rows, options.mesh_dim, 1, uses_activation=True)
-        self._retire_output(kernel, op)
-
-    def _reduction(self, op) -> None:
-        kernel = op.kernel or "<untagged>"
-        options = self.options
-        elements = max(max((max(s) if s else 1) for s in op.shapes), 1) if op.shapes else 1
-        if options.use_pooling:
-            pooled = max(elements // options.pool_factor, 1)
-            self._move(kernel, GemminiOpcode.MVOUT, elements, 1,
-                       dram=not options.scratchpad_resident,
-                       pool_factor=options.pool_factor)
-            self._maybe_fence(kernel)
-            self._cpu_op(kernel, 2 * pooled)
-        else:
-            self._move(kernel, GemminiOpcode.MVOUT, elements, 1,
-                       dram=not options.scratchpad_resident)
-            self._maybe_fence(kernel, force=True)
-            self._cpu_op(kernel, 2 * elements)
-
-    def _data_movement(self, op) -> None:
-        kernel = op.kernel or "<untagged>"
-        elements = max(op.output_elements, 1)
-        self._move(kernel, GemminiOpcode.MVIN, elements, 1,
-                   dram=not self.options.scratchpad_resident)
-
-    def walk(self) -> _Accumulator:
-        for op in self.program.ops:
-            if op.kind in (OpKind.GEMV, OpKind.GEMM):
-                self._matrix_op(op)
-            elif op.kind is OpKind.ELEMENTWISE:
-                self._elementwise(op)
-            elif op.kind is OpKind.REDUCTION:
-                self._reduction(op)
-            elif op.kind is OpKind.DATA_MOVEMENT:
-                self._data_movement(op)
-            else:
-                self._cpu_op(op.kernel or "<untagged>", max(op.flops, 1))
-        return self.acc
-
-
-# ---------------------------------------------------------------------------
-# Public entry points
-# ---------------------------------------------------------------------------
-
 def model_report(program: MatlibProgram, design_point: Union[str, DesignPoint],
                  level: str, lmul: int = 1,
                  sync_granularity: Optional[int] = None,
-                 memory: Optional[MemoryModel] = None,
                  with_counters: bool = False):
-    """Analytical :class:`CycleReport` for compiling ``program`` at ``level``.
+    """The :class:`CycleReport` of compiling ``program`` at ``level``.
 
-    Matches ``CodegenFlow(lmul=lmul).compile(program, design_point, level)``
-    without materializing the instruction stream.  With
+    Equals ``CodegenFlow(lmul=lmul).compile(program, design_point,
+    level).report`` without materializing the instruction stream.  With
     ``with_counters=True`` returns ``(report, StreamCounters)``.
     """
     point = (design_point if isinstance(design_point, DesignPoint)
              else get_design_point(design_point))
-    options = lowering_options(point, level, lmul=lmul,
-                               sync_granularity=sync_granularity)
-    memory = memory or MemoryModel()
-
-    if point.category == "scalar":
-        acc = _scalar_model(program, point, options, memory)
-    elif point.category == "vector":
-        if level == "fused":
-            program = _fused_program(program)
-        acc = _VectorModel(program, point, options, memory).walk()
-    else:
-        acc = _GemminiModel(program, point, options, memory).walk()
-
+    _, _, records = lowering(program, point, level, lmul=lmul,
+                             sync_granularity=sync_granularity)
+    report, counters = point.backend().price(records)
     if with_counters:
-        return acc.report, acc.counters
-    return acc.report
+        return report, counters
+    return report
 
 
 @dataclass

@@ -11,13 +11,17 @@ These are deliberately coarser than real micro-ops: they carry exactly the
 attributes the paper identifies as first-order for real-time control
 workloads (element counts, LMUL grouping, sequential dependencies, whether
 operands round-trip through memory, RoCC construction cost, fences).
+
+The lowerings emit each instruction as a *record*: a plain tuple of the
+class's fields in field order, so ``VectorInstruction(*record)`` builds the
+object and a backend prices records and objects alike.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Iterable, Iterator, List, Optional, Union
 
 __all__ = [
     "ScalarWork",
@@ -83,11 +87,6 @@ class VectorInstruction:
     element_bytes: int = 4           # fp32 by default
     lmul: int = 1                    # register-group multiplier
     sequential_dependency: bool = False   # depends on the immediately preceding result
-    note: str = ""
-
-    @property
-    def data_bits(self) -> int:
-        return self.elements * self.element_bytes * 8
 
 
 # ---------------------------------------------------------------------------
@@ -119,11 +118,6 @@ class GemminiInstruction:
     uses_activation: bool = False   # fused ReLU / scaling on the way out
     pool_factor: int = 1            # pooling reduction applied on MVOUT
     cpu_flops: int = 0              # only for CPU_OP fallbacks
-    note: str = ""
-
-    @property
-    def tile_elements(self) -> int:
-        return self.rows * self.cols
 
 
 Instruction = Union[ScalarWork, VectorInstruction, GemminiInstruction]
@@ -141,9 +135,6 @@ class InstructionStream:
     def append(self, instruction: Instruction) -> None:
         self.instructions.append(instruction)
 
-    def extend(self, instructions: Iterable[Instruction]) -> None:
-        self.instructions.extend(instructions)
-
     def __len__(self) -> int:
         return len(self.instructions)
 
@@ -159,11 +150,6 @@ class InstructionStream:
             if instruction.kernel not in seen:
                 seen[instruction.kernel] = None
         return list(seen)
-
-    def filter_kernel(self, kernel: str) -> "InstructionStream":
-        return InstructionStream(
-            [i for i in self.instructions if i.kernel == kernel],
-            backend=self.backend, name="{}::{}".format(self.name, kernel))
 
     def count_opcode(self, opcode) -> int:
         return sum(1 for i in self.instructions

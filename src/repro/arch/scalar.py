@@ -1,7 +1,8 @@
 """Scalar RISC-V core timing models (Rocket, Shuttle, BOOM variants).
 
-The model costs :class:`~repro.arch.isa.ScalarWork` blocks.  A block's
-cycles come from four sources the paper's characterization distinguishes:
+The model costs :class:`~repro.arch.isa.ScalarWork` blocks in one pricing
+loop (:meth:`ScalarCoreModel.price`).  A block's cycles come from four
+sources the paper's characterization distinguishes:
 
 * **compute** — floating-point work, limited by the number of FP units, the
   issue width, and (critically for the serial GEMV chains of TinyMPC) the
@@ -23,8 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional
 
-from .backend import Backend, CycleCategory, CycleReport
-from .isa import InstructionStream, ScalarWork
+from .backend import (Backend, CycleCategory, CycleReport, StreamCounters,
+                      category_sums)
+from .isa import ScalarWork
 from .memory import MemoryModel
 
 __all__ = ["ScalarCoreConfig", "ScalarCoreModel",
@@ -63,6 +65,8 @@ class ScalarCoreConfig:
 class ScalarCoreModel(Backend):
     """Analytical timing model of a scalar core executing ScalarWork blocks."""
 
+    instruction_type = ScalarWork
+
     def __init__(self, config: ScalarCoreConfig,
                  memory: Optional[MemoryModel] = None) -> None:
         self.config = config
@@ -74,56 +78,79 @@ class ScalarCoreModel(Backend):
     def peak_flops_per_cycle(self) -> float:
         return self.config.peak_flops_per_cycle
 
-    def run(self, stream: InstructionStream) -> CycleReport:
-        report = CycleReport(backend=self.name, total_cycles=0.0)
-        for instruction in stream:
-            if not isinstance(instruction, ScalarWork):
-                raise TypeError(
-                    "{} can only execute ScalarWork, got {}".format(
-                        self.name, type(instruction).__name__))
-            self._run_block(instruction, report)
-            report.instruction_count += 1
-            report.flops += instruction.flops
-        return report
-
-    # -- internals ----------------------------------------------------------------
-    def _run_block(self, work: ScalarWork, report: CycleReport) -> None:
+    def price(self, records):
         config = self.config
-        kernel = work.kernel
+        l1_access_cycles = self.memory.l1_access_cycles
+        mem_ports = max(config.mem_ports, 1)
+        decode = max(config.decode_width, 1)
+        # Dependence chains additionally expose FP latency on in-order cores;
+        # out-of-order cores hide most of it by running ahead.
+        latency_exposure = 0.15 if config.out_of_order else 0.6
+        # OoO cores overlap a large fraction of memory latency with compute.
+        overlap = 0.5 if config.out_of_order else 0.2
+        per_iteration = 2.0 / max(config.fetch_width, 1) + 0.25 * config.branch_penalty
 
-        # Compute: ideal throughput limited by exposed parallelism.
-        if work.flops > 0:
-            chain = max(work.dependent_chain, 1)
-            # How many independent FLOPs are available at a time.
-            available_parallelism = max(work.flops / chain, 1.0)
-            usable_units = min(config.fp_units, available_parallelism)
-            throughput = usable_units * 2.0 * config.scheduling_efficiency
-            compute_cycles = work.flops / max(throughput, 1e-9)
-            # Dependence chains additionally expose FP latency on in-order cores;
-            # out-of-order cores hide most of it by running ahead.
-            latency_exposure = 0.15 if config.out_of_order else 0.6
-            compute_cycles += latency_exposure * config.fp_latency * (chain - 1) / 2.0
-            self._accumulate(report, kernel, CycleCategory.COMPUTE, compute_cycles)
+        total = kernel_sum = compute = memory = overhead = issue = 0.0
+        computed = moved = called = looped = False
+        by_kernel: Dict[str, float] = {}
+        current = None
+        count = flops = 0
+        for kernel, work_flops, memory_bytes, op_calls, loop_iterations, \
+                dependent_chain in records:
+            count += 1
+            flops += work_flops
+            if (work_flops <= 0 and memory_bytes <= 0 and op_calls <= 0
+                    and loop_iterations <= 0):
+                continue   # charges nothing: its kernel gets no entry
+            if kernel != current:
+                if current is not None:
+                    by_kernel[current] = kernel_sum
+                current = kernel
+                kernel_sum = by_kernel.get(kernel, 0.0)
 
-        # Memory: streaming through the L1, overlapped on cores with more ports.
-        if work.memory_bytes > 0:
-            memory_cycles = self.memory.l1_access_cycles(work.memory_bytes)
-            memory_cycles /= max(config.mem_ports, 1)
-            # OoO cores overlap a large fraction of memory latency with compute.
-            overlap = 0.5 if config.out_of_order else 0.2
-            self._accumulate(report, kernel, CycleCategory.MEMORY,
-                             memory_cycles * (1.0 - overlap))
+            # Compute: ideal throughput limited by exposed parallelism.
+            if work_flops > 0:
+                chain = max(dependent_chain, 1)
+                # How many independent FLOPs are available at a time.
+                available_parallelism = max(work_flops / chain, 1.0)
+                usable_units = min(config.fp_units, available_parallelism)
+                throughput = usable_units * 2.0 * config.scheduling_efficiency
+                cycles = work_flops / max(throughput, 1e-9)
+                cycles += latency_exposure * config.fp_latency * (chain - 1) / 2.0
+                total += cycles; kernel_sum += cycles; compute += cycles
+                computed = True
 
-        # Library-call overhead.
-        if work.op_calls > 0:
-            overhead = work.op_calls * config.call_overhead / max(config.decode_width, 1)
-            self._accumulate(report, kernel, CycleCategory.OVERHEAD, overhead)
+            # Memory: streaming through the L1, overlapped on cores with more ports.
+            if memory_bytes > 0:
+                cycles = l1_access_cycles(memory_bytes)
+                cycles /= mem_ports
+                cycles = cycles * (1.0 - overlap)
+                total += cycles; kernel_sum += cycles; memory += cycles
+                moved = True
 
-        # Loop/branch bookkeeping.
-        if work.loop_iterations > 0:
-            per_iteration = 2.0 / max(config.fetch_width, 1) + 0.25 * config.branch_penalty
-            self._accumulate(report, kernel, CycleCategory.ISSUE,
-                             work.loop_iterations * per_iteration)
+            # Library-call overhead.
+            if op_calls > 0:
+                cycles = op_calls * config.call_overhead / decode
+                total += cycles; kernel_sum += cycles; overhead += cycles
+                called = True
+
+            # Loop/branch bookkeeping.
+            if loop_iterations > 0:
+                cycles = loop_iterations * per_iteration
+                total += cycles; kernel_sum += cycles; issue += cycles
+                looped = True
+
+        if current is not None:
+            by_kernel[current] = kernel_sum
+        report = CycleReport(
+            backend=self.name, total_cycles=total, cycles_by_kernel=by_kernel,
+            cycles_by_category=category_sums(
+                (CycleCategory.COMPUTE, compute, computed),
+                (CycleCategory.MEMORY, memory, moved),
+                (CycleCategory.ISSUE, issue, looped),
+                (CycleCategory.OVERHEAD, overhead, called)),
+            instruction_count=count, flops=flops)
+        return report, StreamCounters(instructions=count)
 
 
 # ---------------------------------------------------------------------------

@@ -18,16 +18,20 @@ study manipulates (Section 4.2):
   underutilize the mesh;
 * **activation/pooling engines** — ReLU implements abs/clip, max-pooling on
   mvout shrinks the reduction the host must finish (Section 4.2.6).
+
+All of it is priced in one loop over instruction records,
+:meth:`GemminiModel.price`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Dict, Optional
 
-from .backend import Backend, CycleCategory, CycleReport
-from .isa import GemminiInstruction, GemminiOpcode, InstructionStream
+from .backend import (Backend, CycleCategory, CycleReport, StreamCounters,
+                      category_sums)
+from .isa import GemminiInstruction, GemminiOpcode
 from .memory import MemoryModel
 from .scalar import ROCKET, ScalarCoreConfig
 
@@ -77,6 +81,8 @@ class GemminiConfig:
 class GemminiModel(Backend):
     """Analytical timing model for Gemmini driven over RoCC."""
 
+    instruction_type = GemminiInstruction
+
     def __init__(self, config: GemminiConfig,
                  memory: Optional[MemoryModel] = None) -> None:
         self.config = config
@@ -88,101 +94,112 @@ class GemminiModel(Backend):
     def peak_flops_per_cycle(self) -> float:
         return self.config.peak_flops_per_cycle
 
-    def run(self, stream: InstructionStream) -> CycleReport:
-        report = CycleReport(backend=self.name, total_cycles=0.0)
-        for instruction in stream:
-            if not isinstance(instruction, GemminiInstruction):
-                raise TypeError(
-                    "{} can only execute GemminiInstruction, got {}".format(
-                        self.name, type(instruction).__name__))
-            self._run_instruction(instruction, report)
-            report.instruction_count += 1
-            report.flops += self._flops_of(instruction)
-        return report
-
-    # -- internals --------------------------------------------------------------------
-    @staticmethod
-    def _flops_of(instruction: GemminiInstruction) -> int:
-        if instruction.opcode is GemminiOpcode.COMPUTE:
-            inner = max(instruction.inner, 1)
-            return 2 * instruction.rows * instruction.cols * inner
-        if instruction.opcode is GemminiOpcode.CPU_OP:
-            return instruction.cpu_flops
-        return 0
-
-    def _host_construction(self, instruction: GemminiInstruction) -> float:
-        """Cycles the host spends constructing and issuing one RoCC command."""
+    def price(self, records):
         config = self.config
-        build = (config.rocc_static_cycles if instruction.statically_mapped
-                 else config.rocc_construction_cycles)
-        build /= max(config.host.decode_width, 1)
-        return build + config.rocc_issue_cycles
+        dram_access_cycles = self.memory.dram_access_cycles
+        scratchpad_access_cycles = self.memory.scratchpad_access_cycles
+        CONFIG, MVIN, MVOUT = GemminiOpcode.CONFIG, GemminiOpcode.MVIN, GemminiOpcode.MVOUT
+        PRELOAD, COMPUTE = GemminiOpcode.PRELOAD, GemminiOpcode.COMPUTE
+        FENCE, CPU_OP = GemminiOpcode.FENCE, GemminiOpcode.CPU_OP
+        decode = max(config.host.decode_width, 1)
+        # Host cycles to construct and issue one RoCC command: static mapping
+        # (compile-time addresses) shrinks the argument construction.
+        issue_static = config.rocc_static_cycles / decode + config.rocc_issue_cycles
+        issue_dynamic = config.rocc_construction_cycles / decode + config.rocc_issue_cycles
 
-    def _run_instruction(self, instruction: GemminiInstruction,
-                         report: CycleReport) -> None:
-        config = self.config
-        kernel = instruction.kernel
-        opcode = instruction.opcode
+        total = kernel_sum = compute = memory = issued = stall = overhead = 0.0
+        computed = moved = fenced = offloaded = False
+        by_kernel: Dict[str, float] = {}
+        current = None
+        count = flops = rocc = fences = dram_transfers = 0
+        for (kernel, opcode, rows, cols, inner, dram, cisc, statically_mapped,
+             uses_activation, pool_factor, cpu_flops) in records:
+            count += 1
+            if kernel != current:
+                if current is not None:
+                    by_kernel[current] = kernel_sum
+                current = kernel
+                kernel_sum = by_kernel.get(kernel, 0.0)
 
-        if opcode is GemminiOpcode.CPU_OP:
-            cycles = instruction.cpu_flops * config.host_cycles_per_flop
-            cycles /= max(config.host.decode_width, 1)
-            self._accumulate(report, kernel, CycleCategory.OVERHEAD, cycles)
-            return
+            if opcode is CPU_OP:
+                cycles = cpu_flops * config.host_cycles_per_flop
+                cycles /= decode
+                total += cycles; kernel_sum += cycles; overhead += cycles
+                offloaded = True
+                flops += cpu_flops
+                continue
 
-        if opcode is GemminiOpcode.FENCE:
-            self._accumulate(report, kernel, CycleCategory.STALL,
-                             config.fence_stall_cycles)
-            return
+            rocc += 1
+            if opcode is FENCE:
+                cycles = config.fence_stall_cycles
+                total += cycles; kernel_sum += cycles; stall += cycles
+                fenced = True
+                fences += 1
+                continue
 
-        # Every RoCC command pays the host construction/issue cost.
-        issue = self._host_construction(instruction)
-        if instruction.cisc:
-            issue += config.cisc_expansion_cycles
-        self._accumulate(report, kernel, CycleCategory.ISSUE, issue)
+            # Every RoCC command pays the host construction/issue cost.
+            cycles = issue_static if statically_mapped else issue_dynamic
+            if cisc:
+                cycles += config.cisc_expansion_cycles
+            total += cycles; kernel_sum += cycles; issued += cycles
 
-        if opcode is GemminiOpcode.CONFIG:
-            # Configuration is pure host-side work already charged above.
-            return
+            if opcode is CONFIG:
+                # Configuration is pure host-side work already charged above.
+                continue
 
-        if opcode in (GemminiOpcode.MVIN, GemminiOpcode.MVOUT):
-            num_bytes = instruction.rows * max(instruction.cols, 1) * 4
-            if instruction.dram:
-                cycles = self.memory.dram_access_cycles(num_bytes)
+            if opcode is MVIN or opcode is MVOUT:
+                num_bytes = rows * max(cols, 1) * 4
+                if dram:
+                    cycles = dram_access_cycles(num_bytes)
+                    dram_transfers += 1
+                else:
+                    cycles = scratchpad_access_cycles(num_bytes)
+                    # Vectors stored down a single scratchpad column load one
+                    # element per cycle (Section 4.2.4).
+                    if cols == 1:
+                        cycles = max(cycles, float(rows))
+                if pool_factor > 1:
+                    cycles += 1.0   # pooling adds a pipeline stage on the way out
+                total += cycles; kernel_sum += cycles; memory += cycles
+                moved = True
+            elif opcode is PRELOAD:
+                cycles = float(config.mesh_rows)
+                total += cycles; kernel_sum += cycles; memory += cycles
+                moved = True
+            elif opcode is COMPUTE:
+                flops += 2 * rows * cols * max(inner, 1)
+                rows = max(rows, 1)
+                cols = max(cols, 1)
+                inner = max(inner, 1)
+                # The mesh processes a (mesh_rows x mesh_cols) tile per pass;
+                # the pass takes `inner` beats plus pipeline fill/drain.
+                row_tiles = math.ceil(rows / config.mesh_rows)
+                col_tiles = math.ceil(cols / config.mesh_cols)
+                per_tile = inner + config.mesh_pipeline_latency
+                if config.dataflow == "WS":
+                    # Weight-stationary designs re-load weights per tile and
+                    # drain partial sums through the accumulator.
+                    per_tile += config.mesh_rows + 2.0
+                cycles = row_tiles * col_tiles * per_tile
+                if uses_activation and not config.has_activation_engine:
+                    # Without the engine the activation falls back to the host.
+                    cycles += rows * cols * config.host_cycles_per_flop
+                total += cycles; kernel_sum += cycles; compute += cycles
+                computed = True
             else:
-                cycles = self.memory.scratchpad_access_cycles(num_bytes)
-                # Vectors stored down a single scratchpad column load one
-                # element per cycle (Section 4.2.4).
-                if instruction.cols == 1:
-                    cycles = max(cycles, float(instruction.rows))
-            if instruction.pool_factor > 1:
-                cycles += 1.0   # pooling adds a pipeline stage on the way out
-            self._accumulate(report, kernel, CycleCategory.MEMORY, cycles)
-            return
+                raise ValueError("unhandled Gemmini opcode: {}".format(opcode))
 
-        if opcode is GemminiOpcode.PRELOAD:
-            self._accumulate(report, kernel, CycleCategory.MEMORY,
-                             float(config.mesh_rows))
-            return
-
-        if opcode is GemminiOpcode.COMPUTE:
-            rows = max(instruction.rows, 1)
-            cols = max(instruction.cols, 1)
-            inner = max(instruction.inner, 1)
-            # The mesh processes a (mesh_rows x mesh_cols) tile per pass; the
-            # pass takes `inner` beats plus pipeline fill/drain.
-            row_tiles = math.ceil(rows / config.mesh_rows)
-            col_tiles = math.ceil(cols / config.mesh_cols)
-            per_tile = inner + config.mesh_pipeline_latency
-            if config.dataflow == "WS":
-                # Weight-stationary designs re-load weights per tile and
-                # drain partial sums through the accumulator.
-                per_tile += config.mesh_rows + 2.0
-            cycles = row_tiles * col_tiles * per_tile
-            if instruction.uses_activation and not config.has_activation_engine:
-                # Without the engine the activation falls back to the host.
-                cycles += rows * cols * config.host_cycles_per_flop
-            self._accumulate(report, kernel, CycleCategory.COMPUTE, cycles)
-            return
-
-        raise ValueError("unhandled Gemmini opcode: {}".format(opcode))
+        if current is not None:
+            by_kernel[current] = kernel_sum
+        report = CycleReport(
+            backend=self.name, total_cycles=total, cycles_by_kernel=by_kernel,
+            cycles_by_category=category_sums(
+                (CycleCategory.COMPUTE, compute, computed),
+                (CycleCategory.MEMORY, memory, moved),
+                (CycleCategory.ISSUE, issued, rocc > fences),
+                (CycleCategory.STALL, stall, fenced),
+                (CycleCategory.OVERHEAD, overhead, offloaded)),
+            instruction_count=count, flops=flops)
+        return report, StreamCounters(
+            instructions=count, fences=fences, dram_transfers=dram_transfers,
+            rocc_instructions=rocc)

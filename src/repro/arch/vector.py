@@ -18,16 +18,20 @@ characterization identifies as first-order for control workloads:
 * **dependence chains** — serial GEMV accumulation chains expose the vector
   pipeline latency because back-to-back dependent instructions cannot
   chain.
+
+All of it is priced in one loop over instruction records,
+:meth:`SaturnModel.price`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
-from .backend import Backend, CycleCategory, CycleReport
-from .isa import InstructionStream, VectorInstruction, VectorOpcode
+from .backend import (Backend, CycleCategory, CycleReport, StreamCounters,
+                      category_sums)
+from .isa import VectorInstruction, VectorOpcode
 from .memory import MemoryModel
 from .scalar import ROCKET, SHUTTLE, ScalarCoreConfig
 
@@ -65,6 +69,8 @@ class SaturnConfig:
 class SaturnModel(Backend):
     """Analytical timing model for the Saturn vector unit."""
 
+    instruction_type = VectorInstruction
+
     def __init__(self, config: SaturnConfig,
                  memory: Optional[MemoryModel] = None) -> None:
         self.config = config
@@ -76,95 +82,116 @@ class SaturnModel(Backend):
     def peak_flops_per_cycle(self) -> float:
         return self.config.peak_flops_per_cycle
 
-    def run(self, stream: InstructionStream) -> CycleReport:
-        report = CycleReport(backend=self.name, total_cycles=0.0)
-        for instruction in stream:
-            if not isinstance(instruction, VectorInstruction):
-                raise TypeError(
-                    "{} can only execute VectorInstruction, got {}".format(
-                        self.name, type(instruction).__name__))
-            self._run_instruction(instruction, report)
-            report.instruction_count += 1
-            report.flops += self._flops_of(instruction)
-        return report
-
-    # -- internals ------------------------------------------------------------------
-    @staticmethod
-    def _flops_of(instruction: VectorInstruction) -> int:
-        if instruction.opcode is VectorOpcode.VMACC:
-            return 2 * instruction.elements
-        if instruction.opcode in (VectorOpcode.VARITH, VectorOpcode.VREDUCE):
-            return instruction.elements
-        return 0
-
-    def _issue_cycles(self, scalar_companions: float = 0.0) -> float:
-        """Frontend cycles needed to issue one vector instruction.
-
-        A dual-issue Shuttle frontend can issue the vector instruction and
-        one scalar companion in the same cycle; a single-issue Rocket
-        serializes them.
-        """
-        width = max(self.config.frontend.decode_width, 1)
-        return (1.0 + scalar_companions) / width
-
-    def _occupancy_cycles(self, instruction: VectorInstruction) -> float:
-        """Datapath cycles the instruction occupies."""
+    def price(self, records):
         config = self.config
-        element_bits = instruction.element_bytes * 8
-        useful_bits = instruction.elements * element_bits
+        VARITH, VMACC = VectorOpcode.VARITH, VectorOpcode.VMACC
+        VLOAD, VSTORE = VectorOpcode.VLOAD, VectorOpcode.VSTORE
+        SCALAR, VSETVL = VectorOpcode.SCALAR, VectorOpcode.VSETVL
+        VREDUCE = VectorOpcode.VREDUCE
+        # A dual-issue Shuttle frontend issues a vector instruction and one
+        # scalar companion in the same cycle; a single-issue Rocket
+        # serializes them.
+        decode = max(config.frontend.decode_width, 1)
+        issue = 1.0 / decode
+        lanes = max(config.lanes_fp32, 1)
+        # Costs that depend only on the operand size (and LMUL), computed
+        # once per size.
+        arith_costs: Dict[int, Dict[int, Tuple[int, float]]] = {}
+        arith_lmul = arith_cost = None
+        memory_costs: Dict[int, float] = {}
+
+        total = kernel_sum = compute = memory = issued = stall = 0.0
+        computed = moved = stalled = False
+        by_kernel: Dict[str, float] = {}
+        current = None
+        count = flops = 0
+        for kernel, opcode, elements, element_bytes, lmul, sequential in records:
+            count += 1
+            if kernel != current:
+                if current is not None:
+                    by_kernel[current] = kernel_sum
+                current = kernel
+                kernel_sum = by_kernel.get(kernel, 0.0)
+
+            if opcode is VLOAD or opcode is VSTORE:
+                total += issue; kernel_sum += issue; issued += issue
+                num_bytes = elements * element_bytes
+                try:
+                    cycles = memory_costs[num_bytes]
+                except KeyError:
+                    cycles = memory_costs[num_bytes] = self._memory_cost(num_bytes)
+                total += cycles; kernel_sum += cycles; memory += cycles
+                moved = True
+            elif opcode is VMACC or opcode is VARITH:
+                total += issue; kernel_sum += issue; issued += issue
+                if lmul != arith_lmul:
+                    arith_lmul = lmul
+                    arith_cost = arith_costs.setdefault(lmul, {})
+                num_bytes = elements * element_bytes
+                try:
+                    occupancy, exposed = arith_cost[num_bytes]
+                except KeyError:
+                    occupancy, exposed = arith_cost[num_bytes] = self._arith_cost(
+                        num_bytes, lmul)
+                total += occupancy; kernel_sum += occupancy; compute += occupancy
+                computed = True
+                if sequential:
+                    # Back-to-back dependent vector instructions cannot chain;
+                    # the consumer waits for the producer to clear the pipeline.
+                    total += exposed; kernel_sum += exposed; stall += exposed
+                    stalled = True
+                flops += 2 * elements if opcode is VMACC else elements
+            elif opcode is SCALAR:
+                # Scalar bookkeeping executed on the frontend (address
+                # generation, scalar operands for vfmacc.vf, loop control).
+                cycles = elements / decode
+                total += cycles; kernel_sum += cycles; issued += cycles
+            elif opcode is VSETVL:
+                cycles = config.vsetvl_cycles
+                total += cycles; kernel_sum += cycles; issued += cycles
+            elif opcode is VREDUCE:
+                total += issue; kernel_sum += issue; issued += issue
+                tree_steps = math.ceil(math.log2(max(elements, 2)))
+                cycles = math.ceil(elements / lanes) + tree_steps
+                total += cycles; kernel_sum += cycles; compute += cycles
+                computed = True
+                flops += elements
+            else:
+                raise ValueError("unhandled vector opcode: {}".format(opcode))
+
+        if current is not None:
+            by_kernel[current] = kernel_sum
+        report = CycleReport(
+            backend=self.name, total_cycles=total, cycles_by_kernel=by_kernel,
+            cycles_by_category=category_sums(
+                (CycleCategory.COMPUTE, compute, computed),
+                (CycleCategory.MEMORY, memory, moved),
+                (CycleCategory.ISSUE, issued, count > 0),
+                (CycleCategory.STALL, stall, stalled)),
+            instruction_count=count, flops=flops)
+        return report, StreamCounters(instructions=count)
+
+    def _memory_cost(self, num_bytes: int) -> float:
+        """Memory cycles of a VLOAD/VSTORE."""
+        # The VLSU overlaps with the arithmetic pipeline via chaining, so
+        # only a fraction of the transfer time is exposed.
+        cycles = max(0.55 * math.ceil(num_bytes / self.config.memory_port_bytes), 1.0)
+        return cycles + 0.25
+
+    def _arith_cost(self, num_bytes: int, lmul: int) -> Tuple[int, float]:
+        """Datapath occupancy of a VARITH/VMACC and its exposed stall when
+        it depends on the preceding instruction."""
+        config = self.config
+        useful_bits = num_bytes * 8
         # The sequencer walks the whole register group: with LMUL > 1 the
         # instruction occupies ceil(LMUL * VLEN / DLEN) cycles even if only a
         # few elements are valid, which is the Figure 4 penalty for tiny
         # vectors.  With LMUL = 1 only the valid elements are processed.
-        if instruction.lmul > 1:
-            group_bits = instruction.lmul * config.vlen
+        if lmul > 1:
+            group_bits = lmul * config.vlen
             occupied_bits = min(group_bits, max(useful_bits, config.dlen))
-            occupied_bits = max(occupied_bits, instruction.lmul * config.dlen)
+            occupied_bits = max(occupied_bits, lmul * config.dlen)
         else:
             occupied_bits = useful_bits
-        return max(math.ceil(occupied_bits / config.dlen), 1)
-
-    def _run_instruction(self, instruction: VectorInstruction,
-                         report: CycleReport) -> None:
-        config = self.config
-        kernel = instruction.kernel
-        opcode = instruction.opcode
-
-        if opcode is VectorOpcode.SCALAR:
-            # Scalar bookkeeping executed on the frontend (address generation,
-            # scalar operands for vfmacc.vf, loop control).
-            cycles = instruction.elements / max(config.frontend.decode_width, 1)
-            self._accumulate(report, kernel, CycleCategory.ISSUE, cycles)
-            return
-
-        if opcode is VectorOpcode.VSETVL:
-            self._accumulate(report, kernel, CycleCategory.ISSUE, config.vsetvl_cycles)
-            return
-
-        issue = self._issue_cycles()
-        self._accumulate(report, kernel, CycleCategory.ISSUE, issue)
-
-        if opcode in (VectorOpcode.VLOAD, VectorOpcode.VSTORE):
-            num_bytes = instruction.elements * instruction.element_bytes
-            # The VLSU overlaps with the arithmetic pipeline via chaining, so
-            # only a fraction of the transfer time is exposed.
-            cycles = max(0.55 * math.ceil(num_bytes / config.memory_port_bytes), 1.0)
-            cycles += 0.25
-            self._accumulate(report, kernel, CycleCategory.MEMORY, cycles)
-            return
-
-        if opcode is VectorOpcode.VREDUCE:
-            lanes = max(config.lanes_fp32, 1)
-            tree_steps = math.ceil(math.log2(max(instruction.elements, 2)))
-            cycles = math.ceil(instruction.elements / lanes) + tree_steps
-            self._accumulate(report, kernel, CycleCategory.COMPUTE, cycles)
-            return
-
-        # VARITH / VMACC
-        occupancy = self._occupancy_cycles(instruction)
-        self._accumulate(report, kernel, CycleCategory.COMPUTE, occupancy)
-        if instruction.sequential_dependency:
-            # Back-to-back dependent vector instructions cannot chain; the
-            # consumer waits for the producer to clear the pipeline.
-            exposed = max(config.vector_pipeline_latency - occupancy, 0.0)
-            self._accumulate(report, kernel, CycleCategory.STALL, exposed)
+        occupancy = max(math.ceil(occupied_bits / config.dlen), 1)
+        return occupancy, max(config.vector_pipeline_latency - occupancy, 0.0)

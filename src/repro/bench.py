@@ -73,12 +73,14 @@ COMPILED_SCALAR_FLOOR = 5.0
 COMPILED_BATCH64_FLOOR = 2.0
 
 # The model-fidelity DSE campaign must sweep the design grid at least this
-# much faster than the serial compile-and-simulate loop, or the analytical
-# cycle model is not buying its validation cost.  Measured on the dev host:
-# ~6.5x overall on the 114-spec grid (vector ~8x, systolic ~3x, scalar ~1x
-# — scalar lowering is already cheap), dominated by the vector points that
-# make up most of the grid.
-DSE_MODEL_SPEEDUP_FLOOR = 5.0
+# much faster than the serial compile loop.  Both sides run the same
+# lowering and the same pricing loop; the model skips building the
+# instruction objects, so the ratio is what materializing the stream
+# costs, net of the fleet's per-episode bookkeeping.  Measured on a 2-vCPU
+# host (12 runs): median 3.73x on the 114-spec grid (vector ~4.2x,
+# systolic ~2.7x, scalar ~1.8x); the floor keeps 60% of the margin over
+# 1x: 1 + 0.6 * (3.73 - 1), rounded down.
+DSE_MODEL_SPEEDUP_FLOOR = 2.63
 
 # Every fast kernel on every layout must be at least as fast as its naive
 # counterpart — a fast path that loses to the code it replaced is a bug

@@ -4,7 +4,9 @@
 the lowering for the target design point's category, applies the requested
 optimization level (the named levels correspond to the paper's software
 variants), and runs the resulting instruction stream through the backend
-timing model.
+timing model.  :func:`lowering` is the one place that choice is made; the
+cycle model (:mod:`repro.arch.cycle_model`) prices the same records
+without materializing the stream.
 
 Optimization levels
 -------------------
@@ -19,20 +21,22 @@ systolic : ``library``, ``cisc``, ``static`` (unroll + static mapping),
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Union
+from dataclasses import dataclass, replace
+from functools import lru_cache
+from itertools import starmap
+from typing import Dict, Iterator, Optional, Tuple, Union
 
 from ..arch.backend import Backend, CycleReport
 from ..arch.configs import DesignPoint, get_design_point
-from ..arch.isa import InstructionStream
+from ..arch.isa import GemminiInstruction, InstructionStream, ScalarWork, VectorInstruction
 from ..matlib import MatlibProgram
-from .lower_gemmini import GemminiLoweringOptions, lower_gemmini
-from .lower_scalar import ScalarLoweringOptions, lower_scalar
-from .lower_vector import VectorLoweringOptions, lower_vector
-from .passes import fuse_elementwise
+from .lower_gemmini import GemminiLoweringOptions, gemmini_records
+from .lower_scalar import ScalarLoweringOptions, scalar_records
+from .lower_vector import VectorLoweringOptions, vector_records
+from .passes import fuse_elementwise, plan_scratchpad_residency
 
 __all__ = ["CompilationResult", "CodegenFlow", "OPTIMIZATION_LEVELS",
-           "lowering_options"]
+           "lowering_options", "lowering"]
 
 
 OPTIMIZATION_LEVELS: Dict[str, tuple] = {
@@ -46,10 +50,9 @@ def lowering_options(point: DesignPoint, level: str, lmul: int = 1,
                      sync_granularity: Optional[int] = None):
     """Lowering options for a design point at an optimization level.
 
-    This is the single source of truth for how a named level maps onto
-    lowering knobs: ``CodegenFlow.lower`` and the analytical cycle model
-    (:mod:`repro.arch.cycle_model`) both build their options here, so the
-    two paths can never disagree about what a level means.
+    This is how a named level maps onto lowering knobs.  Systolic options
+    are fitted to the point's array: its scratchpad size and mesh, and no
+    pooled MVOUTs on an array without a pooling engine.
     """
     category = point.category
     valid = OPTIMIZATION_LEVELS[category]
@@ -77,24 +80,73 @@ def lowering_options(point: DesignPoint, level: str, lmul: int = 1,
         "elementwise": GemminiLoweringOptions.elementwise_engines,
         "optimized": GemminiLoweringOptions.optimized,
     }
-    options = factories[level]()
+    config = point.config
+    updates = {"scratchpad_kb": config.scratchpad_kb, "mesh_dim": config.mesh_rows}
     if sync_granularity is not None:
-        from dataclasses import replace
-        options = replace(options, sync_granularity=sync_granularity)
-    return _match_scratchpad(options, point)
+        updates["sync_granularity"] = sync_granularity
+    if not config.has_pooling_engine:
+        updates["use_pooling"] = False
+    return replace(factories[level](), **updates)
 
 
-def _match_scratchpad(options: GemminiLoweringOptions,
-                      point: DesignPoint) -> GemminiLoweringOptions:
-    from dataclasses import replace
-    scratchpad_kb = getattr(point.config, "scratchpad_kb", None)
-    mesh = getattr(point.config, "mesh_rows", None)
-    updates = {}
-    if scratchpad_kb is not None:
-        updates["scratchpad_kb"] = scratchpad_kb
-    if mesh is not None:
-        updates["mesh_dim"] = mesh
-    return replace(options, **updates) if updates else options
+# A design-space sweep lowers the same program at hundreds of (point, level)
+# pairs; these analyses depend only on the program, so they are cached on
+# the (hashable, immutable-by-convention) program object.
+
+@lru_cache(maxsize=8)
+def _fused_program(program: MatlibProgram) -> MatlibProgram:
+    return fuse_elementwise(program).program
+
+
+@lru_cache(maxsize=8)
+def _program_buffers(program: MatlibProgram):
+    return program.buffers()
+
+
+@lru_cache(maxsize=8)
+def _program_consumers(program: MatlibProgram):
+    return tuple(tuple(program.consumers_of(index))
+                 for index in range(len(program.ops)))
+
+
+@lru_cache(maxsize=32)
+def _resident_buffers(program: MatlibProgram, scratchpad_kb: int):
+    plan = plan_scratchpad_residency(program, scratchpad_kb=scratchpad_kb)
+    return tuple(plan.resident_buffers)
+
+
+def lowering(program: MatlibProgram, point: DesignPoint, level: str,
+             lmul: int = 1, sync_granularity: Optional[int] = None
+             ) -> Tuple[MatlibProgram, object, Iterator[tuple]]:
+    """``(program to lower, options, records)`` for one compile.
+
+    The single place a (point, level) is turned into instructions: the
+    trace fidelity (:meth:`CodegenFlow.lower`) materializes the records,
+    the model fidelity (:func:`repro.arch.cycle_model.model_report`) prices
+    them as they are generated.
+    """
+    options = lowering_options(point, level, lmul=lmul,
+                               sync_granularity=sync_granularity)
+    if point.category == "scalar":
+        return program, options, scalar_records(program, options)
+    if point.category == "vector":
+        if level == "fused":
+            # fused: operator fusion at the program level plus
+            # register-resident temporaries at the lowering level.
+            program = _fused_program(program)
+        return program, options, vector_records(
+            program, options, _program_buffers(program),
+            _program_consumers(program))
+    return program, options, gemmini_records(
+        program, options, _resident_buffers(program, options.scratchpad_kb))
+
+
+# The instruction class and stream tag each category's records build.
+_STREAMS = {
+    "scalar": (ScalarWork, "scalar"),
+    "vector": (VectorInstruction, "vector"),
+    "systolic": (GemminiInstruction, "gemmini"),
+}
 
 
 @dataclass
@@ -128,22 +180,12 @@ class CodegenFlow:
               level: str, lmul: Optional[int] = None,
               sync_granularity: Optional[int] = None) -> InstructionStream:
         point = self._resolve(design_point)
-        category = point.category
-        options = lowering_options(point, level,
-                                   lmul=lmul if lmul is not None else self.lmul,
-                                   sync_granularity=sync_granularity)
-
-        if category == "scalar":
-            return lower_scalar(program, options)
-
-        if category == "vector":
-            if level == "fused":
-                # fused: operator fusion at the program level plus
-                # register-resident temporaries at the lowering level.
-                program = fuse_elementwise(program).program
-            return lower_vector(program, options)
-
-        return lower_gemmini(program, options)
+        program, _, records = lowering(
+            program, point, level, lmul=lmul if lmul is not None else self.lmul,
+            sync_granularity=sync_granularity)
+        instruction, backend = _STREAMS[point.category]
+        return InstructionStream(starmap(instruction, records),
+                                 backend=backend, name=program.name)
 
     # -- compile + time --------------------------------------------------------------
     def compile(self, program: MatlibProgram, design_point: Union[str, DesignPoint],

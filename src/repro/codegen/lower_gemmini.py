@@ -19,18 +19,22 @@ benchmarks can reproduce the paper's ablations:
                                  reductions left for the CPU (Section 4.2.6);
 * ``sync_granularity``        — how much work is offloaded between CPU
                                  synchronization points (Figure 9).
+
+:func:`gemmini_records` is the lowering; it yields plain records that
+:func:`lower_gemmini` materializes and the cycle model prices directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional, Set, Tuple
+from dataclasses import dataclass
+from itertools import starmap
+from typing import Iterable, Iterator, Optional, Set, Tuple
 
 from ..arch.isa import GemminiInstruction, GemminiOpcode, InstructionStream
 from ..matlib import MatlibProgram, OpKind, OpRecord
-from .passes import ScratchpadPlan, plan_scratchpad_residency
+from .passes import plan_scratchpad_residency
 
-__all__ = ["GemminiLoweringOptions", "lower_gemmini"]
+__all__ = ["GemminiLoweringOptions", "gemmini_records", "lower_gemmini"]
 
 
 @dataclass(frozen=True)
@@ -93,180 +97,163 @@ class GemminiLoweringOptions:
                    sync_granularity=24)
 
 
-class _GemminiLowering:
-    """Stateful single-pass lowering of a matlib program to RoCC commands."""
+def gemmini_records(program: MatlibProgram, options: GemminiLoweringOptions,
+                    resident: Iterable[str]) -> Iterator[tuple]:
+    """The Gemmini lowering: one ``GemminiInstruction`` record per command.
 
-    def __init__(self, program: MatlibProgram, options: GemminiLoweringOptions) -> None:
-        self.program = program
-        self.options = options
-        self.stream = InstructionStream(backend="gemmini", name=program.name)
-        self.plan: ScratchpadPlan = plan_scratchpad_residency(
-            program, scratchpad_kb=options.scratchpad_kb)
-        self.buffers = program.buffers()
-        self.last_config: Optional[Tuple] = None
-        self.in_scratchpad: Set[str] = set(self.plan.resident_buffers
-                                           if options.scratchpad_resident else [])
-        self.ops_since_sync = 0
+    ``resident`` names the buffers the scratchpad plan pins
+    (``plan_scratchpad_residency(...).resident_buffers``); callers pass it
+    in so a sweep can plan once per (program, scratchpad size).
+    """
+    # Enum members read as locals: attribute access on an Enum class is slow.
+    CONFIG, MVIN, MVOUT = GemminiOpcode.CONFIG, GemminiOpcode.MVIN, GemminiOpcode.MVOUT
+    PRELOAD, COMPUTE = GemminiOpcode.PRELOAD, GemminiOpcode.COMPUTE
+    FENCE, CPU_OP = GemminiOpcode.FENCE, GemminiOpcode.CPU_OP
+    GEMV, GEMM = OpKind.GEMV, OpKind.GEMM
+    ELEMENTWISE, REDUCTION = OpKind.ELEMENTWISE, OpKind.REDUCTION
+    DATA_MOVEMENT = OpKind.DATA_MOVEMENT
+    static = options.static_mapping
+    resident_mode = options.scratchpad_resident
+    in_scratchpad: Set[str] = set(resident) if resident_mode else set()
+    last_config: Optional[Tuple] = None
+    ops_since_sync = 0
 
-    # -- emission helpers --------------------------------------------------------
-    def _emit(self, kernel: str, opcode: GemminiOpcode, **kwargs) -> None:
-        self.stream.append(GemminiInstruction(
-            kernel=kernel, opcode=opcode,
-            statically_mapped=self.options.static_mapping,
-            cisc=kwargs.pop("cisc", False), **kwargs))
+    def command(kernel: str, opcode: GemminiOpcode, rows: int = 0,
+                cols: int = 0, inner: int = 0, dram: bool = False,
+                cisc: bool = False, uses_activation: bool = False,
+                pool_factor: int = 1, cpu_flops: int = 0) -> tuple:
+        return (kernel, opcode, rows, cols, inner, dram, cisc, static,
+                uses_activation, pool_factor, cpu_flops)
 
-    def _emit_config(self, kernel: str, signature: Tuple, count: int = 1) -> None:
-        if (self.options.eliminate_redundant_config
-                and signature == self.last_config):
-            return
-        for _ in range(count):
-            self._emit(kernel, GemminiOpcode.CONFIG)
-        self.last_config = signature
+    def configure(kernel: str, signature: Tuple, count: int = 1
+                  ) -> Tuple[tuple, ...]:
+        nonlocal last_config
+        if options.eliminate_redundant_config and signature == last_config:
+            return ()
+        last_config = signature
+        return (command(kernel, CONFIG),) * count
 
-    def _maybe_fence(self, kernel: str, force: bool = False) -> None:
-        """Insert a fence at synchronization boundaries.
+    def sync(kernel: str, force: bool = False) -> Tuple[tuple, ...]:
+        """A fence at synchronization boundaries.
 
-        With DRAM staging every offloaded op must be fenced before its result
-        is reused; with scratchpad residency only CPU hand-offs need fences,
-        which the ``sync_granularity`` knob batches.
+        With DRAM staging every offloaded op must be fenced before its
+        result is reused; with scratchpad residency only CPU hand-offs need
+        fences, which the ``sync_granularity`` knob batches.
         """
-        self.ops_since_sync += 1
-        if force or self.ops_since_sync >= self.options.sync_granularity:
-            self._emit(kernel, GemminiOpcode.FENCE)
-            self.ops_since_sync = 0
+        nonlocal ops_since_sync
+        ops_since_sync += 1
+        if force or ops_since_sync >= options.sync_granularity:
+            ops_since_sync = 0
+            return (command(kernel, FENCE),)
+        return ()
 
-    def _stage_input(self, kernel: str, name: str, shape: Tuple[int, ...]) -> None:
+    def stage_input(kernel: str, name: str, shape: Tuple[int, ...]
+                    ) -> Tuple[tuple, ...]:
         """mvin an operand unless it is already scratchpad-resident."""
-        if name in self.in_scratchpad:
-            return
+        if name in in_scratchpad:
+            return ()
+        if resident_mode:
+            in_scratchpad.add(name)
         rows = shape[0] if shape else 1
         cols = shape[1] if len(shape) > 1 else 1
-        dram = not self.options.scratchpad_resident
-        self._emit(kernel, GemminiOpcode.MVIN, rows=rows, cols=cols, dram=dram)
-        if self.options.scratchpad_resident:
-            self.in_scratchpad.add(name)
+        return (command(kernel, MVIN, rows=rows, cols=cols,
+                        dram=not resident_mode),)
 
-    def _retire_output(self, kernel: str, op: OpRecord, pool_factor: int = 1,
-                       uses_activation: bool = False) -> None:
+    def retire_output(kernel: str, op: OpRecord, uses_activation: bool = False
+                      ) -> Tuple[tuple, ...]:
         """mvout the result; scratchpad-resident results avoid the DRAM trip."""
         rows = op.out_shape[0] if op.out_shape else 1
         cols = op.out_shape[1] if len(op.out_shape) > 1 else 1
-        if self.options.scratchpad_resident:
-            self._emit(kernel, GemminiOpcode.MVOUT, rows=rows, cols=cols,
-                       dram=False, pool_factor=pool_factor,
-                       uses_activation=uses_activation)
-            self.in_scratchpad.add(op.output)
-            self._maybe_fence(kernel)
-        else:
-            self._emit(kernel, GemminiOpcode.MVOUT, rows=rows, cols=cols,
-                       dram=True, pool_factor=pool_factor,
-                       uses_activation=uses_activation)
-            self._maybe_fence(kernel, force=True)
+        mvout = command(kernel, MVOUT, rows=rows, cols=cols,
+                        dram=not resident_mode, uses_activation=uses_activation)
+        if resident_mode:
+            in_scratchpad.add(op.output)
+            return (mvout,) + sync(kernel)
+        return (mvout,) + sync(kernel, force=True)
 
-    # -- per-kind lowering ----------------------------------------------------------
-    def _lower_matrix_op(self, op: OpRecord) -> None:
+    for op in program.ops:
         kernel = op.kernel or "<untagged>"
-        options = self.options
-        if op.name == "gemv_t":
-            rows, inner = op.shapes[0][1], op.shapes[0][0]
-            cols = 1
-        elif op.kind is OpKind.GEMM:
-            rows, inner = op.shapes[0]
-            cols = op.out_shape[1] if len(op.out_shape) > 1 else 1
-        else:
-            rows, inner = op.shapes[0]
-            cols = 1
-
-        signature = (op.shapes, op.out_shape)
-        config_count = 3 if options.use_cisc else 1
-        self._emit_config(kernel, signature, count=config_count)
-        for name, shape in zip(op.inputs, op.shapes):
-            if shape and not name.startswith("<"):
-                # CISC instructions require operands in memory.
-                if options.use_cisc:
-                    self._emit(kernel, GemminiOpcode.MVIN,
-                               rows=shape[0], cols=shape[1] if len(shape) > 1 else 1,
-                               dram=True, cisc=True)
-                else:
-                    self._stage_input(kernel, name, shape)
-        self._emit(kernel, GemminiOpcode.PRELOAD, rows=min(rows, options.mesh_dim),
-                   cols=min(cols, options.mesh_dim))
-        self._emit(kernel, GemminiOpcode.COMPUTE, rows=rows, cols=cols, inner=inner,
-                   cisc=options.use_cisc)
-        self._retire_output(kernel, op)
-
-    def _lower_elementwise(self, op: OpRecord) -> None:
-        kernel = op.kernel or "<untagged>"
-        options = self.options
-        elements = max(op.output_elements, 1)
-        if not options.use_activation_engine:
-            # Fall back to the CPU: the data must be synchronized out first.
-            if options.scratchpad_resident:
-                self._emit(kernel, GemminiOpcode.MVOUT,
-                           rows=elements, cols=1, dram=False)
-            self._maybe_fence(kernel, force=True)
-            self._emit(kernel, GemminiOpcode.CPU_OP, cpu_flops=max(op.flops, elements))
-            return
-        # Elementwise work on the mesh: multiply by a resident identity (or
-        # scaled identity) with a fused ReLU; abs and clip need two passes.
-        passes = 2 if op.name in ("abs", "clip", "axpy", "sub_scaled") else 1
-        rows = max(-(-elements // options.mesh_dim), 1)
-        signature = ("elementwise", elements)
-        self._emit_config(kernel, signature)
-        for name, shape in zip(op.inputs, op.shapes):
-            if shape and not name.startswith("<"):
-                self._stage_input(kernel, name, shape)
-        for _ in range(passes):
-            self._emit(kernel, GemminiOpcode.COMPUTE, rows=rows,
-                       cols=options.mesh_dim, inner=1, uses_activation=True)
-        self._retire_output(kernel, op, uses_activation=True)
-
-    def _lower_reduction(self, op: OpRecord) -> None:
-        kernel = op.kernel or "<untagged>"
-        options = self.options
-        elements = max(max((max(s) if s else 1) for s in op.shapes), 1) if op.shapes else 1
-        if options.use_pooling:
-            # Pooled residual reductions are batched: results accumulate in a
-            # pooled output region and the CPU synchronizes once per residual
-            # kernel rather than per knot point (the fence comes from the
-            # regular sync-granularity policy).
-            pooled = max(elements // options.pool_factor, 1)
-            self._emit(kernel, GemminiOpcode.MVOUT, rows=elements, cols=1,
-                       dram=not options.scratchpad_resident,
-                       pool_factor=options.pool_factor)
-            self._maybe_fence(kernel)
-            self._emit(kernel, GemminiOpcode.CPU_OP, cpu_flops=2 * pooled)
-        else:
-            self._emit(kernel, GemminiOpcode.MVOUT, rows=elements, cols=1,
-                       dram=not options.scratchpad_resident)
-            self._maybe_fence(kernel, force=True)
-            self._emit(kernel, GemminiOpcode.CPU_OP, cpu_flops=2 * elements)
-
-    def _lower_data_movement(self, op: OpRecord) -> None:
-        kernel = op.kernel or "<untagged>"
-        elements = max(op.output_elements, 1)
-        self._emit(kernel, GemminiOpcode.MVIN, rows=elements, cols=1,
-                   dram=not self.options.scratchpad_resident)
-
-    # -- driver --------------------------------------------------------------------
-    def lower(self) -> InstructionStream:
-        for op in self.program.ops:
-            if op.kind in (OpKind.GEMV, OpKind.GEMM):
-                self._lower_matrix_op(op)
-            elif op.kind is OpKind.ELEMENTWISE:
-                self._lower_elementwise(op)
-            elif op.kind is OpKind.REDUCTION:
-                self._lower_reduction(op)
-            elif op.kind is OpKind.DATA_MOVEMENT:
-                self._lower_data_movement(op)
+        kind = op.kind
+        if kind is GEMV or kind is GEMM:
+            if op.name == "gemv_t":
+                rows, inner = op.shapes[0][1], op.shapes[0][0]
+                cols = 1
+            elif kind is GEMM:
+                rows, inner = op.shapes[0]
+                cols = op.out_shape[1] if len(op.out_shape) > 1 else 1
             else:
-                self._emit(op.kernel or "<untagged>", GemminiOpcode.CPU_OP,
-                           cpu_flops=max(op.flops, 1))
-        return self.stream
+                rows, inner = op.shapes[0]
+                cols = 1
+            yield from configure(kernel, (op.shapes, op.out_shape),
+                                 count=3 if options.use_cisc else 1)
+            for name, shape in zip(op.inputs, op.shapes):
+                if shape and not name.startswith("<"):
+                    if options.use_cisc:
+                        # CISC instructions require operands in memory.
+                        yield command(kernel, MVIN, rows=shape[0],
+                                      cols=shape[1] if len(shape) > 1 else 1,
+                                      dram=True, cisc=True)
+                    else:
+                        yield from stage_input(kernel, name, shape)
+            yield command(kernel, PRELOAD,
+                          rows=min(rows, options.mesh_dim),
+                          cols=min(cols, options.mesh_dim))
+            yield command(kernel, COMPUTE, rows=rows, cols=cols, inner=inner,
+                          cisc=options.use_cisc)
+            yield from retire_output(kernel, op)
+        elif kind is ELEMENTWISE:
+            elements = max(op.output_elements, 1)
+            if not options.use_activation_engine:
+                # Fall back to the CPU: the data must be synchronized out first.
+                if resident_mode:
+                    yield command(kernel, MVOUT, rows=elements, cols=1)
+                yield from sync(kernel, force=True)
+                yield command(kernel, CPU_OP, cpu_flops=max(op.flops, elements))
+                continue
+            # Elementwise work on the mesh: multiply by a resident identity
+            # (or scaled identity) with a fused ReLU; abs and clip need two
+            # passes.
+            passes = 2 if op.name in ("abs", "clip", "axpy", "sub_scaled") else 1
+            rows = max(-(-elements // options.mesh_dim), 1)
+            yield from configure(kernel, ("elementwise", elements))
+            for name, shape in zip(op.inputs, op.shapes):
+                if shape and not name.startswith("<"):
+                    yield from stage_input(kernel, name, shape)
+            for _ in range(passes):
+                yield command(kernel, COMPUTE, rows=rows, cols=options.mesh_dim,
+                              inner=1, uses_activation=True)
+            yield from retire_output(kernel, op, uses_activation=True)
+        elif kind is REDUCTION:
+            elements = (max(max((max(s) if s else 1) for s in op.shapes), 1)
+                        if op.shapes else 1)
+            if options.use_pooling:
+                # Pooled residual reductions are batched: results accumulate
+                # in a pooled output region and the CPU synchronizes once per
+                # residual kernel rather than per knot point (the fence comes
+                # from the regular sync-granularity policy).
+                pooled = max(elements // options.pool_factor, 1)
+                yield command(kernel, MVOUT, rows=elements, cols=1,
+                              dram=not resident_mode,
+                              pool_factor=options.pool_factor)
+                yield from sync(kernel)
+                yield command(kernel, CPU_OP, cpu_flops=2 * pooled)
+            else:
+                yield command(kernel, MVOUT, rows=elements, cols=1,
+                              dram=not resident_mode)
+                yield from sync(kernel, force=True)
+                yield command(kernel, CPU_OP, cpu_flops=2 * elements)
+        elif kind is DATA_MOVEMENT:
+            yield command(kernel, MVIN, rows=max(op.output_elements, 1), cols=1,
+                          dram=not resident_mode)
+        else:
+            yield command(kernel, CPU_OP, cpu_flops=max(op.flops, 1))
 
 
 def lower_gemmini(program: MatlibProgram,
                   options: GemminiLoweringOptions = GemminiLoweringOptions()
                   ) -> InstructionStream:
     """Lower a matlib program to a Gemmini RoCC command stream."""
-    return _GemminiLowering(program, options).lower()
+    plan = plan_scratchpad_residency(program, scratchpad_kb=options.scratchpad_kb)
+    records = gemmini_records(program, options, plan.resident_buffers)
+    return InstructionStream(starmap(GemminiInstruction, records),
+                             backend="gemmini", name=program.name)

@@ -7,17 +7,21 @@ Two software styles are modelled, matching the paper's scalar baselines:
 * ``eigen`` — the hand-optimized Eigen-style code used as the paper's
   scalar baseline: fixed-size operators are inlined and unrolled, so the
   call overhead disappears and loop bookkeeping is amortized.
+
+:func:`scalar_records` is the lowering; it yields plain records that
+:func:`lower_scalar` materializes and the cycle model prices directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import starmap
+from typing import Iterator
 
 from ..arch.isa import InstructionStream, ScalarWork
 from ..matlib import MatlibProgram, OpKind, OpRecord
 
-__all__ = ["ScalarLoweringOptions", "lower_scalar"]
+__all__ = ["ScalarLoweringOptions", "scalar_records", "lower_scalar"]
 
 
 @dataclass(frozen=True)
@@ -62,15 +66,14 @@ def _loop_iterations(op: OpRecord, options: ScalarLoweringOptions) -> int:
     return max(iterations // options.unroll_factor, 1)
 
 
-def lower_scalar(program: MatlibProgram,
-                 options: ScalarLoweringOptions = ScalarLoweringOptions()
-                 ) -> InstructionStream:
-    """Lower a matlib program to a stream of ScalarWork blocks."""
-    stream = InstructionStream(backend="scalar",
-                               name="{}::{}".format(program.name, options.style))
+def scalar_records(program: MatlibProgram,
+                   options: ScalarLoweringOptions = ScalarLoweringOptions()
+                   ) -> Iterator[tuple]:
+    """The scalar lowering: one ``ScalarWork`` record per operator."""
+    library = options.style == "library"
+    DATA_MOVEMENT = OpKind.DATA_MOVEMENT   # a local: Enum attribute access is slow
     for op in program.ops:
-        kernel = op.kernel or "<untagged>"
-        if options.style == "library":
+        if library:
             op_calls = 1
             memory_bytes = op.total_bytes
         else:
@@ -80,14 +83,15 @@ def lower_scalar(program: MatlibProgram,
             # stay in registers).
             op_calls = 0
             memory_bytes = op.bytes_read // 2 + op.bytes_written // 2
-        if op.kind is OpKind.DATA_MOVEMENT and op.flops == 0:
+        if op.kind is DATA_MOVEMENT and op.flops == 0:
             memory_bytes = op.total_bytes
-        stream.append(ScalarWork(
-            kernel=kernel,
-            flops=op.flops,
-            memory_bytes=memory_bytes,
-            op_calls=op_calls,
-            loop_iterations=_loop_iterations(op, options),
-            dependent_chain=_dependence_chain(op),
-        ))
-    return stream
+        yield (op.kernel or "<untagged>", op.flops, memory_bytes, op_calls,
+               _loop_iterations(op, options), _dependence_chain(op))
+
+
+def lower_scalar(program: MatlibProgram,
+                 options: ScalarLoweringOptions = ScalarLoweringOptions()
+                 ) -> InstructionStream:
+    """Lower a matlib program to a stream of ScalarWork blocks."""
+    return InstructionStream(starmap(ScalarWork, scalar_records(program, options)),
+                             backend="scalar", name=program.name)

@@ -16,17 +16,22 @@ hardware (Section 4.1):
 Register grouping (LMUL) is an orthogonal knob: it reduces the number of
 instructions for long elementwise vectors but occupies the datapath for the
 whole register group, which hurts the small iterative kernels (Figure 4).
+
+:func:`vector_records` is the lowering; it yields plain records that
+:func:`lower_vector` materializes and the cycle model prices directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from itertools import starmap
+from typing import Dict, Iterator, Optional, Sequence, Set, Tuple
 
 from ..arch.isa import InstructionStream, VectorInstruction, VectorOpcode
 from ..matlib import MatlibProgram, OpKind, OpRecord
+from ..matlib.program import BufferInfo
 
-__all__ = ["VectorLoweringOptions", "lower_vector"]
+__all__ = ["VectorLoweringOptions", "vector_records", "lower_vector"]
 
 
 @dataclass(frozen=True)
@@ -69,178 +74,161 @@ class VectorLoweringOptions:
                    elide_redundant_vsetvl=True, vlen=vlen, call_overhead_scalars=2.0)
 
 
-class _VectorLowering:
-    """Stateful single-pass lowering over a matlib program."""
+def vector_records(program: MatlibProgram, options: VectorLoweringOptions,
+                   buffers: Dict[str, BufferInfo],
+                   consumers: Sequence[Sequence[int]]) -> Iterator[tuple]:
+    """The RVV lowering: one ``VectorInstruction`` record per instruction.
 
-    def __init__(self, program: MatlibProgram, options: VectorLoweringOptions) -> None:
-        self.program = program
-        self.options = options
-        self.stream = InstructionStream(backend="vector", name=program.name)
-        self.buffers = program.buffers()
-        self.last_vl: Optional[int] = None
-        self.values_in_registers: Set[str] = set()
+    ``buffers`` is ``program.buffers()`` and ``consumers[index]`` is
+    ``program.consumers_of(index)``; callers pass them in so a sweep can
+    compute them once per program.
+    """
+    # Enum members read as locals: attribute access on an Enum class is slow.
+    VARITH, VMACC = VectorOpcode.VARITH, VectorOpcode.VMACC
+    VLOAD, VSTORE = VectorOpcode.VLOAD, VectorOpcode.VSTORE
+    SCALAR, VSETVL = VectorOpcode.SCALAR, VectorOpcode.VSETVL
+    VREDUCE = VectorOpcode.VREDUCE
+    GEMV, GEMM = OpKind.GEMV, OpKind.GEMM
+    ELEMENTWISE, REDUCTION = OpKind.ELEMENTWISE, OpKind.REDUCTION
+    DATA_MOVEMENT = OpKind.DATA_MOVEMENT
+    element_bytes = options.element_bytes
+    lmul = options.lmul
+    unroll = options.unroll_factor
+    fusion = options.keep_temporaries_in_registers
+    per_instruction = options.max_elements_per_instruction
+    last_vl: Optional[int] = None
+    in_registers: Set[str] = set()
 
-    # -- helpers -----------------------------------------------------------------
-    def _emit(self, kernel: str, opcode: VectorOpcode, elements: int,
-              sequential: bool = False, lmul: Optional[int] = None,
-              note: str = "") -> None:
-        self.stream.append(VectorInstruction(
-            kernel=kernel, opcode=opcode, elements=elements,
-            element_bytes=self.options.element_bytes,
-            lmul=self.options.lmul if lmul is None else lmul,
-            sequential_dependency=sequential, note=note))
+    def vsetvl(kernel: str, vl: int) -> Tuple[tuple, ...]:
+        nonlocal last_vl
+        if options.elide_redundant_vsetvl and last_vl == vl:
+            return ()
+        last_vl = vl
+        return ((kernel, VSETVL, 0, element_bytes, lmul, False),)
 
-    def _emit_vsetvl(self, kernel: str, vl: int) -> None:
-        if self.options.elide_redundant_vsetvl and self.last_vl == vl:
-            return
-        self._emit(kernel, VectorOpcode.VSETVL, 0)
-        self.last_vl = vl
+    def scalar(kernel: str, count: float) -> Tuple[tuple, ...]:
+        count = int(round(count))
+        if count > 0:
+            return ((kernel, SCALAR, count, element_bytes, 1, False),)
+        return ()
 
-    def _needs_load(self, name: str) -> bool:
-        if not self.options.keep_temporaries_in_registers:
-            return True
-        return name not in self.values_in_registers
+    def needs_load(name: str) -> bool:
+        return not fusion or name not in in_registers
 
-    def _mark_produced(self, op: OpRecord, index: int) -> bool:
-        """Decide whether the result stays in registers; emit store if not.
+    def stays_in_registers(op: OpRecord, index: int) -> bool:
+        """Whether the result stays in registers instead of being stored.
 
-        A result can stay in a register when fusion is enabled, it is a
-        single-use temporary, and its sole consumer is nearby in program
-        order (so register pressure stays bounded).
+        It can when fusion is enabled, it is a single-use temporary, and
+        its sole consumer is nearby in program order (so register pressure
+        stays bounded).
         """
-        if not self.options.keep_temporaries_in_registers:
+        if not fusion:
             return False
-        info = self.buffers.get(op.output)
+        info = buffers.get(op.output)
         if info is None or not info.is_temporary or not info.single_use:
             return False
-        consumers = self.program.consumers_of(index)
-        if consumers and consumers[0] - index <= 6:
-            self.values_in_registers.add(op.output)
+        after = consumers[index]
+        if after and after[0] - index <= 6:
+            in_registers.add(op.output)
             return True
         return False
 
-    def _scalar(self, kernel: str, count: float) -> None:
-        count = int(round(count))
-        if count > 0:
-            self._emit(kernel, VectorOpcode.SCALAR, count, lmul=1)
-
-    # -- per-kind lowering -----------------------------------------------------------
-    def _lower_gemv(self, op: OpRecord, index: int) -> None:
+    for index, op in enumerate(program.ops):
         kernel = op.kernel or "<untagged>"
-        options = self.options
-        if op.name == "gemv_t":
-            rows = op.shapes[0][1]
-            inner = op.shapes[0][0]
-        elif op.name in ("gemm", "outer"):
-            self._lower_gemm(op, index)
-            return
-        else:
-            rows = op.shapes[0][0]
-            inner = op.shapes[0][1]
-
-        self._emit_vsetvl(kernel, rows)
-        # Zero (or load) the accumulator register.
-        self._emit(kernel, VectorOpcode.VARITH, rows, note="acc-init")
-        # Scalar bookkeeping: per-column address computation and the scalar
-        # operand load for vfmacc.vf.  Unrolling amortizes most of it.
-        scalar_per_column = 4.0 if options.unroll_factor == 1 else 1.0
-        self._scalar(kernel, scalar_per_column * inner)
-        unroll = options.unroll_factor
-        for column in range(inner):
-            self._emit(kernel, VectorOpcode.VLOAD, rows, note="matrix-column")
+        yield from scalar(kernel, options.call_overhead_scalars)
+        kind = op.kind
+        if (kind is GEMV or kind is GEMM) and op.name in ("gemm", "outer"):
+            rows, inner = op.shapes[0]
+            cols = op.out_shape[1] if len(op.out_shape) == 2 else 1
+            load = (kernel, VLOAD, rows, element_bytes, lmul, False)
+            macc = (kernel, VMACC, rows, element_bytes, lmul, unroll == 1)
+            for _ in range(cols):
+                yield from vsetvl(kernel, rows)
+                yield (kernel, VARITH, rows, element_bytes, lmul, False)
+                yield from scalar(kernel, (3.0 if unroll == 1 else 1.25) * inner)
+                for _ in range(inner):
+                    yield load
+                    yield macc
+                yield (kernel, VSTORE, rows, element_bytes, lmul, False)
+        elif kind is GEMV or kind is GEMM:
+            if op.name == "gemv_t":
+                rows, inner = op.shapes[0][1], op.shapes[0][0]
+            else:
+                rows, inner = op.shapes[0][0], op.shapes[0][1]
+            yield from vsetvl(kernel, rows)
+            # Zero (or load) the accumulator register.
+            yield (kernel, VARITH, rows, element_bytes, lmul, False)
+            # Scalar bookkeeping: per-column address computation and the
+            # scalar operand load for vfmacc.vf.  Unrolling amortizes most
+            # of it.
+            yield from scalar(kernel, (4.0 if unroll == 1 else 1.0) * inner)
             # With a single accumulator every vfmacc depends on the previous
             # one; unrolled code rotates accumulators to hide the latency.
-            sequential = (unroll == 1) or ((column + 1) % unroll == 0)
-            self._emit(kernel, VectorOpcode.VMACC, rows, sequential=sequential)
-        if unroll > 1:
-            # Combine the partial accumulators.
-            for _ in range(min(unroll, inner) - 1):
-                self._emit(kernel, VectorOpcode.VARITH, rows, sequential=True,
-                           note="acc-combine")
-        if not self._mark_produced(op, index):
-            self._emit(kernel, VectorOpcode.VSTORE, rows)
-
-    def _lower_gemm(self, op: OpRecord, index: int) -> None:
-        kernel = op.kernel or "<untagged>"
-        rows, inner = op.shapes[0]
-        cols = op.out_shape[1] if len(op.out_shape) == 2 else 1
-        for _ in range(cols):
-            self._emit_vsetvl(kernel, rows)
-            self._emit(kernel, VectorOpcode.VARITH, rows, note="acc-init")
-            self._scalar(kernel, (3.0 if self.options.unroll_factor == 1 else 1.25) * inner)
+            load = (kernel, VLOAD, rows, element_bytes, lmul, False)
+            chained = (kernel, VMACC, rows, element_bytes, lmul, True)
+            rotated = (kernel, VMACC, rows, element_bytes, lmul, False)
             for column in range(inner):
-                self._emit(kernel, VectorOpcode.VLOAD, rows)
-                self._emit(kernel, VectorOpcode.VMACC, rows,
-                           sequential=self.options.unroll_factor == 1)
-            self._emit(kernel, VectorOpcode.VSTORE, rows)
-
-    def _lower_elementwise(self, op: OpRecord, index: int) -> None:
-        kernel = op.kernel or "<untagged>"
-        options = self.options
-        elements = max(op.output_elements, 1)
-        self._emit_vsetvl(kernel, elements)
-        per_instruction = options.max_elements_per_instruction
-        chunks = max(-(-elements // per_instruction), 1)
-
-        vector_inputs = [name for name, shape in zip(op.inputs, op.shapes) if shape]
-        loads = 0
-        for name in vector_inputs:
-            if self._needs_load(name):
-                loads += 1
-            else:
-                self.values_in_registers.discard(name)
-        for _ in range(loads * chunks):
-            self._emit(kernel, VectorOpcode.VLOAD,
-                       min(elements, per_instruction))
-        # The arithmetic itself; clip/axpy style ops need two passes.
-        passes = 2 if op.flops >= 2 * elements else 1
-        for _ in range(chunks * passes):
-            self._emit(kernel, VectorOpcode.VARITH, min(elements, per_instruction))
-        self._scalar(kernel, 2.0 if options.unroll_factor == 1 else 0.5)
-        if not self._mark_produced(op, index):
-            for _ in range(chunks):
-                self._emit(kernel, VectorOpcode.VSTORE,
-                           min(elements, per_instruction))
-
-    def _lower_reduction(self, op: OpRecord, index: int) -> None:
-        kernel = op.kernel or "<untagged>"
-        elements = max(max((max(s) if s else 1) for s in op.shapes), 1) if op.shapes else 1
-        self._emit_vsetvl(kernel, elements)
-        for name, shape in zip(op.inputs, op.shapes):
-            if shape and self._needs_load(name):
-                self._emit(kernel, VectorOpcode.VLOAD, elements)
-        if op.name in ("max_abs_diff",):
-            self._emit(kernel, VectorOpcode.VARITH, elements)   # subtract
-        if op.name in ("max_abs_diff", "max_abs_reduce"):
-            self._emit(kernel, VectorOpcode.VARITH, elements)   # abs
-        self._emit(kernel, VectorOpcode.VREDUCE, elements)
-        self._scalar(kernel, 1.0)
-
-    def _lower_data_movement(self, op: OpRecord, index: int) -> None:
-        kernel = op.kernel or "<untagged>"
-        elements = max(op.output_elements, 1)
-        self._emit(kernel, VectorOpcode.VLOAD, elements)
-        self._emit(kernel, VectorOpcode.VSTORE, elements)
-
-    # -- driver ----------------------------------------------------------------------
-    def lower(self) -> InstructionStream:
-        for index, op in enumerate(self.program.ops):
-            self._scalar(op.kernel or "<untagged>", self.options.call_overhead_scalars)
-            if op.kind in (OpKind.GEMV, OpKind.GEMM):
-                self._lower_gemv(op, index)
-            elif op.kind is OpKind.ELEMENTWISE:
-                self._lower_elementwise(op, index)
-            elif op.kind is OpKind.REDUCTION:
-                self._lower_reduction(op, index)
-            elif op.kind is OpKind.DATA_MOVEMENT:
-                self._lower_data_movement(op, index)
-            else:
-                self._scalar(op.kernel or "<untagged>", max(op.flops, 1))
-        return self.stream
+                yield load
+                yield chained if (column + 1) % unroll == 0 else rotated
+            # Combine the partial accumulators.
+            combine = (kernel, VARITH, rows, element_bytes, lmul, True)
+            for _ in range(min(unroll, inner) - 1):
+                yield combine
+            if not stays_in_registers(op, index):
+                yield (kernel, VSTORE, rows, element_bytes, lmul, False)
+        elif kind is ELEMENTWISE:
+            elements = max(op.output_elements, 1)
+            yield from vsetvl(kernel, elements)
+            chunks = max(-(-elements // per_instruction), 1)
+            chunk = min(elements, per_instruction)
+            loads = 0
+            for name, shape in zip(op.inputs, op.shapes):
+                if not shape:
+                    continue
+                if needs_load(name):
+                    loads += 1
+                else:
+                    in_registers.discard(name)
+            load = (kernel, VLOAD, chunk, element_bytes, lmul, False)
+            for _ in range(loads * chunks):
+                yield load
+            # The arithmetic itself; clip/axpy style ops need two passes.
+            passes = 2 if op.flops >= 2 * elements else 1
+            arith = (kernel, VARITH, chunk, element_bytes, lmul, False)
+            for _ in range(chunks * passes):
+                yield arith
+            yield from scalar(kernel, 2.0 if unroll == 1 else 0.5)
+            if not stays_in_registers(op, index):
+                store = (kernel, VSTORE, chunk, element_bytes, lmul, False)
+                for _ in range(chunks):
+                    yield store
+        elif kind is REDUCTION:
+            elements = (max(max((max(s) if s else 1) for s in op.shapes), 1)
+                        if op.shapes else 1)
+            yield from vsetvl(kernel, elements)
+            for name, shape in zip(op.inputs, op.shapes):
+                if shape and needs_load(name):
+                    yield (kernel, VLOAD, elements, element_bytes, lmul, False)
+            arith = (kernel, VARITH, elements, element_bytes, lmul, False)
+            if op.name == "max_abs_diff":
+                yield arith   # subtract
+            if op.name in ("max_abs_diff", "max_abs_reduce"):
+                yield arith   # abs
+            yield (kernel, VREDUCE, elements, element_bytes, lmul, False)
+            yield from scalar(kernel, 1.0)
+        elif kind is DATA_MOVEMENT:
+            elements = max(op.output_elements, 1)
+            yield (kernel, VLOAD, elements, element_bytes, lmul, False)
+            yield (kernel, VSTORE, elements, element_bytes, lmul, False)
+        else:
+            yield from scalar(kernel, max(op.flops, 1))
 
 
 def lower_vector(program: MatlibProgram,
                  options: VectorLoweringOptions = VectorLoweringOptions()
                  ) -> InstructionStream:
     """Lower a matlib program to an RVV instruction stream."""
-    return _VectorLowering(program, options).lower()
+    consumers = [program.consumers_of(index) for index in range(len(program.ops))]
+    records = vector_records(program, options, program.buffers(), consumers)
+    return InstructionStream(starmap(VectorInstruction, records),
+                             backend="vector", name=program.name)

@@ -6,9 +6,10 @@ catalog as ``design_point`` campaign episodes
 an :class:`~repro.tinympc.problem.MPCProblem` (so sweeps over problem
 variants — and the cache keys in :mod:`repro.experiments.runner` — stay
 tied to the problem contents rather than to a shared default).
-``fidelity="model"`` evaluates with the trace-validated analytical cycle
-model instead of full codegen, and automatically *promotes* the resulting
-Pareto frontier back to trace fidelity for confirmation.
+``fidelity="model"`` prices the lowering without materializing the
+instruction stream (:func:`repro.arch.cycle_model.model_report`), and
+automatically *promotes* the resulting Pareto frontier back to trace
+fidelity for confirmation.
 """
 
 from __future__ import annotations
@@ -62,10 +63,11 @@ def fig10_pareto(program: Optional[MatlibProgram] = None,
 def _promote_rows(rows: List[Dict], frontier: Sequence[int]) -> None:
     """Re-evaluate model-fidelity design-cell rows at trace fidelity in place.
 
-    The wide sweep ran on the analytical model; the points a designer would
-    pick get cycle-exact confirmation columns (``trace_*``).  The model is
-    validated bit-exact on the whole catalog, so ``trace_confirmed`` is a
-    regression tripwire, not an expected source of disagreement.
+    The wide sweep ran at model fidelity; the points a designer would pick
+    get confirmation columns (``trace_*``) from the materialized stream.
+    Both fidelities share the lowering and the pricing loop, so
+    ``trace_confirmed`` is a tripwire for that sharing breaking, not an
+    expected source of disagreement.
     """
     from ..fleet.design_point import DesignPointSpec, compile_via_fleet
     specs = [DesignPointSpec(

@@ -339,8 +339,9 @@ class CampaignSpec:
     # -- design-space exploration axes (episode_kind="design_point" only) ----
     # ``design_points=()`` means the whole catalog; ``codegen_levels`` may
     # hold "auto" (each point's per-category default level); ``fidelities``
-    # picks trace (cycle-exact backend replay) or model (analytical cycle
-    # model) per grid point.  See repro.fleet.design_point.
+    # picks trace (materialized instruction stream) or model (the same
+    # lowering priced without building the stream) per grid point.  See
+    # repro.fleet.design_point.
     programs: Tuple[str, ...] = ("iteration",)
     design_points: Tuple[str, ...] = ()
     codegen_levels: Tuple[str, ...] = ("auto",)

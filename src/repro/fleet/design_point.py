@@ -11,18 +11,19 @@ unchanged.  A design point needs no MPC solve, so it never enters the
 scheduler: the chunk runner (:class:`~repro.fleet.supervisor.ChunkRunner`)
 calls :func:`evaluate_design_point` on it directly.
 
-Two *fidelities* evaluate a grid point:
+Two *fidelities* evaluate a grid point.  Both run the same lowering and
+the same backend pricing loop; they differ only in whether the instruction
+stream is materialized:
 
 ``"trace"``
-    Full codegen: lower the program to an instruction stream and replay it
-    through the design point's cycle-accurate backend timing model
+    Full codegen: lower the program to an instruction stream of objects
+    and time it with the design point's backend
     (:meth:`~repro.codegen.flow.CodegenFlow.compile`).
 ``"model"``
-    The closed-form analytical cycle model
-    (:mod:`repro.arch.cycle_model`), validated bit-exact against the trace
-    on the whole catalog and several times faster — the fidelity to sweep
-    wide with.  :func:`promote_frontier` re-evaluates a model sweep's
-    Pareto frontier at trace fidelity.
+    :func:`~repro.arch.cycle_model.model_report`: price the lowering's
+    records as they are generated, building no instruction objects — the
+    fidelity to sweep wide with.  :func:`promote_frontier` re-evaluates a
+    model sweep's Pareto frontier at trace fidelity.
 
 Every evaluation computes its result; nothing is memoized across episodes
 (a sweep's grid points are distinct, so a result memo never hits).  The

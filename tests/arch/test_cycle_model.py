@@ -1,13 +1,15 @@
-"""Accuracy contract for the analytical cycle model.
+"""Model fidelity equals trace fidelity on the catalog.
 
-The ``fidelity="model"`` campaign axis stands in for full
-compile-and-simulate trace evaluation, so its accuracy is pinned here:
-every catalog (design point, optimization level) pair must stay within
-:data:`~repro.arch.cycle_model.PINNED_TOLERANCE` of the trace (and is
-currently bit-exact), and the points a designer would actually pick — the
-Figure 10 Pareto frontier — must match the trace *exactly*, counters
-included.  ``scripts/validate_cycle_model.py`` prints the same sweep as a
-table; ``test_cycle_model_props.py`` checks design points off the catalog.
+The ``fidelity="model"`` campaign axis prices the lowering's records
+without materializing the instruction stream; the trace builds the stream
+and times it with ``Backend.run``.  Both share the lowering and the
+backend's pricing loop, so every catalog (design point, optimization level)
+pair must be bit-exact (and within
+:data:`~repro.arch.cycle_model.PINNED_TOLERANCE` of the trace), and the
+points a designer would actually pick — the Figure 10 Pareto frontier —
+must match the trace *exactly*, counters included.
+``scripts/validate_cycle_model.py`` prints the same sweep as a table;
+``test_cycle_model_props.py`` checks design points off the catalog.
 """
 
 import pytest
@@ -51,9 +53,9 @@ class TestCatalogAccuracy:
             assert error <= PINNED_TOLERANCE, (category, error)
 
     def test_whole_catalog_is_currently_bit_exact(self, catalog_validation):
-        # Stronger than the tolerance contract and deliberately pinned: the
-        # model re-derives the backends' closed forms, so any drift at all
-        # means one side changed without the other.
+        # Stronger than the tolerance contract and deliberately pinned: both
+        # fidelities run the same lowering and pricing loop, so any drift at
+        # all means they stopped sharing one.
         inexact = [v.as_row() for v in catalog_validation if not v.exact]
         assert not inexact, inexact
 

@@ -5,7 +5,7 @@
 the space: random scalar cores, Saturn vector units and Gemmini arrays
 passed as :class:`~repro.arch.configs.DesignPoint` objects, every level
 valid for the category, every LMUL and sync granularity, and iteration
-programs of random drone variants and horizons.  The analytical report and
+programs of random drone variants and horizons.  The model's report and
 counters must equal the compiled stream's on every field.
 """
 
