@@ -64,10 +64,17 @@ __all__ = [
 RUN_SCHEMA_VERSION = 2
 
 # Episodes per chunk of a checkpointed run when the caller does not choose.
-# The chunk is the atomic unit of both checkpointing and batched round-off,
-# so smaller chunks bound the work lost to a crash while keeping solve
-# batches wide enough to amortize dispatch.
-DEFAULT_LEASE_SIZE = 16
+# The chunk is the atomic unit of both checkpointing and batched round-off.
+# A chunk flies its episodes in lockstep, and one control tick (an ADMM
+# dispatch plus the physics ticks up to the next) costs about the same at
+# any width, so narrow chunks pay it for few episodes.  One in-process
+# chunk of the Fig. 17 suite (84 episodes; 2-vCPU host, numpy kernels;
+# medians of three runs, docs/perf.md#chunk-cost):
+#     width          8     16     32     64     84
+#     ms/episode   101     73     44     33     30
+# A crash loses at most one chunk per worker: about 2.1 s of work at 64
+# (1.2 s at 16), for an episode 2.2x cheaper than at 16.
+DEFAULT_LEASE_SIZE = 64
 
 _META_NAME = "meta.json"
 _JOURNAL_NAME = "journal.jsonl"
@@ -434,6 +441,25 @@ def resolve_run_dir(checkpoint_dir: str, name: str, digest: str) -> str:
     return os.path.join(checkpoint_dir, "{}-{}".format(safe_name, digest[:12]))
 
 
+# How a caller sets each plan field: run_campaign keyword and CLI flag.
+_PLAN_OPTIONS = {"shards": ("workers", "--workers"),
+                 "lease_size": ("lease_size", "--lease-size"),
+                 "batching": ("batching", "--no-batching"),
+                 "max_batch": ("max_batch", "--max-batch")}
+
+
+def _plan_option(name: str, value) -> str:
+    """``lease_size=16 / --lease-size 16``: how to ask for a plan value."""
+    keyword, flag = _PLAN_OPTIONS[name]
+    if value is None or value is True:
+        cli = "without " + flag
+    elif value is False:
+        cli = flag
+    else:
+        cli = "{} {}".format(flag, value)
+    return "{}={!r} / {}".format(keyword, value, cli)
+
+
 def prepare_run(checkpoint_dir: str, campaign: Optional[CampaignSpec],
                 episode_specs: Sequence[EpisodeSpec],
                 plan: ExecutionPlan) -> Tuple[str, Dict[str, object], bool]:
@@ -472,12 +498,20 @@ def prepare_run(checkpoint_dir: str, campaign: Optional[CampaignSpec],
                         digest[:12]))
         recorded = ExecutionPlan.from_dict(meta["plan"])
         if recorded != plan:
+            requested = plan.to_dict()
+            changed = [(name, value, requested[name])
+                       for name, value in recorded.to_dict().items()
+                       if value != requested[name]]
             raise ValueError(
-                "checkpoint {} was created with execution plan {} but this "
-                "invocation asked for {}; the plan pins chunk membership "
-                "and batch round-off, so a resume must reuse it (drop the "
-                "conflicting flags or use a fresh --checkpoint-dir)"
-                .format(run_dir, recorded.to_dict(), plan.to_dict()))
+                "checkpoint {} was created under a different execution "
+                "plan ({}); the plan pins chunk membership and batch "
+                "round-off, so resume with the recorded plan ({}) or use "
+                "a fresh --checkpoint-dir".format(
+                    run_dir,
+                    "; ".join("{}: recorded {!r}, requested {!r}".format(*c)
+                              for c in changed),
+                    "; ".join(_plan_option(name, value)
+                              for name, value, _ in changed)))
         return run_dir, meta, False
     os.makedirs(run_dir, exist_ok=True)
     meta = {

@@ -70,7 +70,7 @@ class RetryPolicy:
     """Knobs for the supervisor's failure handling.
 
     ``episode_timeout`` is per *episode*; a chunk's deadline is the
-    timeout times its episode count (a lease of 16 slow-but-healthy
+    timeout times its episode count (a chunk of slow-but-healthy
     episodes is not a hang).  ``None`` disables deadlines.
     """
 

@@ -102,9 +102,10 @@ def run_campaign(campaign: Union[CampaignSpec, Sequence[EpisodeSpec]],
         retry_policy: a :class:`~repro.fleet.supervisor.RetryPolicy` for
             supervised runs (default policy when ``None``).
         lease_size: episodes per chunk — the atomic unit of checkpointing,
-            re-execution and batched round-off.  ``None`` means
-            :data:`~repro.fleet.durable.DEFAULT_LEASE_SIZE` with a
-            checkpoint and one chunk per shard without one.
+            re-execution and batched round-off.  ``None`` means one chunk
+            per shard without a checkpoint and, with one, chunks of
+            :data:`~repro.fleet.durable.DEFAULT_LEASE_SIZE` episodes, so a
+            shard no longer than that still flies as one batch.
     """
     if isinstance(campaign, CampaignSpec):
         spec: Optional[CampaignSpec] = campaign

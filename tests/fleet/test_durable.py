@@ -231,12 +231,31 @@ class TestRunDirectory:
             prepare_run(run_dir, other, other.expand(), plan)
 
     def test_different_plan_rejected(self, tmp_path):
+        """A checkpoint recorded at lease 16 and resumed at the default of
+        64 is refused; the message names each differing field, both its
+        values and the option that resumes the run."""
         spec = self._spec()
-        plan = ExecutionPlan(shards=2, lease_size=4)
+        plan = ExecutionPlan(shards=2, lease_size=16)
         prepare_run(str(tmp_path), spec, spec.expand(), plan)
-        changed = ExecutionPlan(shards=2, lease_size=8)
-        with pytest.raises(ValueError, match="execution plan"):
+        changed = ExecutionPlan(shards=2, lease_size=64)
+        with pytest.raises(ValueError, match="execution plan") as refusal:
             prepare_run(str(tmp_path), spec, spec.expand(), changed)
+        message = str(refusal.value)
+        assert "lease_size: recorded 16, requested 64" in message
+        assert "lease_size=16 / --lease-size 16" in message
+        assert "shards" not in message
+        flags = ExecutionPlan(shards=1, lease_size=16, batching=False,
+                              max_batch=3)
+        with pytest.raises(ValueError, match="execution plan") as refusal:
+            prepare_run(str(tmp_path), spec, spec.expand(), flags)
+        message = str(refusal.value)
+        assert "shards: recorded 2, requested 1" in message
+        assert "workers=2 / --workers 2" in message
+        assert "batching=True / without --no-batching" in message
+        assert "max_batch=None / without --max-batch" in message
+        assert "lease_size" not in message
+        _, _, fresh = prepare_run(str(tmp_path), spec, spec.expand(), plan)
+        assert not fresh
 
     # v1 run directories journaled per-chunk aggregates and recorded
     # keep_results/sample_cap in their plan.

@@ -19,6 +19,7 @@ from repro.drone import (Difficulty, Disturbance, DisturbanceCategory,
                          DisturbanceType)
 from repro.fleet import CampaignSpec, EpisodeSpec, run_campaign
 from repro.hil import HILConfig, HILLoop
+from repro.hil.episode import EpisodeRunner
 
 # A reduced but real slice of the Fig. 17 suite: two implementations times
 # (force x 2 kinds x 3 axes + combined x 2 kinds) = 16 recovery episodes.
@@ -46,6 +47,21 @@ def serial_reference(episodes):
 @pytest.fixture(scope="module")
 def recovery_reference():
     return serial_reference(RECOVERY.expand())
+
+
+@pytest.fixture
+def crashes(monkeypatch):
+    """Campaign index -> crashed, for every episode finished in-process
+    (a :class:`RecoveryResult` does not carry the crash itself)."""
+    record = {}
+    finish = EpisodeRunner._finish
+
+    def recording_finish(runner, crashed):
+        record[runner.episode_id] = crashed
+        finish(runner, crashed)
+
+    monkeypatch.setattr(EpisodeRunner, "_finish", recording_finish)
+    return record
 
 
 def assert_discrete_exact(reference, result):
@@ -175,6 +191,24 @@ class TestRecoveryAggregation:
             assert a.time_to_recovery == b.time_to_recovery
             assert a.max_deviation == b.max_deviation
         assert checkpointed.overall()["recovery_episodes"] == 16
+
+    def test_batched_outcomes_do_not_depend_on_lease_size(self, crashes):
+        """A lease fixes its chunk's batch widths, which may move floats by
+        round-off but no discrete outcome: every episode recovers, loses
+        its time to recovery and crashes as in a one-chunk run."""
+        one_chunk = run_campaign(RECOVERY)
+        one_chunk_crashes = dict(crashes)
+        assert sorted(one_chunk_crashes) == list(range(16))
+        for lease_size in (4, 8):
+            crashes.clear()
+            chunked = run_campaign(RECOVERY, lease_size=lease_size)
+            assert chunked.stats.max_batch_width <= lease_size
+            for index, (a, b) in enumerate(zip(one_chunk.results,
+                                               chunked.results)):
+                assert b.recovered == a.recovered
+                assert ((b.time_to_recovery is None)
+                        == (a.time_to_recovery is None))
+                assert crashes[index] == one_chunk_crashes[index]
 
 
 class TestRecoverySpecValidation:

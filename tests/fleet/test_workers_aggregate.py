@@ -19,7 +19,8 @@ from repro.fleet import (
 )
 from repro.fleet.aggregate import SAMPLE_CAP
 from repro.fleet.chaos import ChaosError
-from repro.fleet.durable import journal_path, result_to_dict, scan_journal
+from repro.fleet.durable import (DEFAULT_LEASE_SIZE, journal_path,
+                                  result_to_dict, scan_journal)
 from repro.hil import ScenarioResult
 
 REPO_ROOT = os.path.normpath(os.path.join(os.path.dirname(__file__), "..", ".."))
@@ -80,6 +81,12 @@ class TestOneExecutionPath:
     SPEC = CampaignSpec(name="one-path", difficulties=("easy",),
                         seeds=(0, 1, 2, 3), frequencies_mhz=(100.0, 250.0))
 
+    # One program over the catalog: 51 model-fidelity design points, cheap
+    # enough to run twice on two workers.
+    DESIGN = CampaignSpec(name="one-path-dse", episode_kind="design_point",
+                          fidelities=("model",), lmuls=(1, 2, 4, 8),
+                          sync_granularities=(None, 1, 2, 4, 8, 16, 32))
+
     @staticmethod
     def _bytes(outcome):
         return (json.dumps(outcome.rows(), sort_keys=True),
@@ -94,6 +101,19 @@ class TestOneExecutionPath:
         assert in_memory.run_dir is None and checkpointed.run_dir is not None
         assert (in_memory.report is None) == (workers == 1)
         assert checkpointed.report.fresh_chunks == 2
+        assert self._bytes(in_memory) == self._bytes(checkpointed)
+
+    def test_default_lease_runs_each_shard_as_one_chunk(self, tmp_path):
+        """With a checkpoint and ``lease_size=None`` a shard of at most
+        ``DEFAULT_LEASE_SIZE`` episodes is one chunk, as without one."""
+        assert self.DESIGN.size == 51          # shards of 26 and 25
+        checkpointed = run_campaign(self.DESIGN, workers=2,
+                                    checkpoint_dir=str(tmp_path))
+        assert checkpointed.report.fresh_chunks == 2
+        with open(os.path.join(checkpointed.run_dir, "meta.json")) as handle:
+            plan = json.load(handle)["plan"]
+        assert plan["lease_size"] == DEFAULT_LEASE_SIZE
+        in_memory = run_campaign(self.DESIGN, workers=2)
         assert self._bytes(in_memory) == self._bytes(checkpointed)
 
     @pytest.mark.parametrize("workers", [1, 2])
