@@ -47,6 +47,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from repro.experiments import format_rows                    # noqa: E402
 from repro.fleet import (CampaignInterrupted, CampaignSpec,  # noqa: E402
                          RetryPolicy, run_campaign)
+from repro.fleet.campaign import EPISODE_KINDS               # noqa: E402
 from repro.fleet.durable import (DEFAULT_LEASE_SIZE,         # noqa: E402
                                  atomic_write_json)
 
@@ -92,8 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated control rates in Hz")
     parser.add_argument("--max-iterations", type=_int_csv, default=[10],
                         help="comma-separated ADMM iteration caps")
-    parser.add_argument("--episode-kind",
-                        choices=["waypoint", "recovery", "design_point"],
+    parser.add_argument("--episode-kind", choices=EPISODE_KINDS,
                         default="waypoint",
                         help="waypoint scenarios, disturbance recovery, or "
                              "solver-less design-space exploration")

@@ -20,6 +20,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .gusts import wrench_from_dict, wrench_to_dict
+
 __all__ = ["DisturbanceType", "DisturbanceCategory", "Disturbance",
            "CATEGORY_DIRECTIONS", "disturbance_grid",
            "standard_disturbance_suite", "RecoveryResult", "analyze_recovery"]
@@ -217,6 +219,27 @@ class RecoveryResult:
     time_to_recovery: Optional[float]     # seconds after the disturbance ends
     max_deviation: float                  # meters from the hold position
     disturbance: Optional[Disturbance] = None
+
+    def to_dict(self) -> Dict[str, object]:
+        """The journal's wire format: JSON-safe, tagged ``"kind":
+        "recovery"``, exact inverse of :meth:`from_dict`."""
+        return {
+            "kind": "recovery",
+            "recovered": bool(self.recovered),
+            "time_to_recovery": self.time_to_recovery,
+            "max_deviation": self.max_deviation,
+            "disturbance": (None if self.disturbance is None
+                            else wrench_to_dict(self.disturbance)),
+        }
+
+    @classmethod
+    def from_dict(cls, payload: Dict[str, object]) -> "RecoveryResult":
+        return cls(
+            recovered=bool(payload["recovered"]),
+            time_to_recovery=payload["time_to_recovery"],
+            max_deviation=payload["max_deviation"],
+            disturbance=(None if payload["disturbance"] is None
+                         else wrench_from_dict(payload["disturbance"])))
 
 
 def analyze_recovery(times: Sequence[float], positions: Sequence[Sequence[float]],

@@ -97,6 +97,34 @@ class Scenario:
     def average_leg_distance(self) -> float:
         return self.total_path_length() / len(self.waypoints)
 
+    def to_dict(self) -> Dict[str, object]:
+        """JSON-safe rendering; exact inverse of :meth:`from_dict`.
+
+        Field by field rather than ``(difficulty, seed)`` to regenerate
+        from: fuzzer-shrunk or hand-built scenarios that never came from
+        :func:`generate_scenario` round-trip exactly too.
+        """
+        return {
+            "difficulty": self.difficulty.value,
+            "seed": self.seed,
+            "start_position": list(self.start_position),
+            "duration": self.duration,
+            "waypoints": [{"position": list(w.position),
+                           "activation_time": w.activation_time}
+                          for w in self.waypoints],
+        }
+
+    @classmethod
+    def from_dict(cls, payload: Dict[str, object]) -> "Scenario":
+        return cls(
+            difficulty=Difficulty(payload["difficulty"]),
+            seed=int(payload["seed"]),
+            waypoints=[Waypoint(position=tuple(w["position"]),
+                                activation_time=w["activation_time"])
+                       for w in payload["waypoints"]],
+            start_position=tuple(payload["start_position"]),
+            duration=payload["duration"])
+
 
 def _scenario_rng(difficulty: Difficulty, seed: int) -> np.random.Generator:
     """Deterministic per-scenario RNG, stable across processes and platforms.

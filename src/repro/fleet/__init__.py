@@ -6,7 +6,9 @@ episode grids (difficulty x seed x clock frequency x drone variant x solver
 settings) into batched solver work:
 
 * :mod:`repro.fleet.campaign` — the declarative :class:`CampaignSpec` DSL
-  and the memoizing :class:`EpisodeFactory`;
+  over the three workloads (``episode_kind``: waypoint flights,
+  disturbance recovery, design points) and the memoizing
+  :class:`EpisodeFactory`;
 * :mod:`repro.fleet.scheduler` — the virtual-time :class:`FleetScheduler`
   that packs compatible solve requests into
   :class:`~repro.tinympc.batch.BatchTinyMPCSolver` dispatches;
@@ -21,9 +23,8 @@ settings) into batched solver work:
   exact resume behind ``run_campaign(..., checkpoint_dir=...)`` (see
   ``docs/robustness.md``);
 * :mod:`repro.fleet.chaos` — fault injection for the chaos tests;
-* :mod:`repro.fleet.kinds` / :mod:`repro.fleet.design_point` — the
-  episode-kind protocol that makes the engine workload-polymorphic, and
-  the solver-less design-space-exploration kind built on it.
+* :mod:`repro.fleet.design_point` — the solver-less design-space
+  exploration workload: its grid, evaluation and cells.
 
 Quick example::
 
@@ -53,7 +54,6 @@ from .campaign import (
 from .design_point import (
     DESIGN_CELL_AXES,
     DesignCellAggregate,
-    DesignPointKind,
     DesignPointResult,
     DesignPointSpec,
     evaluate_design_point,
@@ -64,13 +64,6 @@ from .durable import (
     ExecutionPlan,
     RunJournal,
     shard_indices,
-)
-from .kinds import (
-    EpisodeKind,
-    episode_kind_names,
-    get_episode_kind,
-    kind_for_result,
-    register_episode_kind,
 )
 from .scheduler import (
     FleetEpisode,
@@ -96,7 +89,6 @@ __all__ = [
     "EpisodeSpec",
     "DESIGN_CELL_AXES",
     "DesignCellAggregate",
-    "DesignPointKind",
     "DesignPointResult",
     "DesignPointSpec",
     "evaluate_design_point",
@@ -104,11 +96,6 @@ __all__ = [
     "EpisodeFailure",
     "ExecutionPlan",
     "RunJournal",
-    "EpisodeKind",
-    "episode_kind_names",
-    "get_episode_kind",
-    "kind_for_result",
-    "register_episode_kind",
     "RetryPolicy",
     "SupervisorReport",
     "FleetEpisode",

@@ -28,7 +28,7 @@ import numpy as np
 from ..drone.disturbance import RecoveryResult
 from ..hil.metrics import ScenarioResult
 from .campaign import CELL_AXES, RECOVERY_CELL_AXES
-from .kinds import kind_for_result
+from .design_point import DesignCellAggregate, DesignPointResult
 
 __all__ = ["SAMPLE_CAP", "ReservoirSamples", "CellAggregate",
            "RecoveryCellAggregate", "FleetAggregator"]
@@ -195,53 +195,51 @@ class RecoveryCellAggregate:
         return row
 
 
-def _sorted_keys(cells: Dict[Tuple, object]) -> List[Tuple]:
-    return sorted(cells, key=lambda k: tuple(map(str, k)))
+def _rows(cells: Dict[Tuple, object]) -> List[Dict[str, object]]:
+    """One row per cell, sorted by cell key for stable output."""
+    keys = sorted(cells, key=lambda k: tuple(map(str, k)))
+    return [cells[key].as_row() for key in keys]
 
 
 class FleetAggregator:
     """Aggregation of campaign results into per-cell statistics.
 
-    Results fold into one cell map per *episode kind*
-    (:mod:`repro.fleet.kinds`): waypoint episodes
-    (:class:`ScenarioResult`), disturbance-recovery episodes
-    (:class:`RecoveryResult`), and design-point evaluations
-    (:class:`~repro.fleet.design_point.DesignPointResult`) each fold into
-    their kind's per-cell aggregate; :meth:`rows` reports the waypoint
-    cells, :meth:`recovery_rows` the recovery cells, :meth:`design_rows`
-    the design cells, and :meth:`overall` summarizes all of them.  A newly
-    registered kind gets its cell map and row reporting for free via its
-    :class:`~repro.fleet.kinds.EpisodeKind` hooks.
+    Each result type folds into its own cell map: waypoint episodes
+    (:class:`ScenarioResult`) into :attr:`cells`, disturbance-recovery
+    episodes (:class:`RecoveryResult`) into :attr:`recovery_cells`, and
+    design-point evaluations
+    (:class:`~repro.fleet.design_point.DesignPointResult`) into
+    :attr:`design_cells`; :meth:`rows`, :meth:`recovery_rows` and
+    :meth:`design_rows` report them, and :meth:`overall` summarizes all
+    three.
     """
 
     def __init__(self) -> None:
-        self._kind_cells: Dict[str, Dict[Tuple, object]] = {}
-        # Attribute aliases for the built-in kinds (dict identity is stable:
-        # cells_for() hands out the same dict it stores).
-        self.cells: Dict[Tuple, CellAggregate] = self.cells_for("waypoint")
-        self.recovery_cells: Dict[Tuple, RecoveryCellAggregate] = (
-            self.cells_for("recovery"))
-        self.design_cells: Dict[Tuple, object] = self.cells_for("design_point")
-
-    def cells_for(self, kind_name: str) -> Dict[Tuple, object]:
-        """The cell map for one episode kind (created on first use)."""
-        return self._kind_cells.setdefault(kind_name, {})
+        self.cells: Dict[Tuple, CellAggregate] = {}
+        self.recovery_cells: Dict[Tuple, RecoveryCellAggregate] = {}
+        self.design_cells: Dict[Tuple, DesignCellAggregate] = {}
 
     def add(self, result, key: Tuple) -> None:
-        """Consume one episode result of any registered kind into the
-        aggregate cell ``key`` (the spec's ``cell_key()``)."""
-        kind = kind_for_result(result)
-        cells = self.cells_for(kind.name)
+        """Consume one episode result into the aggregate cell ``key`` (the
+        spec's ``cell_key()``)."""
+        if isinstance(result, ScenarioResult):
+            cells, new_cell = self.cells, CellAggregate
+        elif isinstance(result, RecoveryResult):
+            cells, new_cell = self.recovery_cells, RecoveryCellAggregate
+        elif isinstance(result, DesignPointResult):
+            cells, new_cell = self.design_cells, DesignCellAggregate
+        else:
+            raise TypeError("unknown episode result type: {!r}".format(
+                type(result)))
         cell = cells.get(key)
         if cell is None:
-            cell = kind.new_cell(key)
-            cells[key] = cell
+            cell = cells[key] = new_cell(key=key)
         cell.add(result)
 
     @property
     def episodes(self) -> int:
-        return sum(cell.episodes for cells in self._kind_cells.values()
-                   for cell in cells.values())
+        return (sum(cell.episodes for cell in self.cells.values())
+                + self.recovery_episodes + self.design_episodes)
 
     @property
     def recovery_episodes(self) -> int:
@@ -251,22 +249,17 @@ class FleetAggregator:
     def design_episodes(self) -> int:
         return sum(cell.episodes for cell in self.design_cells.values())
 
-    def rows_for(self, kind_name: str) -> List[Dict[str, object]]:
-        """One row per cell of one kind, sorted by cell key."""
-        cells = self.cells_for(kind_name)
-        return [cells[key].as_row() for key in _sorted_keys(cells)]
-
     def rows(self) -> List[Dict[str, object]]:
         """One row per waypoint cell, sorted by cell key for stable output."""
-        return self.rows_for("waypoint")
+        return _rows(self.cells)
 
     def recovery_rows(self) -> List[Dict[str, object]]:
         """One row per recovery cell, sorted by cell key for stable output."""
-        return self.rows_for("recovery")
+        return _rows(self.recovery_cells)
 
     def design_rows(self) -> List[Dict[str, object]]:
         """One row per design-point cell, sorted by cell key."""
-        return self.rows_for("design_point")
+        return _rows(self.design_cells)
 
     def overall(self) -> Dict[str, object]:
         """Campaign-level summary across every cell."""
@@ -277,7 +270,8 @@ class FleetAggregator:
         recoveries = sum(cell.recoveries
                          for cell in self.recovery_cells.values())
         return {
-            "cells": sum(len(cells) for cells in self._kind_cells.values()),
+            "cells": (len(self.cells) + len(self.recovery_cells)
+                      + len(self.design_cells)),
             "episodes": self.episodes,
             "success_rate": (successes / waypoint_episodes
                              if waypoint_episodes else 0.0),

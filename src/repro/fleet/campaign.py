@@ -19,18 +19,16 @@ campaigns), so
 episode index ``i`` always means the same episode — that is what makes
 sharded and resumed runs (:mod:`repro.fleet.workers`) reproducible.
 
-Campaigns come in *episode kinds* — pluggable workloads behind the
-:class:`~repro.fleet.kinds.EpisodeKind` protocol.  This module defines the
-two closed-loop HIL kinds: ``"waypoint"`` (the default — fly generated
-waypoint scenarios) and ``"recovery"`` (the Section 5.2 / Fig. 17
-robustness study — hold position, inject a disturbance, measure
-time-to-recovery).  Recovery campaigns expand the disturbance axis instead
-of varying scenario difficulty, and their episodes produce
-:class:`~repro.drone.disturbance.RecoveryResult` rows aggregated into
-per-category recovery statistics by the
-:class:`~repro.fleet.aggregate.FleetAggregator`.  The solver-less
-``"design_point"`` kind (design-space exploration over accelerator
-configurations) lives in :mod:`repro.fleet.design_point`.
+A campaign runs one of three workloads, named by ``episode_kind``
+(:data:`EPISODE_KINDS`): ``"waypoint"`` (the default — fly generated
+waypoint scenarios), ``"recovery"`` (the Section 5.2 / Fig. 17 robustness
+study — hold position, inject a disturbance, measure time-to-recovery) and
+``"design_point"`` (solver-less design-space exploration, whose grid lives
+in :mod:`repro.fleet.design_point`).  Recovery campaigns expand the
+disturbance axis instead of varying scenario difficulty, and their
+episodes produce :class:`~repro.drone.disturbance.RecoveryResult` rows
+aggregated into per-category recovery statistics by the
+:class:`~repro.fleet.aggregate.FleetAggregator`.
 """
 
 from __future__ import annotations
@@ -40,8 +38,6 @@ import itertools
 import math
 from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Tuple, Union
-
-import numpy as np
 
 from ..drone import (
     Difficulty,
@@ -54,21 +50,16 @@ from ..drone import (
     wrench_from_dict,
     wrench_to_dict,
 )
-from ..drone.disturbance import RecoveryResult
-from ..drone.scenarios import Scenario, Waypoint
 from ..hil.episode import EpisodeRunner, RecoveryEpisode
 from ..hil.faults import SensorFaults
 from ..hil.loop import HILConfig, build_variant_problem
-from ..hil.metrics import ScenarioResult
 from ..hil.soc import SOFTWARE_IMPLEMENTATIONS, SoCModel
 from ..tinympc import SolverSettings
 from ..tinympc.cache import compute_cache
-from .kinds import EpisodeKind, get_episode_kind, register_episode_kind
 from .scheduler import FleetEpisode
 
 __all__ = ["EpisodeSpec", "CampaignSpec", "EpisodeFactory", "CELL_AXES",
-           "RECOVERY_CELL_AXES", "EPISODE_KINDS", "SPEC_SCHEMA_VERSION",
-           "WaypointKind", "RecoveryKind"]
+           "RECOVERY_CELL_AXES", "EPISODE_KINDS", "SPEC_SCHEMA_VERSION"]
 
 # Version of the serialized spec schema (EpisodeSpec.to_dict /
 # CampaignSpec.to_dict).  Bump this whenever a field is added, removed, or
@@ -106,10 +97,8 @@ CELL_AXES: Tuple[str, ...] = ("difficulty", "implementation", "frequency_mhz",
 RECOVERY_CELL_AXES: Tuple[str, ...] = CELL_AXES + (
     "disturbance_category", "disturbance_kind")
 
-# The HIL episode kinds defined by this module.  Kept as a module constant
-# for back-compat; the authoritative registry (including non-HIL kinds such
-# as "design_point") is repro.fleet.kinds.
-EPISODE_KINDS = ("waypoint", "recovery")
+# The values of CampaignSpec.episode_kind (and of the CLI's --episode-kind).
+EPISODE_KINDS = ("waypoint", "recovery", "design_point")
 
 
 @dataclass(frozen=True)
@@ -161,11 +150,6 @@ class EpisodeSpec:
     @property
     def is_recovery(self) -> bool:
         return self.disturbance is not None
-
-    @property
-    def episode_kind(self) -> str:
-        """The registered kind this spec executes under."""
-        return "recovery" if self.disturbance is not None else "waypoint"
 
     @property
     def sensor_profile(self) -> str:
@@ -398,11 +382,15 @@ class CampaignSpec:
 
     # -- validation -------------------------------------------------------------
     def validate(self) -> None:
-        """Delegates to the campaign's episode kind (raises ``ValueError``
-        for unknown kinds and invalid axes alike)."""
-        get_episode_kind(self.episode_kind).validate(self)
-
-    def _validate_hil_axes(self) -> None:
+        """Raise ``ValueError`` for an unknown ``episode_kind`` or an
+        invalid axis of the campaign's workload."""
+        if self.episode_kind not in EPISODE_KINDS:
+            raise ValueError("unknown episode_kind {!r}; options: {}".format(
+                self.episode_kind, ", ".join(EPISODE_KINDS)))
+        if self.episode_kind == "design_point":
+            from .design_point import validate_grid
+            validate_grid(self)
+            return
         for axis in ("difficulties", "seeds", "implementations",
                      "frequencies_mhz", "variants", "control_rates_hz",
                      "max_admm_iterations"):
@@ -432,8 +420,8 @@ class CampaignSpec:
                 raise ValueError("mass_scales must be finite and positive")
         # SensorFaults.__post_init__ validates the scalar fault profile.
         self.sensor_faults()
-
-    def _validate_recovery_axes(self) -> None:
+        if not self.is_recovery:
+            return
         for axis in ("disturbance_categories", "disturbance_kinds",
                      "disturbance_scales", "disturbance_start_times"):
             if not getattr(self, axis):
@@ -493,13 +481,8 @@ class CampaignSpec:
 
     @property
     def size(self) -> int:
-        return get_episode_kind(self.episode_kind).size(self)
-
-    def expand(self) -> List:
-        """The campaign's episodes, in the documented deterministic order."""
-        return get_episode_kind(self.episode_kind).expand(self)
-
-    def _hil_grid_size(self) -> int:
+        if self.episode_kind == "design_point":
+            return len(self.expand())
         base = (len(self.difficulties) * len(self.seeds)
                 * len(self.implementations) * len(self.frequencies_mhz)
                 * len(self.variants) * len(self.control_rates_hz)
@@ -508,7 +491,11 @@ class CampaignSpec:
             return base
         return base * len(self.disturbances())
 
-    def _hil_expand(self) -> List[EpisodeSpec]:
+    def expand(self) -> List:
+        """The campaign's episodes, in the documented deterministic order."""
+        if self.episode_kind == "design_point":
+            from .design_point import expand_grid
+            return expand_grid(self)
         disturbance_axis: List[Optional[Disturbance]] = (
             self.disturbances() if self.is_recovery else [None])
         faults = self.sensor_faults()
@@ -590,25 +577,22 @@ class CampaignSpec:
         return cls(**payload)
 
     def describe(self) -> str:
-        return get_episode_kind(self.episode_kind).describe(self)
-
-    def _describe_hil(self) -> str:
+        """One line: the episode count and the axis sizes it multiplies."""
+        if self.episode_kind == "design_point":
+            from .design_point import describe_grid
+            return describe_grid(self)
         if self.is_recovery:
-            return ("campaign {!r}: {} recovery episodes = {} disturbances x "
-                    "{} seeds x {} impls x {} freqs x {} variants x {} rates "
-                    "x {} iter settings"
-                    .format(self.name, self.size, len(self.disturbances()),
-                            len(self.seeds), len(self.implementations),
-                            len(self.frequencies_mhz), len(self.variants),
-                            len(self.control_rates_hz),
-                            len(self.max_admm_iterations)))
-        return ("campaign {!r}: {} episodes = {} difficulties x {} seeds x "
-                "{} impls x {} freqs x {} variants x {} rates x {} iter settings"
-                .format(self.name, self.size, len(self.difficulties),
-                        len(self.seeds), len(self.implementations),
-                        len(self.frequencies_mhz), len(self.variants),
-                        len(self.control_rates_hz),
-                        len(self.max_admm_iterations)))
+            head = "{} recovery episodes = {} disturbances".format(
+                self.size, len(self.disturbances()))
+        else:
+            head = "{} episodes = {} difficulties".format(
+                self.size, len(self.difficulties))
+        return ("campaign {!r}: {} x {} seeds x {} impls x {} freqs x {} "
+                "variants x {} rates x {} iter settings x {} mass scales"
+                .format(self.name, head, len(self.seeds),
+                        len(self.implementations), len(self.frequencies_mhz),
+                        len(self.variants), len(self.control_rates_hz),
+                        len(self.max_admm_iterations), len(self.mass_scales)))
 
 
 class EpisodeFactory:
@@ -689,143 +673,3 @@ class EpisodeFactory:
             episode_id=episode_id, runner=runner, problem=problem,
             settings=settings,
             cache=self.cache_for(spec.variant, spec.control_rate_hz))
-
-
-# ---------------------------------------------------------------------------
-# Scenario (de)serialization shared by the waypoint kind and the durable
-# journal fixtures
-# ---------------------------------------------------------------------------
-
-def _scenario_to_dict(scenario: Scenario) -> Dict[str, object]:
-    # Full field-by-field serialization (not just (difficulty, seed) for a
-    # regenerate-on-load scheme): fuzzer-shrunk or hand-built scenarios that
-    # never came from generate_scenario round-trip exactly too.
-    return {
-        "difficulty": scenario.difficulty.value,
-        "seed": scenario.seed,
-        "start_position": list(scenario.start_position),
-        "duration": scenario.duration,
-        "waypoints": [{"position": list(w.position),
-                       "activation_time": w.activation_time}
-                      for w in scenario.waypoints],
-    }
-
-
-def _scenario_from_dict(payload: Dict[str, object]) -> Scenario:
-    return Scenario(
-        difficulty=Difficulty(payload["difficulty"]),
-        seed=int(payload["seed"]),
-        waypoints=[Waypoint(position=tuple(w["position"]),
-                            activation_time=w["activation_time"])
-                   for w in payload["waypoints"]],
-        start_position=tuple(payload["start_position"]),
-        duration=payload["duration"])
-
-
-# ---------------------------------------------------------------------------
-# The built-in HIL episode kinds
-# ---------------------------------------------------------------------------
-
-class _HILKindBase(EpisodeKind):
-    """Shared behaviour of the closed-loop HIL kinds."""
-
-    def validate(self, campaign: "CampaignSpec") -> None:
-        campaign._validate_hil_axes()
-
-    def size(self, campaign: "CampaignSpec") -> int:
-        return campaign._hil_grid_size()
-
-    def expand(self, campaign: "CampaignSpec") -> List[EpisodeSpec]:
-        return campaign._hil_expand()
-
-    def describe(self, campaign: "CampaignSpec") -> str:
-        return campaign._describe_hil()
-
-
-class WaypointKind(_HILKindBase):
-    """Fly a generated waypoint scenario; results are ScenarioResult."""
-
-    name = "waypoint"
-    cell_axes = CELL_AXES
-
-    def owns_result(self, result) -> bool:
-        return isinstance(result, ScenarioResult)
-
-    def result_to_dict(self, result: ScenarioResult) -> Dict[str, object]:
-        return {
-            "kind": "waypoint",
-            "scenario": _scenario_to_dict(result.scenario),
-            "implementation": result.implementation,
-            "frequency_mhz": result.frequency_mhz,
-            "success": bool(result.success),
-            "crashed": bool(result.crashed),
-            "final_distance": result.final_distance,
-            "solve_times": list(result.solve_times),
-            "solve_iterations": [int(i) for i in result.solve_iterations],
-            "actuation_power_w": result.actuation_power_w,
-            "soc_power_w": result.soc_power_w,
-            "flight_time_s": result.flight_time_s,
-            "positions": (None if result.positions is None
-                          else np.asarray(result.positions).tolist()),
-        }
-
-    def result_from_dict(self, payload: Dict[str, object]) -> ScenarioResult:
-        positions = payload["positions"]
-        return ScenarioResult(
-            scenario=_scenario_from_dict(payload["scenario"]),
-            implementation=payload["implementation"],
-            frequency_mhz=payload["frequency_mhz"],
-            success=bool(payload["success"]),
-            crashed=bool(payload["crashed"]),
-            final_distance=payload["final_distance"],
-            solve_times=list(payload["solve_times"]),
-            solve_iterations=[int(i) for i in payload["solve_iterations"]],
-            actuation_power_w=payload["actuation_power_w"],
-            soc_power_w=payload["soc_power_w"],
-            flight_time_s=payload["flight_time_s"],
-            positions=(None if positions is None
-                       else np.asarray(positions, dtype=np.float64)))
-
-    def new_cell(self, key: Tuple):
-        from .aggregate import CellAggregate
-        return CellAggregate(key=key)
-
-
-class RecoveryKind(_HILKindBase):
-    """Hold position through a disturbance; results are RecoveryResult."""
-
-    name = "recovery"
-    cell_axes = RECOVERY_CELL_AXES
-
-    def validate(self, campaign: "CampaignSpec") -> None:
-        campaign._validate_hil_axes()
-        campaign._validate_recovery_axes()
-
-    def owns_result(self, result) -> bool:
-        return isinstance(result, RecoveryResult)
-
-    def result_to_dict(self, result: RecoveryResult) -> Dict[str, object]:
-        return {
-            "kind": "recovery",
-            "recovered": bool(result.recovered),
-            "time_to_recovery": result.time_to_recovery,
-            "max_deviation": result.max_deviation,
-            "disturbance": (None if result.disturbance is None
-                            else wrench_to_dict(result.disturbance)),
-        }
-
-    def result_from_dict(self, payload: Dict[str, object]) -> RecoveryResult:
-        return RecoveryResult(
-            recovered=bool(payload["recovered"]),
-            time_to_recovery=payload["time_to_recovery"],
-            max_deviation=payload["max_deviation"],
-            disturbance=(None if payload["disturbance"] is None
-                         else wrench_from_dict(payload["disturbance"])))
-
-    def new_cell(self, key: Tuple):
-        from .aggregate import RecoveryCellAggregate
-        return RecoveryCellAggregate(key=key)
-
-
-register_episode_kind(WaypointKind())
-register_episode_kind(RecoveryKind())

@@ -1,4 +1,4 @@
-"""Design-space exploration as a first-class campaign episode kind.
+"""Design-space exploration as a campaign workload.
 
 The paper's hardware sweeps (Figures 6-13) compile one ADMM-iteration
 program against a catalog of accelerator design points — scalar cores,
@@ -7,9 +7,12 @@ optimization levels.  This module turns each *(program, design point,
 level, lmul, sync granularity, fidelity)* grid cell into a solver-less
 campaign episode, so the whole fleet stack (sharded workers, the durable
 journal, chunk bisection, the chaos harness) runs design-space sweeps
-unchanged.  A design point needs no MPC solve, so it never enters the
-scheduler: the chunk runner (:class:`~repro.fleet.supervisor.ChunkRunner`)
-calls :func:`evaluate_design_point` on it directly.
+unchanged.  :class:`~repro.fleet.campaign.CampaignSpec` reaches this
+module's grid functions (:func:`validate_grid`, :func:`expand_grid`,
+:func:`describe_grid`) when ``episode_kind="design_point"``.  A design
+point needs no MPC solve, so it never enters the scheduler: the chunk
+runner (:class:`~repro.fleet.supervisor.ChunkRunner`) calls
+:func:`evaluate_design_point` on it directly.
 
 Two *fidelities* evaluate a grid point.  Both run the same lowering and
 the same backend pricing loop; they differ only in whether the instruction
@@ -28,7 +31,7 @@ stream is materialized:
 Every evaluation computes its result; nothing is memoized across episodes
 (a sweep's grid points are distinct, so a result memo never hits).  The
 design-sweep figure drivers (Figures 4, 6, 7, 9, 10, 12 and 13) evaluate
-through this kind, and ``tests/fleet/fixtures/figure_rows.json`` pins their
+through this module, and ``tests/fleet/fixtures/figure_rows.json`` pins their
 rows.
 """
 
@@ -38,7 +41,7 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass, fields
-from typing import Callable, ClassVar, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..arch import get_design_point, list_design_points
 from ..arch.configs import DesignPoint
@@ -46,11 +49,11 @@ from ..arch.cycle_model import model_report, stream_counters
 from ..codegen import OPTIMIZATION_LEVELS, CodegenFlow
 from ..matlib import MatlibProgram
 from .campaign import SPEC_SCHEMA_VERSION, _check_schema_version
-from .kinds import EpisodeKind, register_episode_kind
 
 __all__ = [
     "FIDELITIES", "DESIGN_CELL_AXES", "DesignPointSpec", "DesignPointResult",
-    "DesignCellAggregate", "DesignPointKind", "default_level_for",
+    "DesignCellAggregate", "validate_grid", "expand_grid", "describe_grid",
+    "default_level_for",
     "register_program_variant", "resolve_program", "intern_program",
     "program_fingerprint", "evaluate_design_point", "clear_result_cache",
     "compile_via_fleet", "spec_from_result", "promote_frontier",
@@ -163,8 +166,6 @@ class DesignPointSpec:
     lmul: int = 1
     sync_granularity: Optional[int] = None
     solve_iterations: int = 10
-
-    episode_kind: ClassVar[str] = "design_point"
 
     def __post_init__(self) -> None:
         if self.fidelity not in FIDELITIES:
@@ -413,114 +414,95 @@ class DesignCellAggregate:
 
 
 # ---------------------------------------------------------------------------
-# The kind
+# The campaign grid (CampaignSpec with episode_kind="design_point")
 # ---------------------------------------------------------------------------
 
-class DesignPointKind(EpisodeKind):
-    """Design-space exploration episodes (solver-less)."""
-
-    name = "design_point"
-    cell_axes = DESIGN_CELL_AXES
-
-    def validate(self, campaign) -> None:
-        for axis in ("programs", "codegen_levels", "fidelities",
-                     "sync_granularities", "lmuls"):
-            if not getattr(campaign, axis):
-                raise ValueError("campaign axis {!r} is empty".format(axis))
-        for name in campaign.programs:
-            if name not in _PROGRAM_BUILDERS:
-                raise ValueError(
-                    "unknown program {!r}; registered: {}".format(
-                        name, ", ".join(sorted(_PROGRAM_BUILDERS))))
-        for point_name in campaign.design_points:
-            try:
-                get_design_point(point_name)
-            except KeyError as error:
-                raise ValueError(str(error)) from None
-        all_levels = {level for levels in OPTIMIZATION_LEVELS.values()
-                      for level in levels}
-        for level in campaign.codegen_levels:
-            if level != "auto" and level not in all_levels:
-                raise ValueError(
-                    "unknown codegen level {!r}; options: auto, {}".format(
-                        level, ", ".join(sorted(all_levels))))
-        for fidelity in campaign.fidelities:
-            if fidelity not in FIDELITIES:
-                raise ValueError("unknown fidelity {!r}; options: {}".format(
-                    fidelity, ", ".join(FIDELITIES)))
-        for lmul in campaign.lmuls:
-            if lmul < 1:
-                raise ValueError("lmuls must be >= 1")
-        for granularity in campaign.sync_granularities:
-            if granularity is not None and granularity < 1:
-                raise ValueError("sync_granularities must be >= 1 (or None)")
-        if campaign.solve_iterations < 1:
-            raise ValueError("solve_iterations must be >= 1")
-        if not self.expand(campaign):
+def validate_grid(campaign) -> None:
+    """Raise ``ValueError`` when a design campaign's axes are invalid."""
+    for axis in ("programs", "codegen_levels", "fidelities",
+                 "sync_granularities", "lmuls"):
+        if not getattr(campaign, axis):
+            raise ValueError("campaign axis {!r} is empty".format(axis))
+    for name in campaign.programs:
+        if name not in _PROGRAM_BUILDERS:
             raise ValueError(
-                "design campaign {!r} expands to zero episodes (every "
-                "level/point combination was invalid)".format(campaign.name))
-
-    def expand(self, campaign) -> List[DesignPointSpec]:
-        """Expansion order: ``program > design_point > codegen_level > lmul
-        > sync_granularity > fidelity``.
-
-        Combinations that don't type-check are skipped rather than errors:
-        a named level only applies to points of its category, ``lmul != 1``
-        only to vector points, and ``sync_granularity`` only to systolic
-        points — so one campaign can sweep a heterogeneous catalog.
-        """
-        points = (tuple(campaign.design_points) if campaign.design_points
-                  else tuple(p.name for p in list_design_points()))
-        specs: List[DesignPointSpec] = []
-        for (program, point_name, level, lmul, granularity, fidelity
-             ) in itertools.product(
-                campaign.programs, points, campaign.codegen_levels,
-                campaign.lmuls, campaign.sync_granularities,
-                campaign.fidelities):
-            point = get_design_point(point_name)
-            resolved = (default_level_for(point) if level == "auto"
-                        else level)
-            if resolved not in OPTIMIZATION_LEVELS[point.category]:
-                continue
-            if lmul != 1 and point.category != "vector":
-                continue
-            if granularity is not None and point.category != "systolic":
-                continue
-            specs.append(DesignPointSpec(
-                design_point=point_name, codegen_level=level,
-                program=program, fidelity=fidelity, lmul=lmul,
-                sync_granularity=granularity,
-                solve_iterations=campaign.solve_iterations))
-        return specs
-
-    def describe(self, campaign) -> str:
-        points = (len(campaign.design_points) if campaign.design_points
-                  else len(list_design_points()))
-        return ("campaign {!r}: {} design-point episodes = {} programs x "
-                "{} points x {} levels x {} lmuls x {} syncs x {} fidelities "
-                "(invalid combos skipped)"
-                .format(campaign.name, self.size(campaign),
-                        len(campaign.programs), points,
-                        len(campaign.codegen_levels), len(campaign.lmuls),
-                        len(campaign.sync_granularities),
-                        len(campaign.fidelities)))
-
-    def owns_result(self, result) -> bool:
-        return isinstance(result, DesignPointResult)
-
-    def result_to_dict(self, result: DesignPointResult) -> Dict[str, object]:
-        return result.to_dict()
-
-    def result_from_dict(self, payload: Dict[str, object]
-                         ) -> DesignPointResult:
-        return DesignPointResult.from_dict(payload)
-
-    def new_cell(self, key: Tuple) -> DesignCellAggregate:
-        return DesignCellAggregate(key=key)
+                "unknown program {!r}; registered: {}".format(
+                    name, ", ".join(sorted(_PROGRAM_BUILDERS))))
+    for point_name in campaign.design_points:
+        try:
+            get_design_point(point_name)
+        except KeyError as error:
+            raise ValueError(str(error)) from None
+    all_levels = {level for levels in OPTIMIZATION_LEVELS.values()
+                  for level in levels}
+    for level in campaign.codegen_levels:
+        if level != "auto" and level not in all_levels:
+            raise ValueError(
+                "unknown codegen level {!r}; options: auto, {}".format(
+                    level, ", ".join(sorted(all_levels))))
+    for fidelity in campaign.fidelities:
+        if fidelity not in FIDELITIES:
+            raise ValueError("unknown fidelity {!r}; options: {}".format(
+                fidelity, ", ".join(FIDELITIES)))
+    for lmul in campaign.lmuls:
+        if lmul < 1:
+            raise ValueError("lmuls must be >= 1")
+    for granularity in campaign.sync_granularities:
+        if granularity is not None and granularity < 1:
+            raise ValueError("sync_granularities must be >= 1 (or None)")
+    if campaign.solve_iterations < 1:
+        raise ValueError("solve_iterations must be >= 1")
+    if not expand_grid(campaign):
+        raise ValueError(
+            "design campaign {!r} expands to zero episodes (every "
+            "level/point combination was invalid)".format(campaign.name))
 
 
-register_episode_kind(DesignPointKind())
+def expand_grid(campaign) -> List[DesignPointSpec]:
+    """A design campaign's specs, in the order ``program > design_point >
+    codegen_level > lmul > sync_granularity > fidelity``.
+
+    Combinations that don't type-check are skipped rather than errors:
+    a named level only applies to points of its category, ``lmul != 1``
+    only to vector points, and ``sync_granularity`` only to systolic
+    points — so one campaign can sweep a heterogeneous catalog.
+    """
+    points = (tuple(campaign.design_points) if campaign.design_points
+              else tuple(p.name for p in list_design_points()))
+    specs: List[DesignPointSpec] = []
+    for (program, point_name, level, lmul, granularity, fidelity
+         ) in itertools.product(
+            campaign.programs, points, campaign.codegen_levels,
+            campaign.lmuls, campaign.sync_granularities,
+            campaign.fidelities):
+        point = get_design_point(point_name)
+        resolved = (default_level_for(point) if level == "auto"
+                    else level)
+        if resolved not in OPTIMIZATION_LEVELS[point.category]:
+            continue
+        if lmul != 1 and point.category != "vector":
+            continue
+        if granularity is not None and point.category != "systolic":
+            continue
+        specs.append(DesignPointSpec(
+            design_point=point_name, codegen_level=level,
+            program=program, fidelity=fidelity, lmul=lmul,
+            sync_granularity=granularity,
+            solve_iterations=campaign.solve_iterations))
+    return specs
+
+
+def describe_grid(campaign) -> str:
+    points = (len(campaign.design_points) if campaign.design_points
+              else len(list_design_points()))
+    return ("campaign {!r}: {} design-point episodes = {} programs x "
+            "{} points x {} levels x {} lmuls x {} syncs x {} fidelities "
+            "(invalid combos skipped)"
+            .format(campaign.name, campaign.size,
+                    len(campaign.programs), points,
+                    len(campaign.codegen_levels), len(campaign.lmuls),
+                    len(campaign.sync_granularities),
+                    len(campaign.fidelities)))
 
 
 # ---------------------------------------------------------------------------

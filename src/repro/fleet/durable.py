@@ -14,11 +14,14 @@ sha256 of its serialized spec::
 The journal is the source of truth.  A committed chunk is an ``episode``
 record per result (or a ``fail`` record per quarantined episode) followed
 by one ``commit`` record carrying the chunk's scheduler stats; campaign
-aggregates are recomputed from the results, never journaled.  Every record
-is one JSON line carrying a CRC-32 of its canonical serialization; a
-reader stops at the first record that fails to parse or checksum and
-*truncates* the torn tail (a crash can only corrupt the suffix of an
-append-only file, so everything before the first bad record is intact).
+aggregates are recomputed from the results, never journaled.  Each result
+type owns its wire format (``to_dict``/``from_dict``, tagged with the
+workload under ``"kind"``); :func:`result_from_dict` picks the type by
+that tag.  Every record is one JSON line carrying a CRC-32 of its
+canonical serialization; a reader stops at the first record that fails to
+parse or checksum and *truncates* the torn tail (a crash can only corrupt
+the suffix of an append-only file, so everything before the first bad
+record is intact).
 Appends are fsync'd in bounded chunks — every ``fsync_every`` records and
 at every chunk-commit record — so the window of episodes that can be lost
 to a power cut is bounded and small.
@@ -41,9 +44,10 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .campaign import (SPEC_SCHEMA_VERSION, CampaignSpec, EpisodeSpec,
-                       _scenario_from_dict, _scenario_to_dict)  # noqa: F401
-from .kinds import get_episode_kind, kind_for_result
+from ..drone.disturbance import RecoveryResult
+from ..hil.metrics import ScenarioResult
+from .campaign import SPEC_SCHEMA_VERSION, CampaignSpec, EpisodeSpec
+from .design_point import DesignPointResult
 from .scheduler import SchedulerStats
 
 __all__ = [
@@ -111,28 +115,34 @@ def atomic_write_json(path: str, payload, indent: int = 2) -> None:
 # Episode result (de)serialization
 # ---------------------------------------------------------------------------
 
+# The result type of each workload, keyed by the "kind" tag its to_dict
+# writes.
+_RESULT_TYPES = {"waypoint": ScenarioResult, "recovery": RecoveryResult,
+                 "design_point": DesignPointResult}
+
+
 def result_to_dict(result) -> Dict[str, object]:
-    """JSON-safe rendering of an episode result of any registered kind.
+    """JSON-safe rendering of an episode result of any workload.
 
     Exact inverse of :func:`result_from_dict`: every float survives the
     round trip bit-for-bit (JSON encodes doubles via ``repr``), so a
     journal-replayed result is indistinguishable from a freshly computed
-    one — the property the crash-equivalence tests assert.  Serialization
-    is owned by the result's :class:`~repro.fleet.kinds.EpisodeKind`; the
-    payload carries the kind's name under ``"kind"``.
+    one — the property the crash-equivalence tests assert.
     """
-    return kind_for_result(result).result_to_dict(result)
+    if not isinstance(result, tuple(_RESULT_TYPES.values())):
+        raise TypeError("unknown episode result type: {!r}".format(
+            type(result)))
+    return result.to_dict()
 
 
 def result_from_dict(payload: Dict[str, object]):
     """Inverse of :func:`result_to_dict`."""
-    kind_name = payload["kind"]
     try:
-        kind = get_episode_kind(kind_name)
-    except ValueError:
+        result_type = _RESULT_TYPES[payload["kind"]]
+    except KeyError:
         raise ValueError("unknown episode result kind {!r}".format(
-            kind_name)) from None
-    return kind.result_from_dict(payload)
+            payload.get("kind"))) from None
+    return result_type.from_dict(payload)
 
 
 def stats_to_dict(stats: SchedulerStats) -> Dict[str, object]:

@@ -79,6 +79,21 @@ class RetryPolicy:
     episode_timeout: Optional[float] = None
     respawn_budget: int = 8
 
+    def __post_init__(self) -> None:
+        # The CLI's --max-retries and --episode-timeout arrive here as given.
+        if self.max_attempts < 1:
+            raise ValueError("max_attempts must be at least 1, got {!r}"
+                             .format(self.max_attempts))
+        if self.backoff_base < 0:
+            raise ValueError("backoff_base must be >= 0, got {!r}".format(
+                self.backoff_base))
+        if self.episode_timeout is not None and not self.episode_timeout > 0:
+            raise ValueError("episode_timeout must be positive or None, got "
+                             "{!r}".format(self.episode_timeout))
+        if self.respawn_budget < 0:
+            raise ValueError("respawn_budget must be >= 0, got {!r}".format(
+                self.respawn_budget))
+
 
 @dataclass
 class SupervisorReport:
@@ -343,10 +358,8 @@ class _Supervisor:
                 self.pending.append(_PendingChunk(half))
             return
         index = item.chunk.indices[0]
-        spec = self.episode_specs[index]
         failure = EpisodeFailure(
-            index=index,
-            label="/".join(str(part) for part in spec.cell_key()),
+            index=index, label=self.episode_specs[index].label(),
             stage=stage, error_type=error_type, message=message,
             attempts=item.attempts, chunk_id=item.chunk.chunk_id)
         self.ledger.failures[index] = failure

@@ -50,6 +50,45 @@ class ScenarioResult:
     def difficulty(self) -> Difficulty:
         return self.scenario.difficulty
 
+    def to_dict(self) -> Dict[str, object]:
+        """The journal's wire format: JSON-safe, tagged ``"kind":
+        "waypoint"``, exact inverse of :meth:`from_dict` (floats
+        round-trip bit for bit through JSON)."""
+        return {
+            "kind": "waypoint",
+            "scenario": self.scenario.to_dict(),
+            "implementation": self.implementation,
+            "frequency_mhz": self.frequency_mhz,
+            "success": bool(self.success),
+            "crashed": bool(self.crashed),
+            "final_distance": self.final_distance,
+            "solve_times": list(self.solve_times),
+            "solve_iterations": [int(i) for i in self.solve_iterations],
+            "actuation_power_w": self.actuation_power_w,
+            "soc_power_w": self.soc_power_w,
+            "flight_time_s": self.flight_time_s,
+            "positions": (None if self.positions is None
+                          else np.asarray(self.positions).tolist()),
+        }
+
+    @classmethod
+    def from_dict(cls, payload: Dict[str, object]) -> "ScenarioResult":
+        positions = payload["positions"]
+        return cls(
+            scenario=Scenario.from_dict(payload["scenario"]),
+            implementation=payload["implementation"],
+            frequency_mhz=payload["frequency_mhz"],
+            success=bool(payload["success"]),
+            crashed=bool(payload["crashed"]),
+            final_distance=payload["final_distance"],
+            solve_times=list(payload["solve_times"]),
+            solve_iterations=[int(i) for i in payload["solve_iterations"]],
+            actuation_power_w=payload["actuation_power_w"],
+            soc_power_w=payload["soc_power_w"],
+            flight_time_s=payload["flight_time_s"],
+            positions=(None if positions is None
+                       else np.asarray(positions, dtype=np.float64)))
+
 
 @dataclass
 class SweepCell:

@@ -1,5 +1,8 @@
 """Tests for the campaign DSL: expansion, validation, serialization, factory."""
 
+import math
+import re
+
 import pytest
 
 from repro.drone import Difficulty
@@ -52,6 +55,16 @@ class TestCampaignSpec:
     def test_unknown_dict_field_rejected(self):
         with pytest.raises(ValueError, match="unknown campaign fields"):
             CampaignSpec.from_dict({"difficulty": ["easy"]})
+
+    @pytest.mark.parametrize("kind", ["waypoint", "recovery"])
+    def test_describe_lists_every_factor_of_size(self, kind):
+        spec = CampaignSpec(seeds=(0, 1), mass_scales=(1.0, 1.5),
+                            episode_kind=kind)
+        total, factors = spec.describe().split(" = ")
+        assert int(re.findall(r"\d+", total)[-1]) == spec.size
+        assert "2 mass scales" in factors
+        assert math.prod(int(n) for n in re.findall(r"\d+", factors)) \
+            == spec.size
 
     def test_cell_key_excludes_seed(self):
         a = EpisodeSpec(difficulty=Difficulty.EASY, seed=0)

@@ -1,8 +1,8 @@
-"""The design_point episode kind: protocol, equality, and durability.
+"""The design_point workload: dispatch, equality, and durability.
 
-Covers the workload-polymorphic engine contract end to end:
+Covers the three-workload engine contract end to end:
 
-* the :class:`~repro.fleet.kinds.EpisodeKind` registry and dispatch;
+* dispatch on ``episode_kind`` and on the result type;
 * ``CampaignSpec(episode_kind="design_point")`` validation and
   deterministic grid expansion with invalid-combination skipping;
 * the acceptance bar — every design-sweep figure driver reproduces the
@@ -41,6 +41,7 @@ from repro.experiments.pareto_experiments import dse_campaign, fig10_pareto
 from repro.fleet import (
     CampaignSpec,
     EpisodeSpec,
+    FleetAggregator,
     RetryPolicy,
     run_campaign,
 )
@@ -53,11 +54,6 @@ from repro.fleet.design_point import (
     register_program_variant,
 )
 from repro.fleet.durable import journal_path, result_from_dict, result_to_dict
-from repro.fleet.kinds import (
-    episode_kind_names,
-    get_episode_kind,
-    kind_for_result,
-)
 from repro.hil.loop import build_variant_problem
 from repro.tinympc import build_iteration_program
 
@@ -89,27 +85,20 @@ GOLDEN_CALLS = {
 }
 
 
-class TestKindRegistry:
-    def test_builtin_kinds_registered_in_order(self):
-        names = episode_kind_names()
-        assert names == ("waypoint", "recovery", "design_point")
+class TestDirectDispatch:
+    def test_unknown_kind_rejected_naming_all_three(self):
+        with pytest.raises(ValueError, match="unknown episode_kind") as error:
+            CampaignSpec(episode_kind="nope")
+        for kind in ("waypoint", "recovery", "design_point"):
+            assert kind in str(error.value)
 
-    def test_unknown_kind_rejected_with_options(self):
-        with pytest.raises(ValueError, match="unknown episode_kind"):
-            get_episode_kind("nope")
-        with pytest.raises(ValueError, match="design_point"):
-            CampaignSpec(episode_kind="nope").validate()
-
-    def test_result_dispatch(self):
-        result = evaluate_design_point(DesignPointSpec(design_point="rocket"))
-        assert kind_for_result(result).name == "design_point"
+    def test_unknown_result_types_rejected(self):
         with pytest.raises(TypeError, match="unknown episode result type"):
-            kind_for_result(object())
-
-    def test_kind_owns_its_aggregation_contract(self):
-        kind = get_episode_kind("design_point")
-        assert "design_point" in kind.cell_axes
-        assert "fidelity" in kind.cell_axes
+            result_to_dict(object())
+        with pytest.raises(TypeError, match="unknown episode result type"):
+            FleetAggregator().add(object(), key=())
+        with pytest.raises(ValueError, match="unknown episode result kind"):
+            result_from_dict({"kind": "nope"})
 
 
 class TestSpecValidation:

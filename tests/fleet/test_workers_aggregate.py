@@ -302,12 +302,21 @@ class TestQuarantine:
                        if row.get("status") == "quarantined"]
         assert len(quarantined) == 1
         assert quarantined[0]["index"] == 2
+        assert quarantined[0]["label"] == self.SPEC.expand()[2].label()
         assert quarantined[0]["error_type"] == "ChaosError"
         assert quarantined[0]["attempts"] == 2
         # Aggregate rows count only the episodes that actually completed.
         aggregate_rows = [row for row in rows if "status" not in row]
         assert sum(row["episodes"] for row in aggregate_rows) == 7
         assert outcome.overall()["quarantined_episodes"] == 1
+
+    @pytest.mark.parametrize("field, value", [
+        ("max_attempts", 0), ("backoff_base", -0.5),
+        ("episode_timeout", 0.0), ("episode_timeout", -1.0),
+        ("respawn_budget", -1)])
+    def test_retry_policy_rejects_out_of_range_values(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            RetryPolicy(**{field: value})
 
     def test_journal_holds_only_episode_fail_commit_records(self, tmp_path,
                                                             monkeypatch):
@@ -351,10 +360,14 @@ class TestCampaignCLI:
         assert payload["supervisor"]["fresh_chunks"] == 2
         assert "run_dir" not in payload
 
-    def test_zero_lease_size_rejected(self, tmp_path):
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--lease-size", "0", "lease_size"),
+        ("--max-retries", "0", "max_attempts"),
+        ("--episode-timeout", "-1", "episode_timeout")])
+    def test_zero_lease_size_rejected(self, tmp_path, flag, value, field):
         checkpoint = tmp_path / "ckpt"
-        completed = self._cli("--seeds", "1", "--lease-size", "0", "--quiet",
+        completed = self._cli("--seeds", "1", flag, value, "--quiet",
                               "--checkpoint-dir", str(checkpoint))
         assert completed.returncode != 0
-        assert "lease_size" in completed.stderr
+        assert field in completed.stderr
         assert not checkpoint.exists()
