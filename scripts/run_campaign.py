@@ -26,7 +26,8 @@ retried/quarantined instead of aborting.  ``--checkpoint-dir`` also makes
 the run durable (``docs/robustness.md``): progress is journaled to a
 content-addressed run directory, and Ctrl-C exits with status 130 after
 flushing a final checkpoint plus a ``resume with --resume <dir>`` hint.
-``--resume <dir>`` picks the run back up; completed chunks replay from the
+``--resume <dir>`` picks the run back up (``<dir>`` must be a run
+directory, holding ``meta.json``); completed chunks replay from the
 journal, so an interrupted-then-resumed campaign produces byte-identical
 rows to an uninterrupted one.
 
@@ -130,22 +131,22 @@ def build_parser() -> argparse.ArgumentParser:
                              "for the cycles-per-solve metric")
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes (1 = in-process)")
-    parser.add_argument("--max-batch", type=int, default=None,
-                        help="cap on batched solver width per group")
     parser.add_argument("--no-batching", action="store_true",
                         help="force the scalar (bit-for-bit reference) path")
     parser.add_argument("--output", default=None,
                         help="write campaign JSON (spec, rows, stats) here")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress the table on stdout")
-    parser.add_argument("--checkpoint-dir", default=None,
-                        help="journal progress under this directory and run "
-                             "supervised workers (retry/quarantine); "
-                             "interrupted runs can be resumed")
-    parser.add_argument("--resume", default=None, metavar="RUN_DIR",
-                        help="resume a checkpointed run directory (as "
-                             "printed on interrupt); implies the same "
-                             "campaign flags as the original invocation")
+    durable = parser.add_mutually_exclusive_group()
+    durable.add_argument("--checkpoint-dir", default=None,
+                         help="journal progress under this directory and run "
+                              "supervised workers (retry/quarantine); "
+                              "interrupted runs can be resumed")
+    durable.add_argument("--resume", default=None, metavar="RUN_DIR",
+                         help="resume a checkpointed run directory (as "
+                              "printed on interrupt; it must hold a "
+                              "meta.json); implies the same campaign flags "
+                              "as the original invocation")
     parser.add_argument("--max-retries", type=int, default=3,
                         help="attempts per episode chunk before bisection/"
                              "quarantine (runs with worker processes)")
@@ -162,7 +163,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.resume is not None and not os.path.isfile(
+            os.path.join(args.resume, "meta.json")):
+        # Checked before anything runs: a mistyped path must not start the
+        # campaign afresh in a new directory.
+        parser.error("--resume {}: not a run directory (no meta.json)"
+                     .format(args.resume))
     spec = CampaignSpec(
         name=args.name,
         difficulties=tuple(args.difficulties),
@@ -192,7 +200,6 @@ def main(argv=None) -> int:
     try:
         outcome = run_campaign(spec, workers=args.workers,
                                batching=not args.no_batching,
-                               max_batch=args.max_batch,
                                checkpoint_dir=checkpoint_dir,
                                retry_policy=RetryPolicy(
                                    max_attempts=args.max_retries,

@@ -10,7 +10,7 @@ batcher and folded into per-cell aggregate rows.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Sequence, Union
 
 __all__ = ["fleet_campaign"]
 
@@ -23,7 +23,6 @@ def fleet_campaign(difficulties: Sequence[str] = ("easy", "medium"),
                    control_rates_hz: Sequence[float] = (100.0,),
                    max_admm_iterations: Sequence[int] = (10,),
                    workers: int = 1,
-                   max_batch: Optional[int] = None,
                    batched: bool = True,
                    include_overall: bool = True) -> List[Dict]:
     """Run a fleet campaign and return its aggregate rows.
@@ -48,8 +47,7 @@ def fleet_campaign(difficulties: Sequence[str] = ("easy", "medium"),
         control_rates_hz=tuple(control_rates_hz),
         max_admm_iterations=tuple(max_admm_iterations),
     )
-    outcome = run_campaign(spec, workers=workers, batching=batched,
-                           max_batch=max_batch)
+    outcome = run_campaign(spec, workers=workers, batching=batched)
     rows = outcome.rows()
     if include_overall:
         summary = {key: "" for key in rows[0]} if rows else {}

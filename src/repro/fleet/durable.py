@@ -28,10 +28,12 @@ to a power cut is bounded and small.
 
 Resumability is exact because execution is planned in deterministic
 *chunks* (:func:`plan_chunks`): the chunk an episode belongs to depends
-only on the spec and the recorded plan, never on which worker ran it or
-when, and a chunk re-runs in full or not at all.  Batched-GEMM round-off
-depends on batch shapes, so re-running a *whole* chunk reproduces its
-results bit-for-bit — which is what makes ``interrupt anywhere + resume``
+only on the spec and the recorded plan (:class:`ExecutionPlan`: shards,
+lease size, batching), never on which worker ran it or when, and a chunk
+re-runs in full or not at all.  Batched-GEMM round-off depends on batch
+shapes, which a chunk's membership fixes (the lease bounds every batch's
+width), so re-running a *whole* chunk reproduces its results
+bit-for-bit — which is what makes ``interrupt anywhere + resume``
 byte-identical to an uninterrupted run (``tests/fleet/test_chaos.py``).
 """
 
@@ -63,9 +65,11 @@ __all__ = [
 # Version of the run-directory layout and journal record format.  Tracks the
 # spec schema (a spec schema bump invalidates checkpoints anyway) but can
 # move independently if only the journal format changes.
-# v2 journals hold only ``episode``/``fail``/``commit`` records and v2 plans
-# only shards, lease size and batching; v1 run directories are refused.
-RUN_SCHEMA_VERSION = 2
+# v3 plans hold shards, lease size and batching, and v3 commit records carry
+# the chunk's widest dispatch instead of every dispatch's width.  v2 plans
+# also recorded a batch-width cap and v1 journals per-chunk aggregates;
+# both are refused.
+RUN_SCHEMA_VERSION = 3
 
 # Episodes per chunk of a checkpointed run when the caller does not choose.
 # The chunk is the atomic unit of both checkpointing and batched round-off.
@@ -150,7 +154,7 @@ def stats_to_dict(stats: SchedulerStats) -> Dict[str, object]:
             "dispatches": stats.dispatches, "solves": stats.solves,
             "batched_solves": stats.batched_solves,
             "scalar_solves": stats.scalar_solves,
-            "batch_widths": [int(w) for w in stats.batch_widths]}
+            "max_batch_width": stats.max_batch_width}
 
 
 def stats_from_dict(payload: Dict[str, object]) -> SchedulerStats:
@@ -159,7 +163,7 @@ def stats_from_dict(payload: Dict[str, object]) -> SchedulerStats:
         dispatches=int(payload["dispatches"]), solves=int(payload["solves"]),
         batched_solves=int(payload["batched_solves"]),
         scalar_solves=int(payload["scalar_solves"]),
-        batch_widths=[int(w) for w in payload["batch_widths"]])
+        max_batch_width=int(payload["max_batch_width"]))
 
 
 # ---------------------------------------------------------------------------
@@ -341,27 +345,24 @@ class ExecutionPlan:
     """Everything that pins a run's numerics and outputs besides the spec.
 
     ``shards`` and ``lease_size`` fix chunk membership (and therefore the
-    batched-GEMM round-off profile); ``batching``/``max_batch`` fix the
-    solve path.  A resume must execute the recorded plan — the number of
-    *live* workers may differ (any worker can run any chunk), the plan may
-    not.
+    batch widths and their GEMM round-off); ``batching`` fixes the solve
+    path.  A resume must execute the recorded plan — the number of *live*
+    workers may differ (any worker can run any chunk), the plan may not.
     """
 
     shards: int
     lease_size: int
     batching: bool = True
-    max_batch: Optional[int] = None
 
     def to_dict(self) -> Dict[str, object]:
         return {"shards": self.shards, "lease_size": self.lease_size,
-                "batching": self.batching, "max_batch": self.max_batch}
+                "batching": self.batching}
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "ExecutionPlan":
         return cls(shards=int(payload["shards"]),
                    lease_size=int(payload["lease_size"]),
-                   batching=bool(payload["batching"]),
-                   max_batch=payload["max_batch"])
+                   batching=bool(payload["batching"]))
 
 
 @dataclass(frozen=True)
@@ -454,8 +455,7 @@ def resolve_run_dir(checkpoint_dir: str, name: str, digest: str) -> str:
 # How a caller sets each plan field: run_campaign keyword and CLI flag.
 _PLAN_OPTIONS = {"shards": ("workers", "--workers"),
                  "lease_size": ("lease_size", "--lease-size"),
-                 "batching": ("batching", "--no-batching"),
-                 "max_batch": ("max_batch", "--max-batch")}
+                 "batching": ("batching", "--no-batching")}
 
 
 def _plan_option(name: str, value) -> str:

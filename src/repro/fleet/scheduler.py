@@ -13,10 +13,10 @@ to sequential scalar solves.  This scheduler removes that restriction:
   MPC problem content (:func:`~repro.tinympc.problem.problem_hash`) and
   identical :class:`~repro.tinympc.solver.SolverSettings` — and dispatches
   each group as one :class:`~repro.tinympc.batch.BatchTinyMPCSolver` call;
-* each episode's warm start stays resident in the batch slot it last
-  solved in; ``export_slot`` / ``import_slot`` move it only when a slot
-  changes owner, so episodes keep their warm starts even when they share
-  slots across dispatches.
+* each episode owns one slot of its group's solver for the whole run, so
+  its warm start never leaves the solver: a dispatch solves only the slots
+  of the episodes it answers, and the others stay as their last solve left
+  them.
 
 Episodes never interact physically, so a solve request is causally
 independent of every other episode's requests: the batcher is free to pack
@@ -39,13 +39,15 @@ fixed-width GEMMs whose low bits differ from the scalar GEMV path by BLAS
 round-off (~1e-15 per solve); iteration counts, solve times, success flags,
 and every other discrete outcome remain exactly equal on all supported
 scenarios, and float metrics agree to tight tolerances
-(``tests/fleet/test_scheduler.py``).  Batch width per group is fixed at
-construction, so repeated runs of one campaign are bit-for-bit identical.
+(``tests/fleet/test_scheduler.py``).  A group's solver is as wide as its
+population, fixed at construction, so repeated runs of one campaign are
+bit-for-bit identical; a campaign's lease size bounds every group's width,
+because a chunk's scheduler sees only that chunk's episodes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -109,17 +111,23 @@ class SchedulerStats:
     solves: int = 0
     batched_solves: int = 0
     scalar_solves: int = 0
-    batch_widths: List[int] = field(default_factory=list)
+    max_batch_width: int = 0
 
     @property
     def mean_batch_width(self) -> float:
-        if not self.batch_widths:
-            return 0.0
-        return float(np.mean(self.batch_widths))
+        # Every solve belongs to exactly one dispatch, so this is the mean
+        # of the per-dispatch widths.
+        return self.solves / self.dispatches if self.dispatches else 0.0
 
-    @property
-    def max_batch_width(self) -> int:
-        return max(self.batch_widths) if self.batch_widths else 0
+    def add_dispatch(self, width: int, batched: bool) -> None:
+        """Account one dispatch that answered ``width`` requests."""
+        self.dispatches += 1
+        self.solves += width
+        if batched:
+            self.batched_solves += width
+        else:
+            self.scalar_solves += width
+        self.max_batch_width = max(self.max_batch_width, width)
 
     def merge(self, other: "SchedulerStats") -> "SchedulerStats":
         self.episodes += other.episodes
@@ -128,7 +136,8 @@ class SchedulerStats:
         self.solves += other.solves
         self.batched_solves += other.batched_solves
         self.scalar_solves += other.scalar_solves
-        self.batch_widths.extend(other.batch_widths)
+        self.max_batch_width = max(self.max_batch_width,
+                                   other.max_batch_width)
         return self
 
     def as_row(self) -> Dict[str, float]:
@@ -254,108 +263,57 @@ class _ScalarGroup:
                 self._solvers[request.episode] = solver
             solution = solver.solve(request.x0, Xref=request.goal)
             responses[request.episode] = (solution.control, solution.iterations)
-            stats.dispatches += 1
-            stats.scalar_solves += 1
-            stats.batch_widths.append(1)
-        stats.solves += len(requests)
+            stats.add_dispatch(1, batched=False)
         return responses
-
-    def release(self, episode_id: int) -> None:
-        self._solvers.pop(episode_id, None)
 
     def close(self) -> None:
         """Scalar solvers are per-episode and cheap; nothing is pooled."""
 
 
 class _BatchGroup:
-    """Solver group backed by one fixed-width batched solver.
+    """Solver group backed by one batched solver, one slot per member.
 
-    Each dispatch packs its requests into slots in order, solves the batch
-    with the leading slots active, and reads the answers back.  An
-    episode's warm start stays resident in the slot it last solved in
-    (inactive slots are left exactly as their last solve finished), so a
-    slot's state moves only when the slot changes owner: the previous
-    owner's is exported to its carried arrays (``export_slot``) and the
-    newcomer's imported (``import_slot``).  Episodes outnumbering the batch
-    capacity therefore still share slots, and the raw-row round trip keeps
-    slot sharing numerically invisible.
+    Each episode owns the slot at its index in the group for the whole run,
+    so its warm start never leaves the solver.  A dispatch writes its
+    requests into their slots and solves with only those slots active; the
+    other slots stay exactly as their last solve finished, and a finished
+    episode's slot simply stays inactive.
     """
 
-    def __init__(self, problem: MPCProblem, settings: SolverSettings,
-                 cache: Optional[LQRCache], capacity: int,
-                 pool: Optional[SolverPool] = None) -> None:
-        self.problem = problem
-        self.settings = settings
-        self.capacity = capacity
+    def __init__(self, population: Sequence[FleetEpisode],
+                 pool: SolverPool) -> None:
+        first = population[0]
+        problem = first.problem
+        width = len(population)
         self.pool = pool
-        if pool is not None:
-            self.solver = pool.acquire(problem, settings, capacity, cache)
-        else:
-            self.solver = BatchTinyMPCSolver(problem, capacity, settings,
-                                             cache or compute_cache(problem))
-        # Warm starts of episodes not resident in a slot.
-        self._carried: Dict[int, Dict[str, np.ndarray]] = {}
-        # Slot -> the live episode whose warm start it holds, and back.
-        self._owner: List[Optional[int]] = [None] * capacity
-        self._slot: Dict[int, int] = {}
-        self._x0 = np.zeros((capacity, problem.state_dim))
-        self._goal = np.zeros((capacity, problem.state_dim))
-        self._active = np.zeros(capacity, dtype=bool)
-
-    def _seat(self, slot: int, episode: int) -> None:
-        """Make ``slot`` hold ``episode``'s warm start."""
-        owner = self._owner[slot]
-        if owner == episode:
-            return
-        solver = self.solver
-        home = self._slot.pop(episode, None)
-        if home is not None:
-            self._carried[episode] = solver.export_slot(
-                home, out=self._carried.get(episode))
-            self._owner[home] = None
-        if owner is not None:
-            self._carried[owner] = solver.export_slot(
-                slot, out=self._carried.get(owner))
-            del self._slot[owner]
-        solver.import_slot(slot, self._carried.get(episode))
-        self._owner[slot] = episode
-        self._slot[episode] = slot
+        self.solver = pool.acquire(problem, first.settings, width, first.cache)
+        self._slots = {episode.episode_id: slot
+                       for slot, episode in enumerate(population)}
+        self._x0 = np.zeros((width, problem.state_dim))
+        # Goals are passed per knot point: a (width, n) array would be read
+        # as one shared (N, n) trajectory whenever width equals the horizon.
+        self._goal = np.zeros((width, problem.horizon, problem.state_dim))
+        self._active = np.zeros(width, dtype=bool)
 
     def solve(self, requests: Sequence[SolveRequest], stats: SchedulerStats
               ) -> Dict[int, Tuple[np.ndarray, int]]:
-        responses = {}
-        for start in range(0, len(requests), self.capacity):
-            chunk = requests[start:start + self.capacity]
-            width = len(chunk)
-            for slot, request in enumerate(chunk):
-                self._seat(slot, request.episode)
-                self._x0[slot] = request.x0
-                self._goal[slot] = request.goal
-            self._active[:] = False
-            self._active[:width] = True
-            solution = self.solver.solve(self._x0, Xref=self._goal,
-                                         active=self._active)
-            for slot, request in enumerate(chunk):
-                responses[request.episode] = (
-                    solution.inputs[slot, 0].copy(),
-                    int(solution.iterations[slot]))
-            stats.dispatches += 1
-            stats.batched_solves += width
-            stats.batch_widths.append(width)
-        stats.solves += len(requests)
-        return responses
-
-    def release(self, episode_id: int) -> None:
-        self._carried.pop(episode_id, None)
-        slot = self._slot.pop(episode_id, None)
-        if slot is not None:
-            self._owner[slot] = None
+        slots = [self._slots[request.episode] for request in requests]
+        self._active[:] = False
+        for slot, request in zip(slots, requests):
+            self._x0[slot] = request.x0
+            self._goal[slot] = request.goal
+            self._active[slot] = True
+        solution = self.solver.solve(self._x0, Xref=self._goal,
+                                     active=self._active)
+        stats.add_dispatch(len(requests), batched=True)
+        return {request.episode: (solution.inputs[slot, 0].copy(),
+                                  int(solution.iterations[slot]))
+                for slot, request in zip(slots, requests)}
 
     def close(self) -> None:
         """Return the solver to the pool (the group must not solve again)."""
-        if self.pool is not None:
-            self.pool.release(self.solver)
-            self.solver = None
+        self.pool.release(self.solver)
+        self.solver = None
 
 
 class FleetScheduler:
@@ -367,24 +325,17 @@ class FleetScheduler:
         batching: route compatible solves through batched GEMM dispatches.
             ``False`` forces the scalar path for every episode — bit-for-bit
             identical to sequential :meth:`HILLoop.run_scenario` calls.
-        max_batch: cap on batch width (slots); groups larger than this share
-            slots across dispatches.  ``None`` sizes each group's solver to
-            its population for maximal throughput.
         pool: the :class:`SolverPool` batched groups draw their solvers
             from and return them to after the run, so repeated campaigns
             reuse workspace arenas instead of reallocating them.  Defaults
-            to the process-global pool; pass ``None``-like behavior by
-            giving each scheduler its own fresh ``SolverPool()``.
+            to the process-global pool; give a scheduler a fresh
+            ``SolverPool()`` to keep its solvers out of that one.
     """
 
     def __init__(self, episodes: Sequence[FleetEpisode], batching: bool = True,
-                 max_batch: Optional[int] = None,
                  pool: Optional[SolverPool] = None) -> None:
         self.episodes = list(episodes)
         self.batching = batching
-        if max_batch is not None and max_batch < 1:
-            raise ValueError("max_batch must be at least 1")
-        self.max_batch = max_batch
         self.pool = pool if pool is not None else solver_pool()
         self.stats = SchedulerStats()
         seen = set()
@@ -398,27 +349,17 @@ class FleetScheduler:
     def _build_groups(self):
         """Group episodes by compatibility key, preserving first-seen order."""
         members: Dict[Tuple, List[FleetEpisode]] = {}
-        order: List[Tuple] = []
         for episode in self.episodes:
-            key = episode.group_key
-            if key not in members:
-                members[key] = []
-                order.append(key)
-            members[key].append(episode)
+            members.setdefault(episode.group_key, []).append(episode)
         groups = {}
-        for key in order:
-            population = members[key]
-            first = population[0]
-            if not self.batching or len(population) == 1:
+        for key, population in members.items():
+            if self.batching and len(population) > 1:
+                groups[key] = _BatchGroup(population, self.pool)
+            else:
+                first = population[0]
                 groups[key] = _ScalarGroup(first.problem, first.settings,
                                            first.cache)
-            else:
-                capacity = len(population)
-                if self.max_batch is not None:
-                    capacity = min(capacity, self.max_batch)
-                groups[key] = _BatchGroup(first.problem, first.settings,
-                                          first.cache, capacity, self.pool)
-        return groups, order
+        return groups
 
     # -- main entry point -------------------------------------------------------
     def run(self) -> List[EpisodeResult]:
@@ -428,27 +369,20 @@ class FleetScheduler:
         # Built before any group acquires a pooled solver, so a physics
         # step the plant rejects leaks none.
         lockstep = EpisodeBatch([episode.runner for episode in self.episodes])
-        groups, group_order = self._build_groups()
-        group_rank = {key: rank for rank, key in enumerate(group_order)}
+        groups = self._build_groups()
+        group_rank = {key: rank for rank, key in enumerate(groups)}
         keys = {episode.episode_id: episode.group_key
                 for episode in self.episodes}
         self.stats.episodes = len(self.episodes)
         self.stats.groups = len(groups)
         pending: Dict[Tuple, List[SolveRequest]] = {}
 
-        def flown(advanced, requests) -> None:
-            """Queue the lockstep batch's requests; release who finished."""
-            asked = set()
+        def queue(requests: Sequence[SolveRequest]) -> None:
             for request in requests:
                 pending.setdefault(keys[request.episode], []).append(request)
-                asked.add(request.episode)
-            for episode_id in advanced:
-                if episode_id not in asked:
-                    groups[keys[episode_id]].release(episode_id)
 
         try:
-            flown(keys, lockstep.advance())
-
+            queue(lockstep.advance())
             while pending:
                 # Event-driven dispatch: the group holding the earliest
                 # pending request goes first (first-seen group order breaks
@@ -457,8 +391,8 @@ class FleetScheduler:
                     min(r.time for r in pending[k]), group_rank[k]))
                 requests = pending.pop(key)
                 requests.sort(key=lambda r: (r.time, r.episode))
-                responses = groups[key].solve(requests, self.stats)
-                flown(responses, lockstep.advance(responses))
+                queue(lockstep.advance(groups[key].solve(requests,
+                                                         self.stats)))
         finally:
             for group in groups.values():
                 group.close()

@@ -146,8 +146,7 @@ class ChunkRunner:
     quarantine row reports when the chunk raises.
     """
 
-    def __init__(self, plan: ExecutionPlan) -> None:
-        self.plan = plan
+    def __init__(self) -> None:
         self.factory = EpisodeFactory()
         self.stage = "build"
 
@@ -167,8 +166,7 @@ class ChunkRunner:
         # design_point.evaluate_design_point sees every evaluation.
         results = {index: design_point.evaluate_design_point(spec)
                    for index, spec in designs}
-        scheduler = FleetScheduler(episodes, batching=chunk.batching,
-                                   max_batch=self.plan.max_batch)
+        scheduler = FleetScheduler(episodes, batching=chunk.batching)
         for episode, result in zip(episodes, scheduler.run()):
             results[episode.episode_id] = result
         return {"results": [result_to_dict(results[index])
@@ -203,7 +201,7 @@ def run_inline(episode_specs: Sequence[EpisodeSpec],
 
     No worker, journal or retry: an exception propagates to the caller.
     """
-    runner = ChunkRunner(plan)
+    runner = ChunkRunner()
     ledger = ReplayState()
     for chunk in plan_chunks(len(episode_specs), plan):
         ledger.commit(chunk, runner(
@@ -217,7 +215,7 @@ def run_inline(episode_specs: Sequence[EpisodeSpec],
 # Worker process
 # ---------------------------------------------------------------------------
 
-def _supervised_worker(conn, results, plan_payload, parent_pid) -> None:
+def _supervised_worker(conn, results, parent_pid) -> None:
     """Worker loop: receive a chunk lease, run it, ship the outcome.
 
     Module-level so it pickles under every start method.  SIGINT is
@@ -226,7 +224,7 @@ def _supervised_worker(conn, results, plan_payload, parent_pid) -> None:
     is flushed before anything dies.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    runner = ChunkRunner(ExecutionPlan.from_dict(plan_payload))
+    runner = ChunkRunner()
     while True:
         try:
             # Poll rather than block: under the fork start method every
@@ -290,12 +288,10 @@ class _NoJournal:
 # ---------------------------------------------------------------------------
 
 class _Supervisor:
-    def __init__(self, episode_specs: Sequence[EpisodeSpec],
-                 plan: ExecutionPlan, journal, ledger: ReplayState,
-                 retry: RetryPolicy, workers: int,
+    def __init__(self, episode_specs: Sequence[EpisodeSpec], journal,
+                 ledger: ReplayState, retry: RetryPolicy, workers: int,
                  context, report: SupervisorReport) -> None:
         self.episode_specs = episode_specs
-        self.plan = plan
         self.journal = journal
         self.ledger = ledger
         self.retry = retry
@@ -312,8 +308,7 @@ class _Supervisor:
         parent_conn, child_conn = self.context.Pipe()
         process = self.context.Process(
             target=_supervised_worker,
-            args=(child_conn, self.results_queue, self.plan.to_dict(),
-                  os.getpid()),
+            args=(child_conn, self.results_queue, os.getpid()),
             daemon=True)
         process.start()
         child_conn.close()
@@ -576,8 +571,8 @@ def run_supervised(campaign: Optional[CampaignSpec],
 
     context = (multiprocessing.get_context(start_method) if start_method
                else multiprocessing.get_context())
-    supervisor = _Supervisor(episode_specs, plan, journal, ledger, retry,
-                             workers, context, report)
+    supervisor = _Supervisor(episode_specs, journal, ledger, retry, workers,
+                             context, report)
     try:
         supervisor.run(chunks)
         supervisor.shutdown_workers()

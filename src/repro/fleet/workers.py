@@ -8,16 +8,17 @@ round-robin shards (shard ``s`` owns episodes ``s, s+W, s+2W, ...``, so
 every shard gets a representative slice of the grid and batch groups stay
 wide) cut into leases.  Each chunk runs through one
 :class:`~repro.fleet.supervisor.ChunkRunner` and its scheduler, so a
-chunk's membership fixes its batch widths and with them its GEMM round-off.
+chunk's membership fixes its batch widths and with them its GEMM round-off;
+the lease size therefore bounds every batched solve's width.
 
 A run with one worker and no checkpoint runs the chunks in-process; any
 other run leases them to supervised worker processes
 (:mod:`repro.fleet.supervisor`).  Every run keeps its per-episode results
 and aggregates them once, in campaign order, after the last chunk.
 Results depend only on the spec and the plan (workers, lease size,
-batching, ``max_batch``), never on which path ran it.  Because scenario
-seeds derive from a sha256 digest, not the salted builtin ``hash``, the
-same campaign produces the same per-episode results in every process.
+batching), never on which path ran it.  Because scenario seeds derive
+from a sha256 digest, not the salted builtin ``hash``, the same campaign
+produces the same per-episode results in every process.
 """
 
 from __future__ import annotations
@@ -77,7 +78,6 @@ class CampaignResult:
 
 def run_campaign(campaign: Union[CampaignSpec, Sequence[EpisodeSpec]],
                  workers: int = 1, batching: bool = True,
-                 max_batch: Optional[int] = None,
                  start_method: Optional[str] = None,
                  checkpoint_dir: Optional[str] = None,
                  retry_policy=None,
@@ -93,8 +93,6 @@ def run_campaign(campaign: Union[CampaignSpec, Sequence[EpisodeSpec]],
             layer did in :attr:`CampaignResult.report`.
         batching: route compatible solves through the dynamic batcher
             (``False`` is the bit-for-bit scalar reference path).
-        max_batch: optional cap on batched solver width per group
-            (at least 1).
         start_method: multiprocessing start method (default: platform default).
         checkpoint_dir: make the run durable (:mod:`repro.fleet.durable`):
             chunks are journaled to a content-addressed run directory under
@@ -102,8 +100,9 @@ def run_campaign(campaign: Union[CampaignSpec, Sequence[EpisodeSpec]],
         retry_policy: a :class:`~repro.fleet.supervisor.RetryPolicy` for
             supervised runs (default policy when ``None``).
         lease_size: episodes per chunk — the atomic unit of checkpointing,
-            re-execution and batched round-off.  ``None`` means one chunk
-            per shard without a checkpoint and, with one, chunks of
+            re-execution and batched round-off, and so the widest batched
+            solve a chunk can dispatch.  ``None`` means one chunk per
+            shard without a checkpoint and, with one, chunks of
             :data:`~repro.fleet.durable.DEFAULT_LEASE_SIZE` episodes, so a
             shard no longer than that still flies as one batch.
     """
@@ -121,11 +120,8 @@ def run_campaign(campaign: Union[CampaignSpec, Sequence[EpisodeSpec]],
     elif lease_size < 1:
         raise ValueError("lease_size must be at least 1, got {!r}".format(
             lease_size))
-    if max_batch is not None and max_batch < 1:
-        raise ValueError("max_batch must be at least 1, got {!r}".format(
-            max_batch))
     plan = ExecutionPlan(shards=workers, lease_size=lease_size,
-                         batching=batching, max_batch=max_batch)
+                         batching=batching)
 
     if workers == 1 and checkpoint_dir is None:
         outcome = supervisor.run_inline(episode_specs, plan)

@@ -24,12 +24,10 @@ iteration counts and the warm-start state carried into the next solve.
 
 The ``active`` mask of :meth:`BatchTinyMPCSolver.solve` additionally lets a
 caller solve only a subset of instances while the rest keep their
-warm-start state untouched, and :meth:`BatchTinyMPCSolver.export_slot` /
-:meth:`~BatchTinyMPCSolver.import_slot` let a caller park per-instance
-state outside the solver entirely — together these are what the fleet
-scheduler (:mod:`repro.fleet.scheduler`) uses to pack heterogeneous HIL
-episodes into fixed-width dispatches while every episode keeps its own
-warm start.
+warm-start state untouched.  The fleet scheduler
+(:mod:`repro.fleet.scheduler`) gives each HIL episode of a batch group its
+own instance for the whole run and solves every dispatch under that mask,
+so each episode keeps its own warm start in place.
 """
 
 from __future__ import annotations
@@ -232,15 +230,12 @@ class BatchTinyMPCSolver:
             active=active.copy(),
         )
 
-    # -- slot virtualization -------------------------------------------------
+    # -- per-slot state copies ----------------------------------------------
     #
-    # The fleet scheduler (:mod:`repro.fleet.scheduler`) packs *more* episodes
-    # than the solver has slots: each dispatch loads the warm-start state of
-    # the episodes it is about to solve into slots, solves, and exports the
-    # state back out.  Because the export/import round-trip copies the raw
-    # workspace rows bit-for-bit, a slot-virtualized solve sequence is
-    # numerically identical to giving every episode a persistent slot of the
-    # same batch width.
+    # Nothing in the package calls these: every fleet episode keeps one slot
+    # for its whole run.  They stay because perfbench/tracer.py patches them
+    # by name (its ``tinympc.slot_io`` layer).  The round trip copies raw
+    # workspace rows, so an exported slot imports back bit-for-bit.
 
     def export_slot(self, index: int,
                     out: Optional[Dict[str, np.ndarray]] = None
@@ -250,9 +245,7 @@ class BatchTinyMPCSolver:
         The snapshot contains every workspace buffer plus the slot's
         warm-start flag under the reserved key ``"_warm"``.  Passing a
         previously exported state as ``out`` copies into its arrays in
-        place instead of allocating a fresh snapshot — the fleet
-        scheduler's per-episode carried state reuses one set of arrays for
-        an episode's whole lifetime this way.
+        place instead of allocating a fresh snapshot.
         """
         ws = self.workspace
         if out is None:

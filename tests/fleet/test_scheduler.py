@@ -10,7 +10,7 @@ The contract under test (see :mod:`repro.fleet.scheduler`):
   agree to GEMM round-off;
 * repeated runs are bit-for-bit identical, including across
   ``PYTHONHASHSEED`` values (exercised via subprocesses);
-* every result field of a set of batched, slot-shared, scalar, recovery
+* every result field of a set of batched, narrow-lease, scalar, recovery
   and ideal campaigns equals the rows pinned in
   ``fixtures/hil_rows.json`` (re-record with
   ``PYTHONPATH=src python tests/fleet/test_scheduler.py``).
@@ -39,6 +39,7 @@ from repro.fleet import (
     EpisodeFactory,
     EpisodeSpec,
     FleetScheduler,
+    SchedulerStats,
     SolverPool,
     run_campaign,
 )
@@ -84,7 +85,7 @@ HIL_ROWS = os.path.join(os.path.dirname(__file__), "fixtures",
                         "hil_rows.json")
 GOLDEN_CAMPAIGNS = {
     "mixed-batched": lambda: run_campaign(MIXED),
-    "mixed-max-batch-3": lambda: run_campaign(MIXED, max_batch=3),
+    "mixed-lease-3": lambda: run_campaign(MIXED, lease_size=3),
     "mixed-unbatched": lambda: run_campaign(MIXED, batching=False),
     "recovery-sweep": lambda: run_campaign(RECOVERY_SWEEP),
     "ideal": lambda: run_campaign(CampaignSpec(
@@ -166,15 +167,29 @@ class TestFleetScalarEquivalence:
             assert result.soc_power_w == pytest.approx(
                 reference.soc_power_w, rel=1e-6)
 
-    def test_slot_sharing_preserves_results(self, mixed_reference, campaign):
-        """A width cap forces episodes to share solver slots across
-        dispatches; warm-start parking must keep outcomes identical."""
-        outcome = campaign("mixed-max-batch-3")
+    def test_narrow_chunks_match_sequential(self, mixed_reference, campaign):
+        """Leases of three episodes bound every batched solve to the
+        chunk's width and leave singleton groups on the scalar path; the
+        outcomes still match the sequential reference."""
+        outcome = campaign("mixed-lease-3")
         assert outcome.stats.max_batch_width <= 3
+        assert outcome.stats.batched_solves and outcome.stats.scalar_solves
         for reference, result in zip(mixed_reference, outcome.results):
             assert_discrete_exact(reference, result)
             assert result.final_distance == pytest.approx(
                 reference.final_distance, rel=1e-6, abs=1e-9)
+
+    def test_group_as_wide_as_the_horizon(self):
+        """A batch group of exactly ``horizon`` episodes gets each
+        episode's own goal, not one shared trajectory of their goals."""
+        horizon = EpisodeFactory().build(EpisodeSpec(Difficulty.EASY, 0),
+                                         0).problem.horizon
+        spec = CampaignSpec(difficulties="easy", seeds=tuple(range(horizon)))
+        outcome = run_campaign(spec)
+        assert outcome.stats.max_batch_width == horizon
+        for reference, result in zip(sequential_reference(spec.expand()),
+                                     outcome.results):
+            assert_discrete_exact(reference, result)
 
     def test_repeated_runs_bitwise_identical(self, campaign):
         first = campaign("mixed-batched")
@@ -214,10 +229,6 @@ class TestSchedulerMechanics:
         with pytest.raises(ValueError, match="duplicate"):
             FleetScheduler(episodes)
 
-    def test_invalid_max_batch_rejected(self):
-        with pytest.raises(ValueError, match="max_batch"):
-            FleetScheduler([], max_batch=0)
-
     def test_bad_physics_step_leaks_no_pooled_solver(self):
         """The plant rejects a non-positive physics step before any batch
         group draws a solver from the pool, so every solver comes back."""
@@ -241,9 +252,9 @@ class TestSchedulerMechanics:
         assert scheduler.stats.scalar_solves > 0
         assert scheduler.stats.batched_solves == 0
 
-    def test_warm_starts_stay_resident(self, monkeypatch):
-        """Slot state moves only when a slot changes owner, not per solve:
-        a few copies per episode against 3,320 solves."""
+    def test_warm_starts_never_leave_their_slot(self, monkeypatch):
+        """Each episode keeps one solver slot for its whole run, so no
+        slot state is copied in or out over 3,320 batched solves."""
         copies = []
         for name in ("import_slot", "export_slot"):
             original = getattr(BatchTinyMPCSolver, name)
@@ -256,7 +267,7 @@ class TestSchedulerMechanics:
             difficulties=("easy", "medium"), seeds=(0, 1),
             frequencies_mhz=(100.0, 250.0)))
         assert outcome.stats.batched_solves == 3320
-        assert len(copies) <= 4 * len(outcome.results)
+        assert copies == []
 
     def test_vector_and_scalar_plant_paths_agree(self, monkeypatch):
         """One wide group mixing waypoint and recovery episodes and two
@@ -285,6 +296,26 @@ class TestSchedulerMechanics:
         assert 0 < stats.mean_batch_width <= stats.max_batch_width
         row = stats.as_row()
         assert row["episodes"] == 2 and row["dispatches"] == stats.dispatches
+
+    def test_stats_summarize_dispatch_widths(self):
+        """Two chunks' stats, merged, give the mean and maximum of every
+        dispatch width they accounted, as a per-dispatch list would."""
+        chunks = [[(4, True), (1, False), (4, True)],
+                  [(8, True), (1, False), (2, True), (3, True)]]
+        merged = SchedulerStats()
+        for dispatches in chunks:
+            stats = SchedulerStats()
+            for width, batched in dispatches:
+                stats.add_dispatch(width, batched)
+            merged.merge(stats)
+        widths = [width for dispatches in chunks for width, _ in dispatches]
+        assert merged.dispatches == len(widths)
+        assert merged.solves == sum(widths)
+        assert merged.scalar_solves == 2
+        assert merged.batched_solves == sum(widths) - 2
+        assert merged.max_batch_width == max(widths)
+        assert merged.mean_batch_width == float(np.mean(widths))
+        assert SchedulerStats().mean_batch_width == 0.0
 
 
 _HASHSEED_PROBE = r"""

@@ -118,8 +118,7 @@ class TestOneExecutionPath:
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("option, value", [
-        ("lease_size", 0), ("lease_size", -1),
-        ("max_batch", 0), ("max_batch", -1)])
+        ("lease_size", 0), ("lease_size", -1)])
     def test_lease_size_below_one_rejected_before_run_dir(
             self, tmp_path, workers, option, value):
         with pytest.raises(ValueError, match=option):
@@ -146,6 +145,22 @@ class TestOneExecutionPath:
         assert sum(row["episodes"] for row in rows) == 8
         assert all(row["success_rate"] == 1.0 for row in rows)
         assert chunked.overall()["episodes"] == 8
+
+    def test_lease_bounds_batch_width_on_workers(self, scalar_reference):
+        """The lease is the only bound on a batched solve's width: shards
+        of four cut into leases of three fly a 3-wide batch and a
+        singleton on each worker, with the scalar path's outcomes."""
+        chunked = run_campaign(self.SPEC, workers=2, lease_size=3)
+        stats = chunked.stats
+        assert stats.episodes == 8
+        assert stats.max_batch_width == 3
+        assert stats.batched_solves and stats.scalar_solves
+        for reference, result in zip(scalar_reference.results,
+                                     chunked.results):
+            assert result.success == reference.success
+            assert result.solve_iterations == reference.solve_iterations
+            assert result.final_distance == pytest.approx(
+                reference.final_distance, rel=1e-6, abs=1e-9)
 
     def test_empty_supervised_campaign_spawns_no_workers(self):
         outcome = run_campaign([], workers=2)
@@ -371,3 +386,22 @@ class TestCampaignCLI:
         assert completed.returncode != 0
         assert field in completed.stderr
         assert not checkpoint.exists()
+
+    def test_resume_of_missing_run_directory_rejected(self, tmp_path):
+        """A mistyped ``--resume`` path is an error naming the path, not a
+        fresh campaign started in a new directory."""
+        missing = tmp_path / "no-such-run"
+        completed = self._cli("--seeds", "1", "--quiet",
+                              "--resume", str(missing))
+        assert completed.returncode != 0
+        assert str(missing) in completed.stderr
+        assert "meta.json" in completed.stderr
+        assert os.listdir(str(tmp_path)) == []
+
+    def test_resume_excludes_checkpoint_dir(self, tmp_path):
+        completed = self._cli("--seeds", "1", "--quiet",
+                              "--resume", str(tmp_path / "run"),
+                              "--checkpoint-dir", str(tmp_path / "ckpt"))
+        assert completed.returncode != 0
+        assert "not allowed with" in completed.stderr
+        assert os.listdir(str(tmp_path)) == []
