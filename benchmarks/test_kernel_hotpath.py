@@ -17,7 +17,7 @@ what this PR replaced:
 * every fast kernel beats its naive counterpart on every layout
   (``KERNEL_PARITY_FLOOR``), with single-pair re-measurement before a
   failure is declared (full-table sweeps flake on loaded runners);
-* when a compiled kernel backend is available, its fused iteration beats
+* when a compiled kernel backend is available, its full iteration beats
   the *numpy fast path* by ``COMPILED_SCALAR_FLOOR`` /
   ``COMPILED_BATCH64_FLOOR`` (skipped otherwise).
 
@@ -69,7 +69,7 @@ BATCH_ITERATION_FLOOR = 1.0 if SMOKE else 1.1
 CAMPAIGN_FLOOR = 1.1 if SMOKE else 1.12
 # Compiled backend vs the numpy fast path.  Full floors come from
 # repro.bench; smoke floors keep margin for loaded runners (measured:
-# scalar ~28x, batch64 ~2.1-3x).
+# scalar 34-45x, batch64 2.3-3.1x).
 SMOKE_COMPILED_SCALAR_FLOOR = 4.0
 SMOKE_COMPILED_BATCH64_FLOOR = 1.6
 # Per-kernel parity (fast numpy path vs naive) gets mild smoke slack too.

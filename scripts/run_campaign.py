@@ -171,28 +171,33 @@ def main(argv=None) -> int:
         # campaign afresh in a new directory.
         parser.error("--resume {}: not a run directory (no meta.json)"
                      .format(args.resume))
-    spec = CampaignSpec(
-        name=args.name,
-        difficulties=tuple(args.difficulties),
-        seeds=tuple(range(args.base_seed, args.base_seed + args.seeds)),
-        implementations=tuple(args.implementations),
-        frequencies_mhz=tuple(args.frequencies),
-        variants=tuple(args.variants),
-        control_rates_hz=tuple(args.control_rates),
-        max_admm_iterations=tuple(args.max_iterations),
-        episode_kind=args.episode_kind,
-        disturbance_categories=tuple(args.disturbance_categories),
-        disturbance_kinds=tuple(args.disturbance_kinds),
-        disturbance_scales=tuple(args.disturbance_scales),
-        disturbance_start_times=tuple(args.disturbance_starts),
-        programs=tuple(args.programs),
-        design_points=tuple(args.design_points),
-        codegen_levels=tuple(args.codegen_levels),
-        fidelities=tuple(args.fidelities),
-        sync_granularities=tuple(args.sync_granularities),
-        lmuls=tuple(args.lmuls),
-        solve_iterations=args.solve_iterations,
-    )
+    try:
+        spec = CampaignSpec(
+            name=args.name,
+            difficulties=tuple(args.difficulties),
+            seeds=tuple(range(args.base_seed, args.base_seed + args.seeds)),
+            implementations=tuple(args.implementations),
+            frequencies_mhz=tuple(args.frequencies),
+            variants=tuple(args.variants),
+            control_rates_hz=tuple(args.control_rates),
+            max_admm_iterations=tuple(args.max_iterations),
+            episode_kind=args.episode_kind,
+            disturbance_categories=tuple(args.disturbance_categories),
+            disturbance_kinds=tuple(args.disturbance_kinds),
+            disturbance_scales=tuple(args.disturbance_scales),
+            disturbance_start_times=tuple(args.disturbance_starts),
+            programs=tuple(args.programs),
+            design_points=tuple(args.design_points),
+            codegen_levels=tuple(args.codegen_levels),
+            fidelities=tuple(args.fidelities),
+            sync_granularities=tuple(args.sync_granularities),
+            lmuls=tuple(args.lmuls),
+            solve_iterations=args.solve_iterations,
+        )
+    except ValueError as exc:
+        # An impossible grid is a usage error: exit 2 before anything runs
+        # or any run directory is created.
+        parser.error(str(exc))
     if not args.quiet:
         print(spec.describe())
     checkpoint_dir = args.resume or args.checkpoint_dir

@@ -65,10 +65,10 @@ __all__ = [
 BENCH_SCHEMA_VERSION = 1
 
 # Compiled-backend floors (vs the *numpy fast path*, not vs naive): the
-# fused C iteration must beat the numpy kernels by at least this much
-# or the whole backend is dead weight.  Measured headroom on the dev host:
-# scalar ~28x, batch64 ~2.1-3x, so 5x/2x trip on real regressions without
-# flaking on timer noise.
+# C iteration (its two foreign calls) must beat the numpy kernels by at
+# least this much or the whole backend is dead weight.  Measured headroom
+# on a 2-vCPU host: scalar 34-45x, batch64 2.3-3.1x, so 5x/2x trip on real
+# regressions without flaking on timer noise.
 COMPILED_SCALAR_FLOOR = 5.0
 COMPILED_BATCH64_FLOOR = 2.0
 
@@ -177,15 +177,9 @@ def time_best(fn: Callable[[], object], rounds: int = 7,
 
 
 def naive_iteration(ws: TinyMPCWorkspace, cache: LQRCache) -> None:
-    """One full ADMM iteration through the pre-refactor reference kernels,
-    in the exact order :func:`repro.tinympc.kernels.admm_iteration` runs."""
-    naive.forward_pass_naive(ws, cache)
-    naive.update_slack_naive(ws)
-    naive.update_dual_naive(ws)
-    naive.update_linear_cost_naive(ws, cache)
-    naive.update_residuals_naive(ws)
-    ws.v[...] = ws.vnew
-    ws.z[...] = ws.znew
+    """One full ADMM iteration through the pre-refactor reference kernels:
+    the two calls :func:`repro.tinympc.kernels.admm_iteration` makes."""
+    naive.iteration_prelude_naive(ws, cache)
     naive.backward_pass_naive(ws, cache)
 
 
@@ -413,7 +407,7 @@ def run_kernel_hotpath_bench(smoke: bool = False, campaign: bool = True
     noisier.
 
     The kernel table and allocation accounting pin the *numpy* kernels for
-    the duration (the ``kernels.*`` dispatch attrs may hold a compiled
+    the duration (the two ``kernels.SOLVER_KERNELS`` may hold a compiled
     backend via ``REPRO_KERNEL_BACKEND``); the compiled backend has its own
     comparison in :func:`run_compiled_backend_bench`.  The fleet campaign
     is deliberately left on the live path — whichever backend is active is
@@ -582,7 +576,7 @@ def run_dse_bench(smoke: bool = False) -> Tuple[Dict[str, object],
 def run_compiled_backend_bench(backend: str = "auto", smoke: bool = False
                                ) -> Tuple[Dict[str, object],
                                           List[Dict[str, object]]]:
-    """Measure a compiled backend's fused iteration vs the numpy fast path.
+    """Measure a compiled backend's full iteration vs the numpy fast path.
 
     Returns ``(metrics, rows)``; both are empty when no compiled backend is
     available (CI's no-toolchain leg).  Rows carry an ``impl`` key naming

@@ -413,6 +413,11 @@ class CampaignSpec:
         for rate in self.control_rates_hz:
             if rate <= 0:
                 raise ValueError("control_rates_hz must be positive")
+        for iterations in self.max_admm_iterations:
+            if iterations < 1:
+                raise ValueError("max_admm_iterations must be at least 1")
+        if not math.isfinite(self.physics_dt) or self.physics_dt <= 0:
+            raise ValueError("physics_dt must be finite and positive")
         if not self.mass_scales:
             raise ValueError("campaign axis 'mass_scales' is empty")
         for scale in self.mass_scales:

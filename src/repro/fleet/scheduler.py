@@ -78,7 +78,7 @@ def compatibility_key(problem: MPCProblem, settings: SolverSettings) -> Tuple:
     """
     return (problem_hash(problem), settings.max_iterations,
             settings.abs_primal_tolerance, settings.abs_dual_tolerance,
-            settings.check_termination_every, settings.warm_start)
+            settings.warm_start)
 
 
 @dataclass
@@ -290,9 +290,7 @@ class _BatchGroup:
         self._slots = {episode.episode_id: slot
                        for slot, episode in enumerate(population)}
         self._x0 = np.zeros((width, problem.state_dim))
-        # Goals are passed per knot point: a (width, n) array would be read
-        # as one shared (N, n) trajectory whenever width equals the horizon.
-        self._goal = np.zeros((width, problem.horizon, problem.state_dim))
+        self._goal = np.zeros((width, problem.state_dim))
         self._active = np.zeros(width, dtype=bool)
 
     def solve(self, requests: Sequence[SolveRequest], stats: SchedulerStats

@@ -9,10 +9,10 @@ are tiny (4-150 elements — the very characterization the paper builds on).
 
 :class:`BatchTinyMPCSolver` stacks ``B`` instances into ``(B, N, n)``
 workspaces (:class:`~repro.tinympc.workspace.BatchTinyMPCWorkspace`) and
-runs the ADMM backward/forward passes, slack/dual updates, and residual
-reductions as single vectorized numpy calls through the *same* kernel
-functions the scalar solver uses (:mod:`repro.tinympc.kernels`) — a batch
-dimension of one is the existing solver.
+runs each ADMM iteration through the *same* two kernel calls the scalar
+solver makes (``kernels.iteration_prelude``, then ``kernels.backward_pass``),
+whose numpy forms vectorize over the batch axis — a batch dimension of one
+is the existing solver.
 
 Per-instance convergence is handled by masking: every iteration runs the
 whole batch, but the moment an instance satisfies the termination test its
@@ -138,13 +138,11 @@ class BatchTinyMPCSolver:
         self.workspace.reset()
         self._warm[:] = False
 
-    def set_reference(self, Xref: np.ndarray,
-                      Uref: Optional[np.ndarray] = None) -> None:
+    def set_reference(self, Xref: np.ndarray) -> None:
         """Set tracking references (shared or per-instance shapes)."""
-        self.workspace.set_reference(Xref, Uref)
+        self.workspace.set_reference(Xref)
 
     def solve(self, x0: np.ndarray, Xref: Optional[np.ndarray] = None,
-              Uref: Optional[np.ndarray] = None,
               active: Optional[np.ndarray] = None) -> BatchTinyMPCSolution:
         """Solve the batch from initial states ``x0`` (``(B, n)`` or ``(n,)``).
 
@@ -175,7 +173,7 @@ class BatchTinyMPCSolver:
             self._save(np.flatnonzero(frozen))
 
         if Xref is not None:
-            self.set_reference(Xref, Uref)
+            self.set_reference(Xref)
         warm = active & self._warm if settings.warm_start else np.zeros(B, bool)
         cold_index = np.flatnonzero(active & ~warm)
         if cold_index.size:
@@ -186,22 +184,17 @@ class BatchTinyMPCSolver:
         iterations = np.zeros(B, dtype=int)
         converged = np.zeros(B, dtype=bool)
         live, newly = self._live, self._newly
-        # Kernels are dispatched through the module so the benchmark harness
-        # can swap in the pre-refactor reference implementations; the mask
-        # bookkeeping reuses preallocated scratch to keep the steady-state
-        # iteration allocation-free.
+        # The two kernel calls resolve through the module, where a backend
+        # may replace them; the mask bookkeeping reuses preallocated scratch
+        # to keep the steady-state iteration allocation-free.
         for iteration in range(1, settings.max_iterations + 1):
             np.logical_not(converged, out=live)
             np.logical_and(active, live, out=live)
             iterations[live] = iteration
-            checked = iteration % settings.check_termination_every == 0
-            # The prelude covers forward pass through residuals plus the
-            # v/z slack-iterate copy — one fused call on compiled backends.
-            kernels.iteration_prelude(ws, self.cache, with_residuals=checked)
-            if checked:
-                self._converged_mask_into(newly)
-                np.logical_and(live, newly, out=newly)
-            if checked and newly.any():
+            kernels.iteration_prelude(ws, self.cache)
+            self._converged_mask_into(newly)
+            np.logical_and(live, newly, out=newly)
+            if newly.any():
                 # Snapshot at exactly the state the scalar solver stops in.
                 self._save(np.flatnonzero(newly))
                 converged |= newly

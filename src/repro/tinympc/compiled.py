@@ -1,9 +1,10 @@
 """Compiled kernel backend selection for the TinyMPC hot path.
 
-Both solvers dispatch every kernel through module attributes on
-:mod:`repro.tinympc.kernels` (that is what lets the benchmark harness swap
-in the naive reference).  This module reuses the same seam to install a
-*compiled* kernel set:
+Both solvers run an ADMM iteration as two calls through module attributes
+on :mod:`repro.tinympc.kernels`, ``iteration_prelude`` and
+``backward_pass`` (:data:`~repro.tinympc.kernels.SOLVER_KERNELS`); the
+naive reference swap replaces those two names, and this module replaces
+the same two to install a *compiled* kernel set:
 
 * ``c``     — :mod:`repro.tinympc.compiled_c`, shape-specialized C built at
   first use with the system compiler and called through cffi,
@@ -47,19 +48,11 @@ __all__ = [
     "activate_from_env",
 ]
 
-# Module attributes swapped when a compiled backend is installed.  The
-# compiled implementation object provides a bound method for each.
-_DISPATCH_ATTRS: Tuple[str, ...] = (
-    "forward_pass", "backward_pass", "update_slack", "update_dual",
-    "update_linear_cost", "update_residuals",
-    "iteration_prelude", "admm_iteration",
-)
-# ``compute_residuals`` is intentionally not swapped: its body calls
-# ``update_residuals`` through the module globals, so it follows whatever
-# backend is installed.
-
-# The numpy implementations, captured at import (before any swap).
-_NUMPY_IMPLS = {name: getattr(_kernels, name) for name in _DISPATCH_ATTRS}
+# The numpy implementations of the two solver calls, captured at import
+# (before any swap).  A compiled implementation object provides a bound
+# method of the same name for each.
+_NUMPY_IMPLS = {name: getattr(_kernels, name)
+                for name in _kernels.SOLVER_KERNELS}
 
 _active_name: str = "numpy"
 _active_impl = None
@@ -121,7 +114,7 @@ def install_backend(impl) -> None:
             setattr(_kernels, attr, original)
         _active_name, _active_impl = "numpy", None
         return
-    for attr in _DISPATCH_ATTRS:
+    for attr in _kernels.SOLVER_KERNELS:
         setattr(_kernels, attr, getattr(impl, attr))
     _active_name, _active_impl = impl.name, impl
 
@@ -135,7 +128,8 @@ def use_compiled_kernels(backend: str = "auto"):
     resolved backend name.  Not thread-safe (module-level swap).
     """
     global _active_name, _active_impl
-    saved = [(attr, getattr(_kernels, attr)) for attr in _DISPATCH_ATTRS]
+    saved = [(attr, getattr(_kernels, attr))
+             for attr in _kernels.SOLVER_KERNELS]
     saved_state = (_active_name, _active_impl)
     impl, resolved = resolve_backend(backend)
     try:

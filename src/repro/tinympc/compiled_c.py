@@ -1,4 +1,4 @@
-"""C kernel backend: runtime-compiled fused ADMM iterations.
+"""C kernel backend: the two ADMM solver calls as runtime-compiled C.
 
 The compiled kernel backend; it needs only cffi and a C toolchain next to
 CPython.  At first use it *generates* a C translation unit
@@ -6,10 +6,13 @@ with the problem shape baked in as compile-time constants (``NX``/``NU``/
 ``NH`` — the Exo/SYS_ATL lesson: at TinyMPC's tensor sizes, specialization
 is where the speed lives), builds it with the system C compiler into a
 shared library cached on disk by content hash, and calls it through cffi's
-ABI mode.  One ``admm_iteration`` then costs two foreign calls (prelude +
-backward pass) instead of ~10 numpy ufunc/GEMV dispatches x N horizon
-steps.  The kernels compute in float64 directly on the workspace arrays,
-one batch instance after another on the calling thread.
+ABI mode.  The library exports exactly the two calls both solvers make per
+ADMM iteration (:data:`repro.tinympc.kernels.SOLVER_KERNELS`):
+``admm_prelude`` (forward pass, slack, dual, linear cost, residuals and the
+v/z copy) and ``admm_backward``, each one foreign call instead of ~10 numpy
+ufunc/GEMV dispatches x N horizon steps.  The kernels compute in float64
+directly on the workspace arrays, one batch instance after another on the
+calling thread.
 
 Numerical contract
 ------------------
@@ -24,13 +27,14 @@ Numerical contract
   so every multiply and add rounds exactly like the numpy reference ops.
   What remains vs. the numpy fast path is only BLAS's (unspecified) dot
   accumulation order — bounded by the standard ``(K-1) * eps * sum|terms|``
-  reordering bound and pinned by
+  reordering bound and pinned, per entry point, by
   ``tests/tinympc/test_kernel_bitequality_props.py``.
-* Elementwise kernels (slack, dual, the rho updates, residual reductions,
-  the v/z copies) perform the identical operations in the identical order
-  as the numpy kernels and are **bit-for-bit** equal, NaN semantics
-  included (clips and maxima propagate NaN exactly like
-  ``np.maximum``/``ndarray.max``).
+* The elementwise stages (slack, dual, the rho updates, residual
+  reductions, the v/z copies) perform the identical operations in the
+  identical order as the numpy kernels, NaN semantics included (clips and
+  maxima propagate NaN exactly like ``np.maximum``/``ndarray.max``); inside
+  the prelude they read the matvec stages' outputs, so the prelude as a
+  whole carries the matvec tolerance.
 * The ``r @ Kinf`` hoist of the backward pass is enabled on *both* layouts
   here — unlike the numpy scalar path (see
   :func:`repro.tinympc.kernels._verify_fused_kr`), the loop order is
@@ -53,7 +57,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .cache import LQRCache
-from .workspace import TinyMPCWorkspace
+from .workspace import RESIDUAL_FIELDS, WORKSPACE_BUFFERS, TinyMPCWorkspace
 
 __all__ = ["CBackendUnavailable", "CKernels", "load_c_backend",
            "kernel_cache_dir"]
@@ -82,7 +86,8 @@ _SOURCE = r"""
 
 typedef struct {{
   double *x, *u, *q, *r, *p, *d, *v, *vnew, *z, *znew, *g, *y, *Xref, *Uref;
-  double *prs, *drs, *pri, *dri;
+  double *primal_residual_state, *dual_residual_state;
+  double *primal_residual_input, *dual_residual_input;
   const double *negKinfT, *AT, *BT, *Bmat, *QuuT, *AmBKtT, *Kinf;
   const double *negR, *negQ, *negPinf;
   const double *umin, *umax, *xmin, *xmax;
@@ -227,10 +232,12 @@ static inline void cost_b(const AdmmWs *ws, int32_t b) {{
 
 static inline void resid_b(const AdmmWs *ws, int32_t b) {{
   const size_t ox = (size_t)b * XS, ou = (size_t)b * US;
-  ws->prs[b] = maxabsdiff(ws->x + ox, ws->vnew + ox, XS);
-  ws->drs[b] = ws->rho * maxabsdiff(ws->v + ox, ws->vnew + ox, XS);
-  ws->pri[b] = maxabsdiff(ws->u + ou, ws->znew + ou, US);
-  ws->dri[b] = ws->rho * maxabsdiff(ws->z + ou, ws->znew + ou, US);
+  ws->primal_residual_state[b] = maxabsdiff(ws->x + ox, ws->vnew + ox, XS);
+  ws->dual_residual_state[b] =
+      ws->rho * maxabsdiff(ws->v + ox, ws->vnew + ox, XS);
+  ws->primal_residual_input[b] = maxabsdiff(ws->u + ou, ws->znew + ou, US);
+  ws->dual_residual_input[b] =
+      ws->rho * maxabsdiff(ws->z + ou, ws->znew + ou, US);
 }}
 
 static inline void copyvz_b(const AdmmWs *ws, int32_t b) {{
@@ -240,63 +247,36 @@ static inline void copyvz_b(const AdmmWs *ws, int32_t b) {{
          US * sizeof(double));
 }}
 
-static inline void prelude_b(const AdmmWs *ws, int32_t b,
-                             int32_t with_residuals) {{
+static inline void prelude_b(const AdmmWs *ws, int32_t b) {{
   fwd_b(ws, b);
   slack_b(ws, b);
   dual_b(ws, b);
   cost_b(ws, b);
-  if (with_residuals) resid_b(ws, b);
+  resid_b(ws, b);
   copyvz_b(ws, b);
 }}
 
-void admm_forward(AdmmWs *ws) {{
-  for (int32_t b = 0; b < ws->batch; b++) fwd_b(ws, b);
+void admm_prelude(AdmmWs *ws) {{
+  for (int32_t b = 0; b < ws->batch; b++) prelude_b(ws, b);
 }}
 void admm_backward(AdmmWs *ws) {{
   for (int32_t b = 0; b < ws->batch; b++) bwd_b(ws, b);
-}}
-void admm_slack(AdmmWs *ws) {{
-  for (int32_t b = 0; b < ws->batch; b++) slack_b(ws, b);
-}}
-void admm_dual(AdmmWs *ws) {{
-  for (int32_t b = 0; b < ws->batch; b++) dual_b(ws, b);
-}}
-void admm_cost(AdmmWs *ws) {{
-  for (int32_t b = 0; b < ws->batch; b++) cost_b(ws, b);
-}}
-void admm_resid(AdmmWs *ws) {{
-  for (int32_t b = 0; b < ws->batch; b++) resid_b(ws, b);
-}}
-void admm_prelude(AdmmWs *ws, int32_t with_residuals) {{
-  for (int32_t b = 0; b < ws->batch; b++) prelude_b(ws, b, with_residuals);
-}}
-void admm_iter(AdmmWs *ws, int32_t with_residuals) {{
-  for (int32_t b = 0; b < ws->batch; b++) {{
-    prelude_b(ws, b, with_residuals);
-    bwd_b(ws, b);
-  }}
 }}
 """
 
 _CDEF = """
 typedef struct {
   double *x, *u, *q, *r, *p, *d, *v, *vnew, *z, *znew, *g, *y, *Xref, *Uref;
-  double *prs, *drs, *pri, *dri;
+  double *primal_residual_state, *dual_residual_state;
+  double *primal_residual_input, *dual_residual_input;
   const double *negKinfT, *AT, *BT, *Bmat, *QuuT, *AmBKtT, *Kinf;
   const double *negR, *negQ, *negPinf;
   const double *umin, *umax, *xmin, *xmax;
   double rho;
   int32_t batch;
 } AdmmWs;
-void admm_forward(AdmmWs *ws);
+void admm_prelude(AdmmWs *ws);
 void admm_backward(AdmmWs *ws);
-void admm_slack(AdmmWs *ws);
-void admm_dual(AdmmWs *ws);
-void admm_cost(AdmmWs *ws);
-void admm_resid(AdmmWs *ws);
-void admm_prelude(AdmmWs *ws, int32_t with_residuals);
-void admm_iter(AdmmWs *ws, int32_t with_residuals);
 """
 
 
@@ -408,40 +388,27 @@ def _library_for(n: int, m: int, N: int):
 # Per-workspace binding
 # ---------------------------------------------------------------------------
 
-_WS_FIELDS = ("x", "u", "q", "r", "p", "d", "v", "vnew", "z", "znew",
-              "g", "y", "Xref", "Uref")
-_RESID_FIELDS = (("prs", "primal_residual_state"),
-                 ("drs", "dual_residual_state"),
-                 ("pri", "primal_residual_input"),
-                 ("dri", "dual_residual_input"))
-
-
 class _CBinding:
     """cffi struct + keepalive buffers binding one workspace to the library.
 
     Built once per workspace (stored as ``ws._c_kernel_binding``); the
-    workspace-buffer invariant (arrays are written in place, never rebound)
-    makes the cached pointers stable.  Operator pointers are rebuilt when
-    the cache object changes, residual pointers when legacy (naive) code
-    rebound the residual fields.
+    workspace-buffer invariant (arrays, residual outputs included, are
+    written in place, never rebound) makes the cached pointers stable.
+    Operator pointers are rebuilt when the cache object changes.
     """
 
-    __slots__ = ("lib", "ffi", "c", "keep", "cache", "problem",
-                 "resid_arrays")
+    __slots__ = ("lib", "ffi", "c", "keep", "cache")
 
     def __init__(self, ws: TinyMPCWorkspace) -> None:
         n, m, N = ws.state_dim, ws.input_dim, ws.horizon
         self.lib = _library_for(n, m, N)
         self.ffi = _get_ffi()
         self.cache = None
-        self.problem = None
         self.keep = []
         self.c = self.ffi.new("AdmmWs *")
         self.c.batch = ws.lead_shape[0] if ws.lead_shape else 1
-        for name in _WS_FIELDS:
+        for name in WORKSPACE_BUFFERS + RESIDUAL_FIELDS:
             self._point(name, getattr(ws, name))
-        self.resid_arrays = {}
-        self.rebind_residuals(ws)
 
     def _point(self, field: str, array: np.ndarray) -> None:
         if array.dtype != np.float64 or not array.flags.c_contiguous:
@@ -450,18 +417,6 @@ class _CBinding:
         buf = self.ffi.from_buffer(array)
         self.keep.append(buf)
         setattr(self.c, field, self.ffi.cast("double *", buf))
-
-    def rebind_residuals(self, ws: TinyMPCWorkspace) -> None:
-        for field, attr in _RESID_FIELDS:
-            array = getattr(ws, attr)
-            self.resid_arrays[field] = array
-            self._point(field, array)
-
-    def residuals_stale(self, ws: TinyMPCWorkspace) -> bool:
-        for field, attr in _RESID_FIELDS:
-            if getattr(ws, attr) is not self.resid_arrays[field]:
-                return True
-        return False
 
     def bind_operators(self, ws: TinyMPCWorkspace, cache: LQRCache) -> None:
         """(Re)point the operator fields at contiguous float64 copies.
@@ -487,24 +442,15 @@ class _CBinding:
             setattr(self.c, field, self.ffi.cast("double *", buf))
         self.c.rho = float(problem.rho)
         self.cache = cache
-        self.problem = problem
 
 
-def _binding(ws: TinyMPCWorkspace, cache: Optional[LQRCache]) -> _CBinding:
+def _binding(ws: TinyMPCWorkspace, cache: LQRCache) -> _CBinding:
     binding = getattr(ws, "_c_kernel_binding", None)
     if binding is None:
         binding = _CBinding(ws)
         ws._c_kernel_binding = binding
-    if binding.residuals_stale(ws):
-        binding.rebind_residuals(ws)
-    if cache is not None and binding.cache is not cache:
+    if binding.cache is not cache:
         binding.bind_operators(ws, cache)
-    elif binding.cache is None:
-        # Elementwise kernels need rho and the bounds even when the call
-        # site has no cache in hand; bind from the workspace's problem
-        # with a placeholder-free operator set derived lazily.
-        from .cache import compute_cache
-        binding.bind_operators(ws, compute_cache(ws.problem))
     return binding
 
 
@@ -513,7 +459,7 @@ def _binding(ws: TinyMPCWorkspace, cache: Optional[LQRCache]) -> _CBinding:
 # ---------------------------------------------------------------------------
 
 class CKernels:
-    """Kernel set backed by the runtime-compiled C library."""
+    """The two solver calls backed by the runtime-compiled C library."""
 
     name = "c"
 
@@ -530,44 +476,13 @@ class CKernels:
             "cached_shapes": sorted(_LIBS),
         }
 
-    # -- kernel entry points -------------------------------------------------
-    def forward_pass(self, ws, cache) -> None:
+    def iteration_prelude(self, ws, cache) -> None:
         binding = _binding(ws, cache)
-        binding.lib.admm_forward(binding.c)
+        binding.lib.admm_prelude(binding.c)
 
     def backward_pass(self, ws, cache) -> None:
         binding = _binding(ws, cache)
         binding.lib.admm_backward(binding.c)
-
-    def update_slack(self, ws) -> None:
-        binding = _binding(ws, None)
-        binding.lib.admm_slack(binding.c)
-
-    def update_dual(self, ws) -> None:
-        binding = _binding(ws, None)
-        binding.lib.admm_dual(binding.c)
-
-    def update_linear_cost(self, ws, cache) -> None:
-        binding = _binding(ws, cache)
-        binding.lib.admm_cost(binding.c)
-
-    def update_residuals(self, ws) -> None:
-        if type(ws.primal_residual_state) is not np.ndarray:
-            ws._reset_residuals()
-        binding = _binding(ws, None)
-        binding.lib.admm_resid(binding.c)
-
-    def iteration_prelude(self, ws, cache, with_residuals: bool = True) -> None:
-        if with_residuals and type(ws.primal_residual_state) is not np.ndarray:
-            ws._reset_residuals()
-        binding = _binding(ws, cache)
-        binding.lib.admm_prelude(binding.c, 1 if with_residuals else 0)
-
-    def admm_iteration(self, ws, cache, with_residuals: bool = True) -> None:
-        if with_residuals and type(ws.primal_residual_state) is not np.ndarray:
-            ws._reset_residuals()
-        binding = _binding(ws, cache)
-        binding.lib.admm_iter(binding.c, 1 if with_residuals else 0)
 
 
 def load_c_backend() -> CKernels:

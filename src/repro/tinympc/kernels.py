@@ -16,7 +16,15 @@ Every kernel exists in two forms here:
   operator sequence can be traced, optimized by the codegen flow, and timed
   on the architecture models.
 
-``tests/tinympc/test_kernel_equivalence.py`` asserts the two forms agree.
+``tests/tinympc/test_kernels.py`` asserts the two forms agree.
+
+Both solvers run an ADMM iteration as exactly two calls through this
+module's attributes: :func:`iteration_prelude`, then :func:`backward_pass`
+unless the solve has converged.  Those two names, :data:`SOLVER_KERNELS`,
+are the only ones a kernel backend replaces (the C backend in
+:mod:`repro.tinympc.compiled_c`, the pre-refactor reference in
+:mod:`repro.tinympc.naive`); the per-stage kernels below are the numpy
+prelude's building blocks.
 """
 
 from __future__ import annotations
@@ -48,6 +56,7 @@ __all__ = [
     "compute_residuals",
     "iteration_prelude",
     "admm_iteration",
+    "SOLVER_KERNELS",
     "build_iteration_program",
     "kernel_flop_breakdown",
 ]
@@ -348,10 +357,6 @@ def update_residuals(ws: TinyMPCWorkspace) -> None:
     batched workspace each residual is computed per instance, so the four
     reduction kernels become length-``B`` vectors of maxima.
     """
-    if type(ws.primal_residual_state) is not np.ndarray:
-        # Legacy code (the naive reference kernels) rebinds the residual
-        # fields to Python floats; re-adopt preallocated array storage.
-        ws._reset_residuals()
     s = ws.scratch
     rho = ws.problem.rho
     _max_abs_diff_into(ws.x, ws.vnew, s.state_tmp, ws.primal_residual_state)
@@ -375,49 +380,39 @@ def compute_residuals(ws: TinyMPCWorkspace) -> Dict[str, float]:
             for name, value in ws.residuals().items()}
 
 
-def iteration_prelude(ws: TinyMPCWorkspace, cache: LQRCache,
-                      with_residuals: bool = True) -> None:
+def iteration_prelude(ws: TinyMPCWorkspace, cache: LQRCache) -> None:
     """Everything in one ADMM iteration *except* the backward pass.
 
-    Forward pass, slack, dual, linear cost, optionally the residual
-    reductions, then the v/z slack-iterate copy — exactly the prefix both
-    solver loops run before checking termination.  Factoring it out gives
-    compiled backends a single dispatch point that fuses the whole prefix
-    into one foreign call; this default implementation resolves each kernel
-    through the module attributes, so it composes with the naive swap
-    (``naive.use_naive_kernels``) and stays the numpy fast path otherwise.
+    Forward pass, slack, dual, linear cost, the residual reductions, then
+    the v/z slack-iterate copy: the prefix both solver loops run before
+    checking termination.
     """
     forward_pass(ws, cache)
     update_slack(ws)
     update_dual(ws)
     update_linear_cost(ws, cache)
-    if with_residuals:
-        update_residuals(ws)
+    update_residuals(ws)
     # Keep previous slack iterates for the next dual residual.
     ws.v[...] = ws.vnew
     ws.z[...] = ws.znew
 
 
-def admm_iteration(ws: TinyMPCWorkspace, cache: LQRCache,
-                   with_residuals: bool = True) -> None:
-    """One full ADMM iteration, in the exact order the solver loops run it.
+# The two calls an ADMM iteration makes, and the only attributes of this
+# module a kernel backend replaces.
+SOLVER_KERNELS: Tuple[str, ...] = ("iteration_prelude", "backward_pass")
+
+
+def admm_iteration(ws: TinyMPCWorkspace, cache: LQRCache) -> None:
+    """One full ADMM iteration: the two calls the solver loops make.
 
     This is the unit the perf-regression harness times and allocation-checks
     (``benchmarks/test_kernel_hotpath.py``): after the first call builds the
-    workspace scratch, steady-state calls allocate zero numpy buffers.
-    Dispatches through the module attributes so both the naive swap and the
-    compiled backends (:mod:`repro.tinympc.compiled`) redirect it.
+    workspace scratch, steady-state calls allocate zero numpy buffers.  Both
+    calls resolve through the module attributes, so it runs whichever
+    backend is installed.
     """
-    iteration_prelude(ws, cache, with_residuals)
+    iteration_prelude(ws, cache)
     backward_pass(ws, cache)
-
-
-# Stable references to the numpy dispatching forms, used by the naive swap
-# to neutralize an installed compiled backend for the duration of its
-# context (a compiled ``iteration_prelude`` would otherwise bypass the
-# swapped per-kernel attributes).
-_DEFAULT_ITERATION_PRELUDE = iteration_prelude
-_DEFAULT_ADMM_ITERATION = admm_iteration
 
 
 # ---------------------------------------------------------------------------
@@ -636,9 +631,9 @@ def run_traced_iteration(ws: TinyMPCWorkspace, cache: LQRCache,
     """Execute one full ADMM iteration through matlib ops.
 
     The iteration order matches the fast solver.  When a matlib trace is
-    active the operator sequence is recorded; the numerical results are
-    written back to ``ws`` when ``write_back`` is true so tests can compare
-    against :func:`forward_pass` et al.
+    active the operator sequence is recorded; the numerical results,
+    residuals included, are written into ``ws``'s arrays when ``write_back``
+    is true so tests can compare against :func:`forward_pass` et al.
     """
     buf = _MatBuffers(ws, cache)
     N = ws.horizon
@@ -650,10 +645,8 @@ def run_traced_iteration(ws: TinyMPCWorkspace, cache: LQRCache,
     _traced_backward_pass(buf, N)
     if write_back:
         buf.write_back(ws)
-        ws.primal_residual_state = residuals["primal_residual_state"]
-        ws.dual_residual_state = residuals["dual_residual_state"]
-        ws.primal_residual_input = residuals["primal_residual_input"]
-        ws.dual_residual_input = residuals["dual_residual_input"]
+        for name, value in residuals.items():
+            getattr(ws, name)[...] = value
     return residuals
 
 

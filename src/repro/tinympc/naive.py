@@ -16,17 +16,18 @@ from scratch.  They are retained for two reasons:
   time the live kernels against these to quantify what the scratch arenas
   buy (reported in ``BENCH_kernels.json``).
 
-:func:`use_naive_kernels` swaps these implementations into
-:mod:`repro.tinympc.kernels` for the duration of a ``with`` block; both
-solvers dispatch through the module attributes, so the swap covers the
-scalar solver, the batched solver, and everything built on them (HIL loops,
-fleet campaigns).
+:func:`use_naive_kernels` installs :func:`iteration_prelude_naive` and
+:func:`backward_pass_naive` as the two solver calls of
+:mod:`repro.tinympc.kernels` (:data:`~repro.tinympc.kernels.SOLVER_KERNELS`)
+for the duration of a ``with`` block; both solvers make exactly those two
+calls per iteration, so the swap covers the scalar solver, the batched
+solver, and everything built on them (HIL loops, fleet campaigns), whatever
+backend was installed before it.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict
 
 import numpy as np
 
@@ -41,7 +42,7 @@ __all__ = [
     "update_dual_naive",
     "update_linear_cost_naive",
     "update_residuals_naive",
-    "compute_residuals_naive",
+    "iteration_prelude_naive",
     "use_naive_kernels",
 ]
 
@@ -91,48 +92,30 @@ def update_linear_cost_naive(ws: TinyMPCWorkspace, cache: LQRCache) -> None:
                         - rho * (ws.vnew[..., -1, :] - ws.g[..., -1, :]))
 
 
-def _horizon_max_abs(difference: np.ndarray):
-    reduced = np.max(np.abs(difference), axis=(-2, -1))
-    return float(reduced) if reduced.ndim == 0 else reduced
+def _horizon_max_abs(difference: np.ndarray) -> np.ndarray:
+    return np.max(np.abs(difference), axis=(-2, -1))
 
 
 def update_residuals_naive(ws: TinyMPCWorkspace) -> None:
-    """The four reduction kernels with per-call temporaries (pre-refactor).
-
-    Note the pre-refactor storage asymmetry is preserved faithfully: this
-    rebinds the residual fields to Python floats (scalar workspaces) or
-    fresh ``(B,)`` arrays (batched) instead of writing the preallocated
-    reduction outputs.  The live kernels re-adopt array storage on their
-    next call.
-    """
+    """The four reduction kernels with per-call temporaries (pre-refactor),
+    stored into the workspace's preallocated residual outputs."""
     rho = ws.problem.rho
-    ws.primal_residual_state = _horizon_max_abs(ws.x - ws.vnew)
-    ws.dual_residual_state = rho * _horizon_max_abs(ws.v - ws.vnew)
-    ws.primal_residual_input = _horizon_max_abs(ws.u - ws.znew)
-    ws.dual_residual_input = rho * _horizon_max_abs(ws.z - ws.znew)
+    ws.primal_residual_state[...] = _horizon_max_abs(ws.x - ws.vnew)
+    ws.dual_residual_state[...] = rho * _horizon_max_abs(ws.v - ws.vnew)
+    ws.primal_residual_input[...] = _horizon_max_abs(ws.u - ws.znew)
+    ws.dual_residual_input[...] = rho * _horizon_max_abs(ws.z - ws.znew)
 
 
-def compute_residuals_naive(ws: TinyMPCWorkspace) -> Dict[str, float]:
+def iteration_prelude_naive(ws: TinyMPCWorkspace, cache: LQRCache) -> None:
+    """:func:`repro.tinympc.kernels.iteration_prelude` on the pre-refactor
+    kernels, in the same order."""
+    forward_pass_naive(ws, cache)
+    update_slack_naive(ws)
+    update_dual_naive(ws)
+    update_linear_cost_naive(ws, cache)
     update_residuals_naive(ws)
-    return ws.residuals()
-
-
-_SWAPPED = (
-    ("forward_pass", forward_pass_naive),
-    ("backward_pass", backward_pass_naive),
-    ("update_slack", update_slack_naive),
-    ("update_dual", update_dual_naive),
-    ("update_linear_cost", update_linear_cost_naive),
-    ("update_residuals", update_residuals_naive),
-    ("compute_residuals", compute_residuals_naive),
-    # The fused dispatch points are pinned back to their default
-    # (module-attr-resolving) forms so the swapped per-kernel attributes
-    # above take effect even while a compiled backend is installed
-    # (repro.tinympc.compiled replaces iteration_prelude/admm_iteration
-    # with fused foreign calls that would bypass this table).
-    ("iteration_prelude", kernels._DEFAULT_ITERATION_PRELUDE),
-    ("admm_iteration", kernels._DEFAULT_ADMM_ITERATION),
-)
+    ws.v[...] = ws.vnew
+    ws.z[...] = ws.znew
 
 
 @contextmanager
@@ -142,11 +125,13 @@ def use_naive_kernels():
     Used by the benchmark harness to measure the refactor against "current
     main" on identical workloads.  Not thread-safe (module-level swap).
     """
-    saved = [(name, getattr(kernels, name)) for name, _ in _SWAPPED]
+    saved = [getattr(kernels, name) for name in kernels.SOLVER_KERNELS]
     try:
-        for name, replacement in _SWAPPED:
+        for name, replacement in zip(
+                kernels.SOLVER_KERNELS,
+                (iteration_prelude_naive, backward_pass_naive)):
             setattr(kernels, name, replacement)
         yield
     finally:
-        for name, original in saved:
+        for name, original in zip(kernels.SOLVER_KERNELS, saved):
             setattr(kernels, name, original)

@@ -1,10 +1,12 @@
 """The TinyMPC ADMM solver.
 
 This is the paper's target workload: an ADMM-based linear MPC solver whose
-per-iteration work is the kernel set in :mod:`repro.tinympc.kernels`.  The
-solver supports warm starting (reusing the previous solution's primal, slack,
-and dual iterates), which is what gives the compounding benefit the paper
-observes when solve latency drops (Section 5.2).
+per-iteration work is the kernel set in :mod:`repro.tinympc.kernels`, run
+as two calls: ``kernels.iteration_prelude``, then ``kernels.backward_pass``
+unless the residuals already meet both tolerances.  The solver supports
+warm starting (reusing the previous solution's primal, slack, and dual
+iterates), which is what gives the compounding benefit the paper observes
+when solve latency drops (Section 5.2).
 """
 
 from __future__ import annotations
@@ -29,14 +31,11 @@ class SolverSettings:
     max_iterations: int = 10
     abs_primal_tolerance: float = 1e-3
     abs_dual_tolerance: float = 1e-3
-    check_termination_every: int = 1
     warm_start: bool = True
 
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.check_termination_every < 1:
-            raise ValueError("check_termination_every must be at least 1")
 
 
 @dataclass
@@ -80,12 +79,12 @@ class TinyMPCSolver:
         self.workspace.reset()
         self._has_previous_solution = False
 
-    def set_reference(self, Xref: np.ndarray, Uref: Optional[np.ndarray] = None) -> None:
+    def set_reference(self, Xref: np.ndarray) -> None:
         """Set the tracking reference (a single goal state is broadcast)."""
-        self.workspace.set_reference(Xref, Uref)
+        self.workspace.set_reference(Xref)
 
-    def solve(self, x0: np.ndarray, Xref: Optional[np.ndarray] = None,
-              Uref: Optional[np.ndarray] = None) -> TinyMPCSolution:
+    def solve(self, x0: np.ndarray,
+              Xref: Optional[np.ndarray] = None) -> TinyMPCSolution:
         """Solve the MPC problem from initial state ``x0``.
 
         When warm starting is enabled the previous solution's trajectories,
@@ -103,7 +102,7 @@ class TinyMPCSolver:
         ws = self.workspace
         settings = self.settings
         if Xref is not None:
-            self.set_reference(Xref, Uref)
+            self.set_reference(Xref)
         warm = settings.warm_start and self._has_previous_solution
         if not warm:
             for name in COLD_START_BUFFERS:
@@ -112,18 +111,12 @@ class TinyMPCSolver:
 
         iterations = 0
         converged = False
-        # Kernels are dispatched through the module so the benchmark
-        # harness can swap in the pre-refactor reference implementations
-        # (repro.tinympc.naive.use_naive_kernels) and the compiled backends
-        # (repro.tinympc.compiled) can fuse the iteration prefix — forward
-        # pass through residuals plus the v/z slack-iterate copy — into a
-        # single call.
+        # Both calls resolve through the module, where a backend
+        # (repro.tinympc.compiled, repro.tinympc.naive) may replace them.
         for iteration in range(1, settings.max_iterations + 1):
             iterations = iteration
-            check = iteration % settings.check_termination_every == 0
-            kernels.iteration_prelude(ws, self.cache, with_residuals=check)
-            if check:
-                converged = self._is_converged()
+            kernels.iteration_prelude(ws, self.cache)
+            converged = self._is_converged()
             if converged:
                 break
             kernels.backward_pass(ws, self.cache)

@@ -42,14 +42,12 @@ WORKSPACE_BUFFERS: Tuple[str, ...] = (
     "Xref", "Uref",
 )
 
-# The subset that carries ADMM dual/slack state.
-_DUAL_BUFFERS: Tuple[str, ...] = ("v", "vnew", "z", "znew", "g", "y")
-
 # Everything a cold start zeroes: the dual/slack state plus the gradient
 # terms.  This is the single source of truth for both the scalar solver
 # (TinyMPCSolver.solve) and the batched solver (BatchTinyMPCSolver.solve) —
 # keep them in lockstep or their rtol=1e-10 equivalence contract breaks.
-COLD_START_BUFFERS: Tuple[str, ...] = _DUAL_BUFFERS + ("d", "p", "q", "r")
+COLD_START_BUFFERS: Tuple[str, ...] = (
+    "v", "vnew", "z", "znew", "g", "y", "d", "p", "q", "r")
 
 RESIDUAL_FIELDS: Tuple[str, ...] = (
     "primal_residual_state", "dual_residual_state",
@@ -69,10 +67,11 @@ class SolveScratch:
     makes numpy spin up a buffered iterator — measurable as a traced
     allocation — while ``copyto`` does not).
 
-    Invariant: the workspace arrays named in :data:`WORKSPACE_BUFFERS` must
-    never be **rebound** after construction (in-place writes only — which is
-    how the whole codebase already treats them), or the prebuilt views here
-    would go stale.
+    Invariant: the workspace arrays named in :data:`WORKSPACE_BUFFERS` and
+    :data:`RESIDUAL_FIELDS` must never be **rebound** after construction
+    (in-place writes only — which is how the whole codebase treats them), or
+    the prebuilt views here and the C backend's bound pointers would go
+    stale.
     """
 
     def __init__(self, ws: "TinyMPCWorkspace") -> None:
@@ -183,7 +182,8 @@ class TinyMPCWorkspace:
     # dual variables
     g: np.ndarray = field(init=False)
     y: np.ndarray = field(init=False)
-    # references
+    # references (nothing sets an input reference, so ``Uref`` stays zero;
+    # the linear-cost kernels still read it, as TinyMPC's do)
     Xref: np.ndarray = field(init=False)
     Uref: np.ndarray = field(init=False)
     # residuals: preallocated reduction outputs the kernels write with
@@ -233,7 +233,8 @@ class TinyMPCWorkspace:
         self.z = np.zeros(lead + (N - 1, m))
         self.Xref = np.zeros(lead + (N, n))
         self.Uref = np.zeros(lead + (N - 1, m))
-        self._reset_residuals()
+        for name in RESIDUAL_FIELDS:
+            setattr(self, name, np.full(lead, np.inf))
 
     # -- dimensions ----------------------------------------------------------
     @property
@@ -264,30 +265,13 @@ class TinyMPCWorkspace:
         return arena
 
     # -- lifecycle ------------------------------------------------------------
-    def _reset_residuals(self) -> None:
-        """(Re)initialize the residual reduction outputs to ``inf``.
-
-        The fields are filled in place once they exist so the kernels'
-        ``out=`` targets stay the same arrays across resets; they are
-        (re)created when absent or when legacy code rebound one to a float.
-        """
-        for name in RESIDUAL_FIELDS:
-            value = getattr(self, name, None)
-            if isinstance(value, np.ndarray) and value.shape == self.lead_shape:
-                value.fill(np.inf)
-            else:
-                setattr(self, name, np.full(self.lead_shape, np.inf))
-
     def reset(self) -> None:
-        """Zero all trajectories, slacks, duals, and references."""
+        """Zero all trajectories, slacks, duals, and references; residuals
+        go back to ``inf``."""
         for name in WORKSPACE_BUFFERS:
             getattr(self, name).fill(0.0)
-        self._reset_residuals()
-
-    def reset_duals(self) -> None:
-        """Zero only the dual/slack state (used on cold starts)."""
-        for name in _DUAL_BUFFERS:
-            getattr(self, name).fill(0.0)
+        for name in RESIDUAL_FIELDS:
+            getattr(self, name).fill(np.inf)
 
     def set_initial_state(self, x0: np.ndarray) -> None:
         x0 = np.asarray(x0, dtype=np.float64)
@@ -295,7 +279,7 @@ class TinyMPCWorkspace:
             raise ValueError("x0 must have shape ({},)".format(self.state_dim))
         self.x[0] = x0
 
-    def set_reference(self, Xref: np.ndarray, Uref: np.ndarray = None) -> None:
+    def set_reference(self, Xref: np.ndarray) -> None:
         """Set the tracking reference; a single state is broadcast over N."""
         Xref = np.asarray(Xref, dtype=np.float64)
         if Xref.ndim == 1:
@@ -304,18 +288,8 @@ class TinyMPCWorkspace:
             raise ValueError("Xref must have shape ({}, {})".format(
                 self.horizon, self.state_dim))
         self.Xref[...] = Xref
-        if Uref is not None:
-            Uref = np.asarray(Uref, dtype=np.float64)
-            if Uref.ndim == 1:
-                Uref = np.tile(Uref, (self.horizon - 1, 1))
-            self.Uref[...] = Uref
 
     # -- residual bookkeeping ---------------------------------------------------
-    @property
-    def max_residual(self) -> float:
-        return float(max(self.primal_residual_state, self.dual_residual_state,
-                         self.primal_residual_input, self.dual_residual_input))
-
     def residuals(self) -> Dict[str, float]:
         """Current residuals as plain floats (detached from the scratch)."""
         return {name: float(getattr(self, name)) for name in RESIDUAL_FIELDS}
@@ -324,10 +298,6 @@ class TinyMPCWorkspace:
     def snapshot(self) -> Dict[str, np.ndarray]:
         """Deep copy of every array, keyed by buffer name."""
         return {name: getattr(self, name).copy() for name in WORKSPACE_BUFFERS}
-
-    def load_snapshot(self, snapshot: Dict[str, np.ndarray]) -> None:
-        for name, value in snapshot.items():
-            getattr(self, name)[...] = value
 
 
 @dataclass
@@ -367,49 +337,22 @@ class BatchTinyMPCWorkspace(TinyMPCWorkspace):
                 self.batch, self.state_dim))
         self.x[:, 0, :] = x0
 
-    def set_reference(self, Xref: np.ndarray, Uref: np.ndarray = None) -> None:
+    def set_reference(self, Xref: np.ndarray) -> None:
         """Set tracking references, broadcasting shared shapes.
 
-        Accepted ``Xref`` shapes (``Uref`` is analogous with ``N-1`` and ``m``):
+        Accepted ``Xref`` shapes:
 
         * ``(n,)`` — one goal state shared by every instance and knot point,
-        * ``(N, n)`` — one trajectory shared by every instance,
         * ``(B, n)`` — a per-instance goal state broadcast over the horizon,
         * ``(B, N, n)`` — fully per-instance trajectories.
-
-        When ``B == N`` a 2-D array is interpreted as the shared-trajectory
-        case; pass the explicit 3-D shape to disambiguate.
         """
-        self.Xref[...] = self._broadcast_reference(
-            Xref, self.horizon, self.state_dim, "Xref")
-        if Uref is not None:
-            self.Uref[...] = self._broadcast_reference(
-                Uref, self.horizon - 1, self.input_dim, "Uref")
-
-    def _broadcast_reference(self, ref: np.ndarray, length: int, width: int,
-                             name: str) -> np.ndarray:
-        ref = np.asarray(ref, dtype=np.float64)
-        if ref.ndim == 1 and ref.shape == (width,):
-            return np.broadcast_to(ref, (self.batch, length, width))
-        if ref.ndim == 2 and ref.shape == (length, width):
-            return np.broadcast_to(ref, (self.batch, length, width))
-        if ref.ndim == 2 and ref.shape == (self.batch, width):
-            return np.broadcast_to(ref[:, None, :], (self.batch, length, width))
-        if ref.shape == (self.batch, length, width):
-            return ref
-        raise ValueError(
-            "{} must have shape ({w},), ({l}, {w}), ({b}, {w}), or "
-            "({b}, {l}, {w}); got {s}".format(
-                name, w=width, l=length, b=self.batch, s=ref.shape))
-
-    # -- per-instance views -----------------------------------------------------
-    def instance_snapshot(self, index: int) -> Dict[str, np.ndarray]:
-        """Deep copy of one instance's buffers (scalar-workspace shapes)."""
-        return {name: getattr(self, name)[index].copy()
-                for name in WORKSPACE_BUFFERS}
-
-    @property
-    def max_residual(self) -> np.ndarray:
-        """Per-instance worst residual, shape ``(B,)``."""
-        return np.max(np.stack([getattr(self, name)
-                                for name in RESIDUAL_FIELDS]), axis=0)
+        Xref = np.asarray(Xref, dtype=np.float64)
+        B, N, n = self.batch, self.horizon, self.state_dim
+        if Xref.shape == (n,) or Xref.shape == (B, N, n):
+            self.Xref[...] = Xref
+        elif Xref.shape == (B, n):
+            self.Xref[...] = Xref[:, None, :]
+        else:
+            raise ValueError(
+                "Xref must have shape ({n},), ({B}, {n}), or ({B}, {N}, {n}); "
+                "got {shape}".format(n=n, B=B, N=N, shape=Xref.shape))

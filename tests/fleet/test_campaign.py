@@ -52,6 +52,19 @@ class TestCampaignSpec:
         with pytest.raises(ValueError, match="empty"):
             CampaignSpec(seeds=())
 
+    @pytest.mark.parametrize("field, value", [
+        ("max_admm_iterations", [10, 0]), ("physics_dt", 0.0),
+        ("physics_dt", -0.002), ("physics_dt", float("nan")),
+        ("physics_dt", float("inf"))])
+    def test_impossible_budget_or_physics_step_rejected(self, field, value):
+        """Checked at construction, so a spec read back from a run
+        directory's meta.json is checked too."""
+        with pytest.raises(ValueError, match=field):
+            CampaignSpec(**{field: value})
+        payload = dict(CampaignSpec().to_dict(), **{field: value})
+        with pytest.raises(ValueError, match=field):
+            CampaignSpec.from_dict(payload)
+
     def test_unknown_dict_field_rejected(self):
         with pytest.raises(ValueError, match="unknown campaign fields"):
             CampaignSpec.from_dict({"difficulty": ["easy"]})

@@ -387,6 +387,19 @@ class TestCampaignCLI:
         assert field in completed.stderr
         assert not checkpoint.exists()
 
+    @pytest.mark.parametrize("flag", ["--max-iterations=0",
+                                      "--frequencies=-5"])
+    def test_impossible_spec_is_a_usage_error(self, tmp_path, flag):
+        """An invalid grid exits 2 with a usage message before anything
+        runs: no traceback, no run directory."""
+        checkpoint = tmp_path / "ckpt"
+        completed = self._cli("--seeds", "2", flag, "--quiet",
+                              "--checkpoint-dir", str(checkpoint))
+        assert completed.returncode == 2, completed.stderr
+        assert "error:" in completed.stderr
+        assert "Traceback" not in completed.stderr
+        assert not checkpoint.exists()
+
     def test_resume_of_missing_run_directory_rejected(self, tmp_path):
         """A mistyped ``--resume`` path is an error naming the path, not a
         fresh campaign started in a new directory."""

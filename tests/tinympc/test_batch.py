@@ -62,6 +62,8 @@ class TestBatchWorkspace:
             ws.set_initial_state(np.zeros((2, problem.state_dim)))
         with pytest.raises(ValueError):
             BatchTinyMPCWorkspace(problem, batch=0)
+        with pytest.raises(ValueError):     # (N, n) is not a batched shape
+            ws.set_reference(np.zeros((problem.horizon, problem.state_dim)))
 
 
 class TestBatchSequentialEquivalence:
@@ -88,6 +90,25 @@ class TestBatchSequentialEquivalence:
         np.testing.assert_allclose(
             batched.states, np.stack([s.states for s in solutions]),
             rtol=1e-10, atol=1e-13)
+        np.testing.assert_allclose(
+            batched.inputs, np.stack([s.inputs for s in solutions]),
+            rtol=1e-10, atol=1e-13)
+
+    def test_per_instance_goals_when_batch_equals_horizon(self, problem):
+        """``(B, n)`` goals are ``B`` goal states even when ``B == N``."""
+        batch_size = problem.horizon
+        x0s = _random_states(batch_size, problem.state_dim, seed=5)
+        goals = np.zeros((batch_size, problem.state_dim))
+        goals[:, 0:3] = _random_states(batch_size, 3, seed=6, scale=0.2)
+        sequential = [TinyMPCSolver(problem, SolverSettings(max_iterations=50))
+                      for _ in range(batch_size)]
+        solutions = [sequential[b].solve(x0s[b], Xref=goals[b])
+                     for b in range(batch_size)]
+        batched = BatchTinyMPCSolver(
+            problem, batch_size, SolverSettings(max_iterations=50)).solve(
+                x0s, Xref=goals)
+        assert np.array_equal(batched.iterations,
+                              [s.iterations for s in solutions])
         np.testing.assert_allclose(
             batched.inputs, np.stack([s.inputs for s in solutions]),
             rtol=1e-10, atol=1e-13)

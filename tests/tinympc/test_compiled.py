@@ -39,7 +39,7 @@ from repro.tinympc import (
     use_naive_kernels,
 )
 from repro.tinympc import kernels
-from repro.tinympc.compiled import _DISPATCH_ATTRS, resolve_backend
+from repro.tinympc.compiled import resolve_backend
 
 SRC_DIR = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -68,10 +68,12 @@ class TestBackendSelection:
             assert active_backend() == "numpy"
 
     def test_context_restores_dispatch_attrs(self):
-        before = {attr: getattr(kernels, attr) for attr in _DISPATCH_ATTRS}
+        before = {attr: getattr(kernels, attr)
+                  for attr in kernels.SOLVER_KERNELS}
         with use_compiled_kernels("auto"):
             pass
-        after = {attr: getattr(kernels, attr) for attr in _DISPATCH_ATTRS}
+        after = {attr: getattr(kernels, attr)
+                 for attr in kernels.SOLVER_KERNELS}
         assert before == after
         assert active_backend() == "numpy"
 
@@ -93,16 +95,19 @@ class TestBackendSelection:
 
     @needs_compiled
     def test_naive_swap_neutralizes_compiled_backend(self):
-        """``use_naive_kernels`` inside a compiled context must route every
-        dispatch attr back through the reference path — the bit-equality
-        harness depends on the naive side being genuinely naive."""
+        """``use_naive_kernels`` inside a compiled context puts the naive
+        functions in both solver-call names and restores the C ones after
+        the block — the bit-equality harness depends on the naive side
+        being genuinely naive."""
+        from repro.tinympc import naive
         with use_compiled_kernels(_COMPILED_NAME):
             with use_naive_kernels():
-                assert kernels.iteration_prelude is not None
-                from repro.tinympc import naive
-                assert kernels.forward_pass is naive.forward_pass_naive
-            # Compiled dispatch restored after the naive block.
-            assert kernels.forward_pass is not None
+                assert kernels.iteration_prelude is \
+                    naive.iteration_prelude_naive
+                assert kernels.backward_pass is naive.backward_pass_naive
+            assert kernels.iteration_prelude == \
+                _COMPILED_IMPL.iteration_prelude
+            assert kernels.backward_pass == _COMPILED_IMPL.backward_pass
             assert active_backend() == _COMPILED_NAME
 
 

@@ -5,8 +5,7 @@ runtime-verified fusion) claims to preserve the pre-refactor floating-point
 operation order exactly.  These tests hold it to ``==`` — no tolerances —
 against the retained reference implementations in
 :mod:`repro.tinympc.naive`, across full solves, warm-start sequences, and
-both workspace layouts, plus the satellite contracts: symmetric scalar /
-batch residual storage and ``check_termination_every > 1`` parity.
+both workspace layouts, plus symmetric scalar / batch residual storage.
 """
 
 import numpy as np
@@ -163,46 +162,6 @@ class TestResidualStorageSymmetry:
         for name in RESIDUAL_FIELDS:
             np.testing.assert_array_equal(snapshot[name], saved[name],
                                           err_msg=name)
-
-
-class TestCheckTerminationEvery:
-    """Satellite coverage: cadence > 1 was previously untested."""
-
-    @pytest.mark.parametrize("every", [2, 3])
-    def test_scalar_batch_parity(self, problem, every):
-        batch_size = 8
-        settings = SolverSettings(max_iterations=25,
-                                  check_termination_every=every)
-        scalars = [TinyMPCSolver(problem, SolverSettings(
-            max_iterations=25, check_termination_every=every))
-            for _ in range(batch_size)]
-        batch = BatchTinyMPCSolver(problem, batch_size, settings)
-        goal = np.zeros(problem.state_dim)
-        for step in range(3):
-            x0s = _random_states(batch_size, problem.state_dim,
-                                 seed=40 + step)
-            scalar_solutions = [scalars[b].solve(x0s[b], Xref=goal)
-                                for b in range(batch_size)]
-            batched = batch.solve(x0s, Xref=goal)
-            assert np.array_equal(batched.iterations,
-                                  [s.iterations for s in scalar_solutions])
-            assert np.array_equal(batched.converged,
-                                  [s.converged for s in scalar_solutions])
-            np.testing.assert_allclose(
-                batched.inputs,
-                np.stack([s.inputs for s in scalar_solutions]),
-                rtol=1e-10, atol=1e-13)
-
-    @pytest.mark.parametrize("every", [2, 5])
-    def test_iterations_are_multiples_of_cadence_when_converged(self, problem,
-                                                                every):
-        solver = TinyMPCSolver(problem, SolverSettings(
-            max_iterations=40, check_termination_every=every,
-            abs_primal_tolerance=1e-3, abs_dual_tolerance=1e-3))
-        solution = solver.solve(np.full(problem.state_dim, 0.05),
-                                Xref=np.zeros(problem.state_dim))
-        if solution.converged:
-            assert solution.iterations % every == 0
 
 
 class TestCachedOperators:

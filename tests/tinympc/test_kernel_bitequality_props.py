@@ -28,21 +28,31 @@ from repro.tinympc import (
     use_compiled_kernels,
     use_naive_kernels,
 )
-from repro.tinympc import kernels
+from repro.tinympc import kernels, naive
 from repro.tinympc.compiled import resolve_backend
 from repro.tinympc.workspace import RESIDUAL_FIELDS, WORKSPACE_BUFFERS
 
-# Each kernel is looked up on the module *at call time*, so running the
-# same closure inside ``use_naive_kernels()`` dispatches to the swapped-in
-# reference implementation — the exact mechanism the solvers use.
-KERNEL_CALLS = (
-    ("forward_pass", lambda ws, cache: kernels.forward_pass(ws, cache)),
-    ("backward_pass", lambda ws, cache: kernels.backward_pass(ws, cache)),
-    ("update_slack", lambda ws, cache: kernels.update_slack(ws)),
-    ("update_dual", lambda ws, cache: kernels.update_dual(ws)),
+# Each fast kernel next to its pre-refactor counterpart.  The fast side is
+# looked up on the module at call time, the way the solvers call it; the
+# naive swap replaces only the two solver calls, so the per-stage kernels
+# are paired with their naive forms explicitly.
+KERNEL_PAIRS = (
+    ("forward_pass", lambda ws, cache: kernels.forward_pass(ws, cache),
+     naive.forward_pass_naive),
+    ("backward_pass", lambda ws, cache: kernels.backward_pass(ws, cache),
+     naive.backward_pass_naive),
+    ("update_slack", lambda ws, cache: kernels.update_slack(ws),
+     lambda ws, cache: naive.update_slack_naive(ws)),
+    ("update_dual", lambda ws, cache: kernels.update_dual(ws),
+     lambda ws, cache: naive.update_dual_naive(ws)),
     ("update_linear_cost",
-     lambda ws, cache: kernels.update_linear_cost(ws, cache)),
-    ("update_residuals", lambda ws, cache: kernels.update_residuals(ws)),
+     lambda ws, cache: kernels.update_linear_cost(ws, cache),
+     naive.update_linear_cost_naive),
+    ("update_residuals", lambda ws, cache: kernels.update_residuals(ws),
+     lambda ws, cache: naive.update_residuals_naive(ws)),
+    ("iteration_prelude",
+     lambda ws, cache: kernels.iteration_prelude(ws, cache),
+     naive.iteration_prelude_naive),
 )
 
 
@@ -79,12 +89,8 @@ def _assert_workspaces_identical(fast, reference, label):
             getattr(fast, name), getattr(reference, name),
             err_msg="{}: buffer {}".format(label, name))
     for name in RESIDUAL_FIELDS:
-        # The naive reduction rebinds scalar residuals to Python floats
-        # where the live kernels write preallocated 0-d arrays; the
-        # *values* must still be identical bits.
         np.testing.assert_array_equal(
-            np.asarray(getattr(fast, name)),
-            np.asarray(getattr(reference, name)),
+            getattr(fast, name), getattr(reference, name),
             err_msg="{}: residual {}".format(label, name))
 
 
@@ -100,12 +106,11 @@ class TestKernelBitEquality:
         n, m, horizon, = shape
         problem = make_problem(n, m, horizon, seed)
         cache = compute_cache(problem)
-        for label, call in KERNEL_CALLS:
+        for label, call, naive_call in KERNEL_PAIRS:
             fast = _randomized(TinyMPCWorkspace(problem), seed + 1)
             reference = _randomized(TinyMPCWorkspace(problem), seed + 1)
             call(fast, cache)
-            with use_naive_kernels():
-                call(reference, cache)
+            naive_call(reference, cache)
             _assert_workspaces_identical(fast, reference, label)
 
     @settings(max_examples=15, deadline=None)
@@ -115,14 +120,13 @@ class TestKernelBitEquality:
         n, m, horizon = shape
         problem = make_problem(n, m, horizon, seed)
         cache = compute_cache(problem)
-        for label, call in KERNEL_CALLS:
+        for label, call, naive_call in KERNEL_PAIRS:
             fast = _randomized(BatchTinyMPCWorkspace(problem, batch=batch),
                                seed + 2)
             reference = _randomized(
                 BatchTinyMPCWorkspace(problem, batch=batch), seed + 2)
             call(fast, cache)
-            with use_naive_kernels():
-                call(reference, cache)
+            naive_call(reference, cache)
             _assert_workspaces_identical(fast, reference,
                                          "{} (batch={})".format(label, batch))
 
@@ -182,13 +186,12 @@ class TestKernelBitEquality:
 # pre-build.
 COMPILED_SHAPES = ((2, 1, 3), (4, 2, 5), (6, 3, 8), (12, 4, 10))
 
-# Tolerance policy (documented contract, see docs/perf.md): elementwise and
-# reduction kernels are bit-for-bit — their per-element operation order is
-# identical to numpy's.  Matvec-based kernels accumulate in axpy order,
-# which per-lane matches a sequential dot product but not necessarily
-# BLAS's blocking, so they carry a float64 relative tolerance instead.
-EXACT_COMPILED_KERNELS = frozenset(
-    ["update_slack", "update_dual", "update_residuals"])
+# Tolerance policy (documented contract, see docs/perf.md): the C loops
+# accumulate every matvec in axpy order, which per lane matches a
+# sequential dot product but not necessarily BLAS's blocking, so both entry
+# points carry a float64 relative tolerance.  The prelude's elementwise
+# stages repeat numpy's per-element operations, but they read the matvec
+# stages' outputs, so the prelude as a whole carries the tolerance too.
 COMPILED_F64_RTOL = 1e-11
 COMPILED_F64_ATOL = 1e-13
 
@@ -200,26 +203,11 @@ def _compiled_backend_or_skip(name="auto"):
     return impl, resolved
 
 
-def _assert_compiled_close(fast, reference, label, rtol, atol, exact):
-    for name in WORKSPACE_BUFFERS:
-        a, b = getattr(fast, name), getattr(reference, name)
-        if exact:
-            np.testing.assert_array_equal(
-                a, b, err_msg="{}: buffer {}".format(label, name))
-        else:
-            np.testing.assert_allclose(
-                a, b, rtol=rtol, atol=atol,
-                err_msg="{}: buffer {}".format(label, name))
-    for name in RESIDUAL_FIELDS:
-        a = np.asarray(getattr(fast, name))
-        b = np.asarray(getattr(reference, name))
-        if exact:
-            np.testing.assert_array_equal(
-                a, b, err_msg="{}: residual {}".format(label, name))
-        else:
-            np.testing.assert_allclose(
-                a, b, rtol=rtol, atol=atol,
-                err_msg="{}: residual {}".format(label, name))
+def _assert_compiled_close(fast, reference, label, rtol, atol):
+    for name in WORKSPACE_BUFFERS + RESIDUAL_FIELDS:
+        np.testing.assert_allclose(
+            getattr(fast, name), getattr(reference, name), rtol=rtol,
+            atol=atol, err_msg="{}: {}".format(label, name))
 
 
 class TestCompiledBackendEquivalence:
@@ -229,8 +217,8 @@ class TestCompiledBackendEquivalence:
     @settings(max_examples=5, deadline=None)
     @given(seed=st.integers(0, 2**16))
     def test_kernels_match_numpy_fast_path(self, shape, batch, seed):
-        """Per-kernel: the compiled backend reproduces the numpy fast path
-        under the documented tolerance policy, scalar and batched."""
+        """Per entry point: each of the two C calls reproduces its numpy
+        form under the documented tolerance, scalar and batched."""
         impl, resolved = _compiled_backend_or_skip()
         n, m, horizon = shape
         problem = make_problem(n, m, horizon, seed)
@@ -241,23 +229,22 @@ class TestCompiledBackendEquivalence:
                   else BatchTinyMPCWorkspace(problem, batch=batch))
             return _randomized(ws, seed + seed_offset)
 
-        for label, call in KERNEL_CALLS:
+        for label in kernels.SOLVER_KERNELS:
             fast, reference = build(), build()
             with use_compiled_kernels(resolved):
-                call(fast, cache)
-            call(reference, cache)
+                getattr(kernels, label)(fast, cache)
+            getattr(kernels, label)(reference, cache)
             _assert_compiled_close(
                 fast, reference, "{} [{}]".format(label, resolved),
-                COMPILED_F64_RTOL, COMPILED_F64_ATOL,
-                exact=label in EXACT_COMPILED_KERNELS)
+                COMPILED_F64_RTOL, COMPILED_F64_ATOL)
 
     @pytest.mark.parametrize("shape", COMPILED_SHAPES,
                              ids=lambda s: "x".join(map(str, s)))
     @settings(max_examples=4, deadline=None)
     @given(seed=st.integers(0, 2**16))
-    def test_fused_iteration_matches_numpy_fast_path(self, shape, seed):
-        """The fused full iteration (the call the solvers actually make)
-        stays within the matvec tolerance end to end."""
+    def test_full_iteration_matches_numpy_fast_path(self, shape, seed):
+        """Three full iterations (both calls, as the solvers make them)
+        stay within the matvec tolerance end to end."""
         impl, resolved = _compiled_backend_or_skip()
         n, m, horizon = shape
         problem = make_problem(n, m, horizon, seed)
@@ -272,4 +259,4 @@ class TestCompiledBackendEquivalence:
         _assert_compiled_close(
             fast, reference, "admm_iteration [{}]".format(resolved),
             # Three chained iterations compound the per-matvec differences.
-            rtol=1e-9, atol=1e-11, exact=False)
+            rtol=1e-9, atol=1e-11)

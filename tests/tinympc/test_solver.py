@@ -184,5 +184,3 @@ class TestSolutionObject:
     def test_settings_validation(self):
         with pytest.raises(ValueError):
             SolverSettings(max_iterations=0)
-        with pytest.raises(ValueError):
-            SolverSettings(check_termination_every=0)
