@@ -7,9 +7,10 @@ solve per control tick per episode.  This benchmark flies a *mixed*
 old lockstep runner could not have batched it as one grid) both ways and
 asserts the fleet — batched solves plus the lockstep struct-of-arrays
 plant — delivers at least 5x the throughput of sequential
-:meth:`HILLoop.run_scenario` loops (measured 7.7-8.6x on a 2-vCPU host;
-the floor is about 60 % of that), while reproducing every discrete
-per-episode outcome exactly.
+:meth:`HILLoop.run_scenario` loops (measured 7.7-8.6x on a 2-vCPU host
+with the numpy vector plant, the floor being about 60 % of that, and
+12.4x once both sides flew the compiled plant tick), while reproducing
+every discrete per-episode outcome exactly.
 """
 
 import time

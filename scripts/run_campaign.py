@@ -69,6 +69,14 @@ def _int_csv(value: str):
     return [int(item) for item in _csv(value)]
 
 
+def _positive_int(value: str) -> int:
+    number = int(value)
+    if number < 1:
+        raise argparse.ArgumentTypeError(
+            "must be at least 1, got {}".format(value))
+    return number
+
+
 def _opt_int_csv(value: str):
     return [None if item.lower() in ("none", "default") else int(item)
             for item in _csv(value)]
@@ -129,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--solve-iterations", type=int, default=10,
                         help="design_point only; ADMM iterations per solve "
                              "for the cycles-per-solve metric")
-    parser.add_argument("--workers", type=int, default=1,
+    parser.add_argument("--workers", type=_positive_int, default=1,
                         help="worker processes (1 = in-process)")
     parser.add_argument("--no-batching", action="store_true",
                         help="force the scalar (bit-for-bit reference) path")
@@ -147,14 +155,14 @@ def build_parser() -> argparse.ArgumentParser:
                               "printed on interrupt; it must hold a "
                               "meta.json); implies the same campaign flags "
                               "as the original invocation")
-    parser.add_argument("--max-retries", type=int, default=3,
+    parser.add_argument("--max-retries", type=_positive_int, default=3,
                         help="attempts per episode chunk before bisection/"
                              "quarantine (runs with worker processes)")
     parser.add_argument("--episode-timeout", type=float, default=None,
                         help="per-episode timeout in seconds; a chunk gets "
                              "timeout x episodes (runs with worker "
                              "processes)")
-    parser.add_argument("--lease-size", type=int, default=None,
+    parser.add_argument("--lease-size", type=_positive_int, default=None,
                         help="episodes per chunk, the atomic unit of "
                              "checkpointing (default: {} with a checkpoint, "
                              "one chunk per worker without)".format(
@@ -198,6 +206,11 @@ def main(argv=None) -> int:
         # An impossible grid is a usage error: exit 2 before anything runs
         # or any run directory is created.
         parser.error(str(exc))
+    try:
+        retry_policy = RetryPolicy(max_attempts=args.max_retries,
+                                   episode_timeout=args.episode_timeout)
+    except ValueError as exc:
+        parser.error(str(exc))
     if not args.quiet:
         print(spec.describe())
     checkpoint_dir = args.resume or args.checkpoint_dir
@@ -206,9 +219,7 @@ def main(argv=None) -> int:
         outcome = run_campaign(spec, workers=args.workers,
                                batching=not args.no_batching,
                                checkpoint_dir=checkpoint_dir,
-                               retry_policy=RetryPolicy(
-                                   max_attempts=args.max_retries,
-                                   episode_timeout=args.episode_timeout),
+                               retry_policy=retry_policy,
                                lease_size=args.lease_size)
     except CampaignInterrupted as interrupt:
         # Progress is journaled; flush a final checkpoint of the partial

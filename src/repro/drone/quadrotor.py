@@ -18,11 +18,11 @@ Input layout (4,): per-rotor thrust in Newtons (absolute, not delta).
 Two plants share one arithmetic.  :class:`Quadrotor` is one airframe, the
 scalar reference and the linearization plant.  :class:`QuadrotorBatch`
 holds ``B`` airframes as struct-of-arrays columns and advances any subset
-of them by one tick per call: one vectorized RK4 step, crash check and
-power update for wide subsets, the scalar arithmetic per column for
-narrow ones.  Both forms perform the same IEEE operations in the same
-order, so a column's trajectory equals a :class:`Quadrotor`'s bit for bit
-(``tests/drone/test_quadrotor_batch.py``).
+of them by one tick per call: one call into compiled C
+(:mod:`repro.drone.compiled_plant`) that performs the scalar code's IEEE
+operations in the same order, or, without a C toolchain, the scalar
+arithmetic per column.  Either way a column's trajectory equals a
+:class:`Quadrotor`'s bit for bit (``tests/drone/test_quadrotor_batch.py``).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .rotor import actuation_power_columns, actuation_power_fn, power_denominator
+from .rotor import actuation_power_fn
 from .variants import DroneParams, GRAVITY
 
 __all__ = ["QuadrotorState", "Quadrotor", "QuadrotorBatch", "hover_state",
@@ -120,6 +120,11 @@ def euler_rate_matrix(rpy: np.ndarray) -> np.ndarray:
 MAX_TILT = 1.2
 MIN_ALTITUDE = -0.05
 MAX_DISTANCE = 25.0
+
+# What the compiled tick reports per listed column (0: flying on): it
+# crashed; it lies within round-off of MAX_DISTANCE, where _crashed decides;
+# it was handed back unwritten, to replay on the scalar arithmetic.
+CRASHED, NEAR_RADIUS, REPLAY = 1, 2, 3
 
 
 def _airframe(params: DroneParams, dt: float, rotor_dynamics: bool = True):
@@ -375,13 +380,6 @@ class Quadrotor:
                         max_distance)
 
 
-# Rows of QuadrotorBatch's per-column constant table: the _airframe()
-# tuple flattened, then the power denominator.
-_MASS, _INERTIA, _MIX, _LIMIT, _ALPHA, _DT, _HALF, _SIXTH, _POWER = (
-    0, slice(1, 4), slice(4, 20), 20, 21, 22, 23, 24, 25)
-_TABLE_ROWS = 26
-
-
 class QuadrotorBatch:
     """``B`` independent quadrotors in struct-of-arrays layout.
 
@@ -394,17 +392,19 @@ class QuadrotorBatch:
     * ``energy[b]``, the actuation energy drawn so far (power times dt,
       summed per tick).
 
-    :meth:`tick` advances any subset of columns by one tick.  From
-    :attr:`vector_width` columns up it runs one vectorized RK4 step, crash
-    check and power update over all of them; below, each column runs the
-    scalar arithmetic of :class:`Quadrotor` (on a 2-vCPU host a vector
-    tick costs a flat ~215 us, a scalar column ~20 us).  Both forms give a
-    column bit for bit the trajectory, rotor thrusts, crash flag and
-    per-tick power of a :class:`Quadrotor` with rotor dynamics.
+    These six arrays are written in place and never replaced (assigning
+    one raises): the compiled tick holds pointers to them.
+
+    :meth:`tick` advances any subset of columns by one tick in one call
+    into compiled C (:mod:`repro.drone.compiled_plant`), bound to the
+    buffers once per plant.  Without cffi or a C compiler it runs the
+    scalar arithmetic of :class:`Quadrotor` per column instead.  Either
+    way a column gets bit for bit the trajectory, rotor thrusts, crash flag
+    and per-tick power of a :class:`Quadrotor` with rotor dynamics.
     """
 
-    #: Subset width from which :meth:`tick` takes the vectorized path.
-    vector_width = 11
+    _BUFFERS = frozenset(("state", "rotor_thrusts", "command", "force",
+                          "torque", "energy"))
 
     def __init__(self, params: Sequence[DroneParams],
                  dt: Sequence[float]) -> None:
@@ -415,6 +415,7 @@ class QuadrotorBatch:
         if not all(value > 0 for value in dts):
             raise ValueError("dt must be positive")
         width = len(params)
+        self.params = params
         self.width = width
         self.state = np.zeros((STATE_DIM, width))
         self.rotor_thrusts = np.zeros((INPUT_DIM, width))
@@ -427,23 +428,52 @@ class QuadrotorBatch:
         self._dts = dts
         self._frames = [_airframe(p, value) for p, value in zip(params, dts)]
         self._power = [actuation_power_fn(p) for p in params]
-        self._table = np.zeros((_TABLE_ROWS, width))
-        for column, (frame, p) in enumerate(zip(self._frames, params)):
-            mix = [value for row in frame[4:8] for value in row]
-            self._table[:, column] = (
-                frame[:4] + tuple(mix) + frame[8:]
-                + (power_denominator(p),))
+        self._binding = _bind(self)
+
+    def __setattr__(self, name, value) -> None:
+        if name in self._BUFFERS and name in self.__dict__:
+            raise AttributeError(
+                "QuadrotorBatch.{} is written in place, never replaced: the "
+                "compiled tick points at it".format(name))
+        object.__setattr__(self, name, value)
 
     def tick(self, columns: Sequence[int]) -> List[int]:
         """Advance ``columns`` (distinct, ascending) by one physics tick.
 
-        Returns the columns that crashed on this tick, in order.
+        Returns the columns that crashed on this tick, in order.  An
+        out-of-range column raises ``IndexError`` before any column moves.
         """
-        if len(columns) >= self.vector_width:
-            return self._tick_vector(columns)
-        return self._tick_scalar(columns)
+        binding = self._binding
+        if binding is None:
+            return self._tick_scalar(columns)
+        count = len(columns)
+        binding.columns[:count] = columns
+        flagged = binding.tick(binding.struct, count)
+        if not flagged:
+            return []
+        if flagged < 0:
+            raise IndexError("plant columns {} out of range for width {}"
+                             .format(list(columns), self.width))
+        crashed, replay = [], []
+        flags = binding.flags
+        for index in np.flatnonzero(flags[:count]).tolist():
+            column = columns[index]
+            if flags[index] == REPLAY:
+                replay.append(column)
+            elif (flags[index] == CRASHED
+                  or _crashed(self.state[:, column].tolist())):
+                crashed.append(column)
+        if replay:
+            # The scalar arithmetic is the reference: it raises where the
+            # C handed a column back because Python raises there.
+            crashed = sorted(crashed + self._tick_scalar(replay))
+        return crashed
 
     def _tick_scalar(self, columns: Sequence[int]) -> List[int]:
+        for column in columns:
+            if not 0 <= column < self.width:
+                raise IndexError("plant column {} out of range for width {}"
+                                 .format(column, self.width))
         crashed = []
         state, rotors = self.state, self.rotor_thrusts
         for column in columns:
@@ -459,117 +489,12 @@ class QuadrotorBatch:
                 crashed.append(column)
         return crashed
 
-    def _tick_vector(self, columns: Sequence[int]) -> List[int]:
-        index = (slice(None) if len(columns) == self.width
-                 else np.asarray(columns))
-        table = self._table[:, index]
-        with np.errstate(all="ignore"):
-            state, rotors = _rk4_columns(
-                self.state[:, index], self.rotor_thrusts[:, index],
-                self.command[:, index], self.force[:, index],
-                self.torque[:, index], table)
-            finite = np.isfinite(state).all(axis=0)
-            crashed = _crashed_columns(state)
-        replay = []
-        if not finite.all():
-            # np.cos turns an infinite stage angle into NaN where math.cos
-            # raises: a column leaving the finite range replays its tick on
-            # the scalar arithmetic, the reference.
-            keep = np.flatnonzero(finite)
-            replay = [columns[j] for j in np.flatnonzero(~finite).tolist()]
-            columns = [columns[j] for j in keep.tolist()]
-            index = np.asarray(columns, dtype=np.intp)
-            state, rotors = state[:, keep], rotors[:, keep]
-            table, crashed = table[:, keep], crashed[keep]
-        self.state[:, index] = state
-        self.rotor_thrusts[:, index] = rotors
-        self.energy[index] += (actuation_power_columns(rotors, table[_POWER])
-                               * table[_DT])
-        fallen = [columns[j] for j in np.flatnonzero(crashed).tolist()]
-        if replay:
-            fallen = sorted(fallen + self._tick_scalar(replay))
-        return fallen
 
+def _bind(plant: QuadrotorBatch):
+    """``plant``'s binding to the compiled tick, or ``None`` (no cffi or no
+    C compiler), which puts it on the scalar arithmetic."""
+    # Imported with the first batch plant: processes that build none (a
+    # design-space sweep) never load the toolchain code or cffi.
+    from . import compiled_plant
+    return compiled_plant.bind(plant)
 
-def _clip_columns(values: np.ndarray, limit: np.ndarray) -> np.ndarray:
-    """``min(max(v, 0), limit)`` with Python's semantics.
-
-    ``np.clip``/``np.maximum`` turn ``-0.0`` into ``+0.0`` where Python's
-    ``max(-0.0, 0.0)`` keeps ``-0.0``; selecting on the comparisons keeps
-    every sign and NaN exactly as the scalar code does.
-    """
-    values = np.where(values < 0.0, 0.0, values)
-    return np.where(values > limit, limit, values)
-
-
-def _derivatives_columns(s, wrench, force, torque, table):
-    """:func:`_derivatives` over ``(12, n)`` states, one IEEE op per term."""
-    mass = table[_MASS]
-    inertia = table[_INERTIA]
-    cos = np.cos(s[3:6])
-    sin = np.sin(s[3:6])
-    cr, cp, cy = cos
-    sr, sp, sy = sin
-    thrust = wrench[0]
-    out = np.empty_like(s)
-    out[0:3] = s[6:9]
-    accel = out[6:9]
-    accel[0] = (cy * sp * cr + sy * sr) * thrust
-    accel[1] = (sy * sp * cr - cy * sr) * thrust
-    accel[2] = (cp * cr) * thrust
-    accel += force
-    accel /= mass
-    accel[2] -= GRAVITY
-    accel -= 0.05 * s[6:9] / mass
-
-    wx, wy, wz = s[9:12]
-    hx, hy, hz = inertia * s[9:12]
-    rates = out[9:12]
-    rates[0] = wy * hz - wz * hy
-    rates[1] = wz * hx - wx * hz
-    rates[2] = wx * hy - wy * hx
-    np.subtract(wrench[1:4] + torque, rates, out=rates)
-    rates /= inertia
-
-    cp_safe = cp
-    if not np.all(np.abs(cp) >= 1e-6):    # the guard only bites near +-90 deg
-        cp_safe = np.where(cp != 0,
-                           np.copysign(np.maximum(np.abs(cp), 1e-6), cp), 1e-6)
-    tp = sp / cp_safe
-    out[3] = 1.0 * wx + sr * tp * wy + cr * tp * wz
-    out[4] = 0.0 * wx + cr * wy + -sr * wz
-    out[5] = 0.0 * wx + sr / cp_safe * wy + cr / cp_safe * wz
-    return out
-
-
-def _rk4_columns(s, rotors, command, force, torque, table):
-    """:func:`_rk4` over ``(12, n)`` states: ``(state, rotor_thrusts)``."""
-    limit = table[_LIMIT]
-    commanded = _clip_columns(command, limit)
-    rotors = rotors + table[_ALPHA] * (commanded - rotors)
-    t = _clip_columns(rotors, limit)
-    # wrench = mix @ thrusts for all four rows at once; mix[j::4] is the
-    # mixing matrix's column j, so each row sums in dot-product order.
-    mix = table[_MIX]
-    wrench = (mix[0::4] * t[0] + mix[1::4] * t[1] + mix[2::4] * t[2]
-              + mix[3::4] * t[3])
-    dt, half, sixth = table[_DT], table[_HALF], table[_SIXTH]
-    k1 = _derivatives_columns(s, wrench, force, torque, table)
-    k2 = _derivatives_columns(s + half * k1, wrench, force, torque, table)
-    k3 = _derivatives_columns(s + half * k2, wrench, force, torque, table)
-    k4 = _derivatives_columns(s + dt * k3, wrench, force, torque, table)
-    return s + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4), rotors
-
-
-def _crashed_columns(s: np.ndarray) -> np.ndarray:
-    """:func:`_crashed` for every column of finite ``(12, n)`` states.
-
-    ``np.vecdot`` down the position rows sums ``p . p`` exactly as
-    ``np.dot`` does (same BLAS kernel), so no column needs the scalar
-    fallback near the fly-away radius.
-    """
-    crashed = np.abs(s[3]) > MAX_TILT
-    crashed |= np.abs(s[4]) > MAX_TILT
-    crashed |= s[2] < MIN_ALTITUDE
-    crashed |= np.sqrt(np.vecdot(s[0:3], s[0:3], axis=0)) > MAX_DISTANCE
-    return crashed

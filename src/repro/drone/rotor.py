@@ -14,16 +14,18 @@ change any of the paper's relative comparisons.
 
 from __future__ import annotations
 
-import itertools
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .variants import AIR_DENSITY, DroneParams
 
 __all__ = ["induced_power", "rotor_power", "total_actuation_power",
-           "actuation_power_fn", "actuation_power_columns",
-           "power_denominator", "hover_power"]
+           "actuation_power_fn", "power_denominator", "hover_power",
+           "ELECTRICAL_EFFICIENCY"]
+
+#: Motor/ESC electrical efficiency: electrical watts per induced watt.
+ELECTRICAL_EFFICIENCY = 0.55
 
 
 def induced_power(thrust: float, disk_area: float,
@@ -34,7 +36,7 @@ def induced_power(thrust: float, disk_area: float,
 
 
 def rotor_power(thrust: float, params: DroneParams,
-                electrical_efficiency: float = 0.55) -> float:
+                electrical_efficiency: float = ELECTRICAL_EFFICIENCY) -> float:
     """Electrical power drawn by one rotor at a given thrust."""
     if not 0.0 < electrical_efficiency <= 1.0:
         raise ValueError("electrical_efficiency must be in (0, 1]")
@@ -42,7 +44,8 @@ def rotor_power(thrust: float, params: DroneParams,
 
 
 def total_actuation_power(thrusts: Sequence[float], params: DroneParams,
-                          electrical_efficiency: float = 0.55) -> float:
+                          electrical_efficiency: float = ELECTRICAL_EFFICIENCY
+                          ) -> float:
     """Total electrical actuation power for all four rotors."""
     return float(sum(rotor_power(t, params, electrical_efficiency) for t in thrusts))
 
@@ -53,7 +56,7 @@ def power_denominator(params: DroneParams) -> float:
 
 
 def actuation_power_fn(params: DroneParams,
-                       electrical_efficiency: float = 0.55):
+                       electrical_efficiency: float = ELECTRICAL_EFFICIENCY):
     """A hoisted-constant closure computing :func:`total_actuation_power`.
 
     The HIL episode loop evaluates actuation power every physics tick;
@@ -77,28 +80,8 @@ def actuation_power_fn(params: DroneParams,
     return total
 
 
-def actuation_power_columns(thrusts: np.ndarray, denominators: np.ndarray,
-                            electrical_efficiency: float = 0.55) -> np.ndarray:
-    """:func:`actuation_power_fn` for every column of ``(4, n)`` thrusts.
-
-    ``denominators`` holds each column's :func:`power_denominator`.  The
-    ``t ** 1.5`` stays a Python float power per element, because
-    ``np.power(t, 1.5)`` rounds differently on about 5 % of inputs; the
-    divisions and the left-to-right rotor sum are single IEEE operations
-    either way, so every column equals the closure bit for bit.  (Where
-    ``max`` would keep a ``-0.0`` that ``np.maximum`` makes ``+0.0``, both
-    powers are ``+0.0``.)
-    """
-    clamped = np.maximum(thrusts, 0.0).ravel().tolist()
-    lifted = np.array(list(map(pow, clamped, itertools.repeat(1.5))))
-    terms = lifted.reshape(thrusts.shape) / denominators / electrical_efficiency
-    power = 0.0 + terms[0]
-    for row in terms[1:]:
-        power += row
-    return power
-
-
-def hover_power(params: DroneParams, electrical_efficiency: float = 0.55) -> float:
+def hover_power(params: DroneParams,
+                electrical_efficiency: float = ELECTRICAL_EFFICIENCY) -> float:
     """Actuation power in steady hover — the floor the ideal policy approaches."""
     per_rotor = params.hover_thrust_per_rotor()
     return 4.0 * rotor_power(per_rotor, params, electrical_efficiency)

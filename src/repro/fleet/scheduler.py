@@ -190,10 +190,10 @@ class SolverPool:
     @staticmethod
     def _key(problem: MPCProblem, settings: SolverSettings,
              capacity: int) -> Tuple:
-        # The active kernel backend joins the key: pooled workspaces carry
-        # backend-specific binding state (cffi pointer structs, jit argument
-        # tuples), so a solver parked under one backend must not be handed
-        # out under another even though the solve numerics would recover.
+        # The active kernel backend joins the key: a workspace solved under
+        # the C backend carries its cffi pointer struct, so a solver parked
+        # under one backend must not be handed out under another even
+        # though the solve numerics would recover.
         from ..tinympc.compiled import active_backend
         return (compatibility_key(problem, settings)
                 + (capacity, active_backend()))

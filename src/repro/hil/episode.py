@@ -14,8 +14,9 @@ One implementation serves every caller and both episode kinds:
 (:class:`~repro.drone.quadrotor.QuadrotorBatch`, one column per episode).
 Each call advances the episodes it is given until every one of them
 blocks on an MPC solve (a :class:`SolveRequest`) or ends.  Every physics
-tick is one plant tick over all of those episodes: one RK4 step, one crash
-check and one power update, vectorized once the batch is wide enough.
+tick is one plant tick over all of those episodes: one call into the
+compiled plant (or, without a C toolchain, its scalar arithmetic per
+column) steps, crash-checks and meters every one of them.
 Per-episode control bookkeeping runs only at an episode's *event ticks*:
 a finished solve to apply, a control tick with the solver free, or the
 end.  Between events nothing but the physics changes, so the event ticks
@@ -197,8 +198,7 @@ class EpisodeRunner:
     def run(self) -> Generator[SolveRequest, Tuple[np.ndarray, int], None]:
         """Fly the episode, yielding a :class:`SolveRequest` per solve.
 
-        The episode flies as an :class:`EpisodeBatch` of one, whose plant
-        takes the scalar path at this width.
+        The episode flies as an :class:`EpisodeBatch` of one.
         """
         batch = EpisodeBatch([self])
         requests = batch.advance()
@@ -383,6 +383,8 @@ class EpisodeBatch:
     episodes whose solves it is handed.  Either way the call flies those
     episodes until each one blocks on a solve or ends, and returns the new
     requests; an advanced episode that asks for no solve has finished.
+    Each physics tick of the flying episodes is one
+    :meth:`QuadrotorBatch.tick`.
     """
 
     def __init__(self, runners: Sequence[EpisodeRunner]) -> None:

@@ -65,16 +65,13 @@ def _probe(name: str) -> Tuple[Optional[object], str]:
         return _probe_cache[name]
     impl, detail = None, ""
     if name == "c":
+        from ..cbuild import CBuildUnavailable
+        from .compiled_c import load_c_backend
         try:
-            from .compiled_c import CBackendUnavailable, load_c_backend
-        except ImportError as exc:
-            detail = "cffi is not installed: {}".format(exc)
-        else:
-            try:
-                impl = load_c_backend()
-                detail = "cc={cc} {cflags}".format(**impl.info())
-            except CBackendUnavailable as exc:
-                detail = str(exc)
+            impl = load_c_backend()
+            detail = "cc={cc} {cflags}".format(**impl.info())
+        except CBuildUnavailable as exc:
+            detail = str(exc)
     else:
         detail = "unknown backend {!r}".format(name)
     _probe_cache[name] = (impl, detail)

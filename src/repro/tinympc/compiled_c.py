@@ -4,10 +4,10 @@ The compiled kernel backend; it needs only cffi and a C toolchain next to
 CPython.  At first use it *generates* a C translation unit
 with the problem shape baked in as compile-time constants (``NX``/``NU``/
 ``NH`` — the Exo/SYS_ATL lesson: at TinyMPC's tensor sizes, specialization
-is where the speed lives), builds it with the system C compiler into a
-shared library cached on disk by content hash, and calls it through cffi's
-ABI mode.  The library exports exactly the two calls both solvers make per
-ADMM iteration (:data:`repro.tinympc.kernels.SOLVER_KERNELS`):
+is where the speed lives), builds and caches it through
+:func:`repro.cbuild.load`, and calls it through cffi's ABI mode.  The
+library exports exactly the two calls both solvers make per ADMM
+iteration (:data:`repro.tinympc.kernels.SOLVER_KERNELS`):
 ``admm_prelude`` (forward pass, slack, dual, linear cost, residuals and the
 v/z copy) and ``admm_backward``, each one foreign call instead of ~10 numpy
 ufunc/GEMV dispatches x N horizon steps.  The kernels compute in float64
@@ -23,8 +23,9 @@ Numerical contract
   vectorizing over ``j``.  Vectorizing the *independent* output lane never
   reassociates an individual sum, so the compiled result is deterministic
   and matches a sequential C loop bit for bit.
-* The build forces ``-ffp-contract=off``: no fused multiply-add contraction,
-  so every multiply and add rounds exactly like the numpy reference ops.
+* The build forces ``-ffp-contract=off`` (:mod:`repro.cbuild`): no fused
+  multiply-add contraction, so every multiply and add rounds exactly like
+  the numpy reference ops.
   What remains vs. the numpy fast path is only BLAS's (unspecified) dot
   accumulation order — bounded by the standard ``(K-1) * eps * sum|terms|``
   reordering bound and pinned, per entry point, by
@@ -44,27 +45,15 @@ Numerical contract
 
 from __future__ import annotations
 
-import hashlib
-import os
-import platform
-import shutil
-import subprocess
-import sys
-import tempfile
-from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
+from ..cbuild import CLibrary, load
 from .cache import LQRCache
 from .workspace import RESIDUAL_FIELDS, WORKSPACE_BUFFERS, TinyMPCWorkspace
 
-__all__ = ["CBackendUnavailable", "CKernels", "load_c_backend",
-           "kernel_cache_dir"]
-
-
-class CBackendUnavailable(RuntimeError):
-    """No working C toolchain (or cffi) for the compiled kernel backend."""
+__all__ = ["CKernels", "load_c_backend"]
 
 
 # ---------------------------------------------------------------------------
@@ -284,104 +273,17 @@ void admm_backward(AdmmWs *ws);
 # Build + load
 # ---------------------------------------------------------------------------
 
-def kernel_cache_dir() -> Path:
-    """Where compiled kernel libraries are cached across processes."""
-    root = os.environ.get("REPRO_KERNEL_CACHE")
-    if root:
-        return Path(root).expanduser()
-    return Path.home() / ".cache" / "repro-kernels"
+_LIBS: Dict[Tuple[int, int, int], CLibrary] = {}
 
 
-def _compiler() -> Optional[str]:
-    override = os.environ.get("REPRO_KERNEL_CC")
-    if override:
-        return override if shutil.which(override) else None
-    for cc in ("cc", "gcc", "clang"):
-        path = shutil.which(cc)
-        if path:
-            return path
-    return None
-
-
-_BASE_FLAGS = ["-O3", "-shared", "-fPIC", "-ffp-contract=off",
-               "-fno-unsafe-math-optimizations"]
-
-
-def _flag_candidates() -> Tuple[Tuple[str, ...], ...]:
-    extra = os.environ.get("REPRO_KERNEL_CFLAGS")
-    if extra is not None:
-        return (tuple(_BASE_FLAGS + extra.split()),)
-    # Preference order: native SIMD, then portable.
-    return (tuple(_BASE_FLAGS + ["-march=native"]), tuple(_BASE_FLAGS))
-
-
-_ffi = None
-
-
-def _get_ffi():
-    global _ffi
-    if _ffi is None:
-        try:
-            import cffi
-        except ImportError as exc:
-            raise CBackendUnavailable("cffi is not installed") from exc
-        ffi = cffi.FFI()
-        ffi.cdef(_CDEF)
-        _ffi = ffi
-    return _ffi
-
-
-_LIBS: Dict[Tuple[int, int, int], object] = {}
-_BUILD_DETAIL: Dict[str, str] = {}
-
-
-def _build_library(n: int, m: int, N: int):
-    ffi = _get_ffi()
-    cc = _compiler()
-    if cc is None:
-        raise CBackendUnavailable("no C compiler found (cc/gcc/clang)")
-    source = _SOURCE.format(n=n, m=m, N=N)
-    cache = kernel_cache_dir()
-    last_error = None
-    for flags in _flag_candidates():
-        tag = hashlib.sha256("\x00".join(
-            (source, cc, " ".join(flags), platform.machine(), sys.platform)
-        ).encode()).hexdigest()[:16]
-        so_path = cache / "admm_{}x{}x{}_{}.so".format(n, m, N, tag)
-        if so_path.exists():
-            _BUILD_DETAIL["flags"] = " ".join(flags)
-            _BUILD_DETAIL["cc"] = cc
-            return ffi.dlopen(str(so_path))
-        try:
-            cache.mkdir(parents=True, exist_ok=True)
-            with tempfile.TemporaryDirectory(dir=str(cache)) as tmp:
-                c_path = Path(tmp) / "admm.c"
-                c_path.write_text(source)
-                out_path = Path(tmp) / "admm.so"
-                result = subprocess.run(
-                    [cc, *flags, str(c_path), "-o", str(out_path), "-lm"],
-                    capture_output=True, text=True, timeout=120)
-                if result.returncode != 0:
-                    last_error = result.stderr.strip()[-500:]
-                    continue
-                os.replace(str(out_path), str(so_path))   # atomic publish
-            _BUILD_DETAIL["flags"] = " ".join(flags)
-            _BUILD_DETAIL["cc"] = cc
-            return ffi.dlopen(str(so_path))
-        except (OSError, subprocess.SubprocessError) as exc:
-            last_error = str(exc)
-            continue
-    raise CBackendUnavailable(
-        "C kernel build failed with every flag set: {}".format(last_error))
-
-
-def _library_for(n: int, m: int, N: int):
+def _library_for(n: int, m: int, N: int) -> CLibrary:
     key = (n, m, N)
-    lib = _LIBS.get(key)
-    if lib is None:
-        lib = _build_library(n, m, N)
-        _LIBS[key] = lib
-    return lib
+    library = _LIBS.get(key)
+    if library is None:
+        library = load("admm_{}x{}x{}".format(n, m, N),
+                       _SOURCE.format(n=n, m=m, N=N), _CDEF)
+        _LIBS[key] = library
+    return library
 
 
 # ---------------------------------------------------------------------------
@@ -400,9 +302,9 @@ class _CBinding:
     __slots__ = ("lib", "ffi", "c", "keep", "cache")
 
     def __init__(self, ws: TinyMPCWorkspace) -> None:
-        n, m, N = ws.state_dim, ws.input_dim, ws.horizon
-        self.lib = _library_for(n, m, N)
-        self.ffi = _get_ffi()
+        library = _library_for(ws.state_dim, ws.input_dim, ws.horizon)
+        self.lib = library.lib
+        self.ffi = library.ffi
         self.cache = None
         self.keep = []
         self.c = self.ffi.new("AdmmWs *")
@@ -470,9 +372,10 @@ class CKernels:
 
     @staticmethod
     def info() -> Dict[str, object]:
+        library = _library_for(12, 4, 10)
         return {
-            "cc": _BUILD_DETAIL.get("cc", ""),
-            "cflags": _BUILD_DETAIL.get("flags", ""),
+            "cc": library.cc,
+            "cflags": library.flags,
             "cached_shapes": sorted(_LIBS),
         }
 
@@ -486,5 +389,8 @@ class CKernels:
 
 
 def load_c_backend() -> CKernels:
-    """Build (or load from cache) the C backend; raises CBackendUnavailable."""
+    """Build (or load from cache) the C backend.
+
+    Raises :class:`repro.cbuild.CBuildUnavailable` without a toolchain.
+    """
     return CKernels()

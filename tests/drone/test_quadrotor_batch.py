@@ -1,29 +1,29 @@
 """The struct-of-arrays plant equals a per-column ``Quadrotor`` bit for bit.
 
 ``QuadrotorBatch.tick`` advances any subset of its columns by one physics
-tick: one vectorized RK4 step, crash check and power update from
-``vector_width`` columns up, the scalar arithmetic of ``Quadrotor`` per
-column below.  Every column must match a ``Quadrotor`` flying the same
-airframe, dt, commands and wrench, compared with ``==`` (sign of zero
-included) on state, rotor thrusts, crash flag and per-tick power, on
-both sides of the crossover.
+tick: one call into compiled C, or, without cffi or a C compiler, the
+scalar arithmetic of ``Quadrotor`` per column.  Every test here runs on
+both paths (``PATHS``); the fallback is forced by replacing the private
+``quadrotor._bind`` seam, and the C cases skip when no toolchain loads.
+Every column must match a ``Quadrotor`` flying the same airframe, dt,
+commands and wrench, compared with ``==`` (sign of zero included) on
+state, rotor thrusts, crash flag and per-tick power.
 
-The numerics traps behind that contract, measured on the 2-vCPU Linux
-host this suite was written on (numpy 2.4, OpenBLAS):
-
-* ``np.sin``/``np.cos`` matched ``math.sin``/``math.cos`` on 10M samples;
-  ``test_trig_matches_math`` is the guard on other hosts.
-* ``np.power(t, 1.5)`` differs from ``t ** 1.5`` on about 5 % of inputs,
-  so per-tick power stays a Python float power per element.
-* ``np.dot(p, p)`` differs from ``x*x + y*y + z*z`` on about 22 % of
-  3-vectors; ``np.vecdot`` over rows matches ``np.dot`` exactly, and the
-  scalar crash test calls ``np.dot`` within round-off of the radius.
-* ``np.maximum(-0.0, 0.0)`` is ``+0.0`` where Python's ``max`` keeps
-  ``-0.0``; the vector clip selects on comparisons instead.
+The C tick performs the scalar code's IEEE operations in its order, on the
+libm ``sin``, ``cos``, ``pow`` and ``sqrt`` that Python calls.  Where
+Python does something else, the C hands the column back, and each such
+case has a test: an infinite stage angle (``math.cos`` raises), a power
+``t ** 1.5`` that overflows (Python raises), a position within round-off
+of the fly-away radius (``_crashed`` calls ``np.dot`` there), an
+out-of-range column, and an assignment that would replace a buffer the C
+holds a pointer to.
 """
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -38,14 +38,30 @@ from repro.drone import (
     hover_input,
     hover_state,
 )
-from repro.drone.quadrotor import MAX_DISTANCE, _clip_columns
+from repro.drone import compiled_plant, quadrotor
+from repro.drone.quadrotor import MAX_DISTANCE
 from repro.drone.reference import vectorized_has_crashed
 
 VARIANTS = sorted(all_variants())
 MASS_SCALES = (0.8, 1.0, 1.3, 1.5)
 DTS = (0.001, 0.002, 0.004)
-# Vector path for every subset, the default crossover, scalar path only.
-WIDTH_RULES = (1, QuadrotorBatch.vector_width, 10 ** 9)
+PATHS = (
+    pytest.param("c", marks=pytest.mark.skipif(
+        compiled_plant.library() is None,
+        reason="no C toolchain: {}".format(compiled_plant.failure()))),
+    "scalar",
+)
+BUFFERS = ("state", "rotor_thrusts", "command", "force", "torque", "energy")
+
+
+def make_plant(params, dts, path):
+    """A ``QuadrotorBatch`` on the compiled tick or the scalar fallback."""
+    with pytest.MonkeyPatch.context() as patch:
+        if path == "scalar":
+            patch.setattr(quadrotor, "_bind", lambda plant: None)
+        plant = QuadrotorBatch(params, dts)
+    assert (plant._binding is None) == (path == "scalar")
+    return plant
 
 
 def airframe(variant, mass_scale):
@@ -100,17 +116,16 @@ def command_for(rng, params):
     return hover + 0.05 * rng.standard_normal(4)
 
 
+@pytest.mark.parametrize("path", PATHS)
 @settings(max_examples=30, deadline=None, derandomize=True)
-@given(width=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1),
-       rule=st.sampled_from(WIDTH_RULES))
-def test_columns_match_quadrotor(width, seed, rule):
+@given(width=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
+def test_columns_match_quadrotor(path, width, seed):
     rng = np.random.default_rng(seed)
     params = [airframe(VARIANTS[rng.integers(len(VARIANTS))],
                        MASS_SCALES[rng.integers(len(MASS_SCALES))])
               for _ in range(width)]
     dts = [DTS[rng.integers(len(DTS))] for _ in range(width)]
-    plant = QuadrotorBatch(params, dts)
-    plant.vector_width = rule
+    plant = make_plant(params, dts, path)
     kinds = ("plain", "plain", "plain", "pitch-vertical", "pitch-guard",
              "far", "nan", "inf")
     references = []
@@ -150,10 +165,10 @@ def test_columns_match_quadrotor(width, seed, rule):
                         what + " power")
 
 
-@pytest.mark.parametrize("rule", WIDTH_RULES)
-def test_infinite_angle_raises_like_quadrotor(rule):
-    """math.cos raises on an infinite angle where np.cos returns NaN; the
-    batch replays such a tick on the scalar path, so it raises too."""
+@pytest.mark.parametrize("path", PATHS)
+def test_infinite_angle_raises_like_quadrotor(path):
+    """math.cos raises on an infinite angle where C's cos returns NaN; the
+    C hands such a column back unwritten and the scalar replay raises."""
     params = all_variants()["CrazyFlie"]
     reference = Quadrotor(params, dt=0.002)
     state = hover_state([0.0, 0.0, 1.0])
@@ -161,28 +176,31 @@ def test_infinite_angle_raises_like_quadrotor(rule):
     reference.reset(state)
     with pytest.raises(ValueError):
         reference.step(hover_input(params))
-    plant = QuadrotorBatch([params] * 12, [0.002] * 12)
-    plant.vector_width = rule
+    plant = make_plant([params] * 12, [0.002] * 12, path)
     plant.state[:, 5] = state
     with pytest.raises(ValueError):
         plant.tick(list(range(12)))
+    assert_same(plant.state[:, 5], state, "the raising column")
 
 
-def test_trig_matches_math():
-    """The vector tick is exact only if numpy's sin/cos equal libm's."""
-    rng = np.random.default_rng(0)
-    angles = np.concatenate([
-        rng.normal(0.0, 1.0, 50_000),
-        rng.uniform(-1e3, 1e3, 20_000),
-        math.pi / 2 + rng.normal(0.0, 1e-6, 5_000),
-        [0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi, 1e-300]])
-    rows = angles[: 3 * (angles.size // 3)].reshape(3, -1)
-    for values in (angles, rows[1], rows[:, ::7].ravel()):
-        assert np.sin(values).tolist() == [math.sin(v) for v in values.tolist()]
-        assert np.cos(values).tolist() == [math.cos(v) for v in values.tolist()]
+@pytest.mark.parametrize("path", PATHS)
+def test_power_overflow_raises_like_python(path):
+    """``t ** 1.5`` raises OverflowError where libm's pow returns inf; the
+    C hands such a column back and the scalar replay raises."""
+    params = all_variants()["CrazyFlie"]
+    thrusts = np.full(4, 1e300)
+    with pytest.raises(OverflowError):
+        actuation_power_fn(params)(thrusts)
+    plant = make_plant([params] * 3, [0.002] * 3, path)
+    plant.state[2] = 1.0
+    plant.rotor_thrusts[:, 1] = thrusts
+    with pytest.raises(OverflowError):
+        plant.tick([0, 1, 2])
+    assert plant.energy[1] == 0.0
 
 
-def test_power_stays_on_python_floats():
+@pytest.mark.parametrize("path", PATHS)
+def test_power_stays_on_python_floats(path):
     """Per-tick power equals the scalar closure even on thrusts where
     ``np.power(t, 1.5)`` rounds differently from ``t ** 1.5``."""
     params = airframe("Hawk", 1.3)
@@ -192,7 +210,7 @@ def test_power_stays_on_python_floats():
                                                      for t in pool.tolist()])]
     thrusts = np.concatenate([differs, pool])[:400].reshape(4, -1)
     width = thrusts.shape[1]
-    plant = QuadrotorBatch([params] * width, [0.002] * width)
+    plant = make_plant([params] * width, [0.002] * width, path)
     plant.state[2] = 1.0
     plant.rotor_thrusts[:] = thrusts
     plant.command[:] = thrusts       # the rotors stay where they are
@@ -203,8 +221,8 @@ def test_power_stays_on_python_floats():
     assert plant.energy.tolist() == expected
 
 
-@pytest.mark.parametrize("rule", WIDTH_RULES)
-def test_fly_away_radius_sums_like_np_dot(rule):
+@pytest.mark.parametrize("path", PATHS)
+def test_fly_away_radius_sums_like_np_dot(path):
     """Positions within round-off of the 25 m radius, including ones where
     the left-to-right sum and ``np.dot`` land on different sides."""
     rng = np.random.default_rng(11)
@@ -220,9 +238,8 @@ def test_fly_away_radius_sums_like_np_dot(rule):
             positions.append(p)
     positions = positions[:30]
     params = all_variants()["CrazyFlie"]
-    plant = QuadrotorBatch([params] * len(positions),
-                           [0.002] * len(positions))
-    plant.vector_width = rule
+    plant = make_plant([params] * len(positions), [0.002] * len(positions),
+                       path)
     references = []
     for column, p in enumerate(positions):
         # At rest in hover the tick moves the position by far less than
@@ -239,11 +256,65 @@ def test_fly_away_radius_sums_like_np_dot(rule):
         assert (column in crashed) == reference.has_crashed()
 
 
-def test_clip_keeps_the_sign_of_zero():
-    values = np.array([[-0.0, 0.0, -1.0, 0.5, 3.0, np.nan, -np.inf, np.inf]])
-    limit = 2.0
-    expected = [min(max(v, 0.0), limit) for v in values[0].tolist()]
-    assert np.maximum(-0.0, 0.0) == 0.0 and not np.signbit(
-        np.maximum(-0.0, 0.0))
-    assert_same(_clip_columns(values, np.full(values.shape[1], limit))[0],
-                expected, "clip")
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("columns", [[0, 4], [4], [-1], [0, 2, 9]],
+                         ids=["last-at-width", "at-width", "negative",
+                              "past-width"])
+def test_out_of_range_column_raises_and_moves_nothing(path, columns):
+    params = all_variants()["CrazyFlie"]
+    plant = make_plant([params] * 4, [0.002] * 4, path)
+    plant.state[2] = 1.0
+    plant.command[:] = 0.0
+    before = [getattr(plant, name).copy() for name in BUFFERS]
+    with pytest.raises(IndexError):
+        plant.tick(columns)
+    for name, array in zip(BUFFERS, before):
+        assert_same(getattr(plant, name), array, name)
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_bound_buffers_cannot_be_replaced(path):
+    """The C holds a pointer to each buffer: assigning a new array is
+    refused, and in-place writes reach the next tick."""
+    params = all_variants()["CrazyFlie"]
+    plant = make_plant([params] * 2, [0.002] * 2, path)
+    for name in BUFFERS:
+        array = getattr(plant, name)
+        with pytest.raises(AttributeError, match=name):
+            setattr(plant, name, array.copy())
+        assert getattr(plant, name) is array
+    reference = Quadrotor(params, dt=0.002)
+    reference.reset(hover_state([0.0, 0.0, 1.0]))
+    reference.set_disturbance(np.array([0.01, 0.0, 0.0]), None)
+    plant.state[:, 1] = reference.state
+    plant.force[0, 1] = 0.01
+    plant.tick([1])
+    reference.step(plant.command[:, 1])
+    assert_same(plant.state[:, 1], reference.state, "in-place writes")
+
+
+_LAZY_PROBE = r"""
+import sys
+sys.path.insert(0, sys.argv[1])
+import repro.drone, repro.fleet, repro.tinympc
+assert "cffi" not in sys.modules and "repro.cbuild" not in sys.modules
+from repro.drone import QuadrotorBatch, crazyflie
+plant = QuadrotorBatch([crazyflie()], [0.002])
+print(plant._binding is not None, "cffi" in sys.modules)
+"""
+
+
+def test_toolchain_code_loads_with_the_first_batch_plant():
+    """Importing the package loads neither cffi nor the build code, so a
+    process that builds no plant (a design-space sweep) never pays for
+    them; the first ``QuadrotorBatch`` loads both."""
+    source = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env = {name: value for name, value in os.environ.items()
+           if name not in ("PYTHONPATH", "REPRO_KERNEL_BACKEND")}
+    probe = subprocess.run([sys.executable, "-c", _LAZY_PROBE, source],
+                           env=env, capture_output=True, text=True,
+                           timeout=300)
+    assert probe.returncode == 0, probe.stderr
+    bound, loaded = probe.stdout.split()
+    assert bound == str(compiled_plant.library() is not None)
+    assert loaded == "True" or bound == "False"

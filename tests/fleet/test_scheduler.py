@@ -31,8 +31,9 @@ from repro.drone import (
     DisturbanceCategory,
     DisturbanceType,
     DrydenGust,
-    QuadrotorBatch,
+    compiled_plant,
     generate_scenario,
+    quadrotor,
 )
 from repro.fleet import (
     CampaignSpec,
@@ -45,9 +46,13 @@ from repro.fleet import (
 )
 from repro.fleet.durable import result_to_dict
 from repro.hil import HILLoop, SensorFaults
-from repro.tinympc import BatchTinyMPCSolver
+from repro.tinympc import BatchTinyMPCSolver, use_compiled_kernels
 
 REPO_ROOT = os.path.normpath(os.path.join(os.path.dirname(__file__), "..", ".."))
+
+needs_compiled_plant = pytest.mark.skipif(
+    compiled_plant.library() is None,
+    reason="no C toolchain: {}".format(compiled_plant.failure()))
 
 # A deliberately heterogeneous grid: two difficulties, two clock
 # frequencies, and two control rates (the latter linearize two different
@@ -269,10 +274,11 @@ class TestSchedulerMechanics:
         assert outcome.stats.batched_solves == 3320
         assert copies == []
 
-    def test_vector_and_scalar_plant_paths_agree(self, monkeypatch):
+    @needs_compiled_plant
+    def test_compiled_and_scalar_plant_paths_agree(self, monkeypatch):
         """One wide group mixing waypoint and recovery episodes and two
-        physics steps flies the vectorized plant; forcing the per-column
-        scalar plant must reproduce every result field exactly."""
+        physics steps flies the compiled plant; forcing the per-column
+        scalar fallback must reproduce every result field exactly."""
         specs = [EpisodeSpec(difficulty, seed, frequency_mhz=frequency,
                              physics_dt=dt)
                  for difficulty in (Difficulty.EASY, Difficulty.MEDIUM)
@@ -284,9 +290,9 @@ class TestSchedulerMechanics:
         def rows():
             return [json.dumps(result_to_dict(result))
                     for result in run_campaign(specs).results]
-        vector = rows()
-        monkeypatch.setattr(QuadrotorBatch, "vector_width", 10 ** 9)
-        assert rows() == vector
+        compiled = rows()
+        monkeypatch.setattr(quadrotor, "_bind", lambda plant: None)
+        assert rows() == compiled
 
     def test_stats_accounting(self):
         outcome = run_campaign(CampaignSpec(difficulties="easy", seeds=(0, 1)))
@@ -335,6 +341,52 @@ digest.update(outcome.results[0].final_distance.hex().encode())
 digest.update(repr(outcome.results[0].solve_iterations[:50]).encode())
 print(digest.hexdigest())
 """
+
+
+# Waypoint episodes that finish beside ones that crash (hard scenario, low
+# clock), flown by a process without a C compiler.
+_FALLBACK_CAMPAIGN = dict(difficulties=("easy", "hard"), seeds=(0,),
+                          implementations=("scalar", "vector"),
+                          frequencies_mhz=(10.0, 100.0))
+
+_NO_COMPILER_PROBE = r"""
+import json, sys
+sys.path.insert(0, {src!r})
+from repro.drone import QuadrotorBatch, all_variants, compiled_plant
+from repro.fleet import CampaignSpec, run_campaign
+from repro.fleet.durable import result_to_dict
+
+plant = QuadrotorBatch([all_variants()["CrazyFlie"]], [0.002])
+assert plant._binding is None, "the plant bound a library"
+assert "no C compiler" in compiled_plant.failure(), compiled_plant.failure()
+for result in run_campaign(CampaignSpec(**{campaign!r})).results:
+    print(json.dumps(result_to_dict(result)))
+"""
+
+
+class TestPlantWithoutCompiler:
+    @needs_compiled_plant
+    def test_campaign_without_a_compiler_flies_the_fallback(self, tmp_path):
+        """A process whose ``REPRO_KERNEL_CC`` names no compiler and whose
+        kernel cache is empty flies the scalar fallback without raising,
+        and its rows equal the compiled plant's."""
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        env = dict(os.environ)
+        env.update(REPRO_KERNEL_CC="no-such-compiler",
+                   REPRO_KERNEL_CACHE=str(cache))
+        env.pop("PYTHONPATH", None)
+        env.pop("REPRO_KERNEL_BACKEND", None)
+        script = _NO_COMPILER_PROBE.format(src=os.path.join(REPO_ROOT, "src"),
+                                           campaign=_FALLBACK_CAMPAIGN)
+        probe = subprocess.run([sys.executable, "-c", script], env=env,
+                               capture_output=True, text=True, timeout=300)
+        assert probe.returncode == 0, probe.stderr
+        with use_compiled_kernels("numpy"):
+            outcome = run_campaign(CampaignSpec(**_FALLBACK_CAMPAIGN))
+        assert any(result.crashed for result in outcome.results)
+        assert probe.stdout.splitlines() == golden_rows(outcome)
+        assert list(cache.iterdir()) == []
 
 
 class TestHashSeedDeterminism:

@@ -375,25 +375,14 @@ class TestCampaignCLI:
         assert payload["supervisor"]["fresh_chunks"] == 2
         assert "run_dir" not in payload
 
-    @pytest.mark.parametrize("flag, value, field", [
-        ("--lease-size", "0", "lease_size"),
-        ("--max-retries", "0", "max_attempts"),
-        ("--episode-timeout", "-1", "episode_timeout")])
-    def test_zero_lease_size_rejected(self, tmp_path, flag, value, field):
-        checkpoint = tmp_path / "ckpt"
-        completed = self._cli("--seeds", "1", flag, value, "--quiet",
-                              "--checkpoint-dir", str(checkpoint))
-        assert completed.returncode != 0
-        assert field in completed.stderr
-        assert not checkpoint.exists()
-
-    @pytest.mark.parametrize("flag", ["--max-iterations=0",
-                                      "--frequencies=-5"])
+    @pytest.mark.parametrize("flag", [
+        "--max-iterations=0", "--frequencies=-5", "--lease-size=0",
+        "--max-retries=0", "--episode-timeout=-1", "--workers=0"])
     def test_impossible_spec_is_a_usage_error(self, tmp_path, flag):
-        """An invalid grid exits 2 with a usage message before anything
-        runs: no traceback, no run directory."""
+        """An invalid grid or run option exits 2 with a usage message
+        before anything runs: no traceback, no run directory."""
         checkpoint = tmp_path / "ckpt"
-        completed = self._cli("--seeds", "2", flag, "--quiet",
+        completed = self._cli("--seeds", "1", flag, "--quiet",
                               "--checkpoint-dir", str(checkpoint))
         assert completed.returncode == 2, completed.stderr
         assert "error:" in completed.stderr
