@@ -1,6 +1,6 @@
 """Throughput of model-fidelity design-space exploration vs serial compiles.
 
-Both fidelities run the same lowering and the same backend pricing loop;
+Both fidelities run the same lowering and the same backend pricing function;
 the model fidelity skips materializing the instruction stream.  This
 benchmark sweeps the full 114-spec design grid — every catalog (point,
 level) pair plus the LMUL and sync-granularity option axes — once through

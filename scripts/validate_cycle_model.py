@@ -2,12 +2,12 @@
 """Compare the model fidelity with the full-stream trace on the catalog.
 
 Sweeps every catalog design point at every valid optimization level,
-compares :func:`repro.arch.cycle_model.model_report` (the lowering's records
+compares :func:`repro.arch.cycle_model.model_report` (the lowering's blocks
 priced as they are generated) against the compiled instruction-stream
 trace, prints the comparison table, and exits non-zero if any pair's
 relative error exceeds the pinned tolerance
 (:data:`repro.arch.cycle_model.PINNED_TOLERANCE`).  Both share one lowering
-and one pricing loop per backend, so every pair is expected to be
+and one pricing function per backend, so every pair is expected to be
 bit-exact.  It is the local table view of the sweep
 ``tests/arch/test_cycle_model.py`` asserts in the tier-1 suite.
 

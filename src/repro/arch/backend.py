@@ -6,11 +6,21 @@ per-category breakdown (compute / memory / issue / stall / overhead).  The
 categories are the quantities the paper's characterization reasons about
 when explaining why an optimization helps a particular architecture.
 
-Each backend has one pricing loop, :meth:`Backend.price`, over instruction
-records (see :mod:`repro.arch.isa`).  :meth:`Backend.run` feeds it the
-records read back from a materialized :class:`InstructionStream`; the
-model fidelity (:func:`repro.arch.cycle_model.model_report`) feeds it the
-lowering's records directly, so both price every instruction identically.
+Each backend has one pricing function, :meth:`Backend.price`, over
+*blocks*: tuples of instruction records (see :mod:`repro.arch.isa`) in
+stream order.  A lowering yields one block per op and hands out the same
+block object for every op that lowers alike, so ``price`` turns each
+distinct block into its cost addends once and replays the addends of the
+whole stream.  :meth:`Backend.run` prices a materialized
+:class:`InstructionStream` as one block; the model fidelity
+(:func:`repro.arch.cycle_model.model_report`) prices the lowering's blocks
+directly, so both price every instruction identically.
+
+Every sum is a left fold in stream order (:func:`left_fold`): one rounding
+per addition, as a running total would, so a sum does not depend on how the
+stream was cut into blocks.  Compensated or pairwise sums (``np.sum``,
+``math.fsum``, and ``sum()`` since Python 3.12) round differently and are
+not used for cycles.
 """
 
 from __future__ import annotations
@@ -18,12 +28,14 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
-from typing import Dict, Iterable, Iterator, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from .isa import InstructionStream
 
 __all__ = ["CycleCategory", "CycleReport", "StreamCounters", "Backend",
-           "category_sums"]
+           "left_fold"]
 
 
 class CycleCategory:
@@ -105,13 +117,24 @@ class CycleReport:
         )
 
 
-def category_sums(*entries: Tuple[str, float, bool]) -> Dict[str, float]:
-    """``cycles_by_category`` from ``(category, sum, charged)`` entries.
+def left_fold(values: np.ndarray) -> float:
+    """``values`` added one at a time, in order, starting from 0.0."""
+    if not len(values):
+        return 0.0
+    return float(np.add.accumulate(values)[-1])
 
-    A category appears only once some instruction charged it a cost.
-    """
-    return {category: cycles for category, cycles, charged in entries
-            if charged}
+
+def _group_folds(values: np.ndarray, groups: np.ndarray, count: int
+                 ) -> List[Optional[float]]:
+    """The :func:`left_fold` of each group's values (``None`` for an empty
+    group); a stable sort keeps each group in stream order."""
+    ordered = values[np.argsort(groups, kind="stable")]
+    sums: List[Optional[float]] = []
+    start = 0
+    for end in np.cumsum(np.bincount(groups, minlength=count)).tolist():
+        sums.append(left_fold(ordered[start:end]) if end > start else None)
+        start = end
+    return sums
 
 
 @dataclass
@@ -128,6 +151,23 @@ class StreamCounters:
     rocc_instructions: int = 0
 
 
+def _replay_index(order: np.ndarray, bounds: List[int]) -> np.ndarray:
+    """Indices that lay the distinct blocks' addends out in stream order.
+
+    Distinct block ``b`` owns addends ``bounds[b]:bounds[b + 1]``; the
+    stream is the blocks ``order`` names, one after another.
+    """
+    sizes = np.diff(bounds)[order]
+    ends = np.cumsum(sizes)
+    offsets = np.array(bounds[:-1], dtype=np.intp)[order] - (ends - sizes)
+    return np.arange(ends[-1]) + np.repeat(offsets, sizes)
+
+
+# What a backend's block pricer returns for one block: its instruction
+# count, flops, fences, DRAM transfers and RoCC commands.
+BlockTally = Tuple[int, int, int, int, int]
+
+
 class Backend(abc.ABC):
     """Common interface for the scalar, vector, and systolic timing models."""
 
@@ -136,16 +176,87 @@ class Backend(abc.ABC):
 
     def run(self, stream: InstructionStream) -> CycleReport:
         """Time an instruction stream."""
-        return self.price(self._records(stream))[0]
+        return self.price((tuple(self._records(stream)),))[0]
+
+    def price(self, blocks: Iterable[tuple]
+              ) -> Tuple[CycleReport, StreamCounters]:
+        """Time blocks of instruction records in stream order.
+
+        Each distinct block object is priced once.  The total, each
+        kernel's cycles and each category's cycles are then left folds of
+        the whole stream's addends in stream order, so a sum depends only on
+        the records, not on how they were cut into blocks.  Kernels are
+        listed in first-appearance order and categories in
+        :attr:`CycleCategory.ALL` order, each once it is charged.
+        """
+        blocks = list(blocks)       # alive while their ids are keys
+        slots: Dict[int, int] = {}
+        sequence = [slots.setdefault(id(block), len(slots)) for block in blocks]
+        distinct = list({id(block): block for block in blocks}.values())
+
+        # Distinct blocks are priced in order of first appearance, so the
+        # kernels are met in the order they first appear in the stream.
+        addends: List[float] = []
+        categories = bytearray()
+        runs: List[Tuple[int, str]] = []
+        price_block = self._block_pricer(addends, categories, runs)
+        tallies = []
+        bounds = [0]
+        for block in distinct:
+            tallies.append(price_block(block))
+            bounds.append(len(addends))
+
+        kernels: Dict[str, int] = {}
+        run_codes = [kernels.setdefault(kernel, len(kernels))
+                     for _, kernel in runs]
+        run_starts = [start for start, _ in runs] + [len(addends)]
+        values = np.array(addends, dtype=float)
+        # Small code types let the stable sorts in _group_folds run as radix
+        # sorts.
+        category_codes = np.frombuffer(categories, dtype=np.uint8)
+        kernel_codes = np.repeat(
+            np.array(run_codes, dtype=np.min_scalar_type(len(kernels))),
+            np.diff(run_starts))
+        order = np.array(sequence, dtype=np.intp)
+        if len(order) > len(distinct):
+            index = _replay_index(order, bounds)
+            values = values[index]
+            category_codes = category_codes[index]
+            kernel_codes = kernel_codes[index]
+
+        by_category = _group_folds(values, category_codes,
+                                   len(CycleCategory.ALL))
+        uses = np.bincount(order, minlength=len(distinct))
+        count, flops, fences, dram_transfers, rocc = (
+            np.array(tallies, dtype=np.int64).reshape(-1, 5).T @ uses
+        ).tolist()
+        report = CycleReport(
+            backend=self.name, total_cycles=left_fold(values),
+            cycles_by_kernel=dict(zip(kernels, _group_folds(
+                values, kernel_codes, len(kernels)))),
+            cycles_by_category={
+                category: cycles for category, cycles
+                in zip(CycleCategory.ALL, by_category) if cycles is not None},
+            instruction_count=count, flops=flops)
+        return report, StreamCounters(
+            instructions=count, fences=fences, dram_transfers=dram_transfers,
+            rocc_instructions=rocc)
 
     @abc.abstractmethod
-    def price(self, records: Iterable[tuple]
-              ) -> Tuple[CycleReport, StreamCounters]:
-        """Time instruction records in stream order.
+    def _block_pricer(self, addends: List[float], categories: bytearray,
+                      runs: List[Tuple[int, str]]
+                      ) -> Callable[[tuple], BlockTally]:
+        """A function that prices one block of records and returns its
+        :data:`BlockTally`.
 
-        Each cost is added to the total, its kernel's bucket and its
-        category's bucket in stream order, so the float sums do not depend
-        on whether the records came from a lowering or a stream.
+        It appends each instruction's cost addends to ``addends`` in stream
+        order, each addend's category (an index into
+        :attr:`CycleCategory.ALL`) to ``categories``, and
+        ``(len(addends), kernel)`` to ``runs`` at the block's first charged
+        instruction and wherever the kernel changes.  An instruction that
+        charges nothing adds no addend, and its kernel no run.  Memos of
+        per-size costs live in the returned closure, so they last one
+        :meth:`price` call.
         """
 
     @property

@@ -4,13 +4,14 @@ The trace path (``CodegenFlow.compile``) builds the full backend instruction
 stream — thousands of frozen dataclass instances per program — and times it
 with the design point's backend.  :func:`model_report` prices the same
 ``(program, design point, level)`` tuple without building the stream: it
-takes the lowering's records from :func:`repro.codegen.flow.lowering` and
-feeds them straight into the backend's pricing loop
-(:meth:`~repro.arch.backend.Backend.price`), the loop ``Backend.run`` uses
-on a materialized stream.  Both fidelities therefore share every lowering
-decision and every cost expression, and the model equals the trace by
-construction.  ``tests/arch/test_cycle_model.py`` checks the equality on
-the whole catalog at every optimization level and
+takes the lowering's blocks (one tuple of records per op) from
+:func:`repro.codegen.flow.lowering` and feeds them straight into the
+backend's pricing function (:meth:`~repro.arch.backend.Backend.price`),
+which ``Backend.run`` calls on a materialized stream as one block.  Both
+fidelities therefore share every lowering decision and every cost
+expression, and every sum is a left fold in stream order, so the model
+equals the trace by construction.  ``tests/arch/test_cycle_model.py``
+checks the equality on the whole catalog at every optimization level and
 ``tests/arch/test_cycle_model_props.py`` on random off-catalog design points
 and programs.  The fleet engine exposes the model as the
 ``fidelity="model"`` campaign axis (`repro.fleet.design_point`), with
@@ -48,7 +49,7 @@ def stream_counters(stream: InstructionStream) -> StreamCounters:
     """Count fences, DRAM staging transfers, and RoCC commands in a stream.
 
     The trace fidelity's count, made on the objects and independent of the
-    pricing loop that counts the same events for the model fidelity.
+    pricing function that counts the same events for the model fidelity.
     """
     counters = StreamCounters(instructions=len(stream))
     for instruction in stream:
@@ -76,9 +77,9 @@ def model_report(program: MatlibProgram, design_point: Union[str, DesignPoint],
     """
     point = (design_point if isinstance(design_point, DesignPoint)
              else get_design_point(design_point))
-    _, _, records = lowering(program, point, level, lmul=lmul,
-                             sync_granularity=sync_granularity)
-    report, counters = point.backend().price(records)
+    _, _, blocks = lowering(program, point, level, lmul=lmul,
+                            sync_granularity=sync_granularity)
+    report, counters = point.backend().price(blocks)
     if with_counters:
         return report, counters
     return report

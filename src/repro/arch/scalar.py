@@ -1,8 +1,10 @@
 """Scalar RISC-V core timing models (Rocket, Shuttle, BOOM variants).
 
-The model costs :class:`~repro.arch.isa.ScalarWork` blocks in one pricing
-loop (:meth:`ScalarCoreModel.price`).  A block's cycles come from four
-sources the paper's characterization distinguishes:
+The model costs :class:`~repro.arch.isa.ScalarWork` blocks
+(:meth:`ScalarCoreModel._block_pricer`, which :meth:`Backend.price
+<repro.arch.backend.Backend.price>` calls once per distinct block).  A
+block's cycles come from four sources the paper's characterization
+distinguishes:
 
 * **compute** — floating-point work, limited by the number of FP units, the
   issue width, and (critically for the serial GEMV chains of TinyMPC) the
@@ -21,11 +23,10 @@ Shuttle, and the BOOM family in Section 5.1.1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Optional
+from dataclasses import dataclass, replace
+from typing import Optional
 
-from .backend import (Backend, CycleCategory, CycleReport, StreamCounters,
-                      category_sums)
+from .backend import Backend, CycleCategory
 from .isa import ScalarWork
 from .memory import MemoryModel
 
@@ -78,7 +79,7 @@ class ScalarCoreModel(Backend):
     def peak_flops_per_cycle(self) -> float:
         return self.config.peak_flops_per_cycle
 
-    def price(self, records):
+    def _block_pricer(self, addends, categories, runs):
         config = self.config
         l1_access_cycles = self.memory.l1_access_cycles
         mem_ports = max(config.mem_ports, 1)
@@ -89,68 +90,55 @@ class ScalarCoreModel(Backend):
         # OoO cores overlap a large fraction of memory latency with compute.
         overlap = 0.5 if config.out_of_order else 0.2
         per_iteration = 2.0 / max(config.fetch_width, 1) + 0.25 * config.branch_penalty
+        # Category codes: indices into CycleCategory.ALL.
+        COMPUTE, MEMORY, ISSUE, _, OVERHEAD = range(len(CycleCategory.ALL))
 
-        total = kernel_sum = compute = memory = overhead = issue = 0.0
-        computed = moved = called = looped = False
-        by_kernel: Dict[str, float] = {}
-        current = None
-        count = flops = 0
-        for kernel, work_flops, memory_bytes, op_calls, loop_iterations, \
-                dependent_chain in records:
-            count += 1
-            flops += work_flops
-            if (work_flops <= 0 and memory_bytes <= 0 and op_calls <= 0
-                    and loop_iterations <= 0):
-                continue   # charges nothing: its kernel gets no entry
-            if kernel != current:
-                if current is not None:
-                    by_kernel[current] = kernel_sum
-                current = kernel
-                kernel_sum = by_kernel.get(kernel, 0.0)
+        add, charge, start_run = addends.append, categories.append, runs.append
 
-            # Compute: ideal throughput limited by exposed parallelism.
-            if work_flops > 0:
-                chain = max(dependent_chain, 1)
-                # How many independent FLOPs are available at a time.
-                available_parallelism = max(work_flops / chain, 1.0)
-                usable_units = min(config.fp_units, available_parallelism)
-                throughput = usable_units * 2.0 * config.scheduling_efficiency
-                cycles = work_flops / max(throughput, 1e-9)
-                cycles += latency_exposure * config.fp_latency * (chain - 1) / 2.0
-                total += cycles; kernel_sum += cycles; compute += cycles
-                computed = True
+        def price_block(records):
+            current = None
+            count = flops = 0
+            for kernel, work_flops, memory_bytes, op_calls, loop_iterations, \
+                    dependent_chain in records:
+                count += 1
+                flops += work_flops
+                if (work_flops <= 0 and memory_bytes <= 0 and op_calls <= 0
+                        and loop_iterations <= 0):
+                    continue   # charges nothing: its kernel gets no entry
+                if kernel != current:
+                    start_run((len(addends), kernel))
+                    current = kernel
 
-            # Memory: streaming through the L1, overlapped on cores with more ports.
-            if memory_bytes > 0:
-                cycles = l1_access_cycles(memory_bytes)
-                cycles /= mem_ports
-                cycles = cycles * (1.0 - overlap)
-                total += cycles; kernel_sum += cycles; memory += cycles
-                moved = True
+                # Compute: ideal throughput limited by exposed parallelism.
+                if work_flops > 0:
+                    chain = max(dependent_chain, 1)
+                    # How many independent FLOPs are available at a time.
+                    available_parallelism = max(work_flops / chain, 1.0)
+                    usable_units = min(config.fp_units, available_parallelism)
+                    throughput = usable_units * 2.0 * config.scheduling_efficiency
+                    cycles = work_flops / max(throughput, 1e-9)
+                    cycles += latency_exposure * config.fp_latency * (chain - 1) / 2.0
+                    add(cycles); charge(COMPUTE)
 
-            # Library-call overhead.
-            if op_calls > 0:
-                cycles = op_calls * config.call_overhead / decode
-                total += cycles; kernel_sum += cycles; overhead += cycles
-                called = True
+                # Memory: streaming through the L1, overlapped on cores with
+                # more ports.
+                if memory_bytes > 0:
+                    cycles = l1_access_cycles(memory_bytes)
+                    cycles /= mem_ports
+                    cycles = cycles * (1.0 - overlap)
+                    add(cycles); charge(MEMORY)
 
-            # Loop/branch bookkeeping.
-            if loop_iterations > 0:
-                cycles = loop_iterations * per_iteration
-                total += cycles; kernel_sum += cycles; issue += cycles
-                looped = True
+                # Library-call overhead.
+                if op_calls > 0:
+                    add(op_calls * config.call_overhead / decode)
+                    charge(OVERHEAD)
 
-        if current is not None:
-            by_kernel[current] = kernel_sum
-        report = CycleReport(
-            backend=self.name, total_cycles=total, cycles_by_kernel=by_kernel,
-            cycles_by_category=category_sums(
-                (CycleCategory.COMPUTE, compute, computed),
-                (CycleCategory.MEMORY, memory, moved),
-                (CycleCategory.ISSUE, issue, looped),
-                (CycleCategory.OVERHEAD, overhead, called)),
-            instruction_count=count, flops=flops)
-        return report, StreamCounters(instructions=count)
+                # Loop/branch bookkeeping.
+                if loop_iterations > 0:
+                    add(loop_iterations * per_iteration); charge(ISSUE)
+            return count, flops, 0, 0, 0
+
+        return price_block
 
 
 # ---------------------------------------------------------------------------

@@ -19,18 +19,18 @@ study manipulates (Section 4.2):
 * **activation/pooling engines** — ReLU implements abs/clip, max-pooling on
   mvout shrinks the reduction the host must finish (Section 4.2.6).
 
-All of it is priced in one loop over instruction records,
-:meth:`GemminiModel.price`.
+All of it is priced per block of instruction records by
+:meth:`GemminiModel._block_pricer`, which :meth:`Backend.price
+<repro.arch.backend.Backend.price>` calls once per distinct block.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, Optional
+from typing import Optional
 
-from .backend import (Backend, CycleCategory, CycleReport, StreamCounters,
-                      category_sums)
+from .backend import Backend, CycleCategory
 from .isa import GemminiInstruction, GemminiOpcode
 from .memory import MemoryModel
 from .scalar import ROCKET, ScalarCoreConfig
@@ -94,112 +94,98 @@ class GemminiModel(Backend):
     def peak_flops_per_cycle(self) -> float:
         return self.config.peak_flops_per_cycle
 
-    def price(self, records):
+    def _block_pricer(self, addends, categories, runs):
         config = self.config
         dram_access_cycles = self.memory.dram_access_cycles
         scratchpad_access_cycles = self.memory.scratchpad_access_cycles
         CONFIG, MVIN, MVOUT = GemminiOpcode.CONFIG, GemminiOpcode.MVIN, GemminiOpcode.MVOUT
         PRELOAD, COMPUTE = GemminiOpcode.PRELOAD, GemminiOpcode.COMPUTE
         FENCE, CPU_OP = GemminiOpcode.FENCE, GemminiOpcode.CPU_OP
+        # Category codes: indices into CycleCategory.ALL.
+        ON_COMPUTE, ON_MEMORY, ON_ISSUE, ON_STALL, ON_OVERHEAD = range(
+            len(CycleCategory.ALL))
         decode = max(config.host.decode_width, 1)
         # Host cycles to construct and issue one RoCC command: static mapping
         # (compile-time addresses) shrinks the argument construction.
         issue_static = config.rocc_static_cycles / decode + config.rocc_issue_cycles
         issue_dynamic = config.rocc_construction_cycles / decode + config.rocc_issue_cycles
 
-        total = kernel_sum = compute = memory = issued = stall = overhead = 0.0
-        computed = moved = fenced = offloaded = False
-        by_kernel: Dict[str, float] = {}
-        current = None
-        count = flops = rocc = fences = dram_transfers = 0
-        for (kernel, opcode, rows, cols, inner, dram, cisc, statically_mapped,
-             uses_activation, pool_factor, cpu_flops) in records:
-            count += 1
-            if kernel != current:
-                if current is not None:
-                    by_kernel[current] = kernel_sum
-                current = kernel
-                kernel_sum = by_kernel.get(kernel, 0.0)
+        add, charge, start_run = addends.append, categories.append, runs.append
 
-            if opcode is CPU_OP:
-                cycles = cpu_flops * config.host_cycles_per_flop
-                cycles /= decode
-                total += cycles; kernel_sum += cycles; overhead += cycles
-                offloaded = True
-                flops += cpu_flops
-                continue
+        def price_block(records):
+            current = None
+            count = flops = rocc = fences = dram_transfers = 0
+            for (kernel, opcode, rows, cols, inner, dram, cisc,
+                 statically_mapped, uses_activation, pool_factor,
+                 cpu_flops) in records:
+                count += 1
+                if kernel != current:
+                    start_run((len(addends), kernel))
+                    current = kernel
 
-            rocc += 1
-            if opcode is FENCE:
-                cycles = config.fence_stall_cycles
-                total += cycles; kernel_sum += cycles; stall += cycles
-                fenced = True
-                fences += 1
-                continue
+                if opcode is CPU_OP:
+                    cycles = cpu_flops * config.host_cycles_per_flop
+                    cycles /= decode
+                    add(cycles); charge(ON_OVERHEAD)
+                    flops += cpu_flops
+                    continue
 
-            # Every RoCC command pays the host construction/issue cost.
-            cycles = issue_static if statically_mapped else issue_dynamic
-            if cisc:
-                cycles += config.cisc_expansion_cycles
-            total += cycles; kernel_sum += cycles; issued += cycles
+                rocc += 1
+                if opcode is FENCE:
+                    add(config.fence_stall_cycles); charge(ON_STALL)
+                    fences += 1
+                    continue
 
-            if opcode is CONFIG:
-                # Configuration is pure host-side work already charged above.
-                continue
+                # Every RoCC command pays the host construction/issue cost.
+                cycles = issue_static if statically_mapped else issue_dynamic
+                if cisc:
+                    cycles += config.cisc_expansion_cycles
+                add(cycles); charge(ON_ISSUE)
 
-            if opcode is MVIN or opcode is MVOUT:
-                num_bytes = rows * max(cols, 1) * 4
-                if dram:
-                    cycles = dram_access_cycles(num_bytes)
-                    dram_transfers += 1
+                if opcode is CONFIG:
+                    # Configuration is pure host-side work already charged
+                    # above.
+                    continue
+
+                if opcode is MVIN or opcode is MVOUT:
+                    num_bytes = rows * max(cols, 1) * 4
+                    if dram:
+                        cycles = dram_access_cycles(num_bytes)
+                        dram_transfers += 1
+                    else:
+                        cycles = scratchpad_access_cycles(num_bytes)
+                        # Vectors stored down a single scratchpad column load
+                        # one element per cycle (Section 4.2.4).
+                        if cols == 1:
+                            cycles = max(cycles, float(rows))
+                    if pool_factor > 1:
+                        cycles += 1.0   # pooling adds a pipeline stage on the way out
+                    add(cycles); charge(ON_MEMORY)
+                elif opcode is PRELOAD:
+                    add(float(config.mesh_rows)); charge(ON_MEMORY)
+                elif opcode is COMPUTE:
+                    flops += 2 * rows * cols * max(inner, 1)
+                    rows = max(rows, 1)
+                    cols = max(cols, 1)
+                    inner = max(inner, 1)
+                    # The mesh processes a (mesh_rows x mesh_cols) tile per
+                    # pass; the pass takes `inner` beats plus pipeline
+                    # fill/drain.
+                    row_tiles = math.ceil(rows / config.mesh_rows)
+                    col_tiles = math.ceil(cols / config.mesh_cols)
+                    per_tile = inner + config.mesh_pipeline_latency
+                    if config.dataflow == "WS":
+                        # Weight-stationary designs re-load weights per tile
+                        # and drain partial sums through the accumulator.
+                        per_tile += config.mesh_rows + 2.0
+                    cycles = row_tiles * col_tiles * per_tile
+                    if uses_activation and not config.has_activation_engine:
+                        # Without the engine the activation falls back to the
+                        # host.
+                        cycles += rows * cols * config.host_cycles_per_flop
+                    add(cycles); charge(ON_COMPUTE)
                 else:
-                    cycles = scratchpad_access_cycles(num_bytes)
-                    # Vectors stored down a single scratchpad column load one
-                    # element per cycle (Section 4.2.4).
-                    if cols == 1:
-                        cycles = max(cycles, float(rows))
-                if pool_factor > 1:
-                    cycles += 1.0   # pooling adds a pipeline stage on the way out
-                total += cycles; kernel_sum += cycles; memory += cycles
-                moved = True
-            elif opcode is PRELOAD:
-                cycles = float(config.mesh_rows)
-                total += cycles; kernel_sum += cycles; memory += cycles
-                moved = True
-            elif opcode is COMPUTE:
-                flops += 2 * rows * cols * max(inner, 1)
-                rows = max(rows, 1)
-                cols = max(cols, 1)
-                inner = max(inner, 1)
-                # The mesh processes a (mesh_rows x mesh_cols) tile per pass;
-                # the pass takes `inner` beats plus pipeline fill/drain.
-                row_tiles = math.ceil(rows / config.mesh_rows)
-                col_tiles = math.ceil(cols / config.mesh_cols)
-                per_tile = inner + config.mesh_pipeline_latency
-                if config.dataflow == "WS":
-                    # Weight-stationary designs re-load weights per tile and
-                    # drain partial sums through the accumulator.
-                    per_tile += config.mesh_rows + 2.0
-                cycles = row_tiles * col_tiles * per_tile
-                if uses_activation and not config.has_activation_engine:
-                    # Without the engine the activation falls back to the host.
-                    cycles += rows * cols * config.host_cycles_per_flop
-                total += cycles; kernel_sum += cycles; compute += cycles
-                computed = True
-            else:
-                raise ValueError("unhandled Gemmini opcode: {}".format(opcode))
+                    raise ValueError("unhandled Gemmini opcode: {}".format(opcode))
+            return count, flops, fences, dram_transfers, rocc
 
-        if current is not None:
-            by_kernel[current] = kernel_sum
-        report = CycleReport(
-            backend=self.name, total_cycles=total, cycles_by_kernel=by_kernel,
-            cycles_by_category=category_sums(
-                (CycleCategory.COMPUTE, compute, computed),
-                (CycleCategory.MEMORY, memory, moved),
-                (CycleCategory.ISSUE, issued, rocc > fences),
-                (CycleCategory.STALL, stall, fenced),
-                (CycleCategory.OVERHEAD, overhead, offloaded)),
-            instruction_count=count, flops=flops)
-        return report, StreamCounters(
-            instructions=count, fences=fences, dram_transfers=dram_transfers,
-            rocc_instructions=rocc)
+        return price_block

@@ -19,8 +19,9 @@ characterization identifies as first-order for control workloads:
   pipeline latency because back-to-back dependent instructions cannot
   chain.
 
-All of it is priced in one loop over instruction records,
-:meth:`SaturnModel.price`.
+All of it is priced per block of instruction records by
+:meth:`SaturnModel._block_pricer`, which :meth:`Backend.price
+<repro.arch.backend.Backend.price>` calls once per distinct block.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
-from .backend import (Backend, CycleCategory, CycleReport, StreamCounters,
-                      category_sums)
+from .backend import Backend, CycleCategory
 from .isa import VectorInstruction, VectorOpcode
 from .memory import MemoryModel
 from .scalar import ROCKET, SHUTTLE, ScalarCoreConfig
@@ -82,94 +82,83 @@ class SaturnModel(Backend):
     def peak_flops_per_cycle(self) -> float:
         return self.config.peak_flops_per_cycle
 
-    def price(self, records):
+    def _block_pricer(self, addends, categories, runs):
         config = self.config
         VARITH, VMACC = VectorOpcode.VARITH, VectorOpcode.VMACC
         VLOAD, VSTORE = VectorOpcode.VLOAD, VectorOpcode.VSTORE
         SCALAR, VSETVL = VectorOpcode.SCALAR, VectorOpcode.VSETVL
         VREDUCE = VectorOpcode.VREDUCE
+        # Category codes: indices into CycleCategory.ALL.
+        COMPUTE, MEMORY, ISSUE, STALL, _ = range(len(CycleCategory.ALL))
         # A dual-issue Shuttle frontend issues a vector instruction and one
         # scalar companion in the same cycle; a single-issue Rocket
         # serializes them.
         decode = max(config.frontend.decode_width, 1)
         issue = 1.0 / decode
         lanes = max(config.lanes_fp32, 1)
+        vsetvl = config.vsetvl_cycles
         # Costs that depend only on the operand size (and LMUL), computed
         # once per size.
         arith_costs: Dict[int, Dict[int, Tuple[int, float]]] = {}
-        arith_lmul = arith_cost = None
         memory_costs: Dict[int, float] = {}
 
-        total = kernel_sum = compute = memory = issued = stall = 0.0
-        computed = moved = stalled = False
-        by_kernel: Dict[str, float] = {}
-        current = None
-        count = flops = 0
-        for kernel, opcode, elements, element_bytes, lmul, sequential in records:
-            count += 1
-            if kernel != current:
-                if current is not None:
-                    by_kernel[current] = kernel_sum
-                current = kernel
-                kernel_sum = by_kernel.get(kernel, 0.0)
+        add, charge, start_run = addends.append, categories.append, runs.append
 
-            if opcode is VLOAD or opcode is VSTORE:
-                total += issue; kernel_sum += issue; issued += issue
-                num_bytes = elements * element_bytes
-                try:
-                    cycles = memory_costs[num_bytes]
-                except KeyError:
-                    cycles = memory_costs[num_bytes] = self._memory_cost(num_bytes)
-                total += cycles; kernel_sum += cycles; memory += cycles
-                moved = True
-            elif opcode is VMACC or opcode is VARITH:
-                total += issue; kernel_sum += issue; issued += issue
-                if lmul != arith_lmul:
-                    arith_lmul = lmul
-                    arith_cost = arith_costs.setdefault(lmul, {})
-                num_bytes = elements * element_bytes
-                try:
-                    occupancy, exposed = arith_cost[num_bytes]
-                except KeyError:
-                    occupancy, exposed = arith_cost[num_bytes] = self._arith_cost(
-                        num_bytes, lmul)
-                total += occupancy; kernel_sum += occupancy; compute += occupancy
-                computed = True
-                if sequential:
-                    # Back-to-back dependent vector instructions cannot chain;
-                    # the consumer waits for the producer to clear the pipeline.
-                    total += exposed; kernel_sum += exposed; stall += exposed
-                    stalled = True
-                flops += 2 * elements if opcode is VMACC else elements
-            elif opcode is SCALAR:
-                # Scalar bookkeeping executed on the frontend (address
-                # generation, scalar operands for vfmacc.vf, loop control).
-                cycles = elements / decode
-                total += cycles; kernel_sum += cycles; issued += cycles
-            elif opcode is VSETVL:
-                cycles = config.vsetvl_cycles
-                total += cycles; kernel_sum += cycles; issued += cycles
-            elif opcode is VREDUCE:
-                total += issue; kernel_sum += issue; issued += issue
-                tree_steps = math.ceil(math.log2(max(elements, 2)))
-                cycles = math.ceil(elements / lanes) + tree_steps
-                total += cycles; kernel_sum += cycles; compute += cycles
-                computed = True
-                flops += elements
-            else:
-                raise ValueError("unhandled vector opcode: {}".format(opcode))
+        def price_block(records):
+            current = arith_lmul = arith_cost = None
+            count = flops = 0
+            for kernel, opcode, elements, element_bytes, lmul, sequential \
+                    in records:
+                count += 1
+                if kernel != current:
+                    start_run((len(addends), kernel))
+                    current = kernel
 
-        if current is not None:
-            by_kernel[current] = kernel_sum
-        report = CycleReport(
-            backend=self.name, total_cycles=total, cycles_by_kernel=by_kernel,
-            cycles_by_category=category_sums(
-                (CycleCategory.COMPUTE, compute, computed),
-                (CycleCategory.MEMORY, memory, moved),
-                (CycleCategory.ISSUE, issued, count > 0),
-                (CycleCategory.STALL, stall, stalled)),
-            instruction_count=count, flops=flops)
-        return report, StreamCounters(instructions=count)
+                if opcode is VLOAD or opcode is VSTORE:
+                    add(issue); charge(ISSUE)
+                    num_bytes = elements * element_bytes
+                    try:
+                        cycles = memory_costs[num_bytes]
+                    except KeyError:
+                        cycles = memory_costs[num_bytes] = self._memory_cost(
+                            num_bytes)
+                    add(cycles); charge(MEMORY)
+                elif opcode is VMACC or opcode is VARITH:
+                    add(issue); charge(ISSUE)
+                    if lmul != arith_lmul:
+                        arith_lmul = lmul
+                        arith_cost = arith_costs.setdefault(lmul, {})
+                    num_bytes = elements * element_bytes
+                    try:
+                        occupancy, exposed = arith_cost[num_bytes]
+                    except KeyError:
+                        occupancy, exposed = arith_cost[num_bytes] = \
+                            self._arith_cost(num_bytes, lmul)
+                    add(occupancy); charge(COMPUTE)
+                    if sequential:
+                        # Back-to-back dependent vector instructions cannot
+                        # chain; the consumer waits for the producer to
+                        # clear the pipeline.
+                        add(exposed); charge(STALL)
+                    flops += 2 * elements if opcode is VMACC else elements
+                elif opcode is SCALAR:
+                    # Scalar bookkeeping executed on the frontend (address
+                    # generation, scalar operands for vfmacc.vf, loop
+                    # control).
+                    add(elements / decode); charge(ISSUE)
+                elif opcode is VSETVL:
+                    add(vsetvl); charge(ISSUE)
+                elif opcode is VREDUCE:
+                    add(issue); charge(ISSUE)
+                    tree_steps = math.ceil(math.log2(max(elements, 2)))
+                    add(math.ceil(elements / lanes) + tree_steps)
+                    charge(COMPUTE)
+                    flops += elements
+                else:
+                    raise ValueError("unhandled vector opcode: {}".format(opcode))
+            return count, flops, 0, 0, 0
+
+        return price_block
 
     def _memory_cost(self, num_bytes: int) -> float:
         """Memory cycles of a VLOAD/VSTORE."""

@@ -25,6 +25,7 @@ from __future__ import annotations
 import gc
 import json
 import os
+import statistics
 import sys
 import time
 import tracemalloc
@@ -52,6 +53,7 @@ __all__ = [
     "write_bench_report",
     "load_bench_report",
     "time_best",
+    "time_interleaved",
     "naive_iteration",
     "measure_iteration_allocations",
     "measure_kernel_pair",
@@ -74,7 +76,7 @@ COMPILED_BATCH64_FLOOR = 2.0
 
 # The model-fidelity DSE campaign must sweep the design grid at least this
 # much faster than the serial compile loop.  Both sides run the same
-# lowering and the same pricing loop; the model skips building the
+# lowering and the same pricing function; the model skips building the
 # instruction objects, so the ratio is what materializing the stream
 # costs, net of the fleet's per-episode bookkeeping.  Measured on a 2-vCPU
 # host (12 runs): median 3.73x on the 114-spec grid (vector ~4.2x,
@@ -292,6 +294,36 @@ def _seeded_workspace(problem, batch: Optional[int]):
     return ws
 
 
+def time_interleaved(fast: Callable[[], object], naive: Callable[[], object],
+                     rounds: int = 9, inner: int = 60, warmup: int = 2
+                     ) -> Tuple[float, float]:
+    """Best-of-``rounds`` mean seconds per call of each side → ``(fast_s,
+    naive_s)``, timing the two sides in *interleaved* rounds (fast, naive,
+    fast, naive, ...).
+
+    On a loaded single-core runner, background load drifts on the scale of
+    a whole measurement, so timing one side after the other (two
+    :func:`time_best` calls) biases whichever ran during the busier window:
+    timed that way on a 2-vCPU host, the scalar full iteration read 2.44x
+    and then 1.42x with no kernel change.  Interleaving exposes both sides to the
+    same load profile and best-of keeps the quietest round of each.
+    """
+    for _ in range(warmup):     # lazy scratch, ufunc loops, on both sides
+        fast()
+        naive()
+    fast_s = naive_s = float("inf")
+    for _ in range(rounds):
+        start = time.perf_counter()
+        for _ in range(inner):
+            fast()
+        fast_s = min(fast_s, (time.perf_counter() - start) / inner)
+        start = time.perf_counter()
+        for _ in range(inner):
+            naive()
+        naive_s = min(naive_s, (time.perf_counter() - start) / inner)
+    return fast_s, naive_s
+
+
 def measure_kernel_pair(name: str, layout: str, rounds: int = 9,
                         inner: int = 60, problem=None,
                         cache: Optional[LQRCache] = None
@@ -299,13 +331,8 @@ def measure_kernel_pair(name: str, layout: str, rounds: int = 9,
     """Time one fast/naive kernel pair on one layout → ``(fast_us, naive_us)``.
 
     This is the single-pair re-measurement the parity threshold tests use to
-    confirm an apparent <1.0x pair before failing.  Unlike the full-table
-    sweep, the two sides are timed in *interleaved* rounds (fast, naive,
-    fast, naive, ...): on a loaded single-core runner, background load
-    drifts on the scale of a whole measurement, so timing one side after
-    the other biases whichever ran during the busier window.  Interleaving
-    exposes both sides to the same load profile and best-of keeps the
-    quietest round of each.
+    confirm an apparent <1.0x pair before failing; like the full-table
+    sweep it times the two sides with :func:`time_interleaved`.
     """
     if problem is None:
         problem = default_quadrotor_problem()
@@ -315,19 +342,9 @@ def measure_kernel_pair(name: str, layout: str, rounds: int = 9,
     batch = _LAYOUT_BATCH[layout]
     ws_fast = _seeded_workspace(problem, batch)
     ws_naive = _seeded_workspace(problem, batch)
-    for _ in range(2):      # warmup both sides (lazy scratch, ufunc loops)
-        fast_fn(ws_fast, cache)
-        naive_fn(ws_naive, cache)
-    fast_s = naive_s = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        for _ in range(inner):
-            fast_fn(ws_fast, cache)
-        fast_s = min(fast_s, (time.perf_counter() - start) / inner)
-        start = time.perf_counter()
-        for _ in range(inner):
-            naive_fn(ws_naive, cache)
-        naive_s = min(naive_s, (time.perf_counter() - start) / inner)
+    fast_s, naive_s = time_interleaved(lambda: fast_fn(ws_fast, cache),
+                                       lambda: naive_fn(ws_naive, cache),
+                                       rounds, inner)
     return 1e6 * fast_s, 1e6 * naive_s
 
 
@@ -431,25 +448,19 @@ def run_kernel_hotpath_bench(smoke: bool = False, campaign: bool = True
         for layout, batch, inner in layouts:
             ws_fast = _seeded_workspace(problem, batch)
             ws_naive = _seeded_workspace(problem, batch)
-            for name, fast_fn, naive_fn in _KERNEL_PAIRS:
-                fast_us = 1e6 * time_best(lambda: fast_fn(ws_fast, cache),
-                                          rounds, inner)
-                naive_us = 1e6 * time_best(lambda: naive_fn(ws_naive, cache),
-                                           rounds, inner)
+            for name, (fast_fn, naive_fn) in _KERNEL_PAIRS_BY_NAME.items():
+                fast_s, naive_s = time_interleaved(
+                    lambda: fast_fn(ws_fast, cache),
+                    lambda: naive_fn(ws_naive, cache), rounds, inner)
+                fast_us, naive_us = 1e6 * fast_s, 1e6 * naive_s
                 rows.append({"kernel": name, "layout": layout,
                              "fast_us": fast_us, "naive_us": naive_us,
                              "speedup": naive_us / fast_us})
-            fast_us = 1e6 * time_best(lambda: admm_iteration(ws_fast, cache),
-                                      rounds, inner)
-            naive_us = 1e6 * time_best(
-                lambda: naive_iteration(ws_naive, cache), rounds, inner)
-            rows.append({"kernel": "full_iteration", "layout": layout,
-                         "fast_us": fast_us, "naive_us": naive_us,
-                         "speedup": naive_us / fast_us})
-            metrics["{}_iteration_us_fast".format(layout)] = fast_us
-            metrics["{}_iteration_us_naive".format(layout)] = naive_us
-            metrics["{}_iteration_speedup".format(layout)] = \
-                naive_us / fast_us
+            # The table ends with the whole iteration (full_iteration).
+            full = rows[-1]
+            metrics["{}_iteration_us_fast".format(layout)] = full["fast_us"]
+            metrics["{}_iteration_us_naive".format(layout)] = full["naive_us"]
+            metrics["{}_iteration_speedup".format(layout)] = full["speedup"]
             metrics["{}_fused_kr".format(layout)] = \
                 bool(ws_fast.scratch.kr_ok)
 
@@ -503,6 +514,12 @@ def dse_grid(smoke: bool = False) -> List:
     return specs
 
 
+def _median_iqr(samples: List[float]) -> Tuple[float, float]:
+    """Median and interquartile range of two or more timing samples."""
+    first, median, third = statistics.quantiles(samples, n=4)
+    return median, third - first
+
+
 def run_dse_bench(smoke: bool = False) -> Tuple[Dict[str, object],
                                                 List[Dict[str, object]]]:
     """Time the model-fidelity DSE campaign against the serial compile loop.
@@ -514,6 +531,11 @@ def run_dse_bench(smoke: bool = False) -> Tuple[Dict[str, object],
     used before the fleet path existed; the fast side is the same grid as
     ``design_point`` episodes at ``fidelity="model"``.  Design-point
     evaluations keep no results, so every timed round pays full cost.
+
+    The two sides are timed in interleaved rounds that alternate which side
+    goes first (see :func:`time_interleaved` for why); each row records the
+    median and interquartile range of each side's rounds, and the speedups
+    are ratios of medians.
     """
     from .arch import get_design_point
     from .codegen import CodegenFlow
@@ -522,7 +544,7 @@ def run_dse_bench(smoke: bool = False) -> Tuple[Dict[str, object],
 
     program = default_program()
     specs = dse_grid(smoke=smoke)
-    rounds = 2 if smoke else 3
+    rounds = 3 if smoke else 7
     rows: List[Dict[str, object]] = []
     total_serial = total_model = 0.0
 
@@ -535,31 +557,44 @@ def run_dse_bench(smoke: bool = False) -> Tuple[Dict[str, object],
             sync_granularity=spec.sync_granularity,
             solve_iterations=spec.solve_iterations) for spec in group]
 
-        # Warm both sides (lazy program build, lowering tables, model memos
-        # that a real campaign would also hit cold exactly once).
-        CodegenFlow(lmul=group[0].lmul).compile(
-            program, group[0].design_point, group[0].resolved_level(),
-            sync_granularity=group[0].sync_granularity)
-        compile_via_fleet(model_specs[:1])
+        def serial() -> float:
+            start = time.perf_counter()
+            for spec in group:
+                CodegenFlow(lmul=spec.lmul).compile(
+                    program, spec.design_point, spec.resolved_level(),
+                    sync_granularity=spec.sync_granularity)
+            return time.perf_counter() - start
 
-        start = time.perf_counter()
-        for spec in group:
-            CodegenFlow(lmul=spec.lmul).compile(
-                program, spec.design_point, spec.resolved_level(),
-                sync_granularity=spec.sync_granularity)
-        serial_s = time.perf_counter() - start
-
-        model_s = float("inf")
-        for _ in range(rounds):
+        def model() -> float:
             start = time.perf_counter()
             compile_via_fleet(model_specs)
-            model_s = min(model_s, time.perf_counter() - start)
+            return time.perf_counter() - start
 
-        total_serial += serial_s
-        total_model += model_s
+        # Warm both sides (lazy program build, per-program plans) the way a
+        # real campaign hits them cold exactly once.
+        serial()
+        model()
+        serial_s: List[float] = []
+        model_s: List[float] = []
+        for round_index in range(rounds):
+            if round_index % 2:
+                model_s.append(model())
+                serial_s.append(serial())
+            else:
+                serial_s.append(serial())
+                model_s.append(model())
+
+        serial_median, serial_iqr = _median_iqr(serial_s)
+        model_median, model_iqr = _median_iqr(model_s)
+        total_serial += serial_median
+        total_model += model_median
         rows.append({"category": category, "specs": len(group),
-                     "serial_compile_s": serial_s, "model_fleet_s": model_s,
-                     "speedup": serial_s / model_s})
+                     "rounds": rounds,
+                     "serial_compile_s": serial_median,
+                     "serial_compile_iqr_s": serial_iqr,
+                     "model_fleet_s": model_median,
+                     "model_fleet_iqr_s": model_iqr,
+                     "speedup": serial_median / model_median})
 
     metrics = {
         "grid_points": len(specs),

@@ -5,8 +5,8 @@ the lowering for the target design point's category, applies the requested
 optimization level (the named levels correspond to the paper's software
 variants), and runs the resulting instruction stream through the backend
 timing model.  :func:`lowering` is the one place that choice is made; the
-cycle model (:mod:`repro.arch.cycle_model`) prices the same records
-without materializing the stream.
+cycle model (:mod:`repro.arch.cycle_model`) prices the same blocks of
+records without materializing the stream.
 
 Optimization levels
 -------------------
@@ -23,16 +23,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import starmap
+from itertools import chain, starmap
 from typing import Dict, Iterator, Optional, Tuple, Union
 
 from ..arch.backend import Backend, CycleReport
 from ..arch.configs import DesignPoint, get_design_point
 from ..arch.isa import GemminiInstruction, InstructionStream, ScalarWork, VectorInstruction
 from ..matlib import MatlibProgram
-from .lower_gemmini import GemminiLoweringOptions, gemmini_records
-from .lower_scalar import ScalarLoweringOptions, scalar_records
-from .lower_vector import VectorLoweringOptions, vector_records
+from .lower_gemmini import GemminiLoweringOptions, gemmini_blocks, gemmini_plan
+from .lower_scalar import ScalarLoweringOptions, scalar_blocks
+from .lower_vector import VectorLoweringOptions, vector_blocks, vector_plan
 from .passes import fuse_elementwise, plan_scratchpad_residency
 
 __all__ = ["CompilationResult", "CodegenFlow", "OPTIMIZATION_LEVELS",
@@ -91,7 +91,8 @@ def lowering_options(point: DesignPoint, level: str, lmul: int = 1,
 
 # A design-space sweep lowers the same program at hundreds of (point, level)
 # pairs; these analyses depend only on the program, so they are cached on
-# the (hashable, immutable-by-convention) program object.
+# the (hashable, immutable-by-convention) program object.  A sweep visits
+# one program at a time, so a few entries suffice.
 
 @lru_cache(maxsize=8)
 def _fused_program(program: MatlibProgram) -> MatlibProgram:
@@ -99,14 +100,18 @@ def _fused_program(program: MatlibProgram) -> MatlibProgram:
 
 
 @lru_cache(maxsize=8)
-def _program_buffers(program: MatlibProgram):
-    return program.buffers()
+def _op_signatures(program: MatlibProgram) -> Tuple[int, ...]:
+    return program.op_signatures()
 
 
 @lru_cache(maxsize=8)
-def _program_consumers(program: MatlibProgram):
-    return tuple(tuple(program.consumers_of(index))
-                 for index in range(len(program.ops)))
+def _vector_plan(program: MatlibProgram, fusion: bool):
+    return vector_plan(program, fusion)
+
+
+@lru_cache(maxsize=8)
+def _gemmini_plan(program: MatlibProgram):
+    return gemmini_plan(program)
 
 
 @lru_cache(maxsize=32)
@@ -118,27 +123,30 @@ def _resident_buffers(program: MatlibProgram, scratchpad_kb: int):
 def lowering(program: MatlibProgram, point: DesignPoint, level: str,
              lmul: int = 1, sync_granularity: Optional[int] = None
              ) -> Tuple[MatlibProgram, object, Iterator[tuple]]:
-    """``(program to lower, options, records)`` for one compile.
+    """``(program to lower, options, blocks)`` for one compile.
 
-    The single place a (point, level) is turned into instructions: the
-    trace fidelity (:meth:`CodegenFlow.lower`) materializes the records,
-    the model fidelity (:func:`repro.arch.cycle_model.model_report`) prices
-    them as they are generated.
+    The single place a (point, level) is turned into instructions: one
+    block, a tuple of records, per op.  The trace fidelity
+    (:meth:`CodegenFlow.lower`) materializes the records, the model
+    fidelity (:func:`repro.arch.cycle_model.model_report`) prices the
+    blocks as they are generated.
     """
     options = lowering_options(point, level, lmul=lmul,
                                sync_granularity=sync_granularity)
     if point.category == "scalar":
-        return program, options, scalar_records(program, options)
+        return program, options, scalar_blocks(program, options,
+                                               _op_signatures(program))
     if point.category == "vector":
         if level == "fused":
             # fused: operator fusion at the program level plus
             # register-resident temporaries at the lowering level.
             program = _fused_program(program)
-        return program, options, vector_records(
-            program, options, _program_buffers(program),
-            _program_consumers(program))
-    return program, options, gemmini_records(
-        program, options, _resident_buffers(program, options.scratchpad_kb))
+        return program, options, vector_blocks(
+            _vector_plan(program, options.keep_temporaries_in_registers),
+            options)
+    return program, options, gemmini_blocks(
+        _gemmini_plan(program), options,
+        _resident_buffers(program, options.scratchpad_kb))
 
 
 # The instruction class and stream tag each category's records build.
@@ -180,12 +188,13 @@ class CodegenFlow:
               level: str, lmul: Optional[int] = None,
               sync_granularity: Optional[int] = None) -> InstructionStream:
         point = self._resolve(design_point)
-        program, _, records = lowering(
+        program, _, blocks = lowering(
             program, point, level, lmul=lmul if lmul is not None else self.lmul,
             sync_granularity=sync_granularity)
         instruction, backend = _STREAMS[point.category]
-        return InstructionStream(starmap(instruction, records),
-                                 backend=backend, name=program.name)
+        return InstructionStream(
+            starmap(instruction, chain.from_iterable(blocks)),
+            backend=backend, name=program.name)
 
     # -- compile + time --------------------------------------------------------------
     def compile(self, program: MatlibProgram, design_point: Union[str, DesignPoint],

@@ -8,20 +8,23 @@ Two software styles are modelled, matching the paper's scalar baselines:
   scalar baseline: fixed-size operators are inlined and unrolled, so the
   call overhead disappears and loop bookkeeping is amortized.
 
-:func:`scalar_records` is the lowering; it yields plain records that
-:func:`lower_scalar` materializes and the cycle model prices directly.
+:func:`scalar_blocks` is the lowering: it yields one block (a tuple of
+plain records) per op, which :func:`lower_scalar` materializes and the cycle
+model prices directly.  An op's record depends only on its signature
+(:meth:`~repro.matlib.MatlibProgram.op_signatures`) and the options, so ops
+that share a signature share one block object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import starmap
-from typing import Iterator
+from itertools import chain, starmap
+from typing import Dict, Iterator, Sequence
 
 from ..arch.isa import InstructionStream, ScalarWork
 from ..matlib import MatlibProgram, OpKind, OpRecord
 
-__all__ = ["ScalarLoweringOptions", "scalar_records", "lower_scalar"]
+__all__ = ["ScalarLoweringOptions", "scalar_blocks", "lower_scalar"]
 
 
 @dataclass(frozen=True)
@@ -66,32 +69,44 @@ def _loop_iterations(op: OpRecord, options: ScalarLoweringOptions) -> int:
     return max(iterations // options.unroll_factor, 1)
 
 
-def scalar_records(program: MatlibProgram,
-                   options: ScalarLoweringOptions = ScalarLoweringOptions()
-                   ) -> Iterator[tuple]:
-    """The scalar lowering: one ``ScalarWork`` record per operator."""
-    library = options.style == "library"
-    DATA_MOVEMENT = OpKind.DATA_MOVEMENT   # a local: Enum attribute access is slow
-    for op in program.ops:
-        if library:
-            op_calls = 1
-            memory_bytes = op.total_bytes
-        else:
-            # Eigen-style code inlines fixed-size operators: the call
-            # overhead disappears and compiler register allocation removes
-            # most temporary traffic (results feeding the next expression
-            # stay in registers).
-            op_calls = 0
-            memory_bytes = op.bytes_read // 2 + op.bytes_written // 2
-        if op.kind is DATA_MOVEMENT and op.flops == 0:
-            memory_bytes = op.total_bytes
-        yield (op.kernel or "<untagged>", op.flops, memory_bytes, op_calls,
-               _loop_iterations(op, options), _dependence_chain(op))
+def _scalar_record(op: OpRecord, options: ScalarLoweringOptions) -> tuple:
+    """The ``ScalarWork`` record of one operator."""
+    if options.style == "library":
+        op_calls = 1
+        memory_bytes = op.total_bytes
+    else:
+        # Eigen-style code inlines fixed-size operators: the call overhead
+        # disappears and compiler register allocation removes most
+        # temporary traffic (results feeding the next expression stay in
+        # registers).
+        op_calls = 0
+        memory_bytes = op.bytes_read // 2 + op.bytes_written // 2
+    if op.kind is OpKind.DATA_MOVEMENT and op.flops == 0:
+        memory_bytes = op.total_bytes
+    return (op.kernel or "<untagged>", op.flops, memory_bytes, op_calls,
+            _loop_iterations(op, options), _dependence_chain(op))
+
+
+def scalar_blocks(program: MatlibProgram, options: ScalarLoweringOptions,
+                  signatures: Sequence[int]) -> Iterator[tuple]:
+    """The scalar lowering: one block of one ``ScalarWork`` record per op.
+
+    ``signatures`` is ``program.op_signatures()``; callers pass it in so a
+    sweep can compute it once per program.  The blocks are memoized for
+    this lowering only.
+    """
+    blocks: Dict[int, tuple] = {}
+    for op, signature in zip(program.ops, signatures):
+        block = blocks.get(signature)
+        if block is None:
+            block = blocks[signature] = (_scalar_record(op, options),)
+        yield block
 
 
 def lower_scalar(program: MatlibProgram,
                  options: ScalarLoweringOptions = ScalarLoweringOptions()
                  ) -> InstructionStream:
     """Lower a matlib program to a stream of ScalarWork blocks."""
-    return InstructionStream(starmap(ScalarWork, scalar_records(program, options)),
+    blocks = scalar_blocks(program, options, program.op_signatures())
+    return InstructionStream(starmap(ScalarWork, chain.from_iterable(blocks)),
                              backend="scalar", name=program.name)

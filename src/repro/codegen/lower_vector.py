@@ -17,21 +17,26 @@ Register grouping (LMUL) is an orthogonal knob: it reduces the number of
 instructions for long elementwise vectors but occupies the datapath for the
 whole register group, which hurts the small iterative kernels (Figure 4).
 
-:func:`vector_records` is the lowering; it yields plain records that
-:func:`lower_vector` materializes and the cycle model prices directly.
+:func:`vector_blocks` is the lowering: it yields one block (a tuple of
+plain records) per op, which :func:`lower_vector` materializes and the
+cycle model prices directly.  An op's block is a pure function of its step
+in the program's :func:`vector_plan` (its signature plus the register-fusion
+decisions made for it), the options, and whether the preceding ``vsetvl``
+already set its vector length; ops that agree on all three share one block
+object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import starmap
-from typing import Dict, Iterator, Optional, Sequence, Set, Tuple
+from itertools import chain, starmap
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..arch.isa import InstructionStream, VectorInstruction, VectorOpcode
 from ..matlib import MatlibProgram, OpKind, OpRecord
-from ..matlib.program import BufferInfo
 
-__all__ = ["VectorLoweringOptions", "vector_records", "lower_vector"]
+__all__ = ["VectorLoweringOptions", "vector_plan", "vector_blocks",
+           "lower_vector"]
 
 
 @dataclass(frozen=True)
@@ -74,161 +79,205 @@ class VectorLoweringOptions:
                    elide_redundant_vsetvl=True, vlen=vlen, call_overhead_scalars=2.0)
 
 
-def vector_records(program: MatlibProgram, options: VectorLoweringOptions,
-                   buffers: Dict[str, BufferInfo],
-                   consumers: Sequence[Sequence[int]]) -> Iterator[tuple]:
-    """The RVV lowering: one ``VectorInstruction`` record per instruction.
+# A program's vector plan: per op ``(step, vector length its vsetvl sets or
+# None)``, and per step ``(op, inputs to load, result stays in registers)``.
+VectorPlan = Tuple[Tuple[Tuple[int, Optional[int]], ...],
+                   Tuple[Tuple[OpRecord, int, bool], ...]]
 
-    ``buffers`` is ``program.buffers()`` and ``consumers[index]`` is
-    ``program.consumers_of(index)``; callers pass them in so a sweep can
-    compute them once per program.
+
+def _is_outer(op: OpRecord) -> bool:
+    """GEMM-shaped ops lowered column by column (``gemm``, ``outer``)."""
+    return op.kind in (OpKind.GEMV, OpKind.GEMM) and op.name in ("gemm", "outer")
+
+
+def _vector_length(op: OpRecord) -> Optional[int]:
+    """The vector length the op's ``vsetvl`` sets (``None``: no vsetvl)."""
+    kind = op.kind
+    if _is_outer(op):
+        # One vsetvl per output column.
+        cols = op.out_shape[1] if len(op.out_shape) == 2 else 1
+        return op.shapes[0][0] if cols else None
+    if kind is OpKind.GEMV or kind is OpKind.GEMM:
+        return op.shapes[0][1] if op.name == "gemv_t" else op.shapes[0][0]
+    if kind is OpKind.ELEMENTWISE:
+        return max(op.output_elements, 1)
+    if kind is OpKind.REDUCTION:
+        return (max(max((max(s) if s else 1) for s in op.shapes), 1)
+                if op.shapes else 1)
+    return None
+
+
+def vector_plan(program: MatlibProgram, fusion: bool) -> VectorPlan:
+    """Each op's step and vector length, for :func:`vector_blocks`.
+
+    With ``fusion`` (``keep_temporaries_in_registers``) a result stays in
+    vector registers when it is a single-use temporary whose sole consumer
+    is nearby in program order (so register pressure stays bounded), and a
+    later op reading it skips the load.  These decisions depend only on the
+    program, so they are made here once and folded into the steps.
     """
+    signatures = program.op_signatures()
+    if fusion:
+        buffers = program.buffers()
+        consumers = program.consumers()
+    in_registers: Set[str] = set()
+    step_ids: Dict[Tuple[int, int, bool], int] = {}
+    steps: List[Tuple[OpRecord, int, bool]] = []
+    ops: List[Tuple[int, Optional[int]]] = []
+    for index, (op, signature) in enumerate(zip(program.ops, signatures)):
+        kind = op.kind
+        loads = 0
+        if kind is OpKind.ELEMENTWISE or kind is OpKind.REDUCTION:
+            for name, shape in zip(op.inputs, op.shapes):
+                if not shape:
+                    continue
+                if name not in in_registers:
+                    loads += 1
+                elif kind is OpKind.ELEMENTWISE:
+                    in_registers.discard(name)
+        stays = False
+        if fusion and (kind is OpKind.ELEMENTWISE or (
+                kind in (OpKind.GEMV, OpKind.GEMM) and not _is_outer(op))):
+            info = buffers.get(op.output)
+            after = consumers[index]
+            if (info is not None and info.is_temporary and info.single_use
+                    and after and after[0] - index <= 6):
+                in_registers.add(op.output)
+                stays = True
+        key = (signature, loads, stays)
+        step = step_ids.get(key)
+        if step is None:
+            step = step_ids[key] = len(steps)
+            steps.append((op, loads, stays))
+        ops.append((step, _vector_length(op)))
+    return tuple(ops), tuple(steps)
+
+
+def _vector_block(op: OpRecord, loads: int, stays: bool,
+                  options: VectorLoweringOptions, vl_set: bool) -> tuple:
+    """One op's RVV instructions; ``vl_set`` elides its first vsetvl."""
     # Enum members read as locals: attribute access on an Enum class is slow.
     VARITH, VMACC = VectorOpcode.VARITH, VectorOpcode.VMACC
     VLOAD, VSTORE = VectorOpcode.VLOAD, VectorOpcode.VSTORE
     SCALAR, VSETVL = VectorOpcode.SCALAR, VectorOpcode.VSETVL
     VREDUCE = VectorOpcode.VREDUCE
-    GEMV, GEMM = OpKind.GEMV, OpKind.GEMM
-    ELEMENTWISE, REDUCTION = OpKind.ELEMENTWISE, OpKind.REDUCTION
-    DATA_MOVEMENT = OpKind.DATA_MOVEMENT
+    kernel = op.kernel or "<untagged>"
     element_bytes = options.element_bytes
     lmul = options.lmul
     unroll = options.unroll_factor
-    fusion = options.keep_temporaries_in_registers
-    per_instruction = options.max_elements_per_instruction
-    last_vl: Optional[int] = None
-    in_registers: Set[str] = set()
+    records: List[tuple] = []
+    emit = records.append
 
-    def vsetvl(kernel: str, vl: int) -> Tuple[tuple, ...]:
-        nonlocal last_vl
-        if options.elide_redundant_vsetvl and last_vl == vl:
-            return ()
-        last_vl = vl
-        return ((kernel, VSETVL, 0, element_bytes, lmul, False),)
-
-    def scalar(kernel: str, count: float) -> Tuple[tuple, ...]:
+    def scalar(count: float) -> None:
         count = int(round(count))
         if count > 0:
-            return ((kernel, SCALAR, count, element_bytes, 1, False),)
-        return ()
+            emit((kernel, SCALAR, count, element_bytes, 1, False))
 
-    def needs_load(name: str) -> bool:
-        return not fusion or name not in in_registers
+    def vector(opcode: VectorOpcode, elements: int,
+               sequential: bool = False) -> tuple:
+        return (kernel, opcode, elements, element_bytes, lmul, sequential)
 
-    def stays_in_registers(op: OpRecord, index: int) -> bool:
-        """Whether the result stays in registers instead of being stored.
+    scalar(options.call_overhead_scalars)
+    kind = op.kind
+    vl = _vector_length(op)
+    if _is_outer(op):
+        rows, inner = op.shapes[0]
+        cols = op.out_shape[1] if len(op.out_shape) == 2 else 1
+        load = vector(VLOAD, rows)
+        macc = vector(VMACC, rows, unroll == 1)
+        for column in range(cols):
+            if not (vl_set or column and options.elide_redundant_vsetvl):
+                emit(vector(VSETVL, 0))
+            emit(vector(VARITH, rows))
+            scalar((3.0 if unroll == 1 else 1.25) * inner)
+            for _ in range(inner):
+                emit(load)
+                emit(macc)
+            emit(vector(VSTORE, rows))
+        return tuple(records)
+    if vl is not None and not vl_set:
+        emit(vector(VSETVL, 0))
+    if kind is OpKind.GEMV or kind is OpKind.GEMM:
+        rows = vl
+        inner = op.shapes[0][0] if op.name == "gemv_t" else op.shapes[0][1]
+        # Zero (or load) the accumulator register.
+        emit(vector(VARITH, rows))
+        # Scalar bookkeeping: per-column address computation and the scalar
+        # operand load for vfmacc.vf.  Unrolling amortizes most of it.
+        scalar((4.0 if unroll == 1 else 1.0) * inner)
+        # With a single accumulator every vfmacc depends on the previous
+        # one; unrolled code rotates accumulators to hide the latency.
+        load = vector(VLOAD, rows)
+        chained = vector(VMACC, rows, True)
+        rotated = vector(VMACC, rows)
+        for column in range(inner):
+            emit(load)
+            emit(chained if (column + 1) % unroll == 0 else rotated)
+        # Combine the partial accumulators.
+        records.extend((vector(VARITH, rows, True),) * (min(unroll, inner) - 1))
+        if not stays:
+            emit(vector(VSTORE, rows))
+    elif kind is OpKind.ELEMENTWISE:
+        elements = vl
+        per_instruction = options.max_elements_per_instruction
+        chunks = max(-(-elements // per_instruction), 1)
+        chunk = min(elements, per_instruction)
+        records.extend((vector(VLOAD, chunk),) * (loads * chunks))
+        # The arithmetic itself; clip/axpy style ops need two passes.
+        passes = 2 if op.flops >= 2 * elements else 1
+        records.extend((vector(VARITH, chunk),) * (chunks * passes))
+        scalar(2.0 if unroll == 1 else 0.5)
+        if not stays:
+            records.extend((vector(VSTORE, chunk),) * chunks)
+    elif kind is OpKind.REDUCTION:
+        elements = vl
+        records.extend((vector(VLOAD, elements),) * loads)
+        arith = vector(VARITH, elements)
+        if op.name == "max_abs_diff":
+            emit(arith)   # subtract
+        if op.name in ("max_abs_diff", "max_abs_reduce"):
+            emit(arith)   # abs
+        emit(vector(VREDUCE, elements))
+        scalar(1.0)
+    elif kind is OpKind.DATA_MOVEMENT:
+        elements = max(op.output_elements, 1)
+        emit(vector(VLOAD, elements))
+        emit(vector(VSTORE, elements))
+    else:
+        scalar(max(op.flops, 1))
+    return tuple(records)
 
-        It can when fusion is enabled, it is a single-use temporary, and
-        its sole consumer is nearby in program order (so register pressure
-        stays bounded).
-        """
-        if not fusion:
-            return False
-        info = buffers.get(op.output)
-        if info is None or not info.is_temporary or not info.single_use:
-            return False
-        after = consumers[index]
-        if after and after[0] - index <= 6:
-            in_registers.add(op.output)
-            return True
-        return False
 
-    for index, op in enumerate(program.ops):
-        kernel = op.kernel or "<untagged>"
-        yield from scalar(kernel, options.call_overhead_scalars)
-        kind = op.kind
-        if (kind is GEMV or kind is GEMM) and op.name in ("gemm", "outer"):
-            rows, inner = op.shapes[0]
-            cols = op.out_shape[1] if len(op.out_shape) == 2 else 1
-            load = (kernel, VLOAD, rows, element_bytes, lmul, False)
-            macc = (kernel, VMACC, rows, element_bytes, lmul, unroll == 1)
-            for _ in range(cols):
-                yield from vsetvl(kernel, rows)
-                yield (kernel, VARITH, rows, element_bytes, lmul, False)
-                yield from scalar(kernel, (3.0 if unroll == 1 else 1.25) * inner)
-                for _ in range(inner):
-                    yield load
-                    yield macc
-                yield (kernel, VSTORE, rows, element_bytes, lmul, False)
-        elif kind is GEMV or kind is GEMM:
-            if op.name == "gemv_t":
-                rows, inner = op.shapes[0][1], op.shapes[0][0]
-            else:
-                rows, inner = op.shapes[0][0], op.shapes[0][1]
-            yield from vsetvl(kernel, rows)
-            # Zero (or load) the accumulator register.
-            yield (kernel, VARITH, rows, element_bytes, lmul, False)
-            # Scalar bookkeeping: per-column address computation and the
-            # scalar operand load for vfmacc.vf.  Unrolling amortizes most
-            # of it.
-            yield from scalar(kernel, (4.0 if unroll == 1 else 1.0) * inner)
-            # With a single accumulator every vfmacc depends on the previous
-            # one; unrolled code rotates accumulators to hide the latency.
-            load = (kernel, VLOAD, rows, element_bytes, lmul, False)
-            chained = (kernel, VMACC, rows, element_bytes, lmul, True)
-            rotated = (kernel, VMACC, rows, element_bytes, lmul, False)
-            for column in range(inner):
-                yield load
-                yield chained if (column + 1) % unroll == 0 else rotated
-            # Combine the partial accumulators.
-            combine = (kernel, VARITH, rows, element_bytes, lmul, True)
-            for _ in range(min(unroll, inner) - 1):
-                yield combine
-            if not stays_in_registers(op, index):
-                yield (kernel, VSTORE, rows, element_bytes, lmul, False)
-        elif kind is ELEMENTWISE:
-            elements = max(op.output_elements, 1)
-            yield from vsetvl(kernel, elements)
-            chunks = max(-(-elements // per_instruction), 1)
-            chunk = min(elements, per_instruction)
-            loads = 0
-            for name, shape in zip(op.inputs, op.shapes):
-                if not shape:
-                    continue
-                if needs_load(name):
-                    loads += 1
-                else:
-                    in_registers.discard(name)
-            load = (kernel, VLOAD, chunk, element_bytes, lmul, False)
-            for _ in range(loads * chunks):
-                yield load
-            # The arithmetic itself; clip/axpy style ops need two passes.
-            passes = 2 if op.flops >= 2 * elements else 1
-            arith = (kernel, VARITH, chunk, element_bytes, lmul, False)
-            for _ in range(chunks * passes):
-                yield arith
-            yield from scalar(kernel, 2.0 if unroll == 1 else 0.5)
-            if not stays_in_registers(op, index):
-                store = (kernel, VSTORE, chunk, element_bytes, lmul, False)
-                for _ in range(chunks):
-                    yield store
-        elif kind is REDUCTION:
-            elements = (max(max((max(s) if s else 1) for s in op.shapes), 1)
-                        if op.shapes else 1)
-            yield from vsetvl(kernel, elements)
-            for name, shape in zip(op.inputs, op.shapes):
-                if shape and needs_load(name):
-                    yield (kernel, VLOAD, elements, element_bytes, lmul, False)
-            arith = (kernel, VARITH, elements, element_bytes, lmul, False)
-            if op.name == "max_abs_diff":
-                yield arith   # subtract
-            if op.name in ("max_abs_diff", "max_abs_reduce"):
-                yield arith   # abs
-            yield (kernel, VREDUCE, elements, element_bytes, lmul, False)
-            yield from scalar(kernel, 1.0)
-        elif kind is DATA_MOVEMENT:
-            elements = max(op.output_elements, 1)
-            yield (kernel, VLOAD, elements, element_bytes, lmul, False)
-            yield (kernel, VSTORE, elements, element_bytes, lmul, False)
-        else:
-            yield from scalar(kernel, max(op.flops, 1))
+def vector_blocks(plan: VectorPlan, options: VectorLoweringOptions
+                  ) -> Iterator[tuple]:
+    """The RVV lowering: one block of ``VectorInstruction`` records per op.
+
+    ``plan`` is :func:`vector_plan` of the program at
+    ``options.keep_temporaries_in_registers``; callers pass it in so a sweep
+    can plan once per program.  The blocks are memoized for this lowering
+    only.
+    """
+    ops, steps = plan
+    elide = options.elide_redundant_vsetvl
+    blocks: Dict[int, tuple] = {}
+    last_vl: Optional[int] = None
+    for step, vl in ops:
+        vl_set = elide and vl is not None and vl == last_vl
+        key = 2 * step + vl_set
+        block = blocks.get(key)
+        if block is None:
+            block = blocks[key] = _vector_block(*steps[step], options, vl_set)
+        if vl is not None:
+            last_vl = vl
+        yield block
 
 
 def lower_vector(program: MatlibProgram,
                  options: VectorLoweringOptions = VectorLoweringOptions()
                  ) -> InstructionStream:
     """Lower a matlib program to an RVV instruction stream."""
-    consumers = [program.consumers_of(index) for index in range(len(program.ops))]
-    records = vector_records(program, options, program.buffers(), consumers)
-    return InstructionStream(starmap(VectorInstruction, records),
-                             backend="vector", name=program.name)
+    plan = vector_plan(program, options.keep_temporaries_in_registers)
+    blocks = vector_blocks(plan, options)
+    return InstructionStream(
+        starmap(VectorInstruction, chain.from_iterable(blocks)),
+        backend="vector", name=program.name)

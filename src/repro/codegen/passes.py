@@ -87,6 +87,7 @@ def fuse_elementwise(program: MatlibProgram) -> FusionReport:
     consumer, it joins the chain.
     """
     ops = program.ops
+    consumers = program.consumers()
     fused_records: List[OpRecord] = []
     fused_groups: List[Tuple[int, ...]] = []
     bytes_saved = 0
@@ -106,7 +107,7 @@ def fuse_elementwise(program: MatlibProgram) -> FusionReport:
                 break
             if op.output not in nxt.inputs:
                 break
-            if program.consumers_of(current) != [current + 1]:
+            if consumers[current] != [current + 1]:
                 break
             chain.append(current + 1)
             if nxt.kind is OpKind.REDUCTION:

@@ -65,7 +65,7 @@ def _promote_rows(rows: List[Dict], frontier: Sequence[int]) -> None:
 
     The wide sweep ran at model fidelity; the points a designer would pick
     get confirmation columns (``trace_*``) from the materialized stream.
-    Both fidelities share the lowering and the pricing loop, so
+    Both fidelities share the lowering and the pricing function, so
     ``trace_confirmed`` is a tripwire for that sharing breaking, not an
     expected source of disagreement.
     """

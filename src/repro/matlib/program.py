@@ -117,18 +117,35 @@ class MatlibProgram:
                 last = index
         return last
 
-    def consumers_of(self, index: int) -> List[int]:
-        """Indices of ops that read the output of op ``index`` before it is
-        overwritten again."""
-        target = self.ops[index].output
-        consumers: List[int] = []
-        for later_index in range(index + 1, len(self.ops)):
-            later = self.ops[later_index]
-            if target in later.inputs:
-                consumers.append(later_index)
-            if later.output == target:
-                break
+    def consumers(self) -> List[List[int]]:
+        """For every op, the indices of later ops that read its output
+        before it is overwritten again, in one pass over the program."""
+        consumers: List[List[int]] = [[] for _ in self.ops]
+        producer: Dict[str, int] = {}
+        for index, op in enumerate(self.ops):
+            for name in set(op.inputs):
+                source = producer.get(name)
+                if source is not None:
+                    consumers[source].append(index)
+            producer[op.output] = index
         return consumers
+
+    def op_signatures(self) -> Tuple[int, ...]:
+        """Each op's signature id: ops share one when they differ only in
+        the names of the buffers they read and write.
+
+        A lowering that depends on an op only through its signature (and
+        state it tracks itself) lowers such ops alike.  Whether an input is
+        a ``"<"`` pseudo-buffer is part of the signature.
+        """
+        ids: Dict[tuple, int] = {}
+        return tuple(
+            ids.setdefault((op.kernel, op.kind, op.name, op.shapes,
+                            op.out_shape, op.dtype, op.flops, op.bytes_read,
+                            op.bytes_written,
+                            tuple(name.startswith("<") for name in op.inputs)),
+                           len(ids))
+            for op in self.ops)
 
     def fusion_candidates(self) -> List[Tuple[int, int]]:
         """Pairs of op indices (producer, consumer) that are fusable.
@@ -140,6 +157,7 @@ class MatlibProgram:
         (Section 4.1.2).
         """
         candidates: List[Tuple[int, int]] = []
+        consumers = self.consumers()
         for index, op in enumerate(self.ops[:-1]):
             nxt = self.ops[index + 1]
             if op.kind is not OpKind.ELEMENTWISE:
@@ -148,7 +166,7 @@ class MatlibProgram:
                 continue
             if op.output not in nxt.inputs:
                 continue
-            if self.consumers_of(index) != [index + 1]:
+            if consumers[index] != [index + 1]:
                 continue
             candidates.append((index, index + 1))
         return candidates

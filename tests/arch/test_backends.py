@@ -1,5 +1,7 @@
 """Tests for the scalar, vector, and systolic timing models."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from repro.arch import (
     VectorInstruction,
     VectorOpcode,
 )
+from repro.arch.backend import left_fold
 
 
 def _scalar_stream(flops=100, memory_bytes=256, op_calls=1, loops=10, chain=2):
@@ -187,6 +190,53 @@ class TestGemminiModel:
     def test_rejects_wrong_instruction_type(self):
         with pytest.raises(TypeError):
             GemminiModel(GemminiConfig("g")).run(_scalar_stream())
+
+
+class TestLeftFold:
+    """Every cycle sum is a left fold in stream order: one rounding per
+    addition, whatever blocks the stream was cut into."""
+
+    VALUES = [2.0 ** 53] + [1.0] * 16
+
+    def test_helper_rounds_once_per_addition(self):
+        # Each +1.0 rounds back to 2**53.  Compensated and pairwise sums
+        # (math.fsum, np.sum, and sum() since Python 3.12) give 2**53 + 16.
+        values = np.array(self.VALUES)
+        assert left_fold(values) == 2.0 ** 53
+        assert math.fsum(self.VALUES) == 2.0 ** 53 + 16
+        assert np.sum(values) == 2.0 ** 53 + 16
+        assert left_fold(values[:0]) == 0.0
+
+    def test_price_folds_the_stream_across_repeated_blocks(self):
+        # A SCALAR record costs elements / decode_width issue cycles.
+        model = SaturnModel(SaturnConfig("x", frontend=ROCKET))
+        big = ("a", VectorOpcode.SCALAR, 2 ** 53, 4, 1, False)
+        ones = (("b", VectorOpcode.SCALAR, 1, 4, 1, False),) * 4
+        report, counters = model.price([(big,)] + [ones] * 4)
+        assert report.total_cycles == 2.0 ** 53
+        assert report.cycles_by_kernel == {"a": 2.0 ** 53, "b": 16.0}
+        assert report.cycles_by_category == {"issue": 2.0 ** 53}
+        assert report.instruction_count == counters.instructions == 17
+        stream = InstructionStream(
+            [VectorInstruction(*record) for record in (big,) + ones * 4])
+        assert model.run(stream) == report
+
+    def test_kernels_keep_first_appearance_order(self):
+        model = SaturnModel(SaturnConfig("x"))
+
+        def block(*kernels):
+            return tuple((kernel, VectorOpcode.VSETVL, 0, 4, 1, False)
+                         for kernel in kernels)
+        first, second = block("k2", "k1"), block("k3")
+        report, _ = model.price([first, second, first, block("k0")])
+        assert list(report.cycles_by_kernel) == ["k2", "k1", "k3", "k0"]
+        assert report.cycles_by_kernel["k2"] == 2 * model.config.vsetvl_cycles
+
+    def test_empty_stream(self):
+        report, counters = SaturnModel(SaturnConfig("x")).price([])
+        assert report.total_cycles == 0.0
+        assert report.cycles_by_kernel == report.cycles_by_category == {}
+        assert counters.instructions == 0
 
 
 class TestMemoryModel:

@@ -1,9 +1,9 @@
 """Model fidelity equals trace fidelity on the catalog.
 
-The ``fidelity="model"`` campaign axis prices the lowering's records
+The ``fidelity="model"`` campaign axis prices the lowering's blocks
 without materializing the instruction stream; the trace builds the stream
 and times it with ``Backend.run``.  Both share the lowering and the
-backend's pricing loop, so every catalog (design point, optimization level)
+backend's pricing function, so every catalog (design point, optimization level)
 pair must be bit-exact (and within
 :data:`~repro.arch.cycle_model.PINNED_TOLERANCE` of the trace), and the
 points a designer would actually pick — the Figure 10 Pareto frontier —
@@ -54,8 +54,8 @@ class TestCatalogAccuracy:
 
     def test_whole_catalog_is_currently_bit_exact(self, catalog_validation):
         # Stronger than the tolerance contract and deliberately pinned: both
-        # fidelities run the same lowering and pricing loop, so any drift at
-        # all means they stopped sharing one.
+        # fidelities run the same lowering and pricing function, so any
+        # drift at all means they stopped sharing one.
         inexact = [v.as_row() for v in catalog_validation if not v.exact]
         assert not inexact, inexact
 

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.arch.backend import CycleCategory
 from repro.arch.configs import DesignPoint
 from repro.arch.cycle_model import model_report, stream_counters
 from repro.arch.scalar import ScalarCoreConfig
@@ -97,3 +98,11 @@ def test_model_equals_trace_off_catalog(category, level, data, variant,
                                     with_counters=True)
     assert report == compiled.report
     assert counters == stream_counters(compiled.stream)
+    kernels = list(report.cycles_by_kernel)
+    categories = list(report.cycles_by_category)
+    assert kernels == list(compiled.report.cycles_by_kernel)
+    assert categories == list(compiled.report.cycles_by_category)
+    assert kernels == [kernel for kernel in compiled.stream.kernels()
+                       if kernel in report.cycles_by_kernel]
+    assert categories == [category for category in CycleCategory.ALL
+                          if category in report.cycles_by_category]

@@ -1,10 +1,11 @@
-"""The two fidelities share one lowering and one pricing loop.
+"""The two fidelities share one lowering and one pricing function.
 
-``fidelity="trace"`` materializes the lowering's records into instruction
-objects and times the stream with ``Backend.run``; ``fidelity="model"``
-feeds the same records straight into the backend's pricing loop.  Building
-the objects is the only thing that separates them, so the model must build
-none, and lowering options fitted to a design point apply to both.
+``fidelity="trace"`` materializes the lowering's blocks of records into
+instruction objects and times the stream with ``Backend.run``;
+``fidelity="model"`` feeds the same blocks straight into ``Backend.price``.
+Building the objects is the only thing that separates them, so the model
+must build none, and lowering options fitted to a design point apply to
+both.
 """
 
 from dataclasses import replace
@@ -22,6 +23,7 @@ from repro.arch.configs import DesignPoint
 from repro.arch.cycle_model import model_report, stream_counters
 from repro.codegen import OPTIMIZATION_LEVELS, CodegenFlow
 from repro.experiments.kernel_experiments import default_program
+from repro.matlib import MatlibProgram, Trace
 
 ONE_POINT_PER_CATEGORY = ("rocket", "saturn-v512-d256-rocket",
                           "gemmini-4x4-os-64k-rocket")
@@ -70,3 +72,45 @@ def test_gemmini_without_pooling_engine_does_not_pool():
                                     with_counters=True)
     assert report == compiled.report
     assert counters == stream_counters(compiled.stream)
+
+
+def _varied_programs():
+    """Programs in which ops that share a signature meet different lowering
+    state: the default program followed by its ops in reverse (vector
+    length, scratchpad contents, configuration, fence counter), and the
+    default program with one more reader of the first GEMV's result, which
+    then no longer stays in registers while later GEMVs' results do."""
+    ops = list(default_program().ops)
+    return (MatlibProgram(Trace(ops + ops[::-1]), name="both-orders"),
+            MatlibProgram(Trace(ops + [replace(ops[1], output="again")]),
+                          name="extra-reader"))
+
+
+@pytest.mark.parametrize("name,scratchpad_kb", [
+    (name, None) for name in ONE_POINT_PER_CATEGORY] + [
+    ("gemmini-4x4-os-64k-rocket", 16)])     # some operands spill
+@pytest.mark.parametrize("lmul,granularity", [(1, None), (4, 3)])
+def test_shared_blocks_lower_like_unshared_ops(name, scratchpad_kb, lmul,
+                                               granularity):
+    # Ops that lower alike share one block object.  Giving every op its own
+    # kernel makes every signature unique, so nothing is shared; apart from
+    # the kernel names the streams must be the same.
+    point = get_design_point(name)
+    if scratchpad_kb is not None:
+        point = replace(point, config=replace(point.config,
+                                              scratchpad_kb=scratchpad_kb))
+    if point.category != "vector":
+        lmul = 1
+    if point.category != "systolic":
+        granularity = None
+    for program in _varied_programs():
+        unique = MatlibProgram(Trace([
+            replace(op, kernel="{}#{}".format(op.kernel, index))
+            for index, op in enumerate(program.ops)]), name="unique")
+        for level in OPTIMIZATION_LEVELS[point.category]:
+            shared, unshared = (
+                [replace(instruction, kernel="") for instruction in
+                 CodegenFlow(lmul=lmul).lower(lowered, point, level,
+                                              sync_granularity=granularity)]
+                for lowered in (program, unique))
+            assert shared == unshared, (program.name, level)

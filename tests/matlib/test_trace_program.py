@@ -85,10 +85,44 @@ class TestProgramAnalysis:
         assert "A" in persistent and "x" in persistent
 
     def test_consumers_of_points_forward(self):
-        program = _small_program()
-        for index in range(len(program)):
-            for consumer in program.consumers_of(index):
-                assert consumer > index
+        # consumers() is one pass; compare it with the forward scan from
+        # each op it replaced, on a program that also reads one buffer
+        # twice in an op, updates a buffer in place and overwrites one.
+        from dataclasses import replace
+        from repro.experiments.kernel_experiments import default_program
+        program = default_program()
+        ops = list(program.ops)
+        ops[5] = replace(ops[5], inputs=(ops[3].output, ops[3].output))
+        ops[6] = replace(ops[6], output=ops[5].output)
+        ops[9] = replace(ops[9], output=ops[2].output)
+        for candidate in (_small_program(), program,
+                          MatlibProgram(Trace(ops), name="overwritten")):
+            consumers = candidate.consumers()
+            assert len(consumers) == len(candidate)
+            for index, op in enumerate(candidate.ops):
+                expected = []
+                for later in range(index + 1, len(candidate)):
+                    if op.output in candidate[later].inputs:
+                        expected.append(later)
+                    if candidate[later].output == op.output:
+                        break
+                assert consumers[index] == expected
+                assert all(consumer > index for consumer in consumers[index])
+
+    def test_op_signatures_ignore_buffer_names(self):
+        from dataclasses import replace
+        from repro.experiments.kernel_experiments import default_program
+        program = default_program()
+        signatures = program.op_signatures()
+        assert len(signatures) == len(program)
+        assert signatures[0] == 0 and max(signatures) < len(program)
+        renamed = {}
+        for op, signature in zip(program.ops, signatures):
+            anonymous = replace(op, inputs=tuple(
+                "<" if name.startswith("<") else "" for name in op.inputs),
+                output="")
+            assert renamed.setdefault(signature, anonymous) == anonymous
+        assert len(set(renamed.values())) == len(renamed)
 
     def test_fusion_candidates_are_adjacent_elementwise(self):
         program = _small_program()
