@@ -54,7 +54,7 @@ from ..hil.episode import EpisodeRunner, RecoveryEpisode
 from ..hil.faults import SensorFaults
 from ..hil.loop import HILConfig, build_variant_problem
 from ..hil.soc import SOFTWARE_IMPLEMENTATIONS, SoCModel
-from ..tinympc import SolverSettings
+from ..tinympc import SolverSettings, build_iteration_program
 from ..tinympc.cache import compute_cache
 from .scheduler import FleetEpisode
 
@@ -604,16 +604,20 @@ class EpisodeFactory:
     """Builds runnable :class:`FleetEpisode` objects from specs, with memos.
 
     Distinct configurations are compiled once per factory: the linearized
-    MPC problem per (variant, control rate), the LQR cache per problem, and
-    the SoC timing model per (implementation, frequency, variant, control
-    rate).  Each process's chunk runner holds its own factory, so
-    memoization never crosses process boundaries.
+    MPC problem, its LQR cache and its traced iteration program per
+    (variant, control rate), and the SoC cycle report per (implementation,
+    variant, control rate).  The report does not depend on the clock, so
+    every frequency's :class:`SoCModel` shares it.  Each process's chunk
+    runner holds its own factory, so memoization never crosses process
+    boundaries.
     """
 
     def __init__(self) -> None:
         self._variants = all_variants()
         self._problems: Dict[Tuple, object] = {}
         self._caches: Dict[Tuple, object] = {}
+        self._programs: Dict[Tuple, object] = {}
+        self._compiled: Dict[Tuple, SoCModel] = {}
         self._socs: Dict[Tuple, SoCModel] = {}
 
     def problem_for(self, variant: str, control_rate_hz: float):
@@ -636,10 +640,26 @@ class EpisodeFactory:
             return None
         key = (implementation, frequency_mhz, variant, control_rate_hz)
         if key not in self._socs:
-            soc = SoCModel.from_implementation(implementation, frequency_mhz)
-            soc.compile_problem(self.problem_for(variant, control_rate_hz))
-            self._socs[key] = soc
+            build = (implementation, variant, control_rate_hz)
+            compiled = self._compiled.get(build)
+            if compiled is None:
+                compiled = SoCModel.from_implementation(implementation,
+                                                        frequency_mhz)
+                compiled.compile_problem(
+                    self.problem_for(variant, control_rate_hz),
+                    program=self.program_for(variant, control_rate_hz))
+                self._compiled[build] = compiled
+            self._socs[key] = compiled.at_frequency(frequency_mhz)
         return self._socs[key]
+
+    def program_for(self, variant: str, control_rate_hz: float):
+        """The traced ADMM iteration program the SoC builds compile."""
+        key = (variant, control_rate_hz)
+        if key not in self._programs:
+            self._programs[key] = build_iteration_program(
+                self.problem_for(variant, control_rate_hz),
+                cache=self.cache_for(variant, control_rate_hz))
+        return self._programs[key]
 
     def plant_params_for(self, spec: EpisodeSpec):
         """The parameters the *plant* flies (the controller keeps nominal).

@@ -162,8 +162,8 @@ class SolverPool:
 
     A :class:`~repro.tinympc.batch.BatchTinyMPCSolver` owns sizable arenas:
     the stacked workspace, its kernel scratch (:class:`~repro.tinympc
-    .workspace.SolveScratch` — prebuilt views, cursors, full-shape bounds),
-    and the freeze/restore store.  Campaign runs, repeated benchmarks, and
+    .workspace.SolveScratch` — prebuilt step slabs, pair-row scratch,
+    full-shape bounds), and the freeze/restore store.  Campaign runs, repeated benchmarks, and
     back-to-back scheduler invocations used to rebuild all of it per run;
     the pool parks released solvers keyed by
     ``(problem_hash, settings..., width)`` and hands them back reset, so a

@@ -12,7 +12,7 @@ converge in fewer iterations, making them faster still).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Union
 
 from ..arch import CycleReport, DesignPoint, SoCPowerModel, get_design_point
@@ -54,6 +54,15 @@ class SoCModel:
         return cls(design_point=get_design_point(spec["design_point"]),
                    level=spec["level"], frequency_mhz=frequency_mhz,
                    power_model=power_model or SoCPowerModel())
+
+    def at_frequency(self, frequency_mhz: float) -> "SoCModel":
+        """The same software build on another clock.
+
+        The cycle report does not depend on the clock, so the new model
+        shares this one's compiled report (if any) instead of compiling
+        the problem again.
+        """
+        return replace(self, frequency_mhz=frequency_mhz)
 
     # -- timing -------------------------------------------------------------------
     @property

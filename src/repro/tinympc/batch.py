@@ -8,15 +8,17 @@ most of its time in Python call overhead, because the per-knot-point tensors
 are tiny (4-150 elements — the very characterization the paper builds on).
 
 :class:`BatchTinyMPCSolver` stacks ``B`` instances into ``(B, N, n)``
-workspaces (:class:`~repro.tinympc.workspace.BatchTinyMPCWorkspace`) and
-runs each ADMM iteration through the *same* two kernel calls the scalar
-solver makes (``kernels.iteration_prelude``, then ``kernels.backward_pass``),
-whose numpy forms vectorize over the batch axis — a batch dimension of one
-is the existing solver.
+workspaces (:class:`~repro.tinympc.workspace.BatchTinyMPCWorkspace`, stored
+step-major) and runs each ADMM iteration through the *same* two kernel
+calls the scalar solver makes (``kernels.iteration_prelude``, then
+``kernels.backward_pass``), whose numpy forms vectorize over the batch
+axis — a batch dimension of one is the existing solver.
 
 Per-instance convergence is handled by masking: every iteration runs the
-whole batch, but the moment an instance satisfies the termination test its
-buffers are snapshotted, and after the loop those snapshots are restored.
+whole batch, but the moment an instance satisfies the termination test
+(one comparison of the residual block against the tolerances and one
+all-reduction) its rows are snapshotted, one gather per arena and one for
+the residual block, and after the loop those snapshots are restored.
 The result is numerically equivalent to stopping that instance's iteration
 early, so batched and sequential solves agree to tight tolerances
 (``tests/tinympc/test_batch.py`` asserts ``rtol=1e-10``), including
@@ -42,7 +44,7 @@ from .cache import LQRCache, compute_cache
 from .problem import MPCProblem
 from .solver import SolverSettings, TinyMPCSolution
 from .workspace import (
-    COLD_START_BUFFERS,
+    COLD_ROWS,
     RESIDUAL_FIELDS,
     WORKSPACE_BUFFERS,
     BatchTinyMPCWorkspace,
@@ -118,16 +120,23 @@ class BatchTinyMPCSolver:
         self.workspace = BatchTinyMPCWorkspace(problem, batch=batch_size)
         self._warm = np.zeros(batch_size, dtype=bool)
         # Freeze/restore scratch: converged (or inactive) instances park
-        # their state here while the rest of the batch keeps iterating.
-        self._store = {name: np.empty_like(getattr(self.workspace, name))
-                       for name in WORKSPACE_BUFFERS}
-        self._residual_store = {name: np.full(batch_size, np.inf)
-                                for name in RESIDUAL_FIELDS}
+        # their rows of the two arenas and the residual block here while the
+        # rest of the batch keeps iterating.
+        ws = self.workspace
+        self._stores = tuple(np.empty(block.shape) for block in
+                             (ws.state_arena, ws.input_arena,
+                              ws.residual_block))
         # Preallocated per-iteration mask scratch so the steady-state solve
         # loop allocates nothing (see the zero-allocation benchmark).
         self._live = np.empty(batch_size, dtype=bool)
         self._newly = np.empty(batch_size, dtype=bool)
-        self._term_scratch = np.empty(batch_size, dtype=bool)
+        # The termination test's tolerance per residual-block row, and the
+        # per-row comparison it feeds.
+        self._tolerances = np.array(
+            [[self.settings.abs_dual_tolerance if name.startswith("dual")
+              else self.settings.abs_primal_tolerance]
+             for name in RESIDUAL_FIELDS])
+        self._below = np.empty((len(RESIDUAL_FIELDS), batch_size), dtype=bool)
         self.total_batch_solves = 0
         self.total_instance_solves = 0
         self.total_iterations = 0
@@ -177,8 +186,8 @@ class BatchTinyMPCSolver:
         warm = active & self._warm if settings.warm_start else np.zeros(B, bool)
         cold_index = np.flatnonzero(active & ~warm)
         if cold_index.size:
-            for name in COLD_START_BUFFERS:
-                getattr(ws, name)[cold_index] = 0.0
+            ws.state_arena[COLD_ROWS, :, cold_index] = 0.0
+            ws.input_arena[COLD_ROWS, :, cold_index] = 0.0
         ws.set_initial_state(x0)
 
         iterations = np.zeros(B, dtype=int)
@@ -205,7 +214,7 @@ class BatchTinyMPCSolver:
 
         if frozen.any():
             self._restore(np.flatnonzero(frozen))
-        np.clip(ws.u, self.problem.u_min, self.problem.u_max, out=ws.u)
+        ws.clip_inputs()
 
         self._warm[active] = True
         self.total_batch_solves += 1
@@ -275,28 +284,23 @@ class BatchTinyMPCSolver:
 
     # -- internals -------------------------------------------------------------
     def _converged_mask_into(self, out: np.ndarray) -> None:
-        """``out[b] = instance b satisfies the termination test`` (no allocs)."""
-        ws = self.workspace
-        settings = self.settings
-        term = self._term_scratch
-        np.less(ws.primal_residual_state, settings.abs_primal_tolerance, out=out)
-        np.less(ws.primal_residual_input, settings.abs_primal_tolerance, out=term)
-        np.logical_and(out, term, out=out)
-        np.less(ws.dual_residual_state, settings.abs_dual_tolerance, out=term)
-        np.logical_and(out, term, out=out)
-        np.less(ws.dual_residual_input, settings.abs_dual_tolerance, out=term)
-        np.logical_and(out, term, out=out)
+        """``out[b] = instance b satisfies the termination test`` (no allocs):
+        every residual row below its tolerance."""
+        np.less(self.workspace.residual_block, self._tolerances,
+                out=self._below)
+        np.logical_and.reduce(self._below, axis=0, out=out)
 
     def _save(self, index: np.ndarray) -> None:
+        """Park rows ``index``: one gather per arena and the residual block."""
         ws = self.workspace
-        for name in WORKSPACE_BUFFERS:
-            self._store[name][index] = getattr(ws, name)[index]
-        for name in RESIDUAL_FIELDS:
-            self._residual_store[name][index] = getattr(ws, name)[index]
+        state, inputs, residuals = self._stores
+        state[:, :, index] = ws.state_arena[:, :, index]
+        inputs[:, :, index] = ws.input_arena[:, :, index]
+        residuals[:, index] = ws.residual_block[:, index]
 
     def _restore(self, index: np.ndarray) -> None:
         ws = self.workspace
-        for name in WORKSPACE_BUFFERS:
-            getattr(ws, name)[index] = self._store[name][index]
-        for name in RESIDUAL_FIELDS:
-            getattr(ws, name)[index] = self._residual_store[name][index]
+        state, inputs, residuals = self._stores
+        ws.state_arena[:, :, index] = state[:, :, index]
+        ws.input_arena[:, :, index] = inputs[:, :, index]
+        ws.residual_block[:, index] = residuals[:, index]

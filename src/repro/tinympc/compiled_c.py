@@ -11,8 +11,10 @@ iteration (:data:`repro.tinympc.kernels.SOLVER_KERNELS`):
 ``admm_prelude`` (forward pass, slack, dual, linear cost, residuals and the
 v/z copy) and ``admm_backward``, each one foreign call instead of ~10 numpy
 ufunc/GEMV dispatches x N horizon steps.  The kernels compute in float64
-directly on the workspace arrays, one batch instance after another on the
-calling thread.
+directly on the workspace's step-major arena rows, on the calling thread:
+the recursions knot point by knot point, four instances of the batch at a
+time (independent rows, so their accumulation chains overlap), and the
+elementwise stages and residual reductions over whole buffers.
 
 Numerical contract
 ------------------
@@ -31,16 +33,16 @@ Numerical contract
   reordering bound and pinned, per entry point, by
   ``tests/tinympc/test_kernel_bitequality_props.py``.
 * The elementwise stages (slack, dual, the rho updates, residual
-  reductions, the v/z copies) perform the identical operations in the
-  identical order as the numpy kernels, NaN semantics included (clips and
-  maxima propagate NaN exactly like ``np.maximum``/``ndarray.max``); inside
-  the prelude they read the matvec stages' outputs, so the prelude as a
-  whole carries the matvec tolerance.
-* The ``r @ Kinf`` hoist of the backward pass is enabled on *both* layouts
-  here — unlike the numpy scalar path (see
-  :func:`repro.tinympc.kernels._verify_fused_kr`), the loop order is
-  explicit C, so hoisting the per-step products is literally the same
-  instruction sequence and cannot change a bit.
+  reductions, the v/z copies) perform the identical operations as the
+  numpy kernels, NaN semantics included (clips and maxima propagate NaN
+  like ``np.maximum``/``ndarray.max``; maxima are exact, so their order is
+  free); inside the prelude they read the matvec stages' outputs, so the
+  prelude as a whole carries the matvec tolerance.
+* The ``Kinf' r`` products of the backward pass are computed per (step,
+  instance) inside the recursion on *both* layouts — unlike the numpy
+  scalar path (see :func:`repro.tinympc.kernels._verify_fused_kr`), the
+  loop order is explicit C, so where the product is taken cannot change a
+  bit.
 """
 
 from __future__ import annotations
@@ -51,7 +53,8 @@ import numpy as np
 
 from ..cbuild import CLibrary, load
 from .cache import LQRCache
-from .workspace import RESIDUAL_FIELDS, WORKSPACE_BUFFERS, TinyMPCWorkspace
+from .workspace import (
+    INPUT_BUFFERS, RESIDUAL_FIELDS, STATE_BUFFERS, TinyMPCWorkspace)
 
 __all__ = ["CKernels", "load_c_backend"]
 
@@ -70,8 +73,6 @@ _SOURCE = r"""
 #define NX {n}
 #define NU {m}
 #define NH {N}
-#define XS (NH * NX)
-#define US ((NH - 1) * NU)
 
 typedef struct {{
   double *x, *u, *q, *r, *p, *d, *v, *vnew, *z, *znew, *g, *y, *Xref, *Uref;
@@ -84,17 +85,35 @@ typedef struct {{
   int32_t batch;
 }} AdmmWs;
 
-/* out[j] = sum_k in[k] * W[k*jd + j], accumulated k-sequentially (axpy
- * order).  Each output lane's sum order equals the plain dot product's, so
- * vectorizing over j is exact. */
-static inline void mv(double *restrict out, const double *restrict in,
-                      const double *restrict W, int kd, int jd) {{
-  const double a0 = in[0];
-  for (int j = 0; j < jd; j++) out[j] = a0 * W[j];
+/* Buffers are step-major: knot point i of instance b starts at
+ * (i * batch + b) * NX (states) or (i * batch + b) * NU (inputs), so each
+ * instance's knot points sit SX / SU doubles apart. */
+#define SX ((size_t)ws->batch * NX)
+#define SU ((size_t)ws->batch * NU)
+
+/* Rows per block of the blocked loops below: independent rows (instances
+ * of one step, or (step, instance) rows of a whole buffer) advance
+ * together, so their accumulation chains overlap. */
+#define RB 4
+#define NMAX (NX > NU ? NX : NU)
+
+/* out[r*os + j] = sum_k in[r*is + k] * W[k*jd + j] for rows r < nr,
+ * accumulated k-sequentially (axpy order).  Each element's sum order
+ * equals the plain dot product's, whatever nr is, so vectorizing over j
+ * and interleaving rows are exact. */
+static inline void mv(double *restrict out, size_t os,
+                      const double *restrict in, size_t is,
+                      const double *restrict W, int kd, int jd, int nr) {{
+  for (int r = 0; r < nr; r++) {{
+    const double a0 = in[(size_t)r * is];
+    for (int j = 0; j < jd; j++) out[(size_t)r * os + j] = a0 * W[j];
+  }}
   for (int k = 1; k < kd; k++) {{
-    const double a = in[k];
     const double *restrict w = W + (size_t)k * jd;
-    for (int j = 0; j < jd; j++) out[j] += a * w[j];
+    for (int r = 0; r < nr; r++) {{
+      const double a = in[(size_t)r * is + k];
+      for (int j = 0; j < jd; j++) out[(size_t)r * os + j] += a * w[j];
+    }}
   }}
 }}
 
@@ -105,151 +124,165 @@ static inline double clip1(double t, double lo, double hi) {{
   return t < hi ? t : hi;
 }}
 
-/* max |a - b| with numpy's NaN-propagating max. */
-static inline double maxabsdiff(const double *restrict a,
-                                const double *restrict b, int nelem) {{
-  double mx = fabs(a[0] - b[0]);
-  for (int k = 1; k < nelem; k++) {{
-    const double t = fabs(a[k] - b[k]);
-    if (t > mx || t != t) mx = t;
-  }}
-  return mx;
+/* t if it is larger or NaN, else mx: numpy's NaN-propagating max step. */
+static inline double max1(double mx, double t) {{
+  return (t > mx || t != t) ? t : mx;
 }}
 
-static inline void fwd_b(const AdmmWs *ws, int32_t b) {{
-  double *restrict x = ws->x + (size_t)b * XS;
-  double *restrict u = ws->u + (size_t)b * US;
-  const double *restrict d = ws->d + (size_t)b * US;
-  double t_m[NU], t_n[NX], t_n2[NX];
+/* out[b] = scale * max |a - c| over every step and column of instance b,
+ * with numpy's NaN-propagating max: a running max over the steps for each
+ * (instance, column) across the contiguous step slabs, then one over each
+ * instance's columns — the order the numpy kernels reduce in.  Maxima are
+ * exact, so the order cannot change the value. */
+static void maxabsdiff(double *restrict out, const double *restrict a,
+                       const double *restrict c, int steps, int cols,
+                       int32_t batch, double scale) {{
+  const size_t width = (size_t)batch * cols;
+  double mx[width];
+  for (size_t k = 0; k < width; k++) mx[k] = fabs(a[k] - c[k]);
+  for (int i = 1; i < steps; i++) {{
+    const double *ai = a + (size_t)i * width, *ci = c + (size_t)i * width;
+    for (size_t k = 0; k < width; k++)
+      mx[k] = max1(mx[k], fabs(ai[k] - ci[k]));
+  }}
+  for (int32_t b = 0; b < batch; b++) {{
+    const double *row = mx + (size_t)b * cols;
+    double m = row[0];
+    for (int k = 1; k < cols; k++) m = max1(m, row[k]);
+    out[b] = scale * m;
+  }}
+}}
+
+/* Both recursions run knot point by knot point over every instance of
+ * the batch, RB instances at a time: a step's slab is contiguous, so the
+ * block's rows sit NX (or NU) doubles apart. */
+static inline void fwd_rows(const AdmmWs *ws, int i, int32_t b, int nr) {{
+  double t_m[RB * NU], t_n[RB * NX], t_n2[RB * NX];
+  const double *xb = ws->x + (size_t)i * SX + (size_t)b * NX;
+  double *xn = ws->x + (size_t)(i + 1) * SX + (size_t)b * NX;
+  double *ub = ws->u + (size_t)i * SU + (size_t)b * NU;
+  const double *db = ws->d + (size_t)i * SU + (size_t)b * NU;
+  mv(t_m, NU, xb, NX, ws->negKinfT, NX, NU, nr);
+  for (int k = 0; k < nr * NU; k++) ub[k] = t_m[k] - db[k];
+  mv(t_n, NX, xb, NX, ws->AT, NX, NX, nr);
+  mv(t_n2, NX, ub, NU, ws->BT, NU, NX, nr);
+  for (int k = 0; k < nr * NX; k++) xn[k] = t_n[k] + t_n2[k];
+}}
+
+/* The r @ Kinf product of each (step, instance) is taken inside the
+ * recursion; r never changes there and the loop order is explicit, so
+ * this is exactly the hoisted product (the numpy scalar path cannot
+ * prove that under BLAS/FMA — see kernels._verify_fused_kr). */
+static inline void bwd_rows(const AdmmWs *ws, int i, int32_t b, int nr) {{
+  double t_m[RB * NU], t_n[RB * NX], kr[RB * NX];
+  const double *pn = ws->p + (size_t)(i + 1) * SX + (size_t)b * NX;
+  double *pb = ws->p + (size_t)i * SX + (size_t)b * NX;
+  const double *qb = ws->q + (size_t)i * SX + (size_t)b * NX;
+  const double *rb = ws->r + (size_t)i * SU + (size_t)b * NU;
+  double *db = ws->d + (size_t)i * SU + (size_t)b * NU;
+  mv(t_m, NU, pn, NX, ws->Bmat, NX, NU, nr);
+  for (int k = 0; k < nr * NU; k++) t_m[k] += rb[k];
+  mv(db, NU, t_m, NU, ws->QuuT, NU, NU, nr);
+  mv(t_n, NX, pn, NX, ws->AmBKtT, NX, NX, nr);
+  mv(kr, NX, rb, NU, ws->Kinf, NU, NX, nr);
+  for (int k = 0; k < nr * NX; k++) pb[k] = (qb[k] + t_n[k]) - kr[k];
+}}
+
+static void forward(const AdmmWs *ws) {{
   for (int i = 0; i < NH - 1; i++) {{
-    const double *xi = x + (size_t)i * NX;
-    double *ui = u + (size_t)i * NU;
-    mv(t_m, xi, ws->negKinfT, NX, NU);
-    for (int j = 0; j < NU; j++) ui[j] = t_m[j] - d[(size_t)i * NU + j];
-    mv(t_n, xi, ws->AT, NX, NX);
-    mv(t_n2, ui, ws->BT, NU, NX);
-    double *xn = x + (size_t)(i + 1) * NX;
-    for (int j = 0; j < NX; j++) xn[j] = t_n[j] + t_n2[j];
+    int32_t b = 0;
+    for (; b + RB <= ws->batch; b += RB) fwd_rows(ws, i, b, RB);
+    for (; b < ws->batch; b++) fwd_rows(ws, i, b, 1);
   }}
 }}
 
-static inline void bwd_b(const AdmmWs *ws, int32_t b) {{
-  double *restrict p = ws->p + (size_t)b * XS;
-  double *restrict dd = ws->d + (size_t)b * US;
-  const double *restrict q = ws->q + (size_t)b * XS;
-  const double *restrict r = ws->r + (size_t)b * US;
-  /* Hoisted r @ Kinf: r never changes inside the recursion and the loop
-   * order here is explicit, so the hoist is exactly the per-step product
-   * (the numpy scalar path cannot prove that under BLAS/FMA — see
-   * kernels._verify_fused_kr). */
-  double kr[(NH - 1) * NX];
-  for (int i = 0; i < NH - 1; i++)
-    mv(kr + (size_t)i * NX, r + (size_t)i * NU, ws->Kinf, NU, NX);
-  double t_m[NU], t_n[NX];
+static void backward(const AdmmWs *ws) {{
   for (int i = NH - 2; i >= 0; i--) {{
-    const double *pn = p + (size_t)(i + 1) * NX;
-    mv(t_m, pn, ws->Bmat, NX, NU);
-    for (int j = 0; j < NU; j++) t_m[j] += r[(size_t)i * NU + j];
-    mv(dd + (size_t)i * NU, t_m, ws->QuuT, NU, NU);
-    mv(t_n, pn, ws->AmBKtT, NX, NX);
-    const double *qi = q + (size_t)i * NX;
-    const double *kri = kr + (size_t)i * NX;
-    double *pi = p + (size_t)i * NX;
-    for (int j = 0; j < NX; j++) pi[j] = (qi[j] + t_n[j]) - kri[j];
+    int32_t b = 0;
+    for (; b + RB <= ws->batch; b += RB) bwd_rows(ws, i, b, RB);
+    for (; b < ws->batch; b++) bwd_rows(ws, i, b, 1);
   }}
 }}
 
-static inline void slack_b(const AdmmWs *ws, int32_t b) {{
-  const double *restrict u = ws->u + (size_t)b * US;
-  const double *restrict y = ws->y + (size_t)b * US;
-  double *restrict znew = ws->znew + (size_t)b * US;
-  for (int i = 0; i < NH - 1; i++)
-    for (int j = 0; j < NU; j++) {{
-      const size_t k = (size_t)i * NU + j;
-      znew[k] = clip1(u[k] + y[k], ws->umin[j], ws->umax[j]);
-    }}
-  const double *restrict x = ws->x + (size_t)b * XS;
-  const double *restrict g = ws->g + (size_t)b * XS;
-  double *restrict vnew = ws->vnew + (size_t)b * XS;
-  for (int i = 0; i < NH; i++)
-    for (int j = 0; j < NX; j++) {{
-      const size_t k = (size_t)i * NX + j;
-      vnew[k] = clip1(x[k] + g[k], ws->xmin[j], ws->xmax[j]);
-    }}
-}}
-
-static inline void dual_b(const AdmmWs *ws, int32_t b) {{
-  const double *restrict u = ws->u + (size_t)b * US;
-  const double *restrict znew = ws->znew + (size_t)b * US;
-  double *restrict y = ws->y + (size_t)b * US;
-  for (int k = 0; k < US; k++) y[k] += u[k] - znew[k];
-  const double *restrict x = ws->x + (size_t)b * XS;
-  const double *restrict vnew = ws->vnew + (size_t)b * XS;
-  double *restrict g = ws->g + (size_t)b * XS;
-  for (int k = 0; k < XS; k++) g[k] += x[k] - vnew[k];
-}}
-
-static inline void cost_b(const AdmmWs *ws, int32_t b) {{
-  const double rho = ws->rho;
-  const double *restrict Uref = ws->Uref + (size_t)b * US;
-  const double *restrict znew = ws->znew + (size_t)b * US;
-  const double *restrict y = ws->y + (size_t)b * US;
-  double *restrict r = ws->r + (size_t)b * US;
-  double t_m[NU], t_n[NX];
-  for (int i = 0; i < NH - 1; i++) {{
-    const size_t o = (size_t)i * NU;
-    mv(t_m, Uref + o, ws->negR, NU, NU);
+/* The elementwise stages run over whole buffers: rows of NU (inputs) or
+ * NX (states) values, one per (step, instance). */
+static void slack(const AdmmWs *ws) {{
+  const size_t urows = (size_t)(NH - 1) * ws->batch;
+  const size_t xrows = (size_t)NH * ws->batch;
+  for (size_t row = 0; row < urows; row++) {{
+    const size_t o = row * NU;
     for (int j = 0; j < NU; j++)
-      r[o + j] = t_m[j] - rho * (znew[o + j] - y[o + j]);
+      ws->znew[o + j] = clip1(ws->u[o + j] + ws->y[o + j],
+                              ws->umin[j], ws->umax[j]);
   }}
-  const double *restrict Xref = ws->Xref + (size_t)b * XS;
-  const double *restrict vnew = ws->vnew + (size_t)b * XS;
-  const double *restrict g = ws->g + (size_t)b * XS;
-  double *restrict q = ws->q + (size_t)b * XS;
-  for (int i = 0; i < NH; i++) {{
-    const size_t o = (size_t)i * NX;
-    mv(t_n, Xref + o, ws->negQ, NX, NX);
+  for (size_t row = 0; row < xrows; row++) {{
+    const size_t o = row * NX;
     for (int j = 0; j < NX; j++)
-      q[o + j] = t_n[j] - rho * (vnew[o + j] - g[o + j]);
+      ws->vnew[o + j] = clip1(ws->x[o + j] + ws->g[o + j],
+                              ws->xmin[j], ws->xmax[j]);
   }}
-  const size_t last = (size_t)(NH - 1) * NX;
-  double *restrict p = ws->p + (size_t)b * XS;
-  mv(t_n, Xref + last, ws->negPinf, NX, NX);
-  for (int j = 0; j < NX; j++)
-    p[last + j] = t_n[j] - rho * (vnew[last + j] - g[last + j]);
 }}
 
-static inline void resid_b(const AdmmWs *ws, int32_t b) {{
-  const size_t ox = (size_t)b * XS, ou = (size_t)b * US;
-  ws->primal_residual_state[b] = maxabsdiff(ws->x + ox, ws->vnew + ox, XS);
-  ws->dual_residual_state[b] =
-      ws->rho * maxabsdiff(ws->v + ox, ws->vnew + ox, XS);
-  ws->primal_residual_input[b] = maxabsdiff(ws->u + ou, ws->znew + ou, US);
-  ws->dual_residual_input[b] =
-      ws->rho * maxabsdiff(ws->z + ou, ws->znew + ou, US);
+static void dual(const AdmmWs *ws) {{
+  const size_t nu = (size_t)(NH - 1) * SU, nx = (size_t)NH * SX;
+  double *restrict y = ws->y, *restrict g = ws->g;
+  const double *restrict u = ws->u, *restrict znew = ws->znew;
+  const double *restrict x = ws->x, *restrict vnew = ws->vnew;
+  for (size_t k = 0; k < nu; k++) y[k] += u[k] - znew[k];
+  for (size_t k = 0; k < nx; k++) g[k] += x[k] - vnew[k];
 }}
 
-static inline void copyvz_b(const AdmmWs *ws, int32_t b) {{
-  memcpy(ws->v + (size_t)b * XS, ws->vnew + (size_t)b * XS,
-         XS * sizeof(double));
-  memcpy(ws->z + (size_t)b * US, ws->znew + (size_t)b * US,
-         US * sizeof(double));
+/* out = ref @ W - rho (slack - dual) for nr rows of width dim. */
+static inline void cost_rows(const AdmmWs *ws, double *out,
+                             const double *ref, const double *W,
+                             const double *slack, const double *dual,
+                             int dim, int nr) {{
+  double t[RB * NMAX];
+  mv(t, dim, ref, dim, W, dim, dim, nr);
+  for (int k = 0; k < nr * dim; k++)
+    out[k] = t[k] - ws->rho * (slack[k] - dual[k]);
 }}
 
-static inline void prelude_b(const AdmmWs *ws, int32_t b) {{
-  fwd_b(ws, b);
-  slack_b(ws, b);
-  dual_b(ws, b);
-  cost_b(ws, b);
-  resid_b(ws, b);
-  copyvz_b(ws, b);
+static inline void cost_all(const AdmmWs *ws, size_t o, double *out,
+                            const double *ref, const double *W,
+                            const double *slack, const double *dual,
+                            int dim, size_t rows) {{
+  size_t row = 0;
+  for (; row + RB <= rows; row += RB, o += (size_t)RB * dim)
+    cost_rows(ws, out + o, ref + o, W, slack + o, dual + o, dim, RB);
+  for (; row < rows; row++, o += dim)
+    cost_rows(ws, out + o, ref + o, W, slack + o, dual + o, dim, 1);
+}}
+
+static void cost(const AdmmWs *ws) {{
+  cost_all(ws, 0, ws->r, ws->Uref, ws->negR, ws->znew, ws->y, NU,
+           (size_t)(NH - 1) * ws->batch);
+  cost_all(ws, 0, ws->q, ws->Xref, ws->negQ, ws->vnew, ws->g, NX,
+           (size_t)NH * ws->batch);
+  cost_all(ws, (size_t)(NH - 1) * SX, ws->p, ws->Xref, ws->negPinf,
+           ws->vnew, ws->g, NX, (size_t)ws->batch);
+}}
+
+static void residuals(const AdmmWs *ws) {{
+  const int32_t B = ws->batch;
+  maxabsdiff(ws->primal_residual_state, ws->x, ws->vnew, NH, NX, B, 1.0);
+  maxabsdiff(ws->dual_residual_state, ws->v, ws->vnew, NH, NX, B, ws->rho);
+  maxabsdiff(ws->primal_residual_input, ws->u, ws->znew, NH - 1, NU, B, 1.0);
+  maxabsdiff(ws->dual_residual_input, ws->z, ws->znew, NH - 1, NU, B,
+             ws->rho);
 }}
 
 void admm_prelude(AdmmWs *ws) {{
-  for (int32_t b = 0; b < ws->batch; b++) prelude_b(ws, b);
+  forward(ws);
+  slack(ws);
+  dual(ws);
+  cost(ws);
+  residuals(ws);
+  memcpy(ws->v, ws->vnew, (size_t)NH * SX * sizeof(double));
+  memcpy(ws->z, ws->znew, (size_t)(NH - 1) * SU * sizeof(double));
 }}
 void admm_backward(AdmmWs *ws) {{
-  for (int32_t b = 0; b < ws->batch; b++) bwd_b(ws, b);
+  backward(ws);
 }}
 """
 
@@ -293,10 +326,13 @@ def _library_for(n: int, m: int, N: int) -> CLibrary:
 class _CBinding:
     """cffi struct + keepalive buffers binding one workspace to the library.
 
-    Built once per workspace (stored as ``ws._c_kernel_binding``); the
-    workspace-buffer invariant (arrays, residual outputs included, are
-    written in place, never rebound) makes the cached pointers stable.
-    Operator pointers are rebuilt when the cache object changes.
+    Built once per workspace (stored as ``ws._c_kernel_binding``).  Each
+    buffer is bound as its step-major arena row (the batched public names
+    are transposed views of those rows) and each residual as its row of
+    the residual block; the workspace-buffer invariant (arrays, residual
+    outputs included, are written in place, never rebound) makes the
+    cached pointers stable.  Operator pointers are rebuilt when the cache
+    object changes.
     """
 
     __slots__ = ("lib", "ffi", "c", "keep", "cache")
@@ -309,7 +345,11 @@ class _CBinding:
         self.keep = []
         self.c = self.ffi.new("AdmmWs *")
         self.c.batch = ws.lead_shape[0] if ws.lead_shape else 1
-        for name in WORKSPACE_BUFFERS + RESIDUAL_FIELDS:
+        for names, arena in ((STATE_BUFFERS, ws.state_arena),
+                             (INPUT_BUFFERS, ws.input_arena)):
+            for name, slab in zip(names, arena):
+                self._point(name, slab)
+        for name in RESIDUAL_FIELDS:
             self._point(name, getattr(ws, name))
 
     def _point(self, field: str, array: np.ndarray) -> None:

@@ -105,22 +105,24 @@ KERNEL_CLASSES.update({name: "reduction" for name in REDUCTION_KERNELS})
 # ---------------------------------------------------------------------------
 #
 # These operate on either workspace layout: the scalar ``(N, n)`` arrays of
-# :class:`TinyMPCWorkspace` or the stacked ``(B, N, n)`` arrays of
-# :class:`~repro.tinympc.workspace.BatchTinyMPCWorkspace`.  Horizon-adjacent
-# slices are prebuilt views and the per-knot-point GEMVs are written as
-# right-multiplications (``x @ A.T``) so one code path serves both shapes —
-# the batched case turns every GEMV into a single ``(B, k) @ (k, k)`` GEMM
-# across all instances.
+# :class:`TinyMPCWorkspace` or the ``(B, N, n)`` arrays of
+# :class:`~repro.tinympc.workspace.BatchTinyMPCWorkspace`.  Both store their
+# buffers step-major, so knot point ``i`` is one contiguous slab, ``(k,)``
+# on the scalar layout and ``(B, k)`` on the batched one, and the per-step
+# GEMVs are written as right-multiplications (``x @ A.T``): one loop serves
+# both layouts, and the batched case turns every GEMV into a single
+# ``(B, k) @ (k, k)`` GEMM across all instances.  The elementwise kernels
+# run over the workspace's (state | input) pair rows, one ufunc call per
+# pair.
 #
 # After the workspace's :class:`~repro.tinympc.workspace.SolveScratch` is
 # built (first kernel call), the steady-state iteration allocates **zero**
 # numpy buffers: every matmul/ufunc writes into preallocated scratch or a
-# workspace buffer via ``out=``, and per-step results reach strided batch
-# rows through ``np.copyto``.  The rewrite preserves the pre-refactor
-# floating-point operation order and operand memory layouts exactly, so
-# results are bit-for-bit identical to :mod:`repro.tinympc.naive` (enforced
-# by ``tests/tinympc/test_hotpath_exact.py``).  Three exactness lemmas make
-# the fused forms legal:
+# workspace buffer via ``out=``.  The kernels preserve the pre-refactor
+# floating-point operation order and the shape of every BLAS call exactly,
+# so results are bit-for-bit identical to :mod:`repro.tinympc.naive`
+# (enforced by ``tests/tinympc/test_hotpath_exact.py``).  Three exactness
+# lemmas make the fused forms legal:
 #
 # * ``out=`` only changes where a result is stored, never its value;
 # * IEEE-754 rounding is sign-symmetric, so a matmul against a pre-negated
@@ -139,35 +141,21 @@ def forward_pass(ws: TinyMPCWorkspace, cache: LQRCache) -> None:
     The per-step GEMVs go through ``np.matmul`` with a positional ``out``
     against the cached transposed/negated operators (``np.dot`` is faster
     to dispatch but its low bits depend on operand layout, so it cannot
-    honor the bit-for-bit contract); the scalar layout writes ufunc results
-    straight into the contiguous workspace rows, while the batched layout
-    stages strided rows through contiguous cursors (``np.copyto`` is the
-    only operation that touches a strided row outside a GEMV, because
-    ufuncs buffer strided operands).
+    honor the bit-for-bit contract).  Every step slab is contiguous on both
+    layouts, so ufunc results land straight in the workspace: five numpy
+    calls per knot point.
     """
     problem = ws.problem
     s = ws.scratch
     At, Bt, neg_KinfT = problem.AT, problem.BT, cache.neg_KinfT
     t_m, t_n, t_n2 = s.vec_m, s.vec_n, s.vec_n2
-    mm, add, subtract, copyto = np.matmul, np.add, np.subtract, np.copyto
-    if s.is_scalar:
-        for x_i, x_next, u_i, d_i in s.fwd_steps:
-            mm(x_i, neg_KinfT, t_m)
-            subtract(t_m, d_i, u_i)
-            mm(x_i, At, t_n)
-            mm(u_i, Bt, t_n2)
-            add(t_n, t_n2, x_next)
-    else:
-        d_cur = s.vec_m2
-        for x_i, x_next, u_i, d_i in s.fwd_steps:
-            mm(x_i, neg_KinfT, t_m)
-            copyto(d_cur, d_i)
-            subtract(t_m, d_cur, t_m)
-            copyto(u_i, t_m)
-            mm(x_i, At, t_n)
-            mm(t_m, Bt, t_n2)
-            add(t_n, t_n2, t_n)
-            copyto(x_next, t_n)
+    mm, add, subtract = np.matmul, np.add, np.subtract
+    for x_i, x_next, u_i, d_i in s.fwd_steps:
+        mm(x_i, neg_KinfT, t_m)
+        subtract(t_m, d_i, u_i)
+        mm(x_i, At, t_n)
+        mm(u_i, Bt, t_n2)
+        add(t_n, t_n2, x_next)
 
 
 def _verify_fused_kr(ws: TinyMPCWorkspace, Kinf: np.ndarray) -> bool:
@@ -175,9 +163,9 @@ def _verify_fused_kr(ws: TinyMPCWorkspace, Kinf: np.ndarray) -> bool:
 
     Only meaningful for the *batched* layout, where the fusion is sound by
     construction: the step-major ``(N-1, B, m) @ (m, n)`` matmul runs the
-    same 2-D GEMM per step slice — identical operand strides, identical
-    values — as the per-step ``r[..., i, :] @ Kinf`` products it replaces,
-    so this probe is a belt-and-braces guard for exotic BLAS dispatch.
+    same 2-D GEMM per step slab — identical operand strides, identical
+    values — as the per-step ``r[i] @ Kinf`` products it replaces, so this
+    probe is a belt-and-braces guard for exotic BLAS dispatch.
 
     The scalar layout must **not** take the fused path at all: there the
     per-step product is a GEMV while the fused form is a GEMM, and on
@@ -187,16 +175,14 @@ def _verify_fused_kr(ws: TinyMPCWorkspace, Kinf: np.ndarray) -> bool:
     randomized-shape sweep in ``tests/tinympc/test_kernel_bitequality_props
     .py``.  Runs once per (workspace, cache) pair, at warmup.
     """
-    probe = np.empty_like(ws.r)
+    probe = np.empty_like(ws.scratch.r)
     flat = probe.reshape(-1)
     flat[...] = np.arange(1.0, flat.size + 1.0)
     np.multiply(flat, 0.61803398875, out=flat)
     np.mod(flat, 1.0, out=flat)
     np.subtract(flat, 0.5, out=flat)
-    stepmajor = probe if ws.scratch.is_scalar else probe.transpose(1, 0, 2)
-    fused = np.matmul(stepmajor, Kinf)
-    stepwise = np.stack([probe[..., i, :] @ Kinf
-                         for i in range(ws.horizon - 1)])
+    fused = np.matmul(probe, Kinf)
+    stepwise = np.stack([step @ Kinf for step in probe])
     return bool(np.array_equal(fused, stepwise))
 
 
@@ -206,18 +192,19 @@ def backward_pass(ws: TinyMPCWorkspace, cache: LQRCache) -> None:
     ``backward_pass_1``: d[i] = Quu_inv (B' p[i+1] + r[i])
     ``backward_pass_2``: p[i] = q[i] + AmBKt p[i+1] - Kinf' r[i]
 
-    ``r`` never changes inside the recursion, so on the batched layout the
-    ``Kinf' r[i]`` terms of every knot point are hoisted into one
-    step-major matmul (exact per slice — see :func:`_verify_fused_kr`,
-    which double-checks at warmup).  The scalar layout always takes the
-    per-step fallback: its naive reference is a GEMV, and GEMV-vs-GEMM
-    agreement is value-dependent under FMA, so the hoist cannot honor the
-    bit-for-bit contract there.  (The compiled backends re-enable the
-    scalar hoist: their loop order is explicit and FMA contraction is off,
-    so hoisting per-step products out of the recursion is literally the
-    same instruction sequence — the probe-soundness problem only exists
-    when BLAS picks the kernel.  It must stay disabled on *this* numpy
-    path.)
+    One loop serves both layouts: every step slab is contiguous, so each
+    knot point is six numpy calls.  ``r`` never changes inside the
+    recursion, so on the batched layout the ``Kinf' r[i]`` terms of every
+    knot point are hoisted into one step-major matmul (exact per slab — see
+    :func:`_verify_fused_kr`, which double-checks at warmup).  The scalar
+    layout always takes the per-step fallback: its naive reference is a
+    GEMV, and GEMV-vs-GEMM agreement is value-dependent under FMA, so the
+    hoist cannot honor the bit-for-bit contract there.  (The compiled
+    backends re-enable the scalar hoist: their loop order is explicit and
+    FMA contraction is off, so hoisting per-step products out of the
+    recursion is literally the same instruction sequence — the
+    probe-soundness problem only exists when BLAS picks the kernel.  It
+    must stay disabled on *this* numpy path.)
     """
     s = ws.scratch
     B = ws.problem.B
@@ -227,34 +214,18 @@ def backward_pass(ws: TinyMPCWorkspace, cache: LQRCache) -> None:
         s.kr_cache = cache
     fused = s.kr_ok
     t_m, t_n, t_n2 = s.vec_m, s.vec_n, s.vec_n2
-    mm, add, subtract, copyto = np.matmul, np.add, np.subtract, np.copyto
+    mm, add, subtract = np.matmul, np.add, np.subtract
     if fused:
-        mm(s.r_stepmajor, Kinf, s.kr)
-    if s.is_scalar:
-        for p_next, p_i, d_i, q_i, r_i, kr_i in s.bwd_steps:
-            mm(p_next, B, t_m)
-            add(t_m, r_i, t_m)
-            mm(t_m, Quu_invT, d_i)
-            mm(p_next, AmBKtT, t_n)
-            add(q_i, t_n, t_n)
-            if not fused:
-                kr_i = mm(r_i, Kinf, t_n2)
-            subtract(t_n, kr_i, p_i)
-    else:
-        t_m2, r_cur, q_cur = s.vec_m2, s.vec_m3, s.vec_n3
-        for p_next, p_i, d_i, q_i, r_i, kr_i in s.bwd_steps:
-            mm(p_next, B, t_m)
-            copyto(r_cur, r_i)
-            add(t_m, r_cur, t_m)
-            mm(t_m, Quu_invT, t_m2)
-            copyto(d_i, t_m2)
-            mm(p_next, AmBKtT, t_n)
-            copyto(q_cur, q_i)
-            add(q_cur, t_n, t_n)
-            if not fused:
-                kr_i = mm(r_cur, Kinf, t_n2)
-            subtract(t_n, kr_i, t_n)
-            copyto(p_i, t_n)
+        mm(s.r, Kinf, s.kr)
+    for p_next, p_i, d_i, q_i, r_i, kr_i in s.bwd_steps:
+        mm(p_next, B, t_m)
+        add(t_m, r_i, t_m)
+        mm(t_m, Quu_invT, d_i)
+        mm(p_next, AmBKtT, t_n)
+        add(q_i, t_n, t_n)
+        if not fused:
+            kr_i = mm(r_i, Kinf, t_n2)
+        subtract(t_n, kr_i, p_i)
 
 
 def update_slack(ws: TinyMPCWorkspace) -> None:
@@ -263,18 +234,17 @@ def update_slack(ws: TinyMPCWorkspace) -> None:
     ``update_slack_1``: znew = clip(u + y, u_min, u_max)
     ``update_slack_2``: vnew = clip(x + g, x_min, x_max)
 
-    ``clip`` is definitionally ``minimum(maximum(., lo), hi)`` — exact
-    selections, identical bits — and the two-ufunc form against the
-    scratch's full-shape bounds runs without clip's internal broadcast
-    temporary.
+    Both updates run as one ufunc call per stage over the pair rows
+    ([x|u] + [g|y] -> [vnew|znew], then the two bounds).  ``clip`` is definitionally
+    ``minimum(maximum(., lo), hi)`` — exact selections, identical bits —
+    and the two-ufunc form against the scratch's full-shape bounds runs
+    without clip's internal broadcast temporary.
     """
     s = ws.scratch
-    np.add(ws.u, ws.y, ws.znew)
-    np.maximum(ws.znew, s.u_lo, out=ws.znew)
-    np.minimum(ws.znew, s.u_hi, out=ws.znew)
-    np.add(ws.x, ws.g, ws.vnew)
-    np.maximum(ws.vnew, s.x_lo, out=ws.vnew)
-    np.minimum(ws.vnew, s.x_hi, out=ws.vnew)
+    vz_new = s.vz_new
+    np.add(s.xu, s.gy, vz_new)
+    np.maximum(vz_new, s.lo, out=vz_new)
+    np.minimum(vz_new, s.hi, out=vz_new)
 
 
 def update_dual(ws: TinyMPCWorkspace) -> None:
@@ -284,19 +254,19 @@ def update_dual(ws: TinyMPCWorkspace) -> None:
 
     This kernel is pure ufunc traffic, so at scalar shape (36 + 120
     elements) per-call dispatch overhead was a measurable fraction of its
-    cost — enough to bench *slower* than the naive expression (0.87x in
-    the PR 6 baseline).  The workspace pair-allocates (x, u), (vnew, znew),
-    and (g, y) from flat blocks (see ``TinyMPCWorkspace.__post_init__``),
-    so both updates run as a single subtract and a single in-place add over
-    each 1-D block — two ufunc dispatches instead of four.  The per-element
+    cost — enough to bench *slower* than the naive expression (0.87x
+    before the pairing).  The workspace stores (x, u), (vnew, znew) and
+    (g, y) as pair rows of one block (see ``TinyMPCWorkspace.pairs``), so
+    both updates run as a single subtract and a single add over each flat
+    row — two ufunc dispatches instead of four.  The per-element
     arithmetic is exactly the naive form's (the updates are independent
     elementwise ops, so fusing their iteration spaces cannot change any
-    bit), and the differences still land in ``state_tmp``/``input_tmp``,
-    which view the scratch half of the fused operand.
+    bit).
     """
-    xu, vz, tmp, gy = ws.scratch.dual_fused
-    np.subtract(xu, vz, tmp)
-    gy += tmp
+    s = ws.scratch
+    tmp = s.pair_tmp
+    np.subtract(s.xu, s.vz_new, tmp)
+    np.add(s.gy, tmp, s.gy)
 
 
 def update_linear_cost(ws: TinyMPCWorkspace, cache: LQRCache) -> None:
@@ -307,64 +277,56 @@ def update_linear_cost(ws: TinyMPCWorkspace, cache: LQRCache) -> None:
     ``update_linear_cost_3``: q -= rho (vnew - g)
     ``update_linear_cost_4``: p[N-1] = -(Xref[N-1] Pinf) - rho (vnew[N-1] - g[N-1])
 
-    The whole-horizon products stay on ``np.matmul`` (3-D ``np.dot`` takes
-    a different BLAS path with different low bits); the leading minus is
-    folded into ``problem.neg_R`` / ``problem.neg_Q`` / ``cache.neg_Pinf``.
+    The whole-horizon products stay on ``np.matmul`` over the public
+    ``(B, N, k)`` views, so each is the same per-instance GEMM the naive
+    form makes (3-D ``np.dot`` takes a different BLAS path with different
+    low bits); the leading minus is folded into ``problem.neg_R`` /
+    ``problem.neg_Q`` / ``cache.neg_Pinf``.  The rho updates of ``q`` and
+    ``r`` run together, one ufunc call per stage over the pair rows.
     """
     problem = ws.problem
     s = ws.scratch
     rho = problem.rho
+    tmp = s.pair_tmp
     np.matmul(ws.Uref, problem.neg_R, out=ws.r)
-    np.subtract(ws.znew, ws.y, s.input_tmp)
-    np.multiply(s.input_tmp, rho, s.input_tmp)
-    np.subtract(ws.r, s.input_tmp, ws.r)
     np.matmul(ws.Xref, problem.neg_Q, out=ws.q)
-    np.subtract(ws.vnew, ws.g, s.state_tmp)
-    np.multiply(s.state_tmp, rho, s.state_tmp)
-    np.subtract(ws.q, s.state_tmp, ws.q)
-    t_n, t_n2, t_n3 = s.vec_n, s.vec_n2, s.vec_n3
+    np.subtract(s.vz_new, s.gy, tmp)
+    np.multiply(tmp, rho, tmp)
+    np.subtract(s.qr, tmp, s.qr)
+    t_n, t_n2 = s.vec_n, s.vec_n2
     np.matmul(s.Xref_last, cache.neg_Pinf, t_n)
-    if s.is_scalar:
-        np.subtract(s.vnew_last, s.g_last, t_n2)
-    else:
-        np.copyto(t_n2, s.vnew_last)
-        np.copyto(t_n3, s.g_last)
-        np.subtract(t_n2, t_n3, t_n2)
+    np.subtract(s.vnew_last, s.g_last, t_n2)
     np.multiply(t_n2, rho, t_n2)
-    np.subtract(t_n, t_n2, t_n)
-    np.copyto(s.p_last, t_n)
-
-
-def _max_abs_diff_into(a: np.ndarray, b: np.ndarray, tmp: np.ndarray,
-                       out: np.ndarray) -> None:
-    """``out[...] = max |a - b|`` over the horizon and vector axes.
-
-    One scratch-based reduction serves both layouts: ``out`` is the
-    workspace's preallocated reduction target — 0-d for scalar ``(N, n)``
-    workspaces, ``(B,)`` for batched ``(B, N, n)`` ones — so scalar and
-    batch-of-one residuals take the identical code path (and agree exactly).
-    """
-    np.subtract(a, b, tmp)
-    np.abs(tmp, tmp)
-    tmp.max((-2, -1), out)
+    np.subtract(t_n, t_n2, s.p_last)
 
 
 def update_residuals(ws: TinyMPCWorkspace) -> None:
     """Global-maximum primal and dual residuals (Algorithm 3), in place.
 
-    Writes the four preallocated reduction outputs on the workspace and
+    Writes the workspace's preallocated ``(4, *lead)`` residual block and
     returns nothing — this is the form both solver hot loops call.  On a
     batched workspace each residual is computed per instance, so the four
     reduction kernels become length-``B`` vectors of maxima.
+
+    The primal ([x-vnew|u-znew]) and dual ([v-vnew|z-znew]) differences
+    are two subtracts over the pair rows into one block; each half of that
+    block (state, input) then reduces over the step axis first and, after
+    a vector-major copy, over the vector axis (one reduction over the step
+    and vector axes of a step-major array at once is about 4x slower).
+    Maxima are exact, so the reduction order cannot change a bit.  The
+    same scratch serves both layouts, so scalar and batch-of-one residuals
+    take the identical code path and agree exactly.
     """
     s = ws.scratch
-    rho = ws.problem.rho
-    _max_abs_diff_into(ws.x, ws.vnew, s.state_tmp, ws.primal_residual_state)
-    _max_abs_diff_into(ws.v, ws.vnew, s.state_tmp, ws.dual_residual_state)
-    np.multiply(ws.dual_residual_state, rho, ws.dual_residual_state)
-    _max_abs_diff_into(ws.u, ws.znew, s.input_tmp, ws.primal_residual_input)
-    _max_abs_diff_into(ws.z, ws.znew, s.input_tmp, ws.dual_residual_input)
-    np.multiply(ws.dual_residual_input, rho, ws.dual_residual_input)
+    diff = s.diff
+    np.subtract(s.xu, s.vz_new, diff[0])
+    np.subtract(s.vz, s.vz_new, diff[1])
+    np.abs(diff, diff)
+    for steps, step_max, moved, vector_major, rows in s.residual_halves:
+        steps.max(1, out=step_max)
+        np.copyto(vector_major, moved)
+        vector_major.max(1, out=rows)
+    np.multiply(s.residual_dual, ws.problem.rho, s.residual_dual)
 
 
 def compute_residuals(ws: TinyMPCWorkspace) -> Dict[str, float]:
@@ -393,8 +355,8 @@ def iteration_prelude(ws: TinyMPCWorkspace, cache: LQRCache) -> None:
     update_linear_cost(ws, cache)
     update_residuals(ws)
     # Keep previous slack iterates for the next dual residual.
-    ws.v[...] = ws.vnew
-    ws.z[...] = ws.znew
+    s = ws.scratch
+    np.copyto(s.vz, s.vz_new)
 
 
 # The two calls an ADMM iteration makes, and the only attributes of this

@@ -19,7 +19,7 @@ import numpy as np
 from . import kernels
 from .cache import LQRCache, compute_cache
 from .problem import MPCProblem
-from .workspace import COLD_START_BUFFERS, TinyMPCWorkspace
+from .workspace import COLD_ROWS, TinyMPCWorkspace
 
 __all__ = ["SolverSettings", "TinyMPCSolution", "TinyMPCSolver"]
 
@@ -105,8 +105,8 @@ class TinyMPCSolver:
             self.set_reference(Xref)
         warm = settings.warm_start and self._has_previous_solution
         if not warm:
-            for name in COLD_START_BUFFERS:
-                getattr(ws, name).fill(0.0)
+            ws.state_arena[COLD_ROWS] = 0.0
+            ws.input_arena[COLD_ROWS] = 0.0
         ws.set_initial_state(x0)
 
         iterations = 0
@@ -126,7 +126,7 @@ class TinyMPCSolver:
         self.total_solves += 1
         # Clip in place so the workspace carries the same feasible inputs the
         # solution reports (see the docstring).
-        np.clip(ws.u, self.problem.u_min, self.problem.u_max, out=ws.u)
+        ws.clip_inputs()
         return TinyMPCSolution(
             states=ws.x.copy(),
             inputs=ws.u.copy(),

@@ -7,6 +7,7 @@ import pytest
 
 from repro.drone import Difficulty
 from repro.fleet import CampaignSpec, EpisodeFactory, EpisodeSpec, compatibility_key
+from repro.hil.soc import SoCModel
 
 
 class TestCampaignSpec:
@@ -99,6 +100,38 @@ class TestEpisodeFactory:
         third = factory.build(EpisodeSpec(Difficulty.EASY, 0,
                                           control_rate_hz=50.0), episode_id=2)
         assert third.problem is not first.problem
+
+    def test_one_compile_per_build_across_clocks(self, monkeypatch):
+        """The cycle report does not depend on the clock: a factory asked
+        for one build at two frequencies compiles (and traces) it once, and
+        each clock's latency is exactly what a model compiled at that clock
+        reports."""
+        calls = []
+        compile_problem = SoCModel.compile_problem
+
+        def counting(soc, problem, program=None):
+            calls.append(program)
+            return compile_problem(soc, problem, program=program)
+
+        monkeypatch.setattr(SoCModel, "compile_problem", counting)
+        factory = EpisodeFactory()
+        slow = factory.soc_for("vector", 100.0, "CrazyFlie", 100.0)
+        fast = factory.soc_for("vector", 250.0, "CrazyFlie", 100.0)
+        assert len(calls) == 1 and calls[0] is not None
+        assert factory.soc_for("vector", 250.0, "CrazyFlie", 100.0) is fast
+        assert (slow.frequency_mhz, fast.frequency_mhz) == (100.0, 250.0)
+        assert slow.cycles_per_iteration == fast.cycles_per_iteration
+        assert slow.solve_latency(7) / fast.solve_latency(7) == \
+            pytest.approx(2.5, rel=1e-15)
+        # The scalar build traces no second program.
+        factory.soc_for("scalar", 100.0, "CrazyFlie", 100.0)
+        assert len(calls) == 2 and calls[1] is calls[0]
+        problem = factory.problem_for("CrazyFlie", 100.0)
+        for soc in (slow, fast):
+            reference = SoCModel.from_implementation("vector",
+                                                     soc.frequency_mhz)
+            compile_problem(reference, problem)
+            assert soc.solve_latency(7) == reference.solve_latency(7)
 
     def test_ideal_episodes_have_no_soc(self):
         factory = EpisodeFactory()

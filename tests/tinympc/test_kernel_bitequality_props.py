@@ -5,10 +5,9 @@ rewrite to the pre-refactor implementations on the *quadrotor* problem;
 this suite generalizes the contract with hypothesis: for randomized
 problem shapes (state/input dimension, horizon), random stable dynamics,
 and randomized workspace contents, every kernel — including the
-``update_dual`` scalar path that runs through the ``input_tmp`` /
-``state_tmp`` scratch — must reproduce its :mod:`repro.tinympc.naive`
-counterpart bit for bit, on both the scalar and the batched workspace
-layout.  The comparison is ``==`` with no tolerances: the rewrite's claim
+``update_dual`` scalar path that runs through the ``pair_tmp`` scratch —
+must reproduce its :mod:`repro.tinympc.naive` counterpart bit for bit, on
+both the scalar and the batched workspace layout.  The comparison is ``==`` with no tolerances: the rewrite's claim
 is that only result *storage* changed, never the floating-point operation
 order.
 """
@@ -156,21 +155,22 @@ class TestKernelBitEquality:
 
     def test_update_dual_uses_scratch_not_fresh_arrays(self):
         """The named satellite: the fast ``update_dual`` must route its
-        differences through the preallocated scratch buffers (the naive
+        differences through the preallocated scratch buffer (the naive
         form allocates per call), while producing identical bits."""
         problem = make_problem(4, 2, 5, seed=7)
         ws = _randomized(TinyMPCWorkspace(problem), 11)
-        scratch = ws.scratch
-        input_tmp, state_tmp = scratch.input_tmp, scratch.state_tmp
+        pair_tmp = ws.scratch.pair_tmp
         expected_y = ws.y + (ws.u - ws.znew)
         expected_g = ws.g + (ws.x - ws.vnew)
         kernels.update_dual(ws)
         np.testing.assert_array_equal(ws.y, expected_y)
         np.testing.assert_array_equal(ws.g, expected_g)
-        # The scratch arrays hold the last differences — proof the kernel
-        # wrote through them rather than allocating temporaries.
-        np.testing.assert_array_equal(input_tmp, ws.u - ws.znew)
-        np.testing.assert_array_equal(state_tmp, ws.x - ws.vnew)
+        # The scratch row holds the last differences, laid out like a pair
+        # row ([x - vnew | u - znew]) — proof the kernel wrote through it
+        # rather than allocating temporaries.
+        np.testing.assert_array_equal(
+            pair_tmp, np.concatenate([(ws.x - ws.vnew).ravel(),
+                                      (ws.u - ws.znew).ravel()]))
 
 
 # ---------------------------------------------------------------------------
