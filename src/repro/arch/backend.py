@@ -76,11 +76,6 @@ class CycleReport:
     def kernel_cycles(self, kernel: str) -> float:
         return self.cycles_by_kernel.get(kernel, 0.0)
 
-    def category_fraction(self, category: str) -> float:
-        if self.total_cycles <= 0:
-            return 0.0
-        return self.cycles_by_category.get(category, 0.0) / self.total_cycles
-
     def latency_seconds(self, frequency_hz: float) -> float:
         """Wall-clock latency when the backend runs at a clock frequency."""
         if frequency_hz <= 0:

@@ -34,11 +34,6 @@ class MemoryModel:
             return 0.0
         return self.l1_latency + num_bytes / self.l1_bandwidth
 
-    def l2_access_cycles(self, num_bytes: int) -> float:
-        if num_bytes <= 0:
-            return 0.0
-        return self.l2_latency + num_bytes / self.l2_bandwidth
-
     def dram_access_cycles(self, num_bytes: int) -> float:
         if num_bytes <= 0:
             return 0.0

@@ -23,7 +23,7 @@ Shuttle, and the BOOM family in Section 5.1.1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .backend import Backend, CycleCategory
@@ -58,9 +58,6 @@ class ScalarCoreConfig:
     def peak_flops_per_cycle(self) -> float:
         # Fused multiply-add counts as two FLOPs.
         return 2.0 * self.fp_units
-
-    def scaled_clone(self, **overrides) -> "ScalarCoreConfig":
-        return replace(self, **overrides)
 
 
 class ScalarCoreModel(Backend):

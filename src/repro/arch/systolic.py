@@ -27,7 +27,7 @@ All of it is priced per block of instruction records by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .backend import Backend, CycleCategory
@@ -71,11 +71,6 @@ class GemminiConfig:
     @property
     def peak_flops_per_cycle(self) -> float:
         return 2.0 * self.pe_count
-
-    def with_host(self, host: ScalarCoreConfig, name: Optional[str] = None
-                  ) -> "GemminiConfig":
-        return replace(self, host=host,
-                       name=name or "{}+{}".format(self.name, host.name))
 
 
 class GemminiModel(Backend):

@@ -27,7 +27,7 @@ All of it is priced per block of instruction records by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from .backend import Backend, CycleCategory
@@ -59,11 +59,6 @@ class SaturnConfig:
     @property
     def peak_flops_per_cycle(self) -> float:
         return 2.0 * self.lanes_fp32
-
-    def with_frontend(self, frontend: ScalarCoreConfig, name: Optional[str] = None
-                      ) -> "SaturnConfig":
-        return replace(self, frontend=frontend,
-                       name=name or "{}+{}".format(self.name, frontend.name))
 
 
 class SaturnModel(Backend):

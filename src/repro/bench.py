@@ -52,7 +52,6 @@ __all__ = [
     "bench_output_dir",
     "write_bench_report",
     "load_bench_report",
-    "time_best",
     "time_interleaved",
     "naive_iteration",
     "measure_iteration_allocations",
@@ -154,29 +153,6 @@ def load_bench_report(path) -> Dict[str, object]:
 # ---------------------------------------------------------------------------
 # Timing
 # ---------------------------------------------------------------------------
-
-def time_best(fn: Callable[[], object], rounds: int = 7,
-              inner: int = 20, warmup: int = 2) -> float:
-    """Best-of-``rounds`` mean seconds per call over ``inner`` inner calls.
-
-    Best-of is the standard microbenchmark estimator: scheduler noise and
-    cache misses only ever make a round slower, so the minimum round is the
-    closest observation of the true cost.  The ``warmup`` calls run before
-    the clock starts so one-time costs (lazy scratch construction, ufunc
-    loop selection, jit/shared-library loading on the compiled backends)
-    never land inside a measured round — they inflated the first round
-    enough to flake the threshold tests on a loaded runner.
-    """
-    for _ in range(warmup):
-        fn()
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        for _ in range(inner):
-            fn()
-        best = min(best, (time.perf_counter() - start) / inner)
-    return best
-
 
 def naive_iteration(ws: TinyMPCWorkspace, cache: LQRCache) -> None:
     """One full ADMM iteration through the pre-refactor reference kernels:
@@ -301,12 +277,16 @@ def time_interleaved(fast: Callable[[], object], naive: Callable[[], object],
     naive_s)``, timing the two sides in *interleaved* rounds (fast, naive,
     fast, naive, ...).
 
-    On a loaded single-core runner, background load drifts on the scale of
-    a whole measurement, so timing one side after the other (two
-    :func:`time_best` calls) biases whichever ran during the busier window:
+    Best-of is the standard microbenchmark estimator: scheduler noise and
+    cache misses only ever make a round slower, so the minimum round is the
+    closest observation of the true cost.  On a loaded single-core runner,
+    background load drifts on the scale of a whole measurement, so timing
+    one side after the other biases whichever ran during the busier window:
     timed that way on a 2-vCPU host, the scalar full iteration read 2.44x
     and then 1.42x with no kernel change.  Interleaving exposes both sides to the
-    same load profile and best-of keeps the quietest round of each.
+    same load profile and best-of keeps the quietest round of each.  The
+    ``warmup`` calls keep one-time costs (lazy scratch construction, ufunc
+    loop selection, shared-library loading) out of every measured round.
     """
     for _ in range(warmup):     # lazy scratch, ufunc loops, on both sides
         fast()
@@ -633,20 +613,28 @@ def run_compiled_backend_bench(backend: str = "auto", smoke: bool = False
                ("batch64", 64, 10 if smoke else 30))
     metrics: Dict[str, object] = {"compiled_backend": resolved}
     rows: List[Dict[str, object]] = []
+    # Each side calls its own backend's two solver kernels directly (the
+    # process may have a backend installed via REPRO_KERNEL_BACKEND), so
+    # the two can be timed in interleaved rounds.
+    numpy_prelude, numpy_backward = (compiled._NUMPY_IMPLS[name]
+                                     for name in kernels.SOLVER_KERNELS)
+    impl_prelude, impl_backward = (getattr(impl, name)
+                                   for name in kernels.SOLVER_KERNELS)
     for layout, batch, inner in layouts:
         ws_numpy = _seeded_workspace(problem, batch)
         ws_compiled = _seeded_workspace(problem, batch)
-        # Pin each side explicitly: the process may have a backend installed
-        # via REPRO_KERNEL_BACKEND, and kernels.admm_iteration follows the
-        # module attributes.
-        with compiled.use_compiled_kernels("numpy"):
-            numpy_us = 1e6 * time_best(
-                lambda: kernels.admm_iteration(ws_numpy, cache), rounds,
-                inner)
-        with compiled.use_compiled_kernels(resolved):
-            compiled_us = 1e6 * time_best(
-                lambda: kernels.admm_iteration(ws_compiled, cache), rounds,
-                inner)
+
+        def numpy_iteration():
+            numpy_prelude(ws_numpy, cache)
+            numpy_backward(ws_numpy, cache)
+
+        def compiled_iteration():
+            impl_prelude(ws_compiled, cache)
+            impl_backward(ws_compiled, cache)
+
+        compiled_s, numpy_s = time_interleaved(
+            compiled_iteration, numpy_iteration, rounds, inner)
+        compiled_us, numpy_us = 1e6 * compiled_s, 1e6 * numpy_s
         speedup = numpy_us / compiled_us
         rows.append({"kernel": "full_iteration", "layout": layout,
                      "impl": resolved, "baseline": "numpy-fast",

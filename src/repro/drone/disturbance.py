@@ -46,10 +46,10 @@ class DisturbanceCategory(enum.Enum):
 class Disturbance:
     """A single disturbance event.
 
-    The unit direction is normalized (and validated) once at construction —
-    the per-tick wrench evaluation runs inside the physics loop of every
-    disturbance episode, so :meth:`wrench_into` is pure scalar arithmetic
-    into caller-owned buffers and allocates nothing.
+    The unit direction is normalized (and validated) once at construction.
+    :meth:`wrench_into` is the per-tick reference, pure scalar arithmetic
+    into caller-owned buffers that allocates nothing; episodes fly the
+    same values tabulated once by :meth:`wrench_table`.
     """
 
     category: DisturbanceCategory
@@ -119,8 +119,8 @@ class Disturbance:
                     ) -> Tuple[np.ndarray, np.ndarray]:
         """Write the external (force, torque) at ``time`` into buffers.
 
-        This is the per-physics-tick hot path: all-scalar writes into the
-        caller's ``(3,)`` buffers, zero allocation.  Returns the buffers.
+        All-scalar writes into the caller's ``(3,)`` buffers, zero
+        allocation.  Returns the buffers.
         """
         amplitude = self._amplitude_at(time, physics_dt)
         ux, uy, uz = self._unit
@@ -142,6 +142,26 @@ class Disturbance:
         else:
             torque_out[0] = torque_out[1] = torque_out[2] = 0.0
         return force_out, torque_out
+
+    def wrench_table(self, physics_dt: float, steps: int
+                     ) -> Tuple[int, np.ndarray]:
+        """The wrench of ticks ``0 .. steps - 1`` as ``(first, rows)``.
+
+        Part of the wrench-event protocol (see :mod:`repro.drone.gusts`):
+        row ``i`` of the ``(k, 6)`` array is the force and torque
+        :meth:`wrench_into` writes at tick ``first + i``, and every other
+        tick's wrench is ``+0.0``.  The amplitude is constant over the
+        window, so every row is the window's first sample.
+        """
+        times = np.arange(steps) * physics_dt
+        end = (self.end_time if self.kind is DisturbanceType.STEP
+               else self.start_time + physics_dt)
+        ticks = np.flatnonzero((self.start_time <= times) & (times < end))
+        if not ticks.size:
+            return 0, np.zeros((0, 6))
+        row = np.concatenate(self.wrench_at(float(times[ticks[0]]),
+                                            physics_dt))
+        return int(ticks[0]), np.tile(row, (ticks.size, 1))
 
     def wrench_at(self, time: float, physics_dt: float
                   ) -> Tuple[np.ndarray, np.ndarray]:

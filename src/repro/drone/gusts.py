@@ -15,11 +15,16 @@ wrench sources for disturbance-recovery episodes:
 Both expose the same protocol as :class:`~repro.drone.disturbance
 .Disturbance` — ``category`` / ``kind`` / ``magnitude`` / ``start_time`` /
 ``end_time`` / ``describe()`` for cell keys and aggregates, and
-``sampler(physics_dt, duration)`` returning an object whose
-``wrench_into(time, dt, force_out, torque_out)`` writes caller-owned
-buffers with pure scalar arithmetic — so gust episodes ride the existing
-zero-alloc per-tick wrench path and batch through the fleet scheduler
-unchanged.
+``sampler(physics_dt, duration)`` returning an object with two views of
+one wrench signal:
+
+* ``wrench_into(time, dt, force_out, torque_out)`` writes one tick's
+  force and torque into caller-owned buffers with pure scalar arithmetic
+  (the reference);
+* ``wrench_table(dt, steps)`` returns ``(first, rows)``: the ``(k, 6)``
+  force and torque rows of ticks ``first .. first + k - 1``, bit for bit
+  what ``wrench_into`` writes there, with every other tick's wrench
+  ``+0.0``.  An episode builds it once and its ticks read rows.
 
 Determinism: Dryden noise is seeded from a sha256 digest of the spec's
 ``seed`` (never ``PYTHONHASHSEED``), and the underlying unit-variance noise
@@ -108,6 +113,20 @@ class TabulatedWrench:
         torque_out[1] = self._ty[index]
         torque_out[2] = self._tz[index]
         return force_out, torque_out
+
+    def wrench_table(self, physics_dt: float, steps: int
+                     ) -> Tuple[int, np.ndarray]:
+        """The table's rows at each tick's :meth:`wrench_into` index,
+        trimmed to the span whose wrench is not ``+0.0``."""
+        times = np.arange(steps) * physics_dt
+        index = np.clip((times / self.dt + 0.5).astype(np.int64), 0,
+                        self._last)
+        rows = np.column_stack((self._fx, self._fy, self._fz, self._tx,
+                                self._ty, self._tz))[index]
+        live = np.flatnonzero(rows.view(np.uint64).any(axis=1))
+        if not live.size:
+            return 0, np.zeros((0, 6))
+        return int(live[0]), rows[live[0]:live[-1] + 1].copy()
 
 
 @dataclass(frozen=True)
@@ -300,6 +319,32 @@ class DiscreteGust:
         torque_out[1] = scale * uy
         torque_out[2] = scale * uz
         return force_out, torque_out
+
+    def _rows(self, amplitudes: np.ndarray) -> np.ndarray:
+        """:meth:`wrench_into`'s products for each amplitude, as rows."""
+        unit = np.array(self._unit)
+        return np.hstack((amplitudes[:, None] * unit,
+                          (amplitudes * self.torque_fraction)[:, None] * unit))
+
+    def wrench_table(self, physics_dt: float, steps: int
+                     ) -> Tuple[int, np.ndarray]:
+        """The gust's window of ticks, with :meth:`_amplitude_at` per tick.
+
+        The ramps are evaluated with :func:`math.cos` as in
+        :meth:`wrench_into` (``np.cos`` may round differently).  Outside
+        the window the amplitude is ``0.0``; when a negative direction
+        component or torque fraction makes that a ``-0.0`` wrench, the
+        table spans every tick.
+        """
+        offsets = np.arange(steps) * physics_dt - self.start_time
+        ticks = np.flatnonzero((offsets >= 0.0) & (offsets < self.duration))
+        first, stop = ((int(ticks[0]), int(ticks[-1]) + 1) if ticks.size
+                       else (0, 0))
+        if np.signbit(self._rows(np.zeros(1))).any():
+            first, stop = 0, steps
+        times = (np.arange(first, stop) * physics_dt).tolist()
+        return first, self._rows(np.array(
+            [self._amplitude_at(time) for time in times], dtype=np.float64))
 
     def to_dict(self) -> Dict[str, object]:
         return {

@@ -66,10 +66,6 @@ class QuadrotorState:
     def velocity(self) -> np.ndarray:
         return self.vector[VELOCITY]
 
-    @property
-    def body_rate(self) -> np.ndarray:
-        return self.vector[BODY_RATE]
-
     def copy(self) -> "QuadrotorState":
         return QuadrotorState(self.vector.copy())
 
@@ -85,19 +81,6 @@ def hover_state(position: Optional[np.ndarray] = None) -> np.ndarray:
 def hover_input(params: DroneParams) -> np.ndarray:
     """Per-rotor thrusts that exactly balance gravity."""
     return np.full(INPUT_DIM, params.hover_thrust_per_rotor())
-
-
-def rotation_matrix(rpy: np.ndarray) -> np.ndarray:
-    """Body-to-world rotation matrix from roll/pitch/yaw (ZYX convention)."""
-    roll, pitch, yaw = rpy
-    cr, sr = np.cos(roll), np.sin(roll)
-    cp, sp = np.cos(pitch), np.sin(pitch)
-    cy, sy = np.cos(yaw), np.sin(yaw)
-    return np.array([
-        [cy * cp, cy * sp * sr - sy * cr, cy * sp * cr + sy * sr],
-        [sy * cp, sy * sp * sr + cy * cr, sy * sp * cr - cy * sr],
-        [-sp, cp * sr, cp * cr],
-    ])
 
 
 def euler_rate_matrix(rpy: np.ndarray) -> np.ndarray:

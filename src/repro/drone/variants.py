@@ -30,7 +30,6 @@ __all__ = ["DroneParams", "crazyflie", "hawk", "heron", "all_variants", "GRAVITY
 
 GRAVITY = 9.81           # m / s^2
 AIR_DENSITY = 1.225      # kg / m^3
-_CELL_VOLTAGE = 3.7      # nominal LiPo cell voltage
 
 
 @dataclass(frozen=True)
@@ -59,10 +58,6 @@ class DroneParams:
         """Swept area of a single propeller disk (for momentum theory)."""
         radius = self.propeller_diameter / 2.0
         return math.pi * radius * radius
-
-    @property
-    def battery_voltage(self) -> float:
-        return self.battery_cells * _CELL_VOLTAGE
 
     # -- derived inertial properties -------------------------------------------
     @property

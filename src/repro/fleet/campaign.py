@@ -689,7 +689,7 @@ class EpisodeFactory:
             config, self._variants[spec.variant], mission,
             soc=self.soc_for(spec.implementation, spec.frequency_mhz,
                              spec.variant, spec.control_rate_hz),
-            state_dim=problem.state_dim, episode_id=episode_id,
+            episode_id=episode_id,
             plant_params=self.plant_params_for(spec),
             faults=spec.sensor_faults)
         settings = SolverSettings(max_iterations=spec.max_admm_iterations,

@@ -7,16 +7,18 @@ to sequential scalar solves.  This scheduler removes that restriction:
 
 * every episode of the run flies as one column of a single
   :class:`~repro.hil.episode.EpisodeBatch`, which advances episodes in
-  lockstep until each yields a :class:`~repro.hil.episode.SolveRequest`
-  into a virtual-time queue;
+  lockstep until each asks for a solve; a request is the column's rows of
+  the batch's ``x0``, ``goal`` and ``sample_time`` arrays, and the
+  waiting columns form a virtual-time queue;
 * a batcher groups pending requests by *solver compatibility* — identical
   MPC problem content (:func:`~repro.tinympc.problem.problem_hash`) and
   identical :class:`~repro.tinympc.solver.SolverSettings` — and dispatches
   each group as one :class:`~repro.tinympc.batch.BatchTinyMPCSolver` call;
 * each episode owns one slot of its group's solver for the whole run, so
-  its warm start never leaves the solver: a dispatch solves only the slots
-  of the episodes it answers, and the others stay as their last solve left
-  them.
+  its warm start never leaves the solver: a dispatch scatters its columns'
+  states and goals into their slots, solves only those slots, and gathers
+  their first inputs and iteration counts back; the other slots stay as
+  their last solve left them.
 
 Episodes never interact physically, so a solve request is causally
 independent of every other episode's requests: the batcher is free to pack
@@ -52,7 +54,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..hil.episode import EpisodeBatch, EpisodeResult, EpisodeRunner, SolveRequest
+from ..hil.episode import EpisodeBatch, EpisodeResult, EpisodeRunner
 from ..tinympc import (
     BatchTinyMPCSolver,
     MPCProblem,
@@ -251,20 +253,22 @@ class _ScalarGroup:
         self.cache = cache or compute_cache(problem)
         self._solvers: Dict[int, TinyMPCSolver] = {}
 
-    def solve(self, requests: Sequence[SolveRequest], stats: SchedulerStats
-              ) -> Dict[int, Tuple[np.ndarray, int]]:
-        responses = {}
-        for request in requests:
-            solver = self._solvers.get(request.episode)
+    def solve(self, columns: np.ndarray, x0: np.ndarray, goal: np.ndarray,
+              stats: SchedulerStats) -> Tuple[np.ndarray, np.ndarray]:
+        controls = np.empty((len(columns), self.problem.input_dim))
+        iterations = np.empty(len(columns), dtype=np.int64)
+        for row, column in enumerate(columns.tolist()):
+            solver = self._solvers.get(column)
             if solver is None:
                 # A fresh solver is exactly a reset one — the same state
                 # HILLoop.run_scenario starts each episode from.
                 solver = TinyMPCSolver(self.problem, self.settings, self.cache)
-                self._solvers[request.episode] = solver
-            solution = solver.solve(request.x0, Xref=request.goal)
-            responses[request.episode] = (solution.control, solution.iterations)
+                self._solvers[column] = solver
+            solution = solver.solve(x0[column], Xref=goal[column])
+            controls[row] = solution.control
+            iterations[row] = solution.iterations
             stats.add_dispatch(1, batched=False)
-        return responses
+        return controls, iterations
 
     def close(self) -> None:
         """Scalar solvers are per-episode and cheap; nothing is pooled."""
@@ -281,32 +285,30 @@ class _BatchGroup:
     """
 
     def __init__(self, population: Sequence[FleetEpisode],
-                 pool: SolverPool) -> None:
+                 columns: Sequence[int], pool: SolverPool) -> None:
         first = population[0]
         problem = first.problem
         width = len(population)
         self.pool = pool
         self.solver = pool.acquire(problem, first.settings, width, first.cache)
-        self._slots = {episode.episode_id: slot
-                       for slot, episode in enumerate(population)}
+        # Batch column -> slot, for every column up to the group's last.
+        self._slots = np.zeros(max(columns) + 1, dtype=np.int64)
+        self._slots[columns] = np.arange(width)
         self._x0 = np.zeros((width, problem.state_dim))
         self._goal = np.zeros((width, problem.state_dim))
         self._active = np.zeros(width, dtype=bool)
 
-    def solve(self, requests: Sequence[SolveRequest], stats: SchedulerStats
-              ) -> Dict[int, Tuple[np.ndarray, int]]:
-        slots = [self._slots[request.episode] for request in requests]
+    def solve(self, columns: np.ndarray, x0: np.ndarray, goal: np.ndarray,
+              stats: SchedulerStats) -> Tuple[np.ndarray, np.ndarray]:
+        slots = self._slots[columns]
         self._active[:] = False
-        for slot, request in zip(slots, requests):
-            self._x0[slot] = request.x0
-            self._goal[slot] = request.goal
-            self._active[slot] = True
+        self._active[slots] = True
+        self._x0[slots] = x0[columns]
+        self._goal[slots] = goal[columns]
         solution = self.solver.solve(self._x0, Xref=self._goal,
                                      active=self._active)
-        stats.add_dispatch(len(requests), batched=True)
-        return {request.episode: (solution.inputs[slot, 0].copy(),
-                                  int(solution.iterations[slot]))
-                for slot, request in zip(slots, requests)}
+        stats.add_dispatch(len(columns), batched=True)
+        return solution.inputs[slots, 0], solution.iterations[slots]
 
     def close(self) -> None:
         """Return the solver to the pool (the group must not solve again)."""
@@ -345,19 +347,24 @@ class FleetScheduler:
 
     # -- internals -------------------------------------------------------------
     def _build_groups(self):
-        """Group episodes by compatibility key, preserving first-seen order."""
-        members: Dict[Tuple, List[FleetEpisode]] = {}
-        for episode in self.episodes:
-            members.setdefault(episode.group_key, []).append(episode)
-        groups = {}
-        for key, population in members.items():
+        """Group the batch columns (episodes, in input order) by
+        compatibility key, in first-seen order: the groups, and each
+        column's group rank."""
+        members: Dict[Tuple, List[int]] = {}
+        for column, episode in enumerate(self.episodes):
+            members.setdefault(episode.group_key, []).append(column)
+        groups = []
+        rank_of = np.zeros(len(self.episodes), dtype=np.int64)
+        for rank, columns in enumerate(members.values()):
+            rank_of[columns] = rank
+            population = [self.episodes[column] for column in columns]
             if self.batching and len(population) > 1:
-                groups[key] = _BatchGroup(population, self.pool)
+                groups.append(_BatchGroup(population, columns, self.pool))
             else:
                 first = population[0]
-                groups[key] = _ScalarGroup(first.problem, first.settings,
-                                           first.cache)
-        return groups
+                groups.append(_ScalarGroup(first.problem, first.settings,
+                                           first.cache))
+        return groups, rank_of
 
     # -- main entry point -------------------------------------------------------
     def run(self) -> List[EpisodeResult]:
@@ -367,32 +374,26 @@ class FleetScheduler:
         # Built before any group acquires a pooled solver, so a physics
         # step the plant rejects leaks none.
         lockstep = EpisodeBatch([episode.runner for episode in self.episodes])
-        groups = self._build_groups()
-        group_rank = {key: rank for rank, key in enumerate(groups)}
-        keys = {episode.episode_id: episode.group_key
-                for episode in self.episodes}
+        groups, rank_of = self._build_groups()
         self.stats.episodes = len(self.episodes)
         self.stats.groups = len(groups)
-        pending: Dict[Tuple, List[SolveRequest]] = {}
-
-        def queue(requests: Sequence[SolveRequest]) -> None:
-            for request in requests:
-                pending.setdefault(keys[request.episode], []).append(request)
-
+        waiting = np.zeros(len(self.episodes), dtype=bool)
         try:
-            queue(lockstep.advance())
-            while pending:
+            waiting[lockstep.advance()] = True
+            while waiting.any():
                 # Event-driven dispatch: the group holding the earliest
-                # pending request goes first (first-seen group order breaks
-                # time ties).
-                key = min(pending, key=lambda k: (
-                    min(r.time for r in pending[k]), group_rank[k]))
-                requests = pending.pop(key)
-                requests.sort(key=lambda r: (r.time, r.episode))
-                queue(lockstep.advance(groups[key].solve(requests,
-                                                         self.stats)))
+                # waiting request goes first (first-seen group order breaks
+                # time ties), and answers every request it holds.
+                columns = np.flatnonzero(waiting)
+                times = lockstep.sample_time[columns]
+                rank = rank_of[columns[times == times.min()]].min()
+                columns = columns[rank_of[columns] == rank]
+                waiting[columns] = False
+                controls, iterations = groups[rank].solve(
+                    columns, lockstep.x0, lockstep.goal, self.stats)
+                waiting[lockstep.advance(columns, controls, iterations)] = True
         finally:
-            for group in groups.values():
+            for group in groups:
                 group.close()
 
         return [episode.runner.result for episode in self.episodes]

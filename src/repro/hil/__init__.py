@@ -3,7 +3,7 @@
 from .uart import UARTLink
 from .dronet import DroNetWorkload
 from .episode import EpisodeResult, EpisodeRunner, RecoveryEpisode, SolveRequest
-from .faults import FaultyObserver, SensorFaults
+from .faults import SensorFaults
 from .soc import SOFTWARE_IMPLEMENTATIONS, SoCModel
 from .rtos import ConcurrentTaskReport, RTOSModel
 from .metrics import (
@@ -24,7 +24,6 @@ __all__ = [
     "EpisodeRunner",
     "RecoveryEpisode",
     "SolveRequest",
-    "FaultyObserver",
     "SensorFaults",
     "SOFTWARE_IMPLEMENTATIONS",
     "SoCModel",

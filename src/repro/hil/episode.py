@@ -1,4 +1,4 @@
-"""The HIL episode state machine, flown alone or in lockstep with others.
+"""The HIL episode state machine, flown as columns of a batch.
 
 One implementation serves every caller and both episode kinds:
 
@@ -11,27 +11,44 @@ One implementation serves every caller and both episode kinds:
   the result is a :class:`~repro.drone.disturbance.RecoveryResult`.
 
 :class:`EpisodeBatch` flies many episodes on one struct-of-arrays plant
-(:class:`~repro.drone.quadrotor.QuadrotorBatch`, one column per episode).
-Each call advances the episodes it is given until every one of them
-blocks on an MPC solve (a :class:`SolveRequest`) or ends.  Every physics
-tick is one plant tick over all of those episodes: one call into the
-compiled plant (or, without a C toolchain, its scalar arithmetic per
-column) steps, crash-checks and meters every one of them.
-Per-episode control bookkeeping runs only at an episode's *event ticks*:
-a finished solve to apply, a control tick with the solver free, or the
-end.  Between events nothing but the physics changes, so the event ticks
-are computed ahead with the same ``time >= threshold`` tests a plain
-per-tick loop makes.
+(:class:`~repro.drone.quadrotor.QuadrotorBatch`, one column per episode),
+and its state machine is arrays over those columns: the tick counters,
+the clocks (next control tick, the tick each pending command lands, the
+next event tick), the pending commands, the sampled states and goals.  Each
+call advances the columns it is given until every one of them blocks on
+an MPC solve or ends.  Every physics tick is one plant tick over all of
+those columns: one call into the compiled plant (or, without a C
+toolchain, its scalar arithmetic per column) steps, crash-checks and
+meters every one of them.
+
+Control bookkeeping runs when solves return and at a column's *event
+ticks* (a control tick with the solver free, or the end), each time as
+one set of array operations over every column concerned.  When a
+dispatch's solves return, their latencies are one array expression, and
+the tick each command lands and each column's next event tick are found
+for all of them at once (:func:`first_ticks`), with the same
+``time >= threshold`` tests a plain per-tick loop makes.  Between events
+the plant flies stretches of ticks, and a command lands on its tick
+inside the stretch.
+
+What a tick needs beyond the plant is tabulated when the batch is built,
+only for the columns that use it and sized per episode: each disturbed
+column's wrench window (the event's ``wrench_table``), each recording
+column's position rows, and each faulty column's sensor noise and dropout
+draws (:class:`~repro.hil.faults.FaultPipelines`).  A tick then writes the
+wrenches of the columns inside their windows and records positions with
+one indexed write each.
 
 The fleet scheduler drives one batch over all HIL episodes of a campaign
-chunk; :meth:`EpisodeRunner.run` is a batch of one behind a generator that
-yields each :class:`SolveRequest` and expects ``(control, iterations)``
-back.  Where that solve runs (a scalar
-:class:`~repro.tinympc.solver.TinyMPCSolver`, one slot of a
-:class:`~repro.tinympc.batch.BatchTinyMPCSolver`) is invisible to the
-episode, and a batch column computes exactly what a lone episode does, so
-scalar and fleet runs can only diverge through the numbers the solver
-returns.
+chunk and reads the requests as column arrays (:attr:`EpisodeBatch.x0`,
+:attr:`EpisodeBatch.goal`, :attr:`EpisodeBatch.sample_time`);
+:meth:`EpisodeRunner.run` is a batch of one behind a generator that yields
+each :class:`SolveRequest` and expects ``(control, iterations)`` back.
+Where that solve runs (a scalar :class:`~repro.tinympc.solver.TinyMPCSolver`,
+one slot of a :class:`~repro.tinympc.batch.BatchTinyMPCSolver`) is
+invisible to the episode, and a batch column computes exactly what a lone
+episode does, so scalar and fleet runs can only diverge through the numbers
+the solver returns.
 
 Timing semantics (identical for both kinds)::
 
@@ -45,14 +62,14 @@ period boundary after the solver frees up.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import (Dict, Generator, List, Mapping, Optional, Sequence, Tuple,
-                    Union)
+from typing import Generator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..drone import (
+    INPUT_DIM,
+    STATE_DIM,
     Disturbance,
     DroneParams,
     QuadrotorBatch,
@@ -62,27 +79,27 @@ from ..drone import (
     hover_input,
     hover_state,
 )
-from .faults import FaultyObserver, SensorFaults
+from .faults import FaultPipelines, SensorFaults
 from .metrics import ScenarioResult
 from .soc import SoCModel
 
 __all__ = ["SolveRequest", "RecoveryEpisode", "EpisodeRunner", "EpisodeBatch",
-           "EpisodeResult"]
+           "EpisodeResult", "first_ticks"]
 
 
 @dataclass
 class SolveRequest:
-    """One MPC solve the episode needs before it can keep flying.
+    """One MPC solve a lone episode (:meth:`EpisodeRunner.run`) needs
+    before it can keep flying.
 
-    ``episode`` is the id the driver assigned to this episode (the fleet
-    scheduler uses it to route the batched solution rows back); ``time`` is
-    the episode-local virtual time at which the state was sampled.
+    ``episode`` is the runner's ``episode_id``; ``time`` is the
+    episode-local virtual time at which the state was sampled.
     """
 
     episode: int
     time: float
-    x0: np.ndarray           # sampled plant state, shape (state_dim,)
-    goal: np.ndarray         # goal state for the active waypoint, (state_dim,)
+    x0: np.ndarray           # sampled plant state, shape (12,)
+    goal: np.ndarray         # goal state for the active waypoint, (12,)
 
 
 @dataclass(frozen=True)
@@ -96,9 +113,9 @@ class RecoveryEpisode:
     ``disturbance`` accepts any wrench event implementing the protocol in
     :mod:`repro.drone.gusts` — a deterministic :class:`Disturbance`, a
     stochastic :class:`~repro.drone.gusts.DrydenGust`, or a 1-cosine
-    :class:`~repro.drone.gusts.DiscreteGust`; the runner asks the event for
-    its per-episode :meth:`sampler` once and drives the sampled wrench on
-    the physics grid.
+    :class:`~repro.drone.gusts.DiscreteGust`; the batch asks the event for
+    its per-episode :meth:`sampler` once and flies the sampler's
+    ``wrench_table``.
     """
 
     disturbance: Disturbance  # or any gusts.py wrench event (duck-typed)
@@ -110,24 +127,38 @@ class RecoveryEpisode:
 EpisodeResult = Union[ScenarioResult, RecoveryResult]
 
 
-def _first_tick(threshold: float, after: int, last: int, dt: float) -> int:
-    """The first tick ``j`` in ``(after, last]`` with ``j * dt >= threshold``.
+def first_ticks(threshold: np.ndarray, after: np.ndarray, last: np.ndarray,
+                dt: np.ndarray) -> np.ndarray:
+    """For each entry, the first tick ``j`` in ``(after, last]`` with
+    ``j * dt >= threshold``; ``last`` when there is none.
 
-    ``last`` when there is none.  ``j * dt`` is exactly the ``time`` a
-    per-tick loop would compare, so this is the tick at which that loop's
-    test first passes.
+    ``j * dt`` is exactly the ``time`` a per-tick loop would compare, so
+    this is the tick at which that loop's test first passes.  At tick
+    counts far below ``2**52``, rounding moves ``j * dt`` and
+    ``threshold / dt`` by far less than one tick, and ``j * dt`` never
+    decreases as ``j`` grows, so with
+    ``c = ceil(threshold / dt)`` the answer before clamping is ``c - 1``
+    when ``(c - 1) * dt`` passes, else ``c`` when ``c * dt`` passes, else
+    ``c + 1``.  All four arguments are 1-D and equally long (one entry
+    per search); ``threshold`` is never NaN, and ``inf`` finds none.
     """
-    tick = after + 1
-    if tick * dt >= threshold:
-        return tick
-    if not threshold <= last * dt:
-        return last
-    tick = max(tick, math.ceil(threshold / dt))
-    while tick * dt < threshold:
-        tick += 1
-    while (tick - 1) * dt >= threshold:
-        tick -= 1
-    return tick
+    ceiling = np.ceil(threshold / dt)
+    ticks = ceiling + (ceiling * dt < threshold)
+    ticks -= (ceiling - 1.0) * dt >= threshold
+    return np.maximum(np.minimum(ticks, last), after + 1).astype(np.int64)
+
+
+# A landing tick that is never reached: no command is pending.
+_NEVER = np.iinfo(np.int64).max // 2
+# x, y, z within a position row.
+_XYZ = np.arange(3)
+
+
+def _sample_bound(steps: int, dt: float, period: float) -> int:
+    """At most how many states an episode samples: one per tick, and one
+    per control period after the first (one more absorbs the float sums
+    of the periods)."""
+    return min(steps, int((steps - 1) * dt / period) + 2)
 
 
 class EpisodeRunner:
@@ -158,15 +189,13 @@ class EpisodeRunner:
 
     def __init__(self, config, params: DroneParams,
                  scenario: Union[Scenario, RecoveryEpisode],
-                 soc: Optional[SoCModel] = None, state_dim: int = 12,
-                 episode_id: int = 0,
+                 soc: Optional[SoCModel] = None, episode_id: int = 0,
                  plant_params: Optional[DroneParams] = None,
                  faults: Optional[SensorFaults] = None) -> None:
         self.config = config
         self.params = params
         self.scenario = scenario
         self.soc = soc
-        self.state_dim = state_dim
         self.episode_id = episode_id
         self.faults = faults
         self.is_recovery = isinstance(scenario, RecoveryEpisode)
@@ -178,162 +207,40 @@ class EpisodeRunner:
         if not config.is_ideal and soc is None:
             raise ValueError("non-ideal episodes need a compiled SoCModel")
 
-    # -- helpers ----------------------------------------------------------------
     @property
     def result(self) -> EpisodeResult:
         if self._result is None:
             raise RuntimeError("episode has not finished; drive run() first")
         return self._result
 
-    @property
-    def finished(self) -> bool:
-        return self._result is not None
-
-    def _goal_state(self, position: np.ndarray) -> np.ndarray:
-        goal = np.zeros(self.state_dim)
-        goal[0:3] = position
-        return goal
-
-    # -- driving the episode alone ---------------------------------------------
     def run(self) -> Generator[SolveRequest, Tuple[np.ndarray, int], None]:
         """Fly the episode, yielding a :class:`SolveRequest` per solve.
 
         The episode flies as an :class:`EpisodeBatch` of one.
         """
         batch = EpisodeBatch([self])
-        requests = batch.advance()
-        while requests:
-            response = yield requests[0]
-            requests = batch.advance({self.episode_id: response})
-
-    # -- the state machine, driven by EpisodeBatch ------------------------------
-    def _begin(self, plant: QuadrotorBatch, column: int) -> None:
-        """Reset the episode onto ``plant`` column ``column`` at tick 0."""
-        config = self.config
-        scenario = self.scenario
-        self._result = None
-        self._plant = plant
-        self._column = column
-        self._dt = config.physics_dt
-        self._steps = int(round(scenario.duration / config.physics_dt))
-        self._step = 0
-        self._event = 0
-        if self.is_recovery:
-            start = np.asarray(scenario.hold_position, dtype=np.float64)
-            self._goal = self._goal_state(start)
-            # One sampler per episode: deterministic events return
-            # themselves; stochastic gusts tabulate their seeded realization
-            # here.  It writes the plant's wrench columns in place each tick.
-            self._wrench = scenario.disturbance.sampler(config.physics_dt,
-                                                        scenario.duration)
-            self._force = plant.force[:, column]
-            self._torque = plant.torque[:, column]
-        else:
-            start = scenario.start_position
-            self._goal = None
-            self._wrench = None
-        plant.state[:, column] = hover_state(start)
-        self._hover = hover_input(self.params)
-        plant.command[:, column] = self._hover
-        self._positions = (np.empty((self._steps, 3))
-                           if self.is_recovery or config.record_trajectory
-                           else None)
-        self._pending: Optional[np.ndarray] = None
-        self._pending_ready = 0.0
-        self._solver_free = 0.0
-        self._next_control = 0.0
-        self._solve_times: List[float] = []
-        self._solve_iterations: List[int] = []
-        self._compute_busy = 0.0
-        self._control_period = (config.physics_dt if config.is_ideal
-                                else config.control_period)
-        # The fault pipeline sits between the plant and the solver: only the
-        # sampled state handed to SolveRequest is corrupted — the recorded
-        # trajectory, crash detector, and recovery analysis all see truth.
-        self._observer: Optional[FaultyObserver] = None
-        if self.faults is not None and not self.faults.is_null:
-            self._observer = FaultyObserver(self.faults, self._control_period,
-                                            self.state_dim)
-
-    def _next_event(self) -> int:
-        """The next tick at which a solve lands, one starts, or the end."""
-        step, last, dt = self._step, self._steps, self._dt
-        event = _first_tick(max(self._next_control, self._solver_free),
-                            step, last, dt)
-        if self._pending is not None:
-            event = min(event, _first_tick(self._pending_ready, step, last, dt))
-        return event
-
-    def _on_event(self) -> Optional[SolveRequest]:
-        """Bookkeeping at an event tick, before that tick's physics.
-
-        Returns the request the episode blocks on, or ``None`` when it flies
-        on (or has ended: then :attr:`finished` is set).
-        """
-        step = self._step
-        if step == self._steps:
-            self._finish(crashed=False)
-            return None
-        time = step * self._dt
-        # Apply a completed solve.
-        if self._pending is not None and time >= self._pending_ready:
-            self._plant.command[:, self._column] = self._hover + self._pending
-            self._pending = None
-        # Kick off a new solve at control ticks once the solver is free.
-        if time >= self._next_control and time >= self._solver_free:
-            if not self.is_recovery:
-                waypoint = self.scenario.active_waypoint(time)
-                self._goal = self._goal_state(waypoint.as_array())
-            sampled = self._plant.state[:, self._column].copy()
-            if self._observer is not None:
-                sampled = self._observer.observe(sampled)
-            self._sample_time = time
-            return SolveRequest(self.episode_id, time, sampled, self._goal)
-        self._event = self._next_event()
-        return None
-
-    def _resume(self, control: np.ndarray, iterations: int) -> None:
-        """Take the solve the episode blocked on; its tick's physics is next."""
-        config = self.config
-        time = self._sample_time
-        if config.is_ideal:
-            compute_only = latency = 0.0
-        else:
-            # End to end, from state sample to applied command.
-            compute_only = self.soc.solve_latency(iterations)
-            latency = (config.uart.downlink_latency + compute_only
-                       + config.uart.uplink_latency)
-        self._solve_times.append(compute_only)
-        self._solve_iterations.append(iterations)
-        self._compute_busy += compute_only
-        if config.is_ideal:
-            self._plant.command[:, self._column] = self._hover + control
-        else:
-            self._pending = control
-            self._pending_ready = time + latency
-            self._solver_free = time + max(latency, 1e-9)
-        self._next_control += self._control_period
-        # If the solve overran one or more control periods, resume on the
-        # next period boundary after the solver frees up.
-        if self._solver_free > self._next_control:
-            periods_behind = int(np.ceil(
-                (self._solver_free - self._next_control) / self._control_period))
-            self._next_control += periods_behind * self._control_period
-        self._event = self._next_event()
+        columns = batch.advance()
+        while columns.size:
+            control, iterations = yield SolveRequest(
+                self.episode_id, float(batch.sample_time[0]),
+                batch.x0[0].copy(), batch.goal[0].copy())
+            columns = batch.advance(columns, np.asarray(control)[None],
+                                    np.array([iterations]))
 
     def _finish(self, crashed: bool) -> None:
-        """Build the result once the episode has flown ``self._step`` ticks."""
+        """Build the result once the episode's column has stopped flying."""
+        batch, column = self._batch, self._column
         config = self.config
         scenario = self.scenario
-        ticks = self._step
+        dt = config.physics_dt
+        ticks = int(batch._step[column])
         # The time of the last physics tick flown (0.0 if none was).
-        time = (ticks - 1) * self._dt if ticks else 0.0
-        positions = (self._positions[:ticks]
-                     if self._positions is not None and ticks else None)
+        time = (ticks - 1) * dt if ticks else 0.0
+        positions = batch._recorded(column, ticks)
         if self.is_recovery:
             disturbance = scenario.disturbance
             result = analyze_recovery(
-                [tick * self._dt for tick in range(ticks)],
+                np.arange(ticks) * dt,
                 positions if positions is not None else [],
                 scenario.hold_position, disturbance.end_time,
                 disturbance_start=disturbance.start_time)
@@ -342,23 +249,25 @@ class EpisodeRunner:
                 result.recovered = False
                 result.time_to_recovery = None
             self._result = result
+            self._batch = None
             return
 
+        plant = batch.plant
         flight_time = max(time, config.physics_dt)
         final_distance = float(np.linalg.norm(
-            self._plant.state[0:3, self._column]
-            - scenario.final_waypoint.as_array()))
+            plant.state[0:3, column] - scenario.final_waypoint.as_array()))
         success = (not crashed) and final_distance <= config.waypoint_tolerance
 
         if config.is_ideal:
             soc_power = 0.0
         else:
-            activity = min(self._compute_busy / flight_time, 1.0)
+            activity = min(float(batch._busy[column]) / flight_time, 1.0)
             soc_power = self.soc.power(activity)
 
+        solve_times, solve_iterations = batch._solve_log(column)
         # RecoveryResult carries no power metrics; the plant meters every
         # column anyway, and only waypoint episodes read it.
-        energy = float(self._plant.energy[self._column])
+        energy = float(plant.energy[column])
         self._result = ScenarioResult(
             scenario=scenario,
             implementation=config.implementation,
@@ -366,107 +275,382 @@ class EpisodeRunner:
             success=success,
             crashed=crashed,
             final_distance=final_distance,
-            solve_times=self._solve_times,
-            solve_iterations=self._solve_iterations,
+            solve_times=solve_times,
+            solve_iterations=solve_iterations,
             actuation_power_w=energy / flight_time,
             soc_power_w=soc_power,
             flight_time_s=flight_time,
-            positions=positions,
+            positions=positions.copy() if positions is not None else None,
         )
+        self._batch = None
+
+
+def _offsets(sizes: Sequence[int]) -> Tuple[np.ndarray, int]:
+    """Where each of a run of per-column tables starts when concatenated,
+    and their total length."""
+    ends = np.cumsum(np.asarray(sizes, dtype=np.int64))
+    return ends - sizes, int(ends[-1]) if len(sizes) else 0
 
 
 class EpisodeBatch:
     """Episodes flown in lockstep, one :class:`QuadrotorBatch` column each.
 
-    ``runners`` must carry distinct ``episode_id`` values.  The first
-    :meth:`advance` starts every episode; each later call resumes the
-    episodes whose solves it is handed.  Either way the call flies those
-    episodes until each one blocks on a solve or ends, and returns the new
-    requests; an advanced episode that asks for no solve has finished.
-    Each physics tick of the flying episodes is one
+    The first :meth:`advance` starts every episode; each later call hands
+    back the solves of the columns that asked for them.  Either way the
+    call flies those columns until each one blocks on a solve or ends, and
+    returns the columns that now ask for a solve: their sampled states are
+    rows of :attr:`x0`, their goals rows of :attr:`goal`, and their sample
+    times entries of :attr:`sample_time`.  An advanced column that asks for
+    no solve has finished.  Each physics tick of the flying columns is one
     :meth:`QuadrotorBatch.tick`.
     """
 
     def __init__(self, runners: Sequence[EpisodeRunner]) -> None:
-        self.runners = list(runners)
-        self.plant = QuadrotorBatch(
-            [runner.plant_params for runner in self.runners],
-            [runner.config.physics_dt for runner in self.runners])
-        self._columns: Dict[int, int] = {
-            runner.episode_id: column
-            for column, runner in enumerate(self.runners)}
-        self._started = False
+        self.runners = runners = list(runners)
+        width = len(runners)
+        configs = [runner.config for runner in runners]
+        self.plant = plant = QuadrotorBatch(
+            [runner.plant_params for runner in runners],
+            [config.physics_dt for config in configs])
+        self._dt = np.array([config.physics_dt for config in configs])
+        self._steps = np.array(
+            [int(round(runner.scenario.duration / config.physics_dt))
+             for runner, config in zip(runners, configs)], dtype=np.int64)
+        self._step = np.zeros(width, dtype=np.int64)
+        self._event = np.zeros(width, dtype=np.int64)
+        self._next_control = np.zeros(width)
+        # The tick whose physics first flies the pending command.
+        self._landing = np.full(width, _NEVER, dtype=np.int64)
+        # Hover thrust, laid out as the plant's command buffer, and each
+        # column's pending first input.  A command lands as their sum,
+        # written through flat indices: a 1-D fancy index costs a
+        # fraction of a 2-D one.
+        self._hover = np.zeros((INPUT_DIM, width))
+        self._input_rows = np.arange(INPUT_DIM) * width
+        self._pending = np.zeros((width, INPUT_DIM))
+        self._ideal = np.array([config.is_ideal for config in configs],
+                               dtype=bool)
+        self._instant = bool(self._ideal.any())
+        self._period = np.array([config.physics_dt if config.is_ideal
+                                 else config.control_period
+                                 for config in configs])
+        # SoCModel.solve_latency's factors and the UART legs; ideal columns
+        # solve in zero time and never read them.
+        timed = [(runner.soc.cycles_per_iteration, runner.soc.frequency_hz,
+                  config.uart.downlink_latency, config.uart.uplink_latency)
+                 if not config.is_ideal else (0.0, 1.0, 0.0, 0.0)
+                 for runner, config in zip(runners, configs)]
+        (self._cycles, self._clock_hz, self._downlink,
+         self._uplink) = np.array(timed, dtype=np.float64).reshape(
+             width, 4).T.copy()
+        self._busy = np.zeros(width)
+        self._solves = np.zeros(width, dtype=np.int64)
+        self.x0 = np.zeros((width, STATE_DIM))
+        self.goal = np.zeros((width, STATE_DIM))
+        self.sample_time = np.zeros(width)
 
-    def advance(self, responses: Optional[Mapping[int, Tuple[np.ndarray, int]]]
-                = None) -> List[SolveRequest]:
-        """Fly until every advanced episode blocks or ends.
+        samples = [_sample_bound(int(steps), config.physics_dt, period)
+                   for steps, config, period in zip(
+                       self._steps.tolist(), configs, self._period.tolist())]
+        waypoints = []
+        for column, runner in enumerate(runners):
+            runner._result = None
+            runner._batch = self
+            runner._column = column
+            scenario = runner.scenario
+            if runner.is_recovery:
+                start = np.asarray(scenario.hold_position, dtype=np.float64)
+                self.goal[column, 0:3] = start
+            else:
+                start = scenario.start_position
+                waypoints.append(column)
+            plant.state[:, column] = hover_state(start)
+            self._hover[:, column] = hover_input(runner.params)
+        plant.command[:] = self._hover
 
-        ``responses`` maps episode ids to the ``(control, iterations)``
-        answering their outstanding requests; the first call takes none.
+        # Waypoint schedules, padded with never-active entries so every
+        # row has one.
+        self._waypoint = np.zeros(width, dtype=bool)
+        self._waypoint[waypoints] = True
+        self._tracking = bool(waypoints)
+        count = max([len(runners[column].scenario.waypoints)
+                     for column in waypoints], default=0)
+        self._activation = np.full((width, count + 1), np.inf)
+        self._targets = np.zeros((width, count + 1, 3))
+        for column in waypoints:
+            schedule = runners[column].scenario.waypoints
+            for index, waypoint in enumerate(schedule):
+                self._activation[column, index] = waypoint.activation_time
+                self._targets[column, index] = waypoint.position
+
+        # Solve logs, for the waypoint results that report them.
+        self._log_at = np.zeros(width, dtype=np.int64)
+        self._log_at[waypoints], rows = _offsets([samples[column]
+                                                  for column in waypoints])
+        self._log_times = np.zeros(rows)
+        self._log_iterations = np.zeros(rows, dtype=np.int64)
+
+        # Position records: every tick of recovery episodes and of
+        # waypoint episodes that keep their trajectory.
+        self._record = np.array(
+            [runner.is_recovery or config.record_trajectory
+             for runner, config in zip(runners, configs)], dtype=bool)
+        recording = self._record.nonzero()[0]
+        self._record_at = np.zeros(width, dtype=np.int64)
+        self._record_at[recording], rows = _offsets(self._steps[recording])
+        self._positions = np.empty((rows, 3)) if rows else None
+        # Flat index of each column's x, y, z in the plant state.
+        self._xyz_rows = np.arange(3) * width
+
+        # Wrench windows: column c's rows for ticks first[c] .. stop[c] - 1
+        # sit at shift[c] + tick, followed by one zero row that tick
+        # stop[c] writes; columns without a window have stop = -1.
+        self._wrench_first = np.full(width, -1, dtype=np.int64)
+        self._wrench_stop = np.full(width, -1, dtype=np.int64)
+        self._wrench_shift = np.zeros(width, dtype=np.int64)
+        tables, rows = [], 0
+        for column, runner in enumerate(runners):
+            if not runner.is_recovery:
+                continue
+            config = configs[column]
+            sampler = runner.scenario.disturbance.sampler(
+                config.physics_dt, runner.scenario.duration)
+            first, table = sampler.wrench_table(config.physics_dt,
+                                                int(self._steps[column]))
+            if not len(table):
+                continue
+            self._wrench_first[column] = first
+            self._wrench_stop[column] = first + len(table)
+            self._wrench_shift[column] = rows - first
+            tables.append(table)
+            tables.append(np.zeros((1, 6)))
+            rows += len(table) + 1
+        self._wrench = np.concatenate(tables).T.copy() if tables else None
+
+        profiles = [(column, runner.faults, float(self._period[column]),
+                     samples[column])
+                    for column, runner in enumerate(runners)
+                    if runner.faults is not None and not runner.faults.is_null]
+        self._faults = (FaultPipelines(width, STATE_DIM, profiles)
+                        if profiles else None)
+
+    # -- driving -------------------------------------------------------------
+    def advance(self, columns: Optional[np.ndarray] = None,
+                controls: Optional[np.ndarray] = None,
+                iterations: Optional[np.ndarray] = None) -> np.ndarray:
+        """Fly until every advanced column blocks or ends; return the
+        ascending columns that ask for a solve.
+
+        The first call takes no arguments and starts every column.  Later
+        calls answer ``columns`` (ascending, each with an outstanding
+        request): ``controls`` holds their ``(len(columns), m)`` first
+        inputs and ``iterations`` their ADMM iteration counts.
         """
-        if not self._started:
-            self._started = True
-            for column, runner in enumerate(self.runners):
-                runner._begin(self.plant, column)
-            columns = list(range(len(self.runners)))
+        if columns is None:
+            columns = np.arange(len(self.runners))
         else:
-            columns = []
-            for episode_id, (control, iterations) in responses.items():
-                column = self._columns[episode_id]
-                self.runners[column]._resume(control, iterations)
-                columns.append(column)
-            columns.sort()
+            self._resume(columns, np.asarray(controls),
+                         np.asarray(iterations))
         return self._fly(columns)
 
-    def _fly(self, columns: List[int]) -> List[SolveRequest]:
-        runners = self.runners
-        requests = []
-        while columns:
-            flying = []
-            for column in columns:
-                runner = runners[column]
-                if runner._step == runner._event:
-                    request = runner._on_event()
-                    if request is not None:
-                        requests.append(request)
-                        continue
-                    if runner._result is not None:
-                        continue
-                flying.append(column)
-            if not flying:
-                break
-            ticks = min(runners[column]._event - runners[column]._step
-                        for column in flying)
-            columns = self._physics(flying, ticks)
-        return requests
+    def _on_events(self, columns: np.ndarray, step: np.ndarray
+                   ) -> np.ndarray:
+        """Bookkeeping of ``columns`` at their event ticks ``step``, before
+        those ticks' physics; returns the columns that now ask for a solve.
 
-    def _physics(self, columns: List[int], ticks: int) -> List[int]:
-        """Fly ``columns`` for ``ticks`` event-free ticks.
+        An event tick is a column's last tick (it ends) or the first tick
+        whose time reaches both its next control tick and its solver's
+        release, where it samples its state.  (A command due on that tick
+        has landed at the end of the stretch that led to it.)
+        """
+        ended = step == self._steps[columns]
+        if np.count_nonzero(ended):
+            for column in columns[ended].tolist():
+                self.runners[column]._finish(crashed=False)
+            columns, step = columns[~ended], step[~ended]
+            if not columns.size:
+                return columns
+        self._sample(columns, step * self._dt[columns])
+        return columns
+
+    def _land(self, columns: np.ndarray) -> None:
+        """Apply the pending commands of ``columns``."""
+        inputs = (self._input_rows + columns[:, None]).ravel()
+        self.plant.command.reshape(-1)[inputs] = (
+            self._hover.reshape(-1)[inputs]
+            + self._pending[columns].ravel())
+        self._landing[columns] = _NEVER
+
+    def _sample(self, columns: np.ndarray, time: np.ndarray) -> None:
+        """Sample the states and goals ``columns`` ask to be solved from."""
+        self.sample_time[columns] = time
+        self.x0[columns] = self.plant.state[:, columns].T
+        if self._tracking:
+            waypoint = self._waypoint[columns]
+            if np.count_nonzero(waypoint):
+                # The most recently activated waypoint: the one before the
+                # first that is not yet active (the first when none is).
+                tracking = columns[waypoint]
+                later = ~(self._activation[tracking]
+                          <= time[waypoint][:, None])
+                active = np.maximum(np.argmax(later, axis=1) - 1, 0)
+                self.goal[tracking, 0:3] = self._targets[tracking, active]
+        if self._faults is not None:
+            faulty = columns[self._faults.faulty[columns]]
+            if faulty.size:
+                self.x0[faulty] = self._faults.observe(faulty,
+                                                       self.x0[faulty])
+
+    def _resume(self, columns: np.ndarray, controls: np.ndarray,
+                iterations: np.ndarray) -> None:
+        """Take the solves ``columns`` blocked on; their ticks' physics is
+        next."""
+        if np.count_nonzero(iterations < 0):
+            raise ValueError("iterations must be non-negative")
+        time = self.sample_time[columns]
+        # SoCModel.solve_latency, then the end-to-end latency from state
+        # sample to applied command (both zero on ideal columns).
+        compute = (iterations * self._cycles[columns]
+                   / self._clock_hz[columns])
+        latency = self._downlink[columns] + compute + self._uplink[columns]
+        free = time + np.maximum(latency, 1e-9)
+        self._pending[columns] = controls
+        if self._instant:
+            # The ideal policy applies its command now and never holds
+            # the solver.
+            instant = self._ideal[columns]
+            self._land(columns[instant])
+            free[instant] = 0.0
+        period = self._period[columns]
+        next_control = self._next_control[columns] + period
+        # If the solve overran one or more control periods, resume on the
+        # next period boundary after the solver frees up.
+        behind = free > next_control
+        if np.count_nonzero(behind):
+            next_control[behind] += np.ceil(
+                (free[behind] - next_control[behind])
+                / period[behind]) * period[behind]
+        self._next_control[columns] = next_control
+        # The command lands on the first tick whose time reaches it; the
+        # next event is the first tick whose time reaches both the next
+        # control tick and the solver's release, never before the landing.
+        # Both searches run as one, over the columns listed twice.
+        twice = np.concatenate((columns, columns))
+        ticks = first_ticks(
+            np.concatenate((time + latency, np.maximum(next_control, free))),
+            self._step[twice], self._steps[twice], self._dt[twice])
+        count = len(columns)
+        self._landing[columns] = ticks[:count]
+        self._event[columns] = ticks[count:]
+        if self._instant:
+            self._landing[columns[instant]] = _NEVER
+        if self._tracking:
+            self._busy[columns] += compute
+            logged = self._waypoint[columns]
+            rows = (self._log_at[columns[logged]]
+                    + self._solves[columns[logged]])
+            self._log_times[rows] = compute[logged]
+            self._log_iterations[rows] = iterations[logged]
+            self._solves[columns] += 1
+
+    def _fly(self, columns: np.ndarray) -> np.ndarray:
+        asking = []
+        while columns.size:
+            step = self._step[columns]
+            gap = self._event[columns] - step
+            at = gap == 0
+            events = np.count_nonzero(at)
+            if events == columns.size:
+                asking.append(self._on_events(columns, step))
+                break
+            if events:
+                asking.append(self._on_events(columns[at], step[at]))
+                flying = ~at
+                columns, step, gap = columns[flying], step[flying], gap[flying]
+            columns = self._physics(columns, step, min(gap.tolist()))
+        if len(asking) == 1:
+            return asking[0]
+        return np.sort(np.concatenate(asking)) if asking else columns
+
+    def _physics(self, columns: np.ndarray, step: np.ndarray,
+                 ticks: int) -> np.ndarray:
+        """Fly ``columns``, at ticks ``step``, for ``ticks`` ticks before
+        their next events.
 
         Returns the columns still flying; a crash ends its episode on the
         tick it happens and cuts the stretch short for the rest.
         """
-        runners = self.runners
         plant = self.plant
-        gusts = [runners[column] for column in columns
-                 if runners[column]._wrench is not None]
-        recorders = [(runners[column], plant.state[0:3, column])
-                     for column in columns
-                     if runners[column]._positions is not None]
+        # Commands landing on the stretch's ticks, by offset; one due on
+        # the tick after the stretch lands at its end, before any event
+        # there samples the state.
+        due = self._landing[columns] - step
+        landing = due <= ticks
+        lands = bool(np.count_nonzero(landing))
+        if lands:
+            landers, due = columns[landing], due[landing]
+            offsets = set(due.tolist())
+        recording = False
+        if self._positions is not None:
+            # Flat indices: the recorders' x, y, z in the plant state, and
+            # where the stretch's first tick writes them in the record.
+            recorders = self._record[columns]
+            recording = bool(np.count_nonzero(recorders))
+            if recording:
+                state = plant.state.reshape(-1)
+                record = self._positions.reshape(-1)
+                sources = (self._xyz_rows
+                           + columns[recorders][:, None]).ravel()
+                rows = self._record_at[columns[recorders]] + step[recorders]
+                targets = ((3 * rows)[:, None] + _XYZ).ravel()
+        # Columns whose wrench window (or the zero row after it) meets
+        # this stretch.
+        blows = False
+        if self._wrench is not None:
+            gusty = ((self._wrench_stop[columns] >= step)
+                     & (self._wrench_first[columns] < step + ticks))
+            blows = bool(np.count_nonzero(gusty))
+            if blows:
+                disturbed = columns[gusty]
+                start = step[gusty]
+                first = self._wrench_first[disturbed]
+                stop = self._wrench_stop[disturbed]
         for tick in range(ticks):
-            for runner in gusts:
-                runner._wrench.wrench_into(
-                    (runner._step + tick) * runner._dt, runner._dt,
-                    runner._force, runner._torque)
+            if lands and tick in offsets:
+                self._land(landers[due == tick])
+            if blows:
+                now = start + tick
+                inside = (first <= now) & (now <= stop)
+                blown = disturbed[inside]
+                wrench = self._wrench[:, self._wrench_shift[blown]
+                                      + now[inside]]
+                plant.force[:, blown] = wrench[0:3]
+                plant.torque[:, blown] = wrench[3:6]
             crashed = plant.tick(columns)
-            for runner, position in recorders:
-                runner._positions[runner._step + tick] = position
+            if recording:
+                record[targets + 3 * tick] = state[sources]
             if crashed:
-                for column in columns:
-                    runners[column]._step += tick + 1
+                self._step[columns] += tick + 1
                 for column in crashed:
-                    runners[column]._finish(crashed=True)
-                return [column for column in columns if column not in crashed]
-        for column in columns:
-            runners[column]._step += ticks
+                    self.runners[column]._finish(crashed=True)
+                return columns[~np.isin(columns, crashed)]
+        if lands and ticks in offsets:
+            self._land(landers[due == ticks])
+        self._step[columns] += ticks
         return columns
+
+    # -- results -------------------------------------------------------------
+    def _recorded(self, column: int, ticks: int) -> Optional[np.ndarray]:
+        """The positions ``column`` recorded over its first ``ticks`` ticks
+        (``None`` when it records none or flew none)."""
+        if not self._record[column] or not ticks:
+            return None
+        start = int(self._record_at[column])
+        return self._positions[start:start + ticks]
+
+    def _solve_log(self, column: int):
+        """``column``'s solve times and iteration counts, as lists."""
+        start = int(self._log_at[column])
+        stop = start + int(self._solves[column])
+        return (self._log_times[start:stop].tolist(),
+                self._log_iterations[start:stop].tolist())

@@ -30,7 +30,8 @@ from ..drone import (
     crazyflie,
     linearize_hover,
 )
-from ..tinympc import MPCProblem, SolverSettings, TinyMPCSolver
+from ..tinympc import (MPCProblem, SolverSettings, TinyMPCSolver,
+                       build_iteration_program)
 from .episode import EpisodeRunner, RecoveryEpisode
 from .metrics import ScenarioResult
 from .soc import SoCModel
@@ -101,7 +102,10 @@ class HILLoop:
         else:
             self.soc = SoCModel.from_implementation(config.implementation,
                                                     config.frequency_mhz)
-            self.soc.compile_problem(self.problem)
+            # Traced with the solver's LQR cache, so the DARE is solved once.
+            program = build_iteration_program(self.problem,
+                                              cache=self.solver.cache)
+            self.soc.compile_problem(self.problem, program=program)
 
     # -- helpers -----------------------------------------------------------------
     def _episode_runner(self, mission) -> EpisodeRunner:
@@ -110,8 +114,7 @@ class HILLoop:
         ``mission`` is either a waypoint :class:`Scenario` or a
         :class:`~repro.hil.episode.RecoveryEpisode`.
         """
-        return EpisodeRunner(self.config, self.params, mission, soc=self.soc,
-                             state_dim=self.problem.state_dim)
+        return EpisodeRunner(self.config, self.params, mission, soc=self.soc)
 
     def _drive_with_scalar_solver(self, runner: EpisodeRunner):
         """Answer a runner's solve requests with this loop's scalar solver."""

@@ -49,10 +49,6 @@ class Mat:
               dtype=np.float64) -> "Mat":
         return cls(np.zeros(shape, dtype=dtype), name=name, dtype=dtype)
 
-    @classmethod
-    def from_array(cls, array: np.ndarray, name: str = "tmp") -> "Mat":
-        return cls(array, name=name, dtype=array.dtype)
-
     def copy(self, name: Optional[str] = None) -> "Mat":
         return Mat(self.data.copy(), name=name or self.name, dtype=self.data.dtype)
 
@@ -93,9 +89,6 @@ class Mat:
         return self
 
     # -- conversions & dunders --------------------------------------------
-    def to_array(self) -> np.ndarray:
-        return self.data.copy()
-
     def __array__(self, dtype=None) -> np.ndarray:
         if dtype is None:
             return self.data

@@ -10,7 +10,7 @@ whole program (scratchpad-residency candidates).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Sequence, Set, Tuple
 
 from .trace import OpKind, OpRecord, Trace, tracing
 
@@ -106,16 +106,6 @@ class MatlibProgram:
                 _get(input_name, shape, op.dtype).consumer_indices.append(index)
             _get(op.output, op.out_shape, op.dtype).producer_indices.append(index)
         return infos
-
-    def producer_of(self, buffer_name: str, before_index: Optional[int] = None
-                    ) -> Optional[int]:
-        """Index of the most recent op writing ``buffer_name`` (before an index)."""
-        last: Optional[int] = None
-        stop = before_index if before_index is not None else len(self.ops)
-        for index, op in enumerate(self.ops[:stop]):
-            if op.output == buffer_name:
-                last = index
-        return last
 
     def consumers(self) -> List[List[int]]:
         """For every op, the indices of later ops that read its output

@@ -153,22 +153,6 @@ class Trace:
     def flops_by_kernel(self) -> Dict[str, int]:
         return {k: t.total_flops for k, t in self.by_kernel().items()}
 
-    def flops_by_kind(self) -> Dict[OpKind, int]:
-        result: Dict[OpKind, int] = {}
-        for record in self.records:
-            result[record.kind] = result.get(record.kind, 0) + record.flops
-        return result
-
-    def split_kernels(self) -> List[Tuple[str, "Trace"]]:
-        """Split into contiguous (kernel, sub-trace) runs preserving order."""
-        runs: List[Tuple[str, Trace]] = []
-        for record in self.records:
-            key = record.kernel or "<untagged>"
-            if not runs or runs[-1][0] != key:
-                runs.append((key, Trace()))
-            runs[-1][1].append(record)
-        return runs
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return "Trace({} ops, {} flops)".format(len(self.records), self.total_flops)
 

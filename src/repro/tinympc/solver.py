@@ -54,10 +54,6 @@ class TinyMPCSolution:
         """The first planned input — the control actually applied."""
         return self.inputs[0]
 
-    @property
-    def max_residual(self) -> float:
-        return max(self.residuals.values()) if self.residuals else float("inf")
-
 
 class TinyMPCSolver:
     """ADMM MPC solver with a pre-computed infinite-horizon LQR cache."""

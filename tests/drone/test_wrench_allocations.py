@@ -1,12 +1,11 @@
 """The per-tick wrench evaluation must stay allocation-free.
 
-``wrench_into`` runs once per physics tick inside every disturbance and
-gust episode, so it is held to the zero-allocation discipline of the
-solver hot path: a full episode of ticks retains zero numpy bytes and
-never exceeds the scalar hot-path peak ceiling.  This is tier-1 coverage
-(moved here from ``benchmarks/test_fig17_disturbance.py`` so a regression
-fails the plain test suite, not just the benchmark harness) and extends
-to the continuous gust samplers the scenario-diversity axes fly.
+``wrench_into`` is the per-tick reference every episode's wrench table is
+checked against (``tests/hil/test_episode_arrays.py``), and it is held to
+the zero-allocation discipline of the solver hot path: a full episode of
+ticks retains zero numpy bytes and never exceeds the scalar hot-path peak
+ceiling.  This extends to the continuous gust samplers the
+scenario-diversity axes fly.
 """
 
 import numpy as np

@@ -318,10 +318,12 @@ class TestInterruptCLI:
         exits 130, says so, and writes no partial rows anywhere."""
         env = dict(os.environ, PYTHONUNBUFFERED="1",
                    PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+        # 512 episodes take several seconds, so the interrupt one second
+        # in lands mid-run (64 could finish first on a fast host).
         process = subprocess.Popen(
             [sys.executable,
              os.path.join(REPO_ROOT, "scripts", "run_campaign.py"),
-             "--difficulties", "easy", "--seeds", "32",
+             "--difficulties", "easy", "--seeds", "256",
              "--frequencies", "100,250", "--workers", "2"],
             cwd=str(tmp_path), env=env, stdout=subprocess.PIPE,
             stderr=subprocess.PIPE, text=True, start_new_session=True)

@@ -151,6 +151,21 @@ class TestClosedLoop:
         assert result.total_power_w == pytest.approx(
             result.actuation_power_w + result.soc_power_w)
 
+    def test_loop_build_solves_the_dare_once(self, monkeypatch):
+        """The SoC compiles a program traced with the solver's LQR cache,
+        so building a loop solves the Riccati equation once."""
+        import repro.tinympc.cache as cache_module
+        calls = []
+        dare = cache_module.dare
+
+        def counting_dare(*args, **kwargs):
+            calls.append(args)
+            return dare(*args, **kwargs)
+
+        monkeypatch.setattr(cache_module, "dare", counting_dare)
+        HILLoop(HILConfig(implementation="vector"))
+        assert len(calls) == 1
+
     def test_ideal_policy_has_no_compute_cost(self):
         loop = HILLoop(HILConfig(implementation="ideal"))
         result = loop.run_scenario(generate_scenario(Difficulty.EASY, seed=1))
