@@ -38,7 +38,6 @@ CI smoke jobs can assert liveness with a plain shell invocation.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -211,16 +210,20 @@ def main(argv=None) -> int:
                                    episode_timeout=args.episode_timeout)
     except ValueError as exc:
         parser.error(str(exc))
-    if not args.quiet:
-        print(spec.describe())
     checkpoint_dir = args.resume or args.checkpoint_dir
-    start = time.perf_counter()
+    outcome = None
     try:
+        if not args.quiet:
+            print(spec.describe())
+        start = time.perf_counter()
         outcome = run_campaign(spec, workers=args.workers,
                                batching=not args.no_batching,
                                checkpoint_dir=checkpoint_dir,
                                retry_policy=retry_policy,
                                lease_size=args.lease_size)
+        elapsed = time.perf_counter() - start
+        rows = outcome.rows()
+        _report(args, spec, outcome, rows, elapsed)
     except CampaignInterrupted as interrupt:
         # Progress is journaled; flush a final checkpoint of the partial
         # per-cell rows and tell the user how to pick the run back up.
@@ -238,14 +241,22 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return EXIT_INTERRUPTED
     except KeyboardInterrupt:
-        # No checkpointing armed: nothing durable to flush, but still exit
-        # cleanly instead of dumping a traceback.
-        print("\ninterrupted (no --checkpoint-dir: progress not saved)",
-              file=sys.stderr)
+        # Exit cleanly instead of dumping a traceback, wherever the
+        # interrupt lands; --output is written atomically, so it is whole
+        # or absent.
+        if outcome is not None and outcome.run_dir is not None:
+            # The run finished: its journal holds every episode.
+            print("\ninterrupted after the run; resume with --resume {}"
+                  .format(outcome.run_dir), file=sys.stderr)
+        else:
+            print("\ninterrupted (no --checkpoint-dir: progress not saved)",
+                  file=sys.stderr)
         return EXIT_INTERRUPTED
-    elapsed = time.perf_counter() - start
-    rows = outcome.rows()
+    return 0 if rows else 1
 
+
+def _report(args, spec, outcome, rows, elapsed: float) -> None:
+    """Print the rows and a summary, and write ``--output``."""
     if not args.quiet:
         print(format_rows(rows))
         summary = outcome.overall()
@@ -272,11 +283,9 @@ def main(argv=None) -> int:
             payload["run_dir"] = outcome.run_dir
         if outcome.report is not None:
             payload["supervisor"] = outcome.report.as_row()
-        with open(args.output, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
+        atomic_write_json(args.output, payload)
         if not args.quiet:
             print("wrote {}".format(args.output))
-    return 0 if rows else 1
 
 
 if __name__ == "__main__":

@@ -144,24 +144,27 @@ class Disturbance:
         return force_out, torque_out
 
     def wrench_table(self, physics_dt: float, steps: int
-                     ) -> Tuple[int, np.ndarray]:
-        """The wrench of ticks ``0 .. steps - 1`` as ``(first, rows)``.
+                     ) -> Tuple[int, np.ndarray, np.ndarray]:
+        """The wrench of ticks ``0 .. steps - 1`` as ``(first, rows,
+        outside)``.
 
         Part of the wrench-event protocol (see :mod:`repro.drone.gusts`):
         row ``i`` of the ``(k, 6)`` array is the force and torque
         :meth:`wrench_into` writes at tick ``first + i``, and every other
-        tick's wrench is ``+0.0``.  The amplitude is constant over the
-        window, so every row is the window's first sample.
+        tick's wrench is ``outside``, here ``+0.0``.  The amplitude is
+        constant over the window, so every row is the window's first
+        sample.
         """
         times = np.arange(steps) * physics_dt
         end = (self.end_time if self.kind is DisturbanceType.STEP
                else self.start_time + physics_dt)
         ticks = np.flatnonzero((self.start_time <= times) & (times < end))
+        outside = np.zeros(6)
         if not ticks.size:
-            return 0, np.zeros((0, 6))
+            return 0, np.zeros((0, 6)), outside
         row = np.concatenate(self.wrench_at(float(times[ticks[0]]),
                                             physics_dt))
-        return int(ticks[0]), np.tile(row, (ticks.size, 1))
+        return int(ticks[0]), np.tile(row, (ticks.size, 1)), outside
 
     def wrench_at(self, time: float, physics_dt: float
                   ) -> Tuple[np.ndarray, np.ndarray]:

@@ -21,10 +21,11 @@ one wrench signal:
 * ``wrench_into(time, dt, force_out, torque_out)`` writes one tick's
   force and torque into caller-owned buffers with pure scalar arithmetic
   (the reference);
-* ``wrench_table(dt, steps)`` returns ``(first, rows)``: the ``(k, 6)``
-  force and torque rows of ticks ``first .. first + k - 1``, bit for bit
-  what ``wrench_into`` writes there, with every other tick's wrench
-  ``+0.0``.  An episode builds it once and its ticks read rows.
+* ``wrench_table(dt, steps)`` returns ``(first, rows, outside)``: the
+  ``(k, 6)`` force and torque rows of ticks ``first .. first + k - 1``
+  and the ``(6,)`` wrench of every other tick, bit for bit what
+  ``wrench_into`` writes there.  An episode builds it once and its ticks
+  read rows.
 
 Determinism: Dryden noise is seeded from a sha256 digest of the spec's
 ``seed`` (never ``PYTHONHASHSEED``), and the underlying unit-variance noise
@@ -115,18 +116,25 @@ class TabulatedWrench:
         return force_out, torque_out
 
     def wrench_table(self, physics_dt: float, steps: int
-                     ) -> Tuple[int, np.ndarray]:
-        """The table's rows at each tick's :meth:`wrench_into` index,
-        trimmed to the span whose wrench is not ``+0.0``."""
+                     ) -> Tuple[int, np.ndarray, np.ndarray]:
+        """The table's rows at each tick's :meth:`wrench_into` index.
+
+        Tick 0's row stands for the ticks outside the window, which spans
+        the first to the last tick whose row differs from it bit for bit.
+        """
         times = np.arange(steps) * physics_dt
         index = np.clip((times / self.dt + 0.5).astype(np.int64), 0,
                         self._last)
         rows = np.column_stack((self._fx, self._fy, self._fz, self._tx,
                                 self._ty, self._tz))[index]
-        live = np.flatnonzero(rows.view(np.uint64).any(axis=1))
+        if not steps:
+            return 0, rows, np.zeros(6)
+        outside = rows[0].copy()
+        live = np.flatnonzero(
+            (rows.view(np.uint64) != outside.view(np.uint64)).any(axis=1))
         if not live.size:
-            return 0, np.zeros((0, 6))
-        return int(live[0]), rows[live[0]:live[-1] + 1].copy()
+            return 0, rows[:0].copy(), outside
+        return int(live[0]), rows[live[0]:live[-1] + 1].copy(), outside
 
 
 @dataclass(frozen=True)
@@ -327,24 +335,24 @@ class DiscreteGust:
                           (amplitudes * self.torque_fraction)[:, None] * unit))
 
     def wrench_table(self, physics_dt: float, steps: int
-                     ) -> Tuple[int, np.ndarray]:
-        """The gust's window of ticks, with :meth:`_amplitude_at` per tick.
+                     ) -> Tuple[int, np.ndarray, np.ndarray]:
+        """The gust's window of ticks, with :meth:`_amplitude_at` per tick,
+        and the zero-amplitude wrench of every other tick.
 
         The ramps are evaluated with :func:`math.cos` as in
-        :meth:`wrench_into` (``np.cos`` may round differently).  Outside
-        the window the amplitude is ``0.0``; when a negative direction
-        component or torque fraction makes that a ``-0.0`` wrench, the
-        table spans every tick.
+        :meth:`wrench_into` (``np.cos`` may round differently).  A
+        negative direction component or torque fraction makes parts of
+        the outside wrench ``-0.0``.
         """
         offsets = np.arange(steps) * physics_dt - self.start_time
         ticks = np.flatnonzero((offsets >= 0.0) & (offsets < self.duration))
-        first, stop = ((int(ticks[0]), int(ticks[-1]) + 1) if ticks.size
-                       else (0, 0))
-        if np.signbit(self._rows(np.zeros(1))).any():
-            first, stop = 0, steps
-        times = (np.arange(first, stop) * physics_dt).tolist()
-        return first, self._rows(np.array(
-            [self._amplitude_at(time) for time in times], dtype=np.float64))
+        outside = self._rows(np.zeros(1))[0]
+        if not ticks.size:
+            return 0, np.zeros((0, 6)), outside
+        times = (ticks * physics_dt).tolist()
+        return int(ticks[0]), self._rows(np.array(
+            [self._amplitude_at(time) for time in times],
+            dtype=np.float64)), outside
 
     def to_dict(self) -> Dict[str, object]:
         return {

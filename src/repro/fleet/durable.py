@@ -105,14 +105,23 @@ def canonical_json(payload) -> str:
 
 
 def atomic_write_json(path: str, payload, indent: int = 2) -> None:
-    """Write JSON via a same-directory temp file + atomic rename."""
+    """Write JSON via a same-directory temp file + atomic rename.
+
+    A write that fails or is interrupted leaves neither ``path`` nor the
+    temp file behind.
+    """
     tmp = "{}.tmp.{}".format(path, os.getpid())
-    with open(tmp, "w") as handle:
-        json.dump(payload, handle, indent=indent, sort_keys=True)
-        handle.write("\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as handle:
+            json.dump(payload, handle, indent=indent, sort_keys=True)
+            handle.write("\n")
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------

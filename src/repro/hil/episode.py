@@ -36,8 +36,9 @@ only for the columns that use it and sized per episode: each disturbed
 column's wrench window (the event's ``wrench_table``), each recording
 column's position rows, and each faulty column's sensor noise and dropout
 draws (:class:`~repro.hil.faults.FaultPipelines`).  A tick then writes the
-wrenches of the columns inside their windows and records positions with
-one indexed write each.
+wrenches of the columns inside their windows with flat indexed writes and
+copies the plant's positions with one slice; a stretch files the copies
+into the position rows at its end.
 
 The fleet scheduler drives one batch over all HIL episodes of a campaign
 chunk and reads the requests as column arrays (:attr:`EpisodeBatch.x0`,
@@ -139,19 +140,24 @@ def first_ticks(threshold: np.ndarray, after: np.ndarray, last: np.ndarray,
     decreases as ``j`` grows, so with
     ``c = ceil(threshold / dt)`` the answer before clamping is ``c - 1``
     when ``(c - 1) * dt`` passes, else ``c`` when ``c * dt`` passes, else
-    ``c + 1``.  All four arguments are 1-D and equally long (one entry
-    per search); ``threshold`` is never NaN, and ``inf`` finds none.
+    ``c + 1``.  The arguments broadcast against each other (one entry per
+    search); ``threshold`` is never NaN, and ``inf`` finds none.
     """
     ceiling = np.ceil(threshold / dt)
-    ticks = ceiling + (ceiling * dt < threshold)
-    ticks -= (ceiling - 1.0) * dt >= threshold
-    return np.maximum(np.minimum(ticks, last), after + 1).astype(np.int64)
+    lower = ceiling - _ONE
+    ticks = (lower + (lower * dt < threshold)
+             + (ceiling * dt < threshold)).astype(np.int64)
+    return np.maximum(np.minimum(ticks, last), after + _ONE_TICK)
 
 
 # A landing tick that is never reached: no command is pending.
 _NEVER = np.iinfo(np.int64).max // 2
-# x, y, z within a position row.
-_XYZ = np.arange(3)
+# Array constants: a ufunc takes a 0-d array operand faster than a
+# Python number, which it converts on every call.
+_ONE = np.array(1.0)
+_ONE_TICK = np.array(1)
+_NO_TICKS = np.array(0)
+_MIN_LATENCY = np.array(1e-9)
 
 
 def _sample_bound(steps: int, dt: float, period: float) -> int:
@@ -227,63 +233,6 @@ class EpisodeRunner:
             columns = batch.advance(columns, np.asarray(control)[None],
                                     np.array([iterations]))
 
-    def _finish(self, crashed: bool) -> None:
-        """Build the result once the episode's column has stopped flying."""
-        batch, column = self._batch, self._column
-        config = self.config
-        scenario = self.scenario
-        dt = config.physics_dt
-        ticks = int(batch._step[column])
-        # The time of the last physics tick flown (0.0 if none was).
-        time = (ticks - 1) * dt if ticks else 0.0
-        positions = batch._recorded(column, ticks)
-        if self.is_recovery:
-            disturbance = scenario.disturbance
-            result = analyze_recovery(
-                np.arange(ticks) * dt,
-                positions if positions is not None else [],
-                scenario.hold_position, disturbance.end_time,
-                disturbance_start=disturbance.start_time)
-            result.disturbance = disturbance
-            if crashed:
-                result.recovered = False
-                result.time_to_recovery = None
-            self._result = result
-            self._batch = None
-            return
-
-        plant = batch.plant
-        flight_time = max(time, config.physics_dt)
-        final_distance = float(np.linalg.norm(
-            plant.state[0:3, column] - scenario.final_waypoint.as_array()))
-        success = (not crashed) and final_distance <= config.waypoint_tolerance
-
-        if config.is_ideal:
-            soc_power = 0.0
-        else:
-            activity = min(float(batch._busy[column]) / flight_time, 1.0)
-            soc_power = self.soc.power(activity)
-
-        solve_times, solve_iterations = batch._solve_log(column)
-        # RecoveryResult carries no power metrics; the plant meters every
-        # column anyway, and only waypoint episodes read it.
-        energy = float(plant.energy[column])
-        self._result = ScenarioResult(
-            scenario=scenario,
-            implementation=config.implementation,
-            frequency_mhz=config.frequency_mhz,
-            success=success,
-            crashed=crashed,
-            final_distance=final_distance,
-            solve_times=solve_times,
-            solve_iterations=solve_iterations,
-            actuation_power_w=energy / flight_time,
-            soc_power_w=soc_power,
-            flight_time_s=flight_time,
-            positions=positions.copy() if positions is not None else None,
-        )
-        self._batch = None
-
 
 def _offsets(sizes: Sequence[int]) -> Tuple[np.ndarray, int]:
     """Where each of a run of per-column tables starts when concatenated,
@@ -301,8 +250,8 @@ class EpisodeBatch:
     returns the columns that now ask for a solve: their sampled states are
     rows of :attr:`x0`, their goals rows of :attr:`goal`, and their sample
     times entries of :attr:`sample_time`.  An advanced column that asks for
-    no solve has finished.  Each physics tick of the flying columns is one
-    :meth:`QuadrotorBatch.tick`.
+    no solve has finished, and its runner's ``result`` is set.  Each
+    physics tick of the flying columns is one :meth:`QuadrotorBatch.tick`.
     """
 
     def __init__(self, runners: Sequence[EpisodeRunner]) -> None:
@@ -355,8 +304,6 @@ class EpisodeBatch:
         waypoints = []
         for column, runner in enumerate(runners):
             runner._result = None
-            runner._batch = self
-            runner._column = column
             scenario = runner.scenario
             if runner.is_recovery:
                 start = np.asarray(scenario.hold_position, dtype=np.float64)
@@ -391,7 +338,9 @@ class EpisodeBatch:
         self._log_iterations = np.zeros(rows, dtype=np.int64)
 
         # Position records: every tick of recovery episodes and of
-        # waypoint episodes that keep their trajectory.
+        # waypoint episodes that keep their trajectory.  A stretch of
+        # ticks copies the plant's x, y, z rows into a staging block, one
+        # slice per tick, and files them into the records at its end.
         self._record = np.array(
             [runner.is_recovery or config.record_trajectory
              for runner, config in zip(runners, configs)], dtype=bool)
@@ -399,14 +348,18 @@ class EpisodeBatch:
         self._record_at = np.zeros(width, dtype=np.int64)
         self._record_at[recording], rows = _offsets(self._steps[recording])
         self._positions = np.empty((rows, 3)) if rows else None
-        # Flat index of each column's x, y, z in the plant state.
+        self._stage = np.empty((0, 3, width))
+        self._ramp = np.arange(0)[:, None]
+        # Flat index of each column's x, y, z in a (3, width) buffer.
         self._xyz_rows = np.arange(3) * width
 
-        # Wrench windows: column c's rows for ticks first[c] .. stop[c] - 1
-        # sit at shift[c] + tick, followed by one zero row that tick
-        # stop[c] writes; columns without a window have stop = -1.
-        self._wrench_first = np.full(width, -1, dtype=np.int64)
-        self._wrench_stop = np.full(width, -1, dtype=np.int64)
+        # Wrench windows: the rows of column c's ticks first .. stop - 1,
+        # with its outside row before and after them, sit at shift[c] +
+        # tick for ticks lower[c] = first - 1 .. upper[c] = stop (both -2
+        # without a window).  The outside row is in the plant from the
+        # start.
+        self._wrench_lower = np.full(width, -2, dtype=np.int64)
+        self._wrench_upper = np.full(width, -2, dtype=np.int64)
         self._wrench_shift = np.zeros(width, dtype=np.int64)
         tables, rows = [], 0
         for column, runner in enumerate(runners):
@@ -415,17 +368,18 @@ class EpisodeBatch:
             config = configs[column]
             sampler = runner.scenario.disturbance.sampler(
                 config.physics_dt, runner.scenario.duration)
-            first, table = sampler.wrench_table(config.physics_dt,
-                                                int(self._steps[column]))
+            first, table, outside = sampler.wrench_table(
+                config.physics_dt, int(self._steps[column]))
+            plant.force[:, column] = outside[0:3]
+            plant.torque[:, column] = outside[3:6]
             if not len(table):
                 continue
-            self._wrench_first[column] = first
-            self._wrench_stop[column] = first + len(table)
-            self._wrench_shift[column] = rows - first
-            tables.append(table)
-            tables.append(np.zeros((1, 6)))
-            rows += len(table) + 1
-        self._wrench = np.concatenate(tables).T.copy() if tables else None
+            self._wrench_lower[column] = first - 1
+            self._wrench_upper[column] = first + len(table)
+            self._wrench_shift[column] = rows - (first - 1)
+            tables += [outside[None], table, outside[None]]
+            rows += len(table) + 2
+        self._wrench = np.concatenate(tables) if tables else None
 
         profiles = [(column, runner.faults, float(self._period[column]),
                      samples[column])
@@ -466,7 +420,7 @@ class EpisodeBatch:
         ended = step == self._steps[columns]
         if np.count_nonzero(ended):
             for column in columns[ended].tolist():
-                self.runners[column]._finish(crashed=False)
+                self._finish(column, crashed=False)
             columns, step = columns[~ended], step[~ended]
             if not columns.size:
                 return columns
@@ -505,7 +459,7 @@ class EpisodeBatch:
                 iterations: np.ndarray) -> None:
         """Take the solves ``columns`` blocked on; their ticks' physics is
         next."""
-        if np.count_nonzero(iterations < 0):
+        if np.count_nonzero(iterations < _NO_TICKS):
             raise ValueError("iterations must be non-negative")
         time = self.sample_time[columns]
         # SoCModel.solve_latency, then the end-to-end latency from state
@@ -513,7 +467,7 @@ class EpisodeBatch:
         compute = (iterations * self._cycles[columns]
                    / self._clock_hz[columns])
         latency = self._downlink[columns] + compute + self._uplink[columns]
-        free = time + np.maximum(latency, 1e-9)
+        free = time + np.maximum(latency, _MIN_LATENCY)
         self._pending[columns] = controls
         if self._instant:
             # The ideal policy applies its command now and never holds
@@ -555,102 +509,175 @@ class EpisodeBatch:
 
     def _fly(self, columns: np.ndarray) -> np.ndarray:
         asking = []
+        step = self._step[columns]
+        gap = self._event[columns] - step
         while columns.size:
-            step = self._step[columns]
-            gap = self._event[columns] - step
-            at = gap == 0
-            events = np.count_nonzero(at)
-            if events == columns.size:
-                asking.append(self._on_events(columns, step))
-                break
-            if events:
+            gaps = gap.tolist()
+            ticks = min(gaps)
+            if not ticks:
+                if not max(gaps):
+                    asking.append(self._on_events(columns, step))
+                    break
+                at = gap == _NO_TICKS
                 asking.append(self._on_events(columns[at], step[at]))
                 flying = ~at
                 columns, step, gap = columns[flying], step[flying], gap[flying]
-            columns = self._physics(columns, step, min(gap.tolist()))
+                ticks = min(gap.tolist())
+            columns, step, gap = self._physics(columns, step, gap, ticks)
         if len(asking) == 1:
             return asking[0]
         return np.sort(np.concatenate(asking)) if asking else columns
 
     def _physics(self, columns: np.ndarray, step: np.ndarray,
-                 ticks: int) -> np.ndarray:
-        """Fly ``columns``, at ticks ``step``, for ``ticks`` ticks before
-        their next events.
+                 gap: np.ndarray, ticks: int
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Fly ``columns``, at ticks ``step`` and ``gap`` ticks before
+        their next events, for ``ticks`` ticks.
 
-        Returns the columns still flying; a crash ends its episode on the
-        tick it happens and cuts the stretch short for the rest.
+        Returns the columns still flying with their new ticks and gaps; a
+        crash ends its episode on the tick it happens and cuts the stretch
+        short for the rest.
         """
         plant = self.plant
-        # Commands landing on the stretch's ticks, by offset; one due on
+        start, span = step, np.array(ticks)
+        # Commands landing on the stretch's ticks, by offset.  One due on
         # the tick after the stretch lands at its end, before any event
         # there samples the state.
         due = self._landing[columns] - step
-        landing = due <= ticks
+        landing = due <= span
         lands = bool(np.count_nonzero(landing))
         if lands:
             landers, due = columns[landing], due[landing]
             offsets = set(due.tolist())
         recording = False
         if self._positions is not None:
-            # Flat indices: the recorders' x, y, z in the plant state, and
-            # where the stretch's first tick writes them in the record.
             recorders = self._record[columns]
-            recording = bool(np.count_nonzero(recorders))
+            recording = np.count_nonzero(recorders)
             if recording:
-                state = plant.state.reshape(-1)
-                record = self._positions.reshape(-1)
-                sources = (self._xyz_rows
-                           + columns[recorders][:, None]).ravel()
-                rows = self._record_at[columns[recorders]] + step[recorders]
-                targets = ((3 * rows)[:, None] + _XYZ).ravel()
-        # Columns whose wrench window (or the zero row after it) meets
-        # this stretch.
+                if recording == len(columns):
+                    recorders = slice(None)
+                if len(self._stage) < ticks:
+                    self._stage = np.empty((ticks, 3, plant.width))
+                    self._ramp = np.arange(ticks)[:, None]
+                stage = self._stage
+                position = plant.state[0:3]
+        # Columns whose wrench window (or the outside rows around it)
+        # meets this stretch, and the table row of each of their ticks.
         blows = False
         if self._wrench is not None:
-            gusty = ((self._wrench_stop[columns] >= step)
-                     & (self._wrench_first[columns] < step + ticks))
+            lower = self._wrench_lower[columns]
+            upper = self._wrench_upper[columns]
+            gusty = (upper >= step) & (lower < step + span)
             blows = bool(np.count_nonzero(gusty))
             if blows:
+                # Each tick's forces and torques, ordered as the flat
+                # indices of the disturbed columns' wrench entries.
                 disturbed = columns[gusty]
-                start = step[gusty]
-                first = self._wrench_first[disturbed]
-                stop = self._wrench_stop[disturbed]
+                rows = self._wrench_shift[disturbed] + np.minimum(np.maximum(
+                    step[gusty] + np.arange(ticks)[:, None], lower[gusty]),
+                    upper[gusty])
+                forces = self._wrench[rows, 0:3].reshape(ticks, -1)
+                torques = self._wrench[rows, 3:6].reshape(ticks, -1)
+                xyz = (self._xyz_rows + disturbed[:, None]).ravel()
+                force = plant.force.reshape(-1)
+                torque = plant.torque.reshape(-1)
+        flown, crashed = ticks, None
         for tick in range(ticks):
             if lands and tick in offsets:
-                self._land(landers[due == tick])
+                self._land(landers if len(offsets) == 1
+                           else landers[due == tick])
             if blows:
-                now = start + tick
-                inside = (first <= now) & (now <= stop)
-                blown = disturbed[inside]
-                wrench = self._wrench[:, self._wrench_shift[blown]
-                                      + now[inside]]
-                plant.force[:, blown] = wrench[0:3]
-                plant.torque[:, blown] = wrench[3:6]
+                force[xyz] = forces[tick]
+                torque[xyz] = torques[tick]
             crashed = plant.tick(columns)
             if recording:
-                record[targets + 3 * tick] = state[sources]
+                stage[tick] = position
             if crashed:
-                self._step[columns] += tick + 1
-                for column in crashed:
-                    self.runners[column]._finish(crashed=True)
-                return columns[~np.isin(columns, crashed)]
-        if lands and ticks in offsets:
-            self._land(landers[due == ticks])
-        self._step[columns] += ticks
-        return columns
+                flown = tick + 1
+                break
+        if flown < ticks:
+            span = np.array(flown)
+        step = step + span
+        self._step[columns] = step
+        if recording:
+            # The stretch's ticks of each recorder, as record rows (a
+            # crashed column's included).
+            filed = columns[recorders]
+            targets = (self._record_at[filed] + start[recorders]
+                       + self._ramp[:flown])
+            self._positions[targets] = stage[:flown, :, filed].transpose(
+                0, 2, 1)
+        if crashed:
+            for column in crashed:
+                self._finish(column, crashed=True)
+            flying = ~np.isin(columns, crashed)
+            columns, step, gap = columns[flying], step[flying], gap[flying]
+            if lands:
+                flying = ~np.isin(landers, crashed)
+                landers, due = landers[flying], due[flying]
+                offsets = set(due.tolist())
+        if lands and flown in offsets:
+            self._land(landers if len(offsets) == 1
+                       else landers[due == flown])
+        return columns, step, gap - span
 
     # -- results -------------------------------------------------------------
-    def _recorded(self, column: int, ticks: int) -> Optional[np.ndarray]:
-        """The positions ``column`` recorded over its first ``ticks`` ticks
-        (``None`` when it records none or flew none)."""
-        if not self._record[column] or not ticks:
-            return None
-        start = int(self._record_at[column])
-        return self._positions[start:start + ticks]
+    def _finish(self, column: int, crashed: bool) -> None:
+        """Set the result of ``column``'s episode once it has stopped
+        flying."""
+        runner = self.runners[column]
+        config = runner.config
+        scenario = runner.scenario
+        dt = config.physics_dt
+        ticks = int(self._step[column])
+        # The time of the last physics tick flown (0.0 if none was).
+        time = (ticks - 1) * dt if ticks else 0.0
+        positions = None
+        if self._record[column] and ticks:
+            row = int(self._record_at[column])
+            positions = self._positions[row:row + ticks]
+        if runner.is_recovery:
+            disturbance = scenario.disturbance
+            result = analyze_recovery(
+                np.arange(ticks) * dt,
+                positions if positions is not None else [],
+                scenario.hold_position, disturbance.end_time,
+                disturbance_start=disturbance.start_time)
+            result.disturbance = disturbance
+            if crashed:
+                result.recovered = False
+                result.time_to_recovery = None
+            runner._result = result
+            return
 
-    def _solve_log(self, column: int):
-        """``column``'s solve times and iteration counts, as lists."""
+        plant = self.plant
+        flight_time = max(time, dt)
+        final_distance = float(np.linalg.norm(
+            plant.state[0:3, column] - scenario.final_waypoint.as_array()))
+        success = (not crashed) and final_distance <= config.waypoint_tolerance
+
+        if config.is_ideal:
+            soc_power = 0.0
+        else:
+            activity = min(float(self._busy[column]) / flight_time, 1.0)
+            soc_power = runner.soc.power(activity)
+
         start = int(self._log_at[column])
         stop = start + int(self._solves[column])
-        return (self._log_times[start:stop].tolist(),
-                self._log_iterations[start:stop].tolist())
+        # RecoveryResult carries no power metrics; the plant meters every
+        # column anyway, and only waypoint episodes read it.
+        energy = float(plant.energy[column])
+        runner._result = ScenarioResult(
+            scenario=scenario,
+            implementation=config.implementation,
+            frequency_mhz=config.frequency_mhz,
+            success=success,
+            crashed=crashed,
+            final_distance=final_distance,
+            solve_times=self._log_times[start:stop].tolist(),
+            solve_iterations=self._log_iterations[start:stop].tolist(),
+            actuation_power_w=energy / flight_time,
+            soc_power_w=soc_power,
+            flight_time_s=flight_time,
+            positions=positions.copy() if positions is not None else None,
+        )

@@ -293,9 +293,8 @@ class TinyMPCWorkspace:
     def set_reference(self, Xref: np.ndarray) -> None:
         """Set the tracking reference; a single state is broadcast over N."""
         Xref = np.asarray(Xref, dtype=np.float64)
-        if Xref.ndim == 1:
-            Xref = np.tile(Xref, (self.horizon, 1))
-        if Xref.shape != (self.horizon, self.state_dim):
+        if (Xref.shape != (self.state_dim,)
+                and Xref.shape != (self.horizon, self.state_dim)):
             raise ValueError("Xref must have shape ({}, {})".format(
                 self.horizon, self.state_dim))
         self.Xref[...] = Xref

@@ -11,6 +11,7 @@ Faults are injected with :mod:`repro.fleet.chaos` via the ``REPRO_CHAOS``
 environment variable, which crosses process and start-method boundaries.
 """
 
+import importlib.util
 import json
 import os
 import shutil
@@ -316,14 +317,16 @@ class TestInterruptCLI:
     def test_sigint_without_checkpoint_exits_130_unsaved(self, tmp_path):
         """An uncheckpointed worker run has nothing to resume: Ctrl-C still
         exits 130, says so, and writes no partial rows anywhere."""
+        # A wedged last episode holds the run open, so the interrupt one
+        # second in lands mid-run however fast the host flies the rest.
         env = dict(os.environ, PYTHONUNBUFFERED="1",
-                   PYTHONPATH=os.path.join(REPO_ROOT, "src"))
-        # 512 episodes take several seconds, so the interrupt one second
-        # in lands mid-run (64 could finish first on a fast host).
+                   PYTHONPATH=os.path.join(REPO_ROOT, "src"),
+                   REPRO_CHAOS=json.dumps({"episode": 63, "mode": "hang",
+                                           "hang_s": 120}))
         process = subprocess.Popen(
             [sys.executable,
              os.path.join(REPO_ROOT, "scripts", "run_campaign.py"),
-             "--difficulties", "easy", "--seeds", "256",
+             "--difficulties", "easy", "--seeds", "32",
              "--frequencies", "100,250", "--workers", "2"],
             cwd=str(tmp_path), env=env, stdout=subprocess.PIPE,
             stderr=subprocess.PIPE, text=True, start_new_session=True)
@@ -336,4 +339,52 @@ class TestInterruptCLI:
         process.stderr.close()
         assert returncode == 130, stderr
         assert "progress not saved" in stderr
+        assert os.listdir(str(tmp_path)) == []
+
+    def _cli_module(self):
+        path = os.path.join(REPO_ROOT, "scripts", "run_campaign.py")
+        spec = importlib.util.spec_from_file_location("run_campaign_cli", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    ONE_EPISODE = ["--difficulties", "easy", "--seeds", "1",
+                   "--frequencies", "100"]
+
+    def _main(self, cli, extra):
+        try:
+            return cli.main(self.ONE_EPISODE + extra)
+        except KeyboardInterrupt:
+            pytest.fail("the interrupt escaped main()")
+
+    def test_interrupt_while_printing_rows_exits_130(self, tmp_path,
+                                                     monkeypatch, capsys):
+        """Ctrl-C after the run returns, while its rows are formatted,
+        still exits 130 with no traceback and no output file."""
+        cli = self._cli_module()
+
+        def interrupted(rows):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "format_rows", interrupted)
+        monkeypatch.chdir(tmp_path)
+        code = self._main(cli, ["--output", "rows.json"])
+        assert code == cli.EXIT_INTERRUPTED
+        assert "progress not saved" in capsys.readouterr().err
+        assert os.listdir(str(tmp_path)) == []
+
+    def test_interrupt_while_writing_output_leaves_no_file(
+            self, tmp_path, monkeypatch, capsys):
+        """Ctrl-C during the ``--output`` write exits 130 and leaves
+        neither a partial file nor the temp file behind."""
+        cli = self._cli_module()
+
+        def interrupted(descriptor):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "fsync", interrupted)
+        monkeypatch.chdir(tmp_path)
+        code = self._main(cli, ["--quiet", "--output", "rows.json"])
+        assert code == cli.EXIT_INTERRUPTED
+        assert "progress not saved" in capsys.readouterr().err
         assert os.listdir(str(tmp_path)) == []

@@ -19,7 +19,7 @@ from repro.drone import (Difficulty, Disturbance, DisturbanceCategory,
                          DisturbanceType)
 from repro.fleet import CampaignSpec, EpisodeSpec, run_campaign
 from repro.hil import HILConfig, HILLoop
-from repro.hil.episode import EpisodeRunner
+from repro.hil.episode import EpisodeBatch
 
 # A reduced but real slice of the Fig. 17 suite: two implementations times
 # (force x 2 kinds x 3 axes + combined x 2 kinds) = 16 recovery episodes.
@@ -54,13 +54,13 @@ def crashes(monkeypatch):
     """Campaign index -> crashed, for every episode finished in-process
     (a :class:`RecoveryResult` does not carry the crash itself)."""
     record = {}
-    finish = EpisodeRunner._finish
+    finish = EpisodeBatch._finish
 
-    def recording_finish(runner, crashed):
-        record[runner.episode_id] = crashed
-        finish(runner, crashed)
+    def recording_finish(batch, column, crashed):
+        record[batch.runners[column].episode_id] = crashed
+        finish(batch, column, crashed)
 
-    monkeypatch.setattr(EpisodeRunner, "_finish", recording_finish)
+    monkeypatch.setattr(EpisodeBatch, "_finish", recording_finish)
     return record
 
 

@@ -22,13 +22,15 @@ from repro.drone import (
     DisturbanceCategory,
     DisturbanceType,
     DrydenGust,
+    QuadrotorBatch,
     crazyflie,
     generate_scenario,
 )
 from repro.hil import (EpisodeRunner, HILConfig, SensorFaults, SoCModel,
                        build_variant_problem)
-from repro.hil.episode import EpisodeBatch, first_ticks
+from repro.hil.episode import EpisodeBatch, RecoveryEpisode, first_ticks
 from repro.hil.faults import FaultPipelines
+from repro.tinympc import SolverSettings, TinyMPCSolver
 
 DT = 0.002
 
@@ -91,8 +93,8 @@ def reference_rows(sampler, dt, steps):
 
 def flown_rows(sampler, dt, steps):
     """What a batch column's ticks write from the sampler's table."""
-    first, table = sampler.wrench_table(dt, steps)
-    rows = np.zeros((steps, 6))
+    first, table, outside = sampler.wrench_table(dt, steps)
+    rows = np.tile(outside, (steps, 1))
     rows[first:first + len(table)] = table
     return rows
 
@@ -149,11 +151,73 @@ class TestWrenchTables:
     def test_discrete_event_table_is_its_window(self):
         """A 100 ms step is 50 rows at 2 ms, an impulse one row."""
         step = WRENCH_EVENTS["step-force"]
-        assert step.wrench_table(DT, 750) == (250, pytest.approx(
-            np.tile(np.concatenate(step.wrench_at(0.5, DT)), (50, 1))))
-        first, table = WRENCH_EVENTS["impulse-force-off-grid"].wrench_table(
+        first, table, outside = step.wrench_table(DT, 750)
+        assert first == 250
+        assert table.tobytes() == np.tile(
+            np.concatenate(step.wrench_at(0.5, DT)), (50, 1)).tobytes()
+        assert outside.tobytes() == np.zeros(6).tobytes()
+        first, table, _ = WRENCH_EVENTS["impulse-force-off-grid"].wrench_table(
             DT, 750)
         assert (first, len(table)) == (251, 1)
+
+    @pytest.mark.parametrize("name", ["discrete-gust-negative",
+                                      "dryden-negative-torque"])
+    def test_negative_zero_outside_keeps_the_table_a_window(self, name):
+        """A ``-0.0`` wrench outside the window is the outside row, not
+        table rows over every tick."""
+        event = WRENCH_EVENTS[name]
+        first, table, outside = event.sampler(DT, 1.5).wrench_table(DT, 750)
+        assert np.signbit(outside).any() and not outside.any()
+        window = round((event.end_time - event.start_time) / DT)
+        assert first > 0 and abs(len(table) - window) <= 1
+
+
+class TestFlownWrenches:
+    def test_batch_ticks_feel_wrench_into_bit_for_bit(self, monkeypatch):
+        """Every column of a recovery batch feels, on every tick it flies,
+        the wrench its event's ``wrench_into`` gives for that tick: the
+        tables, the outside rows around them and the outside wrench
+        written at build."""
+        names = sorted(WRENCH_EVENTS)
+        params = crazyflie()
+        problem = build_variant_problem(params)
+        soc = SoCModel.from_implementation("vector", 100.0)
+        soc.compile_problem(problem)
+        config = HILConfig(implementation="vector")
+        runners = [EpisodeRunner(config, params,
+                                 RecoveryEpisode(WRENCH_EVENTS[name],
+                                                 duration=1.5),
+                                 soc=soc, episode_id=column)
+                   for column, name in enumerate(names)]
+        felt = [[] for _ in names]
+        tick = QuadrotorBatch.tick
+
+        def recording_tick(plant, columns):
+            for column in list(columns):
+                felt[column].append(np.concatenate(
+                    (plant.force[:, column], plant.torque[:, column])))
+            return tick(plant, columns)
+
+        monkeypatch.setattr(QuadrotorBatch, "tick", recording_tick)
+        # Closed-loop solves keep the drones flying past their windows,
+        # onto the outside rows after them.
+        solvers = [TinyMPCSolver(problem, SolverSettings(max_iterations=10,
+                                                         warm_start=True))
+                   for _ in runners]
+        batch = EpisodeBatch(runners)
+        columns = batch.advance()
+        while columns.size:
+            solutions = [solvers[column].solve(batch.x0[column],
+                                               Xref=batch.goal[column])
+                         for column in columns.tolist()]
+            columns = batch.advance(
+                columns, np.array([solution.control
+                                   for solution in solutions]),
+                np.array([solution.iterations for solution in solutions]))
+        for column, name in enumerate(names):
+            sampler = WRENCH_EVENTS[name].sampler(DT, 1.5)
+            want = reference_rows(sampler, DT, len(felt[column]))
+            assert np.array(felt[column]).tobytes() == want.tobytes(), name
 
 
 FAULTS = {
@@ -229,15 +293,16 @@ class TestDrawnAheadFaults:
         assert 0.0 < np.abs(noise - truths).max() < 0.1
 
 
-def waypoint_runners(count):
+def waypoint_runners(count, seed=None, **config):
     params = crazyflie()
     soc = SoCModel.from_implementation("vector", 100.0)
     soc.compile_problem(build_variant_problem(params))
-    config = HILConfig(implementation="vector")
+    config = HILConfig(implementation="vector", **config)
     return [EpisodeRunner(config, params,
-                          generate_scenario(Difficulty.EASY, seed),
-                          soc=soc, episode_id=seed)
-            for seed in range(count)]
+                          generate_scenario(Difficulty.EASY,
+                                            index if seed is None else seed),
+                          soc=soc, episode_id=index)
+            for index in range(count)]
 
 
 def fly(batch):
@@ -268,3 +333,49 @@ def test_waypoint_batch_allocates_no_per_tick_tables():
     numpy_bytes = sum(stat.size for stat in held.statistics("filename"))
     assert all(runner.result.flight_time_s > 0 for runner in runners)
     assert numpy_bytes < 8 * ticks, (numpy_bytes, ticks)
+
+
+class TestCrashAtAStretchEnd:
+    """A crash cuts a stretch short for every column flying it; a command
+    due on the tick after the stretch must still land before that tick's
+    sample."""
+
+    CONTROL = np.array([0.01, -0.01, 0.01, -0.01])
+
+    def drive(self, batch, iterations, poke=None):
+        columns = batch.advance()
+        if poke is not None:
+            poke(batch)
+        while columns.size:
+            columns = batch.advance(
+                columns, np.tile(self.CONTROL, (columns.size, 1)),
+                np.full(columns.size, iterations))
+
+    def test_survivor_flies_as_it_does_alone(self):
+        pair = waypoint_runners(2, seed=0, record_trajectory=True)
+        soc, config = pair[0].soc, pair[0].config
+        # A latency in the last tick of the 10 ms control period: each
+        # command lands on tick 5, which is also the next control tick.
+        iterations = 154
+        latency = (config.uart.downlink_latency
+                   + soc.solve_latency(iterations)
+                   + config.uart.uplink_latency)
+        assert 4 * DT < latency < config.control_period <= 5 * DT
+
+        def sink(batch):
+            """Drop column 0 through the floor on its fifth tick, the
+            last of the first stretch."""
+            batch.plant.state[2, 0] = -0.041
+            batch.plant.state[8, 0] = -1.0
+
+        self.drive(EpisodeBatch(pair), iterations, sink)
+        crashed, survivor = pair
+        assert crashed.result.crashed
+        assert crashed.result.flight_time_s == 4 * DT
+        alone = waypoint_runners(1, seed=0, record_trajectory=True)[0]
+        self.drive(EpisodeBatch([alone]), iterations)
+        assert not survivor.result.crashed
+        assert (survivor.result.positions.tobytes()
+                == alone.result.positions.tobytes())
+        assert survivor.result.solve_times == alone.result.solve_times
+        assert survivor.result.final_distance == alone.result.final_distance
